@@ -7,6 +7,14 @@ moved tensor and each candidate partition's result tensor (directed).
 Both affected partitions get fresh greedy trees, the fan-in path is
 re-searched, and the candidate is re-costed.
 
+Under the distributed metric a candidate is costed on the k-leaf fan-in
+tree: each partition's local cost comes from its own tree, and its fan-in
+from the reduction tree's contractions and transfers, which are those of
+the composed tree.  A proposal therefore never builds the full tree over
+all tensors; a state composes it on first read of ``tree`` or
+``part_roots``, which in a run happens only for the plan it returns.
+The serial and parallel metrics still cost the composed tree.
+
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
 P(accept) = exp(-log(c_new / c_current) / T), with values above 1
@@ -27,7 +35,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -82,15 +91,29 @@ class AnnealConfig:
 
 @dataclass(frozen=True)
 class AnnealState:
-    """One point of the search space: a full plan plus its cached costs."""
+    """One point of the search space: a plan's parts plus its cached costs.
+
+    The composed tree and the partitions' subtree roots in it are built
+    on first read and then cached.
+    """
 
     partitioning: Partitioning
     partition_trees: tuple
     reduction_nested: object
-    tree: object
-    part_roots: tuple
     local_costs: tuple
     cost: float
+
+    @cached_property
+    def tree(self):
+        net = self.partition_trees[0].network
+        return compose_plan_tree(net, self.partition_trees, self.reduction_nested)
+
+    @cached_property
+    def part_roots(self):
+        roots = self.tree.subtree_roots(self.partitioning.blocks)
+        if roots is None:
+            raise RuntimeError("composed tree lost a partition subtree")
+        return tuple(roots)
 
 
 def acceptance_probability(current, candidate, temperature):
@@ -139,8 +162,6 @@ def state_from_plan(plan, cfg):
         plan.partitioning,
         tuple(plan.partition_trees),
         plan.reduction_nested,
-        plan.tree,
-        tuple(plan.part_roots),
         local_costs,
         cost,
     )
@@ -217,41 +238,39 @@ def select_neighbor(net, state, cfg, rng):
     trees = list(state.partition_trees)
     trees[k_src] = greedy_tree(net, new_blocks[k_src])
     trees[k_dst] = greedy_tree(net, new_blocks[k_dst])
-    legs = [t.legs(t.root) for t in trees]
+    intra = _intra_metric(cfg)
+    local_costs = list(state.local_costs)
+    local_costs[k_src] = intra(trees[k_src])
+    local_costs[k_dst] = intra(trees[k_dst])
     red_cfg = GreedyConfig(
         samples=cfg.reduction_samples,
         noise_scale=cfg.reduction_noise,
         rng_seed=int(rng.integers(2 ** 63)),
     )
-    reduction_nested = reduction_path(net, legs, red_cfg).to_nested()
-    composed = compose_plan_tree(net, trees, reduction_nested)
-    roots = composed.subtree_roots(new_blocks)
-    if roots is None:
-        raise RuntimeError("composed tree lost a partition subtree")
-
-    intra = _intra_metric(cfg)
-    local_costs = list(state.local_costs)
-    local_costs[k_src] = intra(composed, roots[k_src])
-    local_costs[k_dst] = intra(composed, roots[k_dst])
-    cost = _state_cost(cfg, composed, new_blocks, roots, local_costs)
+    reduction = reduction_path(net, [t.legs(t.root) for t in trees], red_cfg)
+    reduction_nested = reduction.to_nested()
+    if cfg.metric == "dist":
+        cost = con_dist(
+            reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
+        )
+    else:
+        composed = compose_plan_tree(net, trees, reduction_nested)
+        cost = con_serial(composed) if cfg.metric == "serial" else con_par(composed)
+    candidate = AnnealState(
+        partitioning, tuple(trees), reduction_nested, tuple(local_costs), cost
+    )
 
     if cfg.check_invariants:
         ok, problems = validate(partitioning, net)
         assert ok, f"move produced an invalid partitioning: {problems}"
-        assert composed.accepts_partitioning(new_blocks)
+        assert candidate.tree.accepts_partitioning(new_blocks)
         for i, t in enumerate(trees):
             assert set(t.leaves()) == set(new_blocks[i])
         assert moved and moved != blocks[k_src]
+        fresh = _state_cost(cfg, candidate.tree, new_blocks, candidate.part_roots, None)
+        assert cost == fresh, f"cached cost {cost} but the composed tree costs {fresh}"
 
-    return AnnealState(
-        partitioning,
-        tuple(trees),
-        reduction_nested,
-        composed,
-        tuple(roots),
-        tuple(local_costs),
-        cost,
-    )
+    return candidate
 
 
 def do_steps(net, n, state, temperature, cfg, rng):

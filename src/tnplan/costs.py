@@ -196,6 +196,11 @@ def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_cost
     ``cfg.intra_node``) and then every contraction on the path from its
     subtree root to the tree root, each with the cheaper child's transfer
     cost added.  ``local_costs`` may supply precomputed subtree costs.
+
+    Only the ancestors of the subtree roots are read, so the fan-in tree
+    of a plan (leaf ``i`` standing for partition ``i``, with
+    ``subtree_roots=range(k)``) gives the same figures as the composed
+    tree, summed in the same order.
     """
     cfg = cfg or CostConfig()
     if subtree_roots is None:
@@ -203,15 +208,19 @@ def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_cost
         if subtree_roots is None:
             raise ValueError("tree does not accept the partitioning")
     intra = _intra(cfg)
+    steps = {}  # ancestor -> its ops plus the cheaper child's transfer
     parts = []
     for idx, r in enumerate(subtree_roots):
         local = local_costs[idx] if local_costs is not None else intra(tree, r)
         fanin = 0.0
         a = tree.parent(r)
         while a is not None:
-            ch = tree.children(a)
-            send = min(comm_cost(tree, ch[0], cfg), comm_cost(tree, ch[1], cfg))
-            fanin += node_ops(tree, a) + send
+            step = steps.get(a)
+            if step is None:
+                ch = tree.children(a)
+                send = min(comm_cost(tree, ch[0], cfg), comm_cost(tree, ch[1], cfg))
+                step = steps[a] = node_ops(tree, a) + send
+            fanin += step
             a = tree.parent(a)
         parts.append(PartitionCost(idx, local, fanin))
     return parts

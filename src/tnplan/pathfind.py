@@ -19,9 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import dims_product
+from .costs import LOG2_SATURATION, dims_product
 from .network import TensorNetwork
 from .tree import ContractionTree, leaf_legs
+
+
+# Clamp for grouped edge dimensions in ``reduction_network``.
+_FAT_DIM_CAP = 2 ** (int(LOG2_SATURATION) + 1)
 
 
 @dataclass
@@ -57,34 +61,51 @@ class _Forest:
     Pieces are immutable once created: a merge retires both operands and
     appends a fresh piece, so a heap entry stays valid exactly while both
     of its pieces are alive.
+
+    A piece's legs are the symmetric difference of its leaves' legs, so
+    its entry count depends only on the bitmask of leaves it covers.
+    ``sizes`` caches entry counts by that mask; the passes of one search
+    share it, so a pair scored once is never re-sized.
     """
 
-    def __init__(self, net, pieces):
+    def __init__(self, net, pieces, sizes):
         self.net = net
+        self.sizes = sizes
         self.legs = []
+        self.mask = []
         self.nested = []
         self.rep = []
         self.size = []
         self.alive = []
         self.holders = {}
-        for key, legs in pieces:
-            idx = self._append(legs, key, key)
+        for pos, (key, legs) in enumerate(pieces):
+            idx = self._append(legs, 1 << pos, key, key)
             for e in legs:
                 self.holders.setdefault(e, set()).add(idx)
         self.total_ops = 0.0
 
-    def _append(self, legs, nested, rep):
+    def _size(self, mask, legs):
+        size = self.sizes.get(mask)
+        if size is None:
+            size = self.sizes[mask] = dims_product(self.net, legs)
+        return size
+
+    def _append(self, legs, mask, nested, rep):
         idx = len(self.legs)
         self.legs.append(legs)
+        self.mask.append(mask)
         self.nested.append(nested)
         self.rep.append(rep)
-        self.size.append(dims_product(self.net, legs))
+        self.size.append(self._size(mask, legs))
         self.alive.append(True)
         return idx
 
     def score(self, i, j):
-        result = self.legs[i] ^ self.legs[j]
-        return self.size[i] + self.size[j] - dims_product(self.net, result)
+        mask = self.mask[i] | self.mask[j]
+        result = self.sizes.get(mask)
+        if result is None:
+            result = self.sizes[mask] = dims_product(self.net, self.legs[i] ^ self.legs[j])
+        return self.size[i] + self.size[j] - result
 
     def merge(self, i, j):
         """Contract pieces ``i`` and ``j``; returns the new piece index."""
@@ -94,7 +115,8 @@ class _Forest:
             nested = [self.nested[i], self.nested[j]]
         else:
             nested = [self.nested[j], self.nested[i]]
-        idx = self._append(li ^ lj, nested, min(self.rep[i], self.rep[j]))
+        mask = self.mask[i] | self.mask[j]
+        idx = self._append(li ^ lj, mask, nested, min(self.rep[i], self.rep[j]))
         self.alive[i] = False
         self.alive[j] = False
         for e in li | lj:
@@ -107,7 +129,7 @@ class _Forest:
 
     def neighbors(self, idx):
         out = set()
-        for e in sorted(self.legs[idx]):
+        for e in self.legs[idx]:
             for h in self.holders.get(e, ()):
                 if h != idx:
                     out.add(h)
@@ -117,14 +139,16 @@ class _Forest:
         return [i for i, a in enumerate(self.alive) if a]
 
 
-def _greedy_pass(net, pieces, rng=None, noise_scale=0.0):
+def _greedy_pass(net, pieces, rng=None, noise_scale=0.0, sizes=None):
     """One full greedy pass over ``pieces`` (a list of (key, legs)).
 
-    Returns (nested structure over the piece keys, total multiplications).
+    ``sizes`` is the entry-count cache of ``_Forest``; pass the same dict
+    to every pass over the same pieces.  Returns (nested structure over
+    the piece keys, total multiplications).
     """
     if not pieces:
         raise ValueError("nothing to contract")
-    forest = _Forest(net, pieces)
+    forest = _Forest(net, pieces, {} if sizes is None else sizes)
     if len(pieces) == 1:
         return forest.nested[0], 0.0
 
@@ -189,7 +213,7 @@ def _view_pieces(net, view):
     return [(v, leaf_legs(net, v)) for v in sorted(view)]
 
 
-def greedy_tree(net, view=None, cfg=None):
+def greedy_tree(net, view=None):
     """Deterministic greedy contraction tree over a network or vertex subset.
 
     Edges leaving the view behave as open legs.  Ties on the objective are
@@ -208,37 +232,52 @@ def random_greedy_tree(net, view=None, cfg=None):
     """
     cfg = cfg or GreedyConfig()
     pieces = _view_pieces(net, view)
+    sizes = {}
     best_nested = None
     best_ops = math.inf
     for s in range(cfg.samples):
         rng = _sample_rng(cfg.rng_seed, s)
-        nested, ops = _greedy_pass(net, pieces, rng=rng, noise_scale=cfg.noise_scale)
+        nested, ops = _greedy_pass(net, pieces, rng, cfg.noise_scale, sizes)
         if ops < best_ops:
             best_nested, best_ops = nested, ops
     return ContractionTree.from_nested(net, best_nested)
 
 
 def reduction_network(net, partition_legs):
-    """A network of one pseudo-tensor per partition, wired by shared edges.
+    """A network of one pseudo-tensor per partition, wired by grouped edges.
 
-    Pseudo-vertex ``i`` gets one axis per leg of partition ``i`` (in sorted
-    edge order); an original edge appearing in exactly two partitions'
-    legs becomes a bond, anything else stays open.
+    The original edges shared by partitions ``i`` and ``j`` become one
+    bond between pseudo-vertices ``i`` and ``j``, and the open legs of
+    partition ``i`` one open axis of ``i``.  A group's dimension is the
+    product of its edges' dimensions, kept as an int and clamped at
+    2**301: past the 2**300 cost saturation, so any product over it still
+    saturates, and small enough to multiply a float without overflow.
+    The edges of a group are always legs of the same pieces, so every leg
+    product, and hence every greedy score and cost, is the one over the
+    original edges.  Pseudo-vertex ``i`` has one axis per group it belongs
+    to, in sorted group order.
     """
-    pseudo = TensorNetwork()
-    for legs in partition_legs:
-        pseudo.add_tensor([net.edge_dim(e) for e in sorted(legs)])
     holders = {}
     for i, legs in enumerate(partition_legs):
-        for a, e in enumerate(sorted(legs)):
-            holders.setdefault(e, []).append((i, a))
+        for e in legs:
+            holders.setdefault(e, []).append(i)
+    groups = {}  # (i,) for open legs of i, (i, j) with i < j for a bond
     for e in sorted(holders):
-        ends = holders[e]
-        if len(ends) == 2:
-            (i, a), (j, b) = ends
-            pseudo.bond(i, a, j, b)
-        elif len(ends) > 2:
+        ends = tuple(holders[e])
+        if len(ends) > 2:
             raise ValueError(f"edge {e} appears in {len(ends)} partitions")
+        groups[ends] = min(groups.get(ends, 1) * net.edge_dim(e), _FAT_DIM_CAP)
+    axes = [[] for _ in partition_legs]
+    for ends in sorted(groups):
+        for i in ends:
+            axes[i].append(ends)
+    pseudo = TensorNetwork()
+    for keys in axes:
+        pseudo.add_tensor([groups[ends] for ends in keys])
+    for ends in sorted(groups):
+        if len(ends) == 2:
+            i, j = ends
+            pseudo.bond(i, axes[i].index(ends), j, axes[j].index(ends))
     return pseudo
 
 

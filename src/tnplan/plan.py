@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .costs import CostConfig, cost_report
 from .partition import Partitioning, validate
-from .pathfind import GreedyConfig, greedy_tree, reduction_path
+from .pathfind import GreedyConfig, greedy_tree, random_greedy_tree, reduction_path
 from .tree import ContractionTree, compose_plan_tree
 
 
@@ -61,12 +61,13 @@ def build_plan(net, partitioning, reduction_cfg=None, cost_cfg=None):
 def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
     """One-partition baseline: a single greedy tree over the whole network.
 
-    A prebuilt ``tree`` is used as-is; otherwise ``cfg`` steers the greedy
-    construction.
+    A prebuilt ``tree`` is used as-is.  Otherwise a ``cfg`` selects the
+    best-of-samples noisy greedy search, and without one the deterministic
+    greedy pass runs.
     """
     part = Partitioning([frozenset(net.vertices())], epsilon=0.0)
     if tree is None:
-        tree = greedy_tree(net, cfg=cfg)
+        tree = greedy_tree(net) if cfg is None else random_greedy_tree(net, cfg=cfg)
     return assemble_plan(net, part, [tree], 0, cost_cfg)
 
 
@@ -85,11 +86,19 @@ def plan_to_json(plan):
     return json.dumps(plan_to_dict(plan), sort_keys=True, indent=2)
 
 
+def _nested_leaves(spec):
+    if isinstance(spec, (list, tuple)):
+        return [v for child in spec for v in _nested_leaves(child)]
+    return [spec]
+
+
 def plan_from_dict(net, doc, cost_cfg=None):
     """Rebuild a plan against ``net`` from its JSON document.
 
-    The composed tree is rebuilt from the stored parts and the cost report
-    is recomputed, so a loaded plan is always internally consistent.
+    The blocks must partition the network's vertices and the reduction
+    tree's leaves must be exactly the block indices.  The composed tree is
+    rebuilt from the stored parts and the cost report is recomputed, so a
+    loaded plan is always internally consistent.
     """
     try:
         blocks = doc["blocks"]
@@ -98,10 +107,15 @@ def plan_from_dict(net, doc, cost_cfg=None):
     except KeyError as exc:
         raise PlanError(f"plan document missing field {exc}") from exc
     part = Partitioning(blocks, float(doc.get("epsilon", 0.03)))
-    if len(nested_trees) != len(part.blocks):
-        raise PlanError(
-            f"{len(part.blocks)} blocks but {len(nested_trees)} partition trees"
-        )
+    ok, problems = validate(part, net)
+    if not ok:
+        raise PlanError("invalid partitioning: " + "; ".join(problems))
+    k = len(part.blocks)
+    if len(nested_trees) != k:
+        raise PlanError(f"{k} blocks but {len(nested_trees)} partition trees")
+    leaves = _nested_leaves(reduction)
+    if not all(type(v) is int for v in leaves) or sorted(leaves) != list(range(k)):
+        raise PlanError(f"reduction tree leaves must be exactly the block indices 0..{k - 1}")
     trees = []
     for i, nested in enumerate(nested_trees):
         t = ContractionTree.from_nested(net, nested)

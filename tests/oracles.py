@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from tnplan.network import TensorNetwork
+from tnplan.pathfind import random_greedy_tree
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,39 @@ def _spec_par(node):
         return 0.0
     l, r = node.children
     return node.ops + max(_spec_par(l), _spec_par(r))
+
+
+# ---------------------------------------------------------------------------
+# fan-in search over the ungrouped pseudo-network
+
+def uncollapsed_reduction_network(net, partition_legs):
+    """One pseudo-tensor per partition with one axis per partition leg.
+
+    Every original edge shared by two partitions stays its own bond, where
+    ``tnplan.pathfind.reduction_network`` groups them per partition pair.
+    """
+    pseudo = TensorNetwork()
+    for legs in partition_legs:
+        pseudo.add_tensor([net.edge_dim(e) for e in sorted(legs)])
+    holders = {}
+    for i, legs in enumerate(partition_legs):
+        for a, e in enumerate(sorted(legs)):
+            holders.setdefault(e, []).append((i, a))
+    for e in sorted(holders):
+        ends = holders[e]
+        if len(ends) == 2:
+            (i, a), (j, b) = ends
+            pseudo.bond(i, a, j, b)
+    return pseudo
+
+
+def reference_reduction_nested(net, partition_legs, cfg):
+    """Nested fan-in tree that ``reduction_path`` must reproduce."""
+    k = len(partition_legs)
+    if k <= 2:
+        return 0 if k == 1 else [0, 1]
+    pseudo = uncollapsed_reduction_network(net, partition_legs)
+    return random_greedy_tree(pseudo, cfg=cfg).to_nested()
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,16 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["blocks"]) == 2
 
+    def test_serial_plan_follows_greedy_flags(self, tmp_path, capsys):
+        path = tmp_path / "rc.json"
+        path.write_text(circuit_to_json(random_circuit(10, 3, seed=13)))
+        costs = []
+        for samples in ("1", "64"):
+            args = ["plan", str(path), "--greedy-samples", samples, "--greedy-noise", "0.3"]
+            assert main(args) == 0
+            costs.append(json.loads(capsys.readouterr().out)["cost"]["con_serial"])
+        assert costs[1] < costs[0]
+
     def test_execute_direct_circuit_amplitude(self, tmp_path, ghz_file, capsys):
         assert main(["execute", str(ghz_file), "--amplitude", "000001"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from tnplan.circuits import circuit_to_network
-from tnplan.corpus import ghz_circuit
+from tnplan.corpus import ghz_circuit, random_circuit
 from tnplan.costs import CostConfig, con_dist, con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
-from tnplan.pathfind import greedy_tree
+from tnplan.pathfind import GreedyConfig, greedy_tree
 from tnplan.plan import (
     PlanError,
     assemble_plan,
@@ -88,6 +88,13 @@ class TestSerialPlan:
         assert plan.report.con_serial == 0.0
         assert plan.tree.leaves() == [0]
 
+    def test_cfg_steers_the_greedy_search(self):
+        # The deterministic pass costs 1380 here; a config used to be ignored.
+        net = circuit_to_network(random_circuit(10, 3, seed=13))
+        assert serial_plan(net).report.con_serial == 1380
+        sampled = serial_plan(net, cfg=GreedyConfig(samples=64))
+        assert sampled.report.con_serial < 1380
+
 
 class TestAssemblePlan:
     def test_unrealized_partitioning_rejected(self):
@@ -158,6 +165,20 @@ class TestSerialization:
         doc = plan_to_dict(plan)
         doc["partition_trees"] = doc["partition_trees"][::-1]
         with pytest.raises(PlanError, match="does not cover"):
+            plan_from_dict(net, doc)
+
+    def test_blocks_must_cover_the_network(self):
+        net = ghz_net(4)
+        doc = {"blocks": [[0], [1]], "partition_trees": [0, 1], "reduction_tree": [0, 1]}
+        with pytest.raises(PlanError, match="invalid partitioning"):
+            plan_from_dict(net, doc)
+
+    @pytest.mark.parametrize("reduction", [[0, 2], [0, 0], [[0, 1], 2], 0, [0, "1"], [0, True]])
+    def test_reduction_leaves_must_be_the_block_indices(self, reduction):
+        net = ghz_net()
+        doc = plan_to_dict(build_plan(net, initial_partition(net, 2, seed=0)))
+        doc["reduction_tree"] = reduction
+        with pytest.raises(PlanError, match="reduction tree leaves"):
             plan_from_dict(net, doc)
 
     def test_invalid_json_text_rejected(self):
