@@ -23,18 +23,14 @@ t0 to tf over the configured budget, which may be wall-clock seconds or
 a fixed iteration count; only the latter is bit-reproducible, since the
 iteration tally of a timed run depends on machine speed.
 
-Each iteration fans the same starting state out to ``workers`` logical
-replicas with seeds derived from (seed, iteration, worker); the best
-replica result wins, with ties going to the lowest worker index.  The
-replicas are independent, so the outcome does not depend on how many OS
-threads actually run them.
+Each iteration runs the same starting state through ``workers`` replicas
+in turn, with seeds derived from (seed, iteration, worker); the best
+replica result wins, with ties going to the lowest worker index.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
@@ -54,10 +50,16 @@ class NoMoveError(RuntimeError):
 
 @dataclass
 class AnnealConfig:
+    """Annealing settings.
+
+    ``threads`` is kept for compatibility and has no effect: the replicas
+    run one after another in the calling thread.
+    """
+
     t0: float = 1.0
     tf: float = 0.001
     steps: int = 64
-    workers: int = 0
+    workers: int = 4
     time_limit: float = 10.0
     max_iters: int = 0
     restart_threshold: int = 20
@@ -75,10 +77,8 @@ class AnnealConfig:
             raise ValueError("temperatures must satisfy 0 < tf <= t0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 1, or 0 for auto")
-        if self.workers == 0:
-            self.workers = os.cpu_count() or 1
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.mode not in ("naive", "directed"):
             raise ValueError(f"mode must be 'naive' or 'directed', got {self.mode!r}")
         if self.metric not in ("dist", "serial", "par"):
@@ -319,54 +319,43 @@ def anneal(net, initial, cfg=None):
     i = -1
     i_best = -1
     started = perf_counter()
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        while True:
-            if cfg.max_iters > 0:
-                if i + 1 >= cfg.max_iters:
-                    break
-                progress = (i + 1) / cfg.max_iters
-            else:
-                elapsed = perf_counter() - started
-                if elapsed >= cfg.time_limit:
-                    break
-                progress = elapsed / cfg.time_limit
-            i += 1
-            temperature = temperature_at(progress, cfg)
+    while True:
+        if cfg.max_iters > 0:
+            if i + 1 >= cfg.max_iters:
+                break
+            progress = (i + 1) / cfg.max_iters
+        else:
+            elapsed = perf_counter() - started
+            if elapsed >= cfg.time_limit:
+                break
+            progress = elapsed / cfg.time_limit
+        i += 1
+        temperature = temperature_at(progress, cfg)
+        replicas = [
+            do_steps(net, n_per, current, temperature, cfg, _worker_rng(cfg.seed, i, w))
+            for w in range(cfg.workers)
+        ]
+        current = min(replicas, key=lambda s: s.cost)  # ties: lowest worker
 
-            def run_worker(w, start=current, temp=temperature, it=i):
-                rng = _worker_rng(cfg.seed, it, w)
-                s = do_steps(net, n_per, start, temp, cfg, rng)
-                return (s.cost, w, s)
-
-            if pool is not None:
-                results = list(pool.map(run_worker, range(cfg.workers)))
-            else:
-                results = [run_worker(w) for w in range(cfg.workers)]
-            current = min(results, key=lambda r: (r[0], r[1]))[2]
-
-            improved = restarted = False
-            if current.cost < best.cost:
-                best = current
-                i_best = i
-                improved = True
-            elif i - i_best >= cfg.restart_threshold:
-                current = best
-                i_best = i
-                restarted = True
-            trace.append(
-                {
-                    "iteration": i,
-                    "temperature": temperature,
-                    "cost": current.cost,
-                    "best": best.cost,
-                    "improved": improved,
-                    "restarted": restarted,
-                }
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        improved = restarted = False
+        if current.cost < best.cost:
+            best = current
+            i_best = i
+            improved = True
+        elif i - i_best >= cfg.restart_threshold:
+            current = best
+            i_best = i
+            restarted = True
+        trace.append(
+            {
+                "iteration": i,
+                "temperature": temperature,
+                "cost": current.cost,
+                "best": best.cost,
+                "improved": improved,
+                "restarted": restarted,
+            }
+        )
     return AnnealResult(best, trace, i + 1)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,8 @@ DEFAULT_SWEEP = (4, 8, 16, 32, 64, 128, 256)
 
 @dataclass
 class RunConfig:
+    """Pipeline settings; ``threads`` is kept for compatibility and has no effect."""
+
     methods: tuple = METHODS
     sweep: tuple = DEFAULT_SWEEP
     epsilon: float = 0.03
@@ -55,29 +57,10 @@ class RunConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
     def to_dict(self):
-        return {
-            "methods": list(self.methods),
-            "sweep": list(self.sweep),
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "budget_seconds": self.budget_seconds,
-            "budget_iters": self.budget_iters,
-            "repeats": self.repeats,
-            "steps": self.steps,
-            "workers": self.workers,
-            "restart_threshold": self.restart_threshold,
-            "t0": self.t0,
-            "tf": self.tf,
-            "reduction_samples": self.reduction_samples,
-            "path_samples": self.path_samples,
-            "path_noise": self.path_noise,
-            "amplitude": self.amplitude,
-            "cost": {
-                "comm_alpha": self.cost.comm_alpha,
-                "comm_beta": self.cost.comm_beta,
-                "intra_node": self.cost.intra_node,
-            },
-        }
+        """The report's ``config`` section: every field but ``threads``."""
+        out = asdict(self)
+        del out["threads"]
+        return out
 
 
 def derive_seed(master, *key):
@@ -107,7 +90,6 @@ def _plan_once(net, method, k, run_seed, budget_seconds, cfg):
         seed=derive_seed(run_seed, 2),
         cost=cfg.cost,
         reduction_samples=cfg.reduction_samples,
-        threads=cfg.threads,
     )
     refined, _ = refine_plan(net, plan, anneal_cfg)
     return refined

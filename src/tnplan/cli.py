@@ -28,7 +28,7 @@ from .costs import CostConfig, cost_report
 from .execute import DEFAULT_MAX_ENTRIES, execute_distributed_emulation, execute_plan
 from .network import TensorNetwork
 from .partition import initial_partition
-from .pathfind import GreedyConfig, random_greedy_tree
+from .pathfind import GreedyConfig
 from .plan import build_plan, plan_from_dict, plan_to_dict, serial_plan
 
 
@@ -58,9 +58,57 @@ def _load_network(path, amplitude=None, initial=None):
 
 def _cost_config(args):
     return CostConfig(
-        comm_alpha=getattr(args, "comm_alpha", 0.0),
-        comm_beta=getattr(args, "comm_beta", 0.0),
-        intra_node=getattr(args, "intra_node", "serial"),
+        comm_alpha=args.comm_alpha, comm_beta=args.comm_beta, intra_node=args.intra_node
+    )
+
+
+def _greedy_config(args):
+    return GreedyConfig(
+        samples=args.greedy_samples, noise_scale=args.greedy_noise, rng_seed=args.seed
+    )
+
+
+def _partitioned_plan(net, args, cost_cfg):
+    part = initial_partition(net, args.partitions, args.imbalance, seed=args.seed)
+    return build_plan(net, part, reduction_cfg=_greedy_config(args), cost_cfg=cost_cfg)
+
+
+def _add_input_flags(parser):
+    parser.add_argument("network", help="network JSON (circuit JSON is ingested on the fly)")
+    parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+    parser.add_argument("--amplitude", default="", help="used only when ingesting a circuit")
+
+
+def _add_plan_flags(parser, partitions, partitions_help):
+    parser.add_argument("--partitions", type=int, default=partitions, help=partitions_help)
+    parser.add_argument("--imbalance", type=float, default=0.03, help="allowed size imbalance")
+    parser.add_argument("--greedy-samples", type=int, default=32)
+    parser.add_argument("--greedy-noise", type=float, default=0.3)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--execute", action="store_true", help="run the plan afterwards")
+
+
+def _add_run_flags(parser):
+    parser.add_argument(
+        "--max-entries",
+        type=int,
+        default=DEFAULT_MAX_ENTRIES,
+        help="refuse plans whose peak memory exceeds this many tensor entries",
+    )
+    parser.add_argument(
+        "--emulate", action="store_true", help="also emulate distributed execution"
+    )
+
+
+def _add_replica_flags(parser):
+    parser.add_argument(
+        "--steps", type=int, default=AnnealConfig.steps, help="proposals per temperature"
+    )
+    parser.add_argument(
+        "--workers", type=int, default=AnnealConfig.workers, help="seeded replicas per iteration"
+    )
+    parser.add_argument(
+        "--threads", type=int, default=AnnealConfig.threads, help="accepted; has no effect"
     )
 
 
@@ -104,16 +152,10 @@ def cmd_ingest(args):
 def cmd_plan(args):
     net = _load_network(args.network, amplitude=args.amplitude)
     cost_cfg = _cost_config(args)
-    greedy_cfg = GreedyConfig(
-        samples=args.greedy_samples,
-        noise_scale=args.greedy_noise,
-        rng_seed=args.seed,
-    )
     if args.partitions <= 1:
-        plan = serial_plan(net, cost_cfg, cfg=greedy_cfg)
+        plan = serial_plan(net, cost_cfg, cfg=_greedy_config(args))
     else:
-        part = initial_partition(net, args.partitions, args.imbalance, seed=args.seed)
-        plan = build_plan(net, part, reduction_cfg=greedy_cfg, cost_cfg=cost_cfg)
+        plan = _partitioned_plan(net, args, cost_cfg)
     _write_text(json.dumps(plan_to_dict(plan), sort_keys=True, indent=2), args.output)
     r = plan.report
     print(
@@ -132,14 +174,10 @@ def cmd_anneal(args):
     cost_cfg = _cost_config(args)
     if args.plan:
         plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)
+    elif args.partitions <= 1:
+        raise ValueError("anneal needs --plan or --partitions >= 2")
     else:
-        if args.partitions <= 1:
-            raise ValueError("anneal needs --plan or --partitions >= 2")
-        part = initial_partition(net, args.partitions, args.imbalance, seed=args.seed)
-        greedy_cfg = GreedyConfig(
-            samples=args.greedy_samples, noise_scale=args.greedy_noise, rng_seed=args.seed
-        )
-        plan = build_plan(net, part, reduction_cfg=greedy_cfg, cost_cfg=cost_cfg)
+        plan = _partitioned_plan(net, args, cost_cfg)
     cfg = AnnealConfig(
         t0=args.t0,
         tf=args.tf,
@@ -173,10 +211,8 @@ def cmd_anneal(args):
     return 0
 
 
-def _run_plan(net, plan, args):
-    kernel = getattr(args, "kernel", "matmul")
-    max_entries = getattr(args, "max_entries", DEFAULT_MAX_ENTRIES)
-    trace = execute_plan(net, plan.tree, kernel=kernel, max_entries=max_entries)
+def _run_plan(net, plan, args, output=None):
+    trace = execute_plan(net, plan.tree, max_entries=args.max_entries)
     out = {
         "mult_count": trace.mult_count,
         "peak_entries": trace.peak_entries,
@@ -189,13 +225,13 @@ def _run_plan(net, plan, args):
         out["value"] = [value.real, value.imag]
         out["abs"] = abs(value)
         out["prob"] = abs(value) ** 2
-    if getattr(args, "emulate", False) and len(plan.partitioning.blocks) > 1:
-        emu = execute_distributed_emulation(net, plan, kernel=kernel, max_entries=max_entries)
+    if args.emulate and len(plan.partitioning.blocks) > 1:
+        emu = execute_distributed_emulation(net, plan, max_entries=args.max_entries)
         out["emulated_seconds"] = emu.emulated_seconds
         out["serial_seconds"] = emu.serial_seconds
         out["partition_seconds"] = emu.partition_seconds
         out["fanin_seconds"] = emu.fanin_seconds
-    _write_text(json.dumps(out, sort_keys=True, indent=2), getattr(args, "result_output", None))
+    _write_text(json.dumps(out, sort_keys=True, indent=2), output)
     return 0
 
 
@@ -207,10 +243,8 @@ def cmd_execute(args):
     if args.plan:
         plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)
     else:
-        tree = random_greedy_tree(net, cfg=GreedyConfig(rng_seed=args.seed))
-        plan = serial_plan(net, cost_cfg, tree=tree)
-    args.result_output = args.output
-    return _run_plan(net, plan, args)
+        plan = serial_plan(net, cost_cfg, cfg=GreedyConfig(rng_seed=args.seed))
+    return _run_plan(net, plan, args, args.output)
 
 
 def cmd_bench(args):
@@ -293,63 +327,34 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("plan", help="build a partitioned contraction plan")
-    p.add_argument("network", help="network JSON (circuit JSON is ingested on the fly)")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--amplitude", default="", help="used only when ingesting a circuit")
-    p.add_argument("--partitions", type=int, default=1, help="number of partitions")
-    p.add_argument("--imbalance", type=float, default=0.03, help="allowed size imbalance")
-    p.add_argument("--greedy-samples", type=int, default=32)
-    p.add_argument("--greedy-noise", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--execute", action="store_true", help="run the plan after building it")
-    p.add_argument("--kernel", choices=("matmul", "loops"), default="matmul")
-    p.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
-    p.add_argument("--emulate", action="store_true", help="with --execute: time partitions separately")
+    _add_input_flags(p)
+    _add_plan_flags(p, 1, "number of partitions")
+    _add_run_flags(p)
     _add_cost_flags(p)
-    p.set_defaults(func=cmd_plan, result_output=None)
+    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("anneal", help="refine a plan with simulated annealing")
-    p.add_argument("network")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--amplitude", default="")
+    _add_input_flags(p)
     p.add_argument("--plan", default=None, help="plan JSON to refine")
-    p.add_argument("--partitions", type=int, default=0, help="build the initial plan inline")
-    p.add_argument("--imbalance", type=float, default=0.03)
-    p.add_argument("--greedy-samples", type=int, default=32)
-    p.add_argument("--greedy-noise", type=float, default=0.3)
+    _add_plan_flags(p, 0, "build the initial plan inline")
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--tf", type=float, default=0.001)
-    p.add_argument("--steps", type=int, default=64, help="proposals per temperature")
-    p.add_argument("--workers", type=int, default=0, help="0 = one per cpu")
-    p.add_argument("--threads", type=int, default=1, help="thread pool size for workers")
+    _add_replica_flags(p)
     p.add_argument("--time-limit", type=float, default=10.0, help="wall budget in seconds")
     p.add_argument("--iters", type=int, default=0, help="iteration budget (overrides time limit)")
     p.add_argument("--restart-threshold", type=int, default=20)
     p.add_argument("--mode", choices=("naive", "directed"), default="naive")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reduction-samples", type=int, default=8)
     p.add_argument("--trace", default=None, help="write per-iteration JSON lines here")
-    p.add_argument("--execute", action="store_true")
-    p.add_argument("--kernel", choices=("matmul", "loops"), default="matmul")
-    p.add_argument("--max-entries", type=int, default=DEFAULT_MAX_ENTRIES)
-    p.add_argument("--emulate", action="store_true")
+    _add_run_flags(p)
     _add_cost_flags(p)
-    p.set_defaults(func=cmd_anneal, result_output=None)
+    p.set_defaults(func=cmd_anneal)
 
     p = sub.add_parser("execute", help="contract a network, optionally along a saved plan")
-    p.add_argument("network")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--amplitude", default="")
+    _add_input_flags(p)
     p.add_argument("--plan", default=None)
-    p.add_argument("--kernel", choices=("matmul", "loops"), default="matmul")
-    p.add_argument(
-        "--max-entries",
-        type=int,
-        default=DEFAULT_MAX_ENTRIES,
-        help="refuse plans whose peak memory exceeds this many tensor entries",
-    )
-    p.add_argument("--emulate", action="store_true", help="also emulate distributed execution")
     p.add_argument("--seed", type=int, default=0)
+    _add_run_flags(p)
     _add_cost_flags(p)
     p.set_defaults(func=cmd_execute)
 
@@ -363,9 +368,7 @@ def build_parser():
     p.add_argument("--budget-seconds", type=float, default=10.0, help="anneal budget per method+circuit")
     p.add_argument("--budget-iters", type=int, default=0, help="iteration budget (deterministic reports)")
     p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1)
+    _add_replica_flags(p)
     p.add_argument("--amplitude", default="")
     _add_cost_flags(p)
     p.set_defaults(func=cmd_bench)

@@ -1,11 +1,10 @@
 """Dense execution of contraction trees, with operation and memory accounting.
 
 The executor walks a tree bottom-up, contracting pairs of complex-double
-tensors.  Two kernels are available: explicit index loops, and a permute
-then matrix-multiply fast path.  Both perform (and count) exactly
-result_entries * shared_dims_product scalar multiplications per
-contraction, so the trace's mult_count matches the serial cost metric of
-the tree it executed.
+tensors by permuting each operand into a matrix and multiplying.  Each
+contraction performs (and counts) exactly result_entries *
+shared_dims_product scalar multiplications, so the trace's mult_count
+matches the serial cost metric of the tree it executed.
 
 Self-loop (trace) edges on a leaf are summed out when the leaf is loaded;
 that uses additions only and leaves the planning-level tensor whose legs
@@ -32,52 +31,7 @@ class MemoryBudgetError(ExecutionError):
     """The plan's peak buffer requirement exceeds the configured budget."""
 
 
-def _contract_matmul(s, t, pairs):
-    saxes = [p[0] for p in pairs]
-    taxes = [p[1] for p in pairs]
-    sf = [a for a in range(s.ndim) if a not in set(saxes)]
-    tf = [a for a in range(t.ndim) if a not in set(taxes)]
-    f = int(np.prod([s.shape[a] for a in sf], dtype=object)) if sf else 1
-    g = int(np.prod([s.shape[a] for a in saxes], dtype=object)) if saxes else 1
-    h = int(np.prod([t.shape[a] for a in tf], dtype=object)) if tf else 1
-    s2 = np.transpose(s, sf + saxes).reshape(f, g)
-    t2 = np.transpose(t, taxes + tf).reshape(g, h)
-    out = s2 @ t2
-    shape = [s.shape[a] for a in sf] + [t.shape[a] for a in tf]
-    return out.reshape(shape)
-
-
-def _contract_loops(s, t, pairs):
-    saxes = [p[0] for p in pairs]
-    taxes = [p[1] for p in pairs]
-    sf = [a for a in range(s.ndim) if a not in set(saxes)]
-    tf = [a for a in range(t.ndim) if a not in set(taxes)]
-    shared_dims = [s.shape[a] for a in saxes]
-    out_shape = [s.shape[a] for a in sf] + [t.shape[a] for a in tf]
-    out = np.zeros(out_shape, dtype=np.complex128)
-    for out_idx in np.ndindex(*out_shape):
-        fi = out_idx[: len(sf)]
-        fj = out_idx[len(sf):]
-        sidx = [0] * s.ndim
-        tidx = [0] * t.ndim
-        for a, v in zip(sf, fi):
-            sidx[a] = v
-        for a, v in zip(tf, fj):
-            tidx[a] = v
-        acc = 0j
-        for sh in np.ndindex(*shared_dims):
-            for a, b, v in zip(saxes, taxes, sh):
-                sidx[a] = v
-                tidx[b] = v
-            acc += s[tuple(sidx)] * t[tuple(tidx)]
-        out[out_idx] = acc
-    return out
-
-
-_KERNELS = {"matmul": _contract_matmul, "loops": _contract_loops}
-
-
-def contract_pair(s, t, pairs, kernel="matmul"):
+def contract_pair(s, t, pairs):
     """Contract two tensors over the given (s_axis, t_axis) pairs.
 
     The result's axes are s's free axes in their original order followed
@@ -98,9 +52,17 @@ def contract_pair(s, t, pairs, kernel="matmul"):
             raise ExecutionError(
                 f"dimension mismatch on pair ({a}, {b}): {s.shape[a]} vs {t.shape[b]}"
             )
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return _KERNELS[kernel](s, t, list(pairs))
+    saxes = [p[0] for p in pairs]
+    taxes = [p[1] for p in pairs]
+    sf = [a for a in range(s.ndim) if a not in seen_s]
+    tf = [a for a in range(t.ndim) if a not in seen_t]
+    f = int(np.prod([s.shape[a] for a in sf], dtype=object)) if sf else 1
+    g = int(np.prod([s.shape[a] for a in saxes], dtype=object)) if saxes else 1
+    h = int(np.prod([t.shape[a] for a in tf], dtype=object)) if tf else 1
+    s2 = np.transpose(s, sf + saxes).reshape(f, g)
+    t2 = np.transpose(t, taxes + tf).reshape(g, h)
+    shape = [s.shape[a] for a in sf] + [t.shape[a] for a in tf]
+    return (s2 @ t2).reshape(shape)
 
 
 @dataclass
@@ -148,7 +110,7 @@ def _leaf_tensor(net, v):
     return np.asarray(arr, dtype=np.complex128), axes
 
 
-def execute_plan(net, tree, kernel="matmul", max_entries=DEFAULT_MAX_ENTRIES, inputs=None):
+def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES, inputs=None):
     """Evaluate a contraction tree over materialized tensors.
 
     ``tree`` may cover the whole network or a vertex subset; edges leaving
@@ -198,7 +160,7 @@ def execute_plan(net, tree, kernel="matmul", max_entries=DEFAULT_MAX_ENTRIES, in
         shared = sorted(tree.legs(left) & tree.legs(right))
         pairs = [(lax.index(e), rax.index(e)) for e in shared]
         started = time.perf_counter()
-        out = contract_pair(larr, rarr, pairs, kernel=kernel)
+        out = contract_pair(larr, rarr, pairs)
         seconds = time.perf_counter() - started
         g = 1
         for e in shared:
@@ -241,18 +203,18 @@ class EmulationResult:
         return complex(arr.reshape(()))
 
 
-def execute_distributed_emulation(net, plan, kernel="matmul", max_entries=DEFAULT_MAX_ENTRIES):
+def execute_distributed_emulation(net, plan, max_entries=DEFAULT_MAX_ENTRIES):
     """Run a partitioned plan, timing per-partition and fan-in work separately."""
     locals_ = []
     inputs = {}
     mult_count = 0
     for i, ptree in enumerate(plan.partition_trees):
         started = time.perf_counter()
-        trace = execute_plan(net, ptree, kernel=kernel, max_entries=max_entries)
+        trace = execute_plan(net, ptree, max_entries=max_entries)
         locals_.append(time.perf_counter() - started)
         mult_count += trace.mult_count
         inputs[plan.part_roots[i]] = (trace.result, trace.axis_edges)
-    fan = execute_plan(net, plan.tree, kernel=kernel, max_entries=max_entries, inputs=inputs)
+    fan = execute_plan(net, plan.tree, max_entries=max_entries, inputs=inputs)
     mult_count += fan.mult_count
     node_seconds = {r.node: r.seconds for r in fan.records}
     fanin = []

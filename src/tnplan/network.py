@@ -10,6 +10,7 @@ two axes of the same tensor) or joins one axis to the dummy endpoint
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class NetworkError(ValueError):
 
 class DisconnectedNetworkError(NetworkError):
     """The bound-edge graph of the network is not connected."""
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,8 @@ class TensorNetwork:
         """Parse the interchange JSON format into a network.
 
         Accepts either JSON text or an already-parsed document.  Tensor
-        ids must form the dense range 0..n-1.  With ``require_connected``
+        ids must form the dense range 0..n-1 and dims must be ints >= 1;
+        nothing is coerced.  With ``require_connected``
         (the default) a network whose bound-edge graph has more than one
         component is rejected.
         """
@@ -266,38 +272,41 @@ class TensorNetwork:
                 raise NetworkError(f"invalid JSON: {exc}") from exc
         else:
             doc = text
-        if not isinstance(doc, dict) or "tensors" not in doc:
+        tensors = doc.get("tensors") if isinstance(doc, dict) else None
+        if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
             raise NetworkError("network document must be an object with a 'tensors' list")
-        tensors = doc["tensors"]
         if not tensors:
             raise NetworkError("network document has no tensors")
-        ids = sorted(t.get("id") for t in tensors)
-        if ids != list(range(len(tensors))):
+        ids = [t.get("id") for t in tensors]
+        if not all(_is_int(i) for i in ids) or sorted(ids) != list(range(len(tensors))):
             raise NetworkError(f"tensor ids must be dense 0..{len(tensors) - 1}, got {ids}")
         net = cls()
         for entry in sorted(tensors, key=lambda t: t["id"]):
             dims = entry.get("dims")
-            if not isinstance(dims, list):
-                raise NetworkError(f"tensor {entry.get('id')} has no dims list")
+            if not isinstance(dims, list) or not all(_is_int(d) and d >= 1 for d in dims):
+                raise NetworkError(f"tensor {entry['id']}: dims must be a list of ints >= 1")
             data = entry.get("data")
             payload = None
             if data is not None:
-                size = 1
-                for d in dims:
-                    size *= d
-                if len(data) != 2 * size:
+                size = math.prod(dims)
+                if not isinstance(data, list) or len(data) != 2 * size:
                     raise NetworkError(
-                        f"tensor {entry['id']}: data holds {len(data)} floats, "
-                        f"expected {2 * size} for dims {dims}"
+                        f"tensor {entry['id']}: data must be a list of {2 * size} floats "
+                        f"for dims {dims}"
                     )
-                raw = np.asarray(data, dtype=float)
+                raw = np.asarray(data)
+                if raw.ndim != 1 or raw.dtype.kind not in "if":
+                    raise NetworkError(f"tensor {entry['id']}: data must be a flat list of numbers")
                 payload = raw[0::2] + 1j * raw[1::2]
             net.add_tensor(dims, payload)
-        for b in doc.get("bonds", []):
-            try:
-                net.bond(b["u"], b["a"], b["v"], b["b"])
-            except KeyError as exc:
-                raise NetworkError(f"bond entry missing field {exc}") from exc
+        bonds = doc.get("bonds", [])
+        if not isinstance(bonds, list):
+            raise NetworkError("'bonds' must be a list")
+        for b in bonds:
+            ends = [b.get(k) for k in "uavb"] if isinstance(b, dict) else [None]
+            if not all(_is_int(x) for x in ends):
+                raise NetworkError(f"bond entry {b!r} needs int fields u, a, v, b")
+            net.bond(*ends)
         if require_connected and net.num_vertices > 1 and not net.is_connected():
             comps = net.connected_components()
             raise DisconnectedNetworkError(

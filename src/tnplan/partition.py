@@ -25,12 +25,6 @@ class Partitioning:
     def __post_init__(self):
         self.blocks = [frozenset(b) for b in self.blocks]
 
-    def block_of(self, v):
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise KeyError(f"vertex {v} is in no block")
-
     def to_lists(self):
         return [sorted(b) for b in self.blocks]
 

@@ -36,14 +36,11 @@ class GreedyConfig:
     score noise; 0 makes every sample identical to the deterministic pass.
     """
 
-    objective: str = "mem-reduction"
     samples: int = 32
     noise_scale: float = 0.3
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.objective != "mem-reduction":
-            raise ValueError(f"unknown objective {self.objective!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.noise_scale < 0:

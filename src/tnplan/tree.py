@@ -263,11 +263,6 @@ class ContractionTree:
             v += 1
         return out
 
-    def _invalidate(self):
-        self._legs.clear()
-        self._mask.clear()
-        self.scratch.clear()
-
     # -- partitionings -----------------------------------------------------------
 
     def subtree_roots(self, blocks):

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles through a
 different code path than the package: whole-network einsum for values,
-a dense state-vector simulator for circuit amplitudes, and recursive
-cost walks over nested tree specs.
+explicit index loops for one pairwise contraction, a dense state-vector
+simulator for circuit amplitudes, and recursive cost walks over nested
+tree specs.
 """
 
 from __future__ import annotations
@@ -42,6 +43,32 @@ def sorted_open_result(trace, net):
     """Permute an executor result so its axes follow sorted open-edge ids."""
     order = np.argsort(trace.axis_edges, kind="stable")
     return np.transpose(np.asarray(trace.result), order) if trace.axis_edges else trace.result
+
+
+def contract_loops(s, t, pairs):
+    """``tnplan.execute.contract_pair`` by explicit index loops over every entry."""
+    saxes = [p[0] for p in pairs]
+    taxes = [p[1] for p in pairs]
+    sf = [a for a in range(s.ndim) if a not in set(saxes)]
+    tf = [a for a in range(t.ndim) if a not in set(taxes)]
+    shared_dims = [s.shape[a] for a in saxes]
+    out_shape = [s.shape[a] for a in sf] + [t.shape[a] for a in tf]
+    out = np.zeros(out_shape, dtype=np.complex128)
+    for out_idx in np.ndindex(*out_shape):
+        sidx = [0] * s.ndim
+        tidx = [0] * t.ndim
+        for a, v in zip(sf, out_idx[: len(sf)]):
+            sidx[a] = v
+        for a, v in zip(tf, out_idx[len(sf):]):
+            tidx[a] = v
+        acc = 0j
+        for sh in np.ndindex(*shared_dims):
+            for a, b, v in zip(saxes, taxes, sh):
+                sidx[a] = v
+                tidx[b] = v
+            acc += s[tuple(sidx)] * t[tuple(tidx)]
+        out[out_idx] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------

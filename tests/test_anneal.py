@@ -153,11 +153,11 @@ class TestAnnealConfig:
         with pytest.raises(ValueError, match="restart_threshold"):
             AnnealConfig(restart_threshold=0)
 
-    def test_workers_auto_resolves(self):
-        cfg = AnnealConfig(workers=0, max_iters=1)
-        assert cfg.workers >= 1
-        with pytest.raises(ValueError, match="workers"):
-            AnnealConfig(workers=-1)
+    def test_workers_must_be_positive(self):
+        assert AnnealConfig().workers == 4
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                AnnealConfig(workers=workers)
 
     def test_bad_mode_and_metric(self):
         with pytest.raises(ValueError, match="mode"):

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import os
 
 import pytest
 
@@ -17,8 +18,8 @@ from tnplan.bench import (
     run_pipeline,
 )
 from tnplan.circuits import circuit_to_json
-from tnplan.cli import main
-from tnplan.corpus import ghz_circuit, random_circuit
+from tnplan.cli import build_parser, main
+from tnplan.corpus import bundled_suite, ghz_circuit, random_circuit
 
 
 def tiny_cfg(**overrides):
@@ -121,6 +122,59 @@ class TestRunPipeline:
             n = 1 if entry["method"] == "serial-baseline" else 2
             assert len(entry["repeat_costs"]) == n
             assert entry["cost"] == sum(entry["repeat_costs"]) / n
+
+
+class TestReportConfig:
+    """The report's ``config`` section.
+
+    The expected dicts were captured from the hand-written ``to_dict`` that
+    ``dataclasses.asdict`` replaced.
+    """
+
+    COMMON = {
+        "methods": ["serial-baseline", "partition-only", "sa-naive", "sa-directed"],
+        "epsilon": 0.03,
+        "seed": 0,
+        "restart_threshold": 20,
+        "t0": 1.0,
+        "tf": 0.001,
+        "path_noise": 0.3,
+        "amplitude": "",
+        "cost": {"comm_alpha": 0.0, "comm_beta": 0.0, "intra_node": "serial"},
+    }
+
+    @staticmethod
+    def written_config(cfg):
+        return json.loads(report_json(run_pipeline([], cfg)))["config"]
+
+    def test_default_config(self):
+        expected = dict(
+            self.COMMON,
+            sweep=[4, 8, 16, 32, 64, 128, 256],
+            budget_seconds=10.0,
+            budget_iters=0,
+            repeats=2,
+            steps=64,
+            workers=4,
+            reduction_samples=8,
+            path_samples=32,
+        )
+        assert self.written_config(RunConfig()) == expected
+
+    def test_tiny_config(self):
+        expected = dict(
+            self.COMMON,
+            sweep=[2, 3],
+            budget_seconds=0.0,
+            budget_iters=2,
+            repeats=1,
+            steps=4,
+            workers=2,
+            reduction_samples=2,
+            path_samples=4,
+        )
+        assert self.written_config(tiny_cfg()) == expected
+        assert self.written_config(tiny_cfg(threads=3)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +402,92 @@ class TestCli:
             bodies.append(json.dumps(doc, sort_keys=True))
             capsys.readouterr()
         assert bodies[0] == bodies[1]
+
+    def test_anneal_output_does_not_depend_on_cpu_count(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "rand10.json"
+        path.write_text(circuit_to_json(dict(bundled_suite())["rand-10"]))
+        outputs = []
+        for cpus in (2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            argv = ["anneal", str(path), "--partitions", "4", "--iters", "3", "--seed", "1"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "doc", [{"tensors": 5}, {"tensors": [{"id": 0, "dims": [2.5]}]}]
+    )
+    def test_plan_rejects_malformed_network(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    COST = ["--cost-metric", "par", "--intra-node", "par", "--comm-alpha", "1.5",
+            "--comm-beta", "2.5"]
+    COST_ARGS = {"cost_metric": "par", "intra_node": "par", "comm_alpha": 1.5, "comm_beta": 2.5}
+    EVERY_FLAG = {
+        "plan": (
+            ["net.json", "-o", "p.json", "--amplitude", "01", "--partitions", "3",
+             "--imbalance", "0.1", "--greedy-samples", "5", "--greedy-noise", "0.2",
+             "--seed", "7", "--execute", "--max-entries", "99", "--emulate"],
+            {"network": "net.json", "output": "p.json", "amplitude": "01", "partitions": 3,
+             "imbalance": 0.1, "greedy_samples": 5, "greedy_noise": 0.2, "seed": 7,
+             "execute": True, "max_entries": 99, "emulate": True},
+        ),
+        "anneal": (
+            ["net.json", "-o", "r.json", "--amplitude", "01", "--plan", "p.json",
+             "--partitions", "3", "--imbalance", "0.1", "--greedy-samples", "5",
+             "--greedy-noise", "0.2", "--t0", "2", "--tf", "0.5", "--steps", "8",
+             "--workers", "2", "--threads", "3", "--time-limit", "1.5", "--iters", "6",
+             "--restart-threshold", "4", "--mode", "directed", "--seed", "7",
+             "--reduction-samples", "3", "--trace", "t.jsonl", "--execute",
+             "--max-entries", "99", "--emulate"],
+            {"network": "net.json", "output": "r.json", "amplitude": "01", "plan": "p.json",
+             "partitions": 3, "imbalance": 0.1, "greedy_samples": 5, "greedy_noise": 0.2,
+             "t0": 2.0, "tf": 0.5, "steps": 8, "workers": 2, "threads": 3, "time_limit": 1.5,
+             "iters": 6, "restart_threshold": 4, "mode": "directed", "seed": 7,
+             "reduction_samples": 3, "trace": "t.jsonl", "execute": True, "max_entries": 99,
+             "emulate": True},
+        ),
+        "execute": (
+            ["net.json", "-o", "x.json", "--amplitude", "01", "--plan", "p.json",
+             "--max-entries", "99", "--emulate", "--seed", "7"],
+            {"network": "net.json", "output": "x.json", "amplitude": "01", "plan": "p.json",
+             "max_entries": 99, "emulate": True, "seed": 7},
+        ),
+        "bench": (
+            ["a.json", "b.json", "-o", "rep.json", "--methods", "sa-naive", "--sweep", "2,4",
+             "--imbalance", "0.1", "--seed", "7", "--budget-seconds", "1.5",
+             "--budget-iters", "6", "--repeats", "3", "--steps", "8", "--workers", "2",
+             "--threads", "3", "--amplitude", "01"],
+            {"circuits": ["a.json", "b.json"], "output": "rep.json", "methods": "sa-naive",
+             "sweep": "2,4", "imbalance": 0.1, "seed": 7, "budget_seconds": 1.5,
+             "budget_iters": 6, "repeats": 3, "steps": 8, "workers": 2, "threads": 3,
+             "amplitude": "01"},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+    def test_parser_accepts_every_flag(self, command):
+        argv, expected = self.EVERY_FLAG[command]
+        args = vars(build_parser().parse_args([command] + argv + self.COST))
+        expected = dict(expected, **self.COST_ARGS)
+        assert {k: args[k] for k in expected} == expected
+        assert set(args) == set(expected) | {"command", "func"}
+
+    @pytest.mark.parametrize("command", ["plan", "anneal", "execute"])
+    def test_kernel_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "net.json", "--kernel", "matmul"])
+
+    def test_anneal_workers_default_matches_bench(self):
+        anneal_args = build_parser().parse_args(["anneal", "net.json"])
+        bench_args = build_parser().parse_args(["bench"])
+        assert anneal_args.workers == bench_args.workers == RunConfig.workers == 4
 
     def test_unknown_subcommand_fails(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,10 +1,11 @@
-"""Dense execution: kernels, op counting, memory accounting, emulation."""
+"""Dense execution: the kernel, op counting, memory accounting, emulation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnplan import execute
 from tnplan.costs import CostConfig, con_serial, mem_cost
 from tnplan.execute import (
     DEFAULT_MAX_ENTRIES,
@@ -20,7 +21,7 @@ from tnplan.pathfind import greedy_tree
 from tnplan.plan import build_plan, serial_plan
 from tnplan.tree import ContractionTree
 
-from oracles import einsum_value, random_nested, random_network, sorted_open_result
+from oracles import contract_loops, einsum_value, random_nested, random_network, sorted_open_result
 
 
 def matrix_net(rng=None):
@@ -36,13 +37,10 @@ def test_contract_pair_matches_matmul():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     b = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    for kernel in ("matmul", "loops"):
-        out = contract_pair(a, b, [(1, 0)], kernel=kernel)
+    for out in (contract_pair(a, b, [(1, 0)]), contract_loops(a, b, [(1, 0)])):
         np.testing.assert_allclose(out, a @ b, atol=1e-12)
     with pytest.raises(ExecutionError):
         contract_pair(a, b, [(0, 0)])  # dim mismatch 2 vs 3
-    with pytest.raises(ValueError):
-        contract_pair(a, b, [(1, 0)], kernel="turbo")
 
 
 def test_contract_pair_axis_order_is_free_axes_of_each_operand():
@@ -133,8 +131,10 @@ def test_kernels_agree_on_values_and_mult_count(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_max=6, max_dim=3)
     tree = ContractionTree.from_nested(net, random_nested(rng, list(net.vertices())))
-    fast = execute_plan(net, tree, kernel="matmul")
-    slow = execute_plan(net, tree, kernel="loops")
+    fast = execute_plan(net, tree)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(execute, "contract_pair", contract_loops)
+        slow = execute_plan(net, tree)
     np.testing.assert_allclose(fast.result, slow.result, atol=1e-10)
     assert fast.mult_count == slow.mult_count
 

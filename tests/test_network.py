@@ -143,6 +143,33 @@ def test_from_json_rejects_bad_documents():
         TensorNetwork.from_json(doc)  # ids must be dense from 0
 
 
+@pytest.mark.parametrize("dim", [2.5, "2", True, 0, -1, None])
+def test_from_json_rejects_dims_that_are_not_positive_ints(dim):
+    doc = {"tensors": [{"id": 0, "dims": [2, dim], "data": None}], "bonds": []}
+    with pytest.raises(NetworkError, match="dims"):
+        TensorNetwork.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"tensors": 5},
+        {"tensors": [5]},
+        {"tensors": None},
+        [{"id": 0, "dims": [2]}],
+        {"tensors": [{"id": "0", "dims": [2]}]},
+        {"tensors": [{"id": 0, "dims": [2], "data": 4}]},
+        {"tensors": [{"id": 0, "dims": [1], "data": ["1", "0"]}]},
+        {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": 3},
+        {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": [{"u": 0, "a": 0, "v": 0}]},
+        {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": [{"u": 0, "a": 0.0, "v": 0, "b": 1}]},
+    ],
+)
+def test_from_json_rejects_malformed_documents_with_network_error(doc):
+    with pytest.raises(NetworkError):
+        TensorNetwork.from_json(doc)
+
+
 def test_from_json_enforces_connectivity_by_default():
     doc = {
         "tensors": [

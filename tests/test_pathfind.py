@@ -60,8 +60,6 @@ def test_config_validation():
         GreedyConfig(samples=0)
     with pytest.raises(ValueError):
         GreedyConfig(noise_scale=-1.0)
-    with pytest.raises(ValueError):
-        GreedyConfig(objective="fastest")
 
 
 @settings(max_examples=40, deadline=None)
