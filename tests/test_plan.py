@@ -197,3 +197,16 @@ class TestSerialization:
         again = plan_from_dict(net, doc)
         assert plan_to_dict(again) == doc
         assert again.report.to_dict() == plan.report.to_dict()
+
+
+def test_single_tensor_report_maps_non_finite_to_null():
+    net = TensorNetwork()
+    net.add_tensor([3, 5])
+    report = serial_plan(net).report
+    assert report.con_serial == 0.0 and report.con_serial_log2 == float("-inf")
+    doc = report.to_dict()
+    assert doc["con_serial_log2"] is None
+    assert doc["con_par_log2"] is None and doc["con_dist_log2"] is None
+    assert doc["mem"] == 15.0 and doc["con_serial"] == 0.0
+    assert doc["per_partition"] == [{"index": 0, "local": 0.0, "fanin": 0.0}]
+    json.dumps(doc, allow_nan=False)

@@ -207,3 +207,33 @@ def test_clone_is_independent(seed):
         twin.swap_children(internal[0])
         l, r = tree.children(internal[0])
         assert twin.children(internal[0]) == (r, l)
+
+
+def _masks_match_leaves(tree):
+    for t in tree.postorder():
+        expected = 0
+        for n in tree.postorder(t):
+            if tree.is_leaf(n):
+                expected |= 1 << tree.leaf_vertex(n)
+        assert tree.leaf_mask(t) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_leaf_mask_is_the_or_of_the_subtree_leaves(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_min=3, payloads=False)
+    vertices = list(net.vertices())
+    _masks_match_leaves(ContractionTree.from_pairs(net, random_pairs(rng, vertices)))
+    nested_tree = ContractionTree.from_nested(net, random_nested(rng, vertices))
+    _masks_match_leaves(nested_tree)
+    k = int(rng.integers(1, min(3, net.num_vertices) + 1))
+    blocks = random_blocks(rng, net.vertices(), k)
+    parts = [ContractionTree.from_nested(net, random_nested(rng, sorted(b))) for b in blocks]
+    composed = compose_plan_tree(net, parts, random_nested(rng, list(range(k))))
+    _masks_match_leaves(composed)
+    twin = composed.clone()
+    for t in twin.internal_nodes():
+        if rng.random() < 0.5:
+            twin.swap_children(t)
+    _masks_match_leaves(twin)
