@@ -11,9 +11,10 @@ Under the distributed metric a candidate is costed on the k-leaf fan-in
 tree: each partition's local cost comes from its own tree, and its fan-in
 from the reduction tree's contractions and transfers, which are those of
 the composed tree.  A proposal therefore never builds the full tree over
-all tensors; a state composes it on first read of ``tree`` or
-``part_roots``, which in a run happens only for the plan it returns.
-The serial and parallel metrics still cost the composed tree.
+all tensors; a run builds it once, when ``state_to_plan`` assembles the
+plan it returns.  A state composes it on first read of ``tree`` or
+``part_roots``, which only the invariant checks do.  The serial and
+parallel metrics still cost the composed tree of every proposal.
 
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
@@ -26,6 +27,9 @@ iteration tally of a timed run depends on machine speed.
 Each iteration runs the same starting state through ``workers`` replicas
 in turn, with seeds derived from (seed, iteration, worker); the best
 replica result wins, with ties going to the lowest worker index.
+
+Every proposal re-searches the fan-in path with ``reduction_samples``
+noisy greedy passes at the fixed log-normal noise ``REDUCTION_NOISE``.
 """
 
 from __future__ import annotations
@@ -37,11 +41,14 @@ from time import perf_counter
 
 import numpy as np
 
-from .costs import CostConfig, con_par, con_serial, con_dist, cost_report, dims_product
+from .costs import CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric
 from .partition import Partitioning, validate
 from .pathfind import GreedyConfig, greedy_tree, reduction_path
-from .plan import Plan
+from .plan import assemble_plan
 from .tree import compose_plan_tree
+
+# Log-standard-deviation of the score noise in each proposal's fan-in search.
+REDUCTION_NOISE = 0.3
 
 
 class NoMoveError(RuntimeError):
@@ -68,7 +75,6 @@ class AnnealConfig:
     metric: str = "dist"
     cost: CostConfig = field(default_factory=CostConfig)
     reduction_samples: int = 8
-    reduction_noise: float = 0.3
     threads: int = 1
     check_invariants: bool = False
 
@@ -142,8 +148,11 @@ def temperature_at(progress, cfg):
     return cfg.t0 * (cfg.tf / cfg.t0) ** progress
 
 
-def _intra_metric(cfg):
-    return con_par if cfg.cost.intra_node == "par" else con_serial
+def _intra(cfg):
+    """``intra_metric``'s choice, resolved through this module's names so a
+    wrapper bound here (the benchmark's tracer wraps ``con_serial``) sees
+    every partition costing."""
+    return globals()[intra_metric(cfg.cost).__name__]
 
 
 def _state_cost(cfg, tree, blocks, roots, local_costs):
@@ -155,7 +164,7 @@ def _state_cost(cfg, tree, blocks, roots, local_costs):
 
 
 def state_from_plan(plan, cfg):
-    intra = _intra_metric(cfg)
+    intra = _intra(cfg)
     local_costs = tuple(intra(plan.tree, r) for r in plan.part_roots)
     cost = _state_cost(cfg, plan.tree, plan.partitioning.blocks, plan.part_roots, local_costs)
     return AnnealState(
@@ -168,17 +177,8 @@ def state_from_plan(plan, cfg):
 
 
 def state_to_plan(net, state, cost_cfg=None):
-    report = cost_report(
-        state.tree, state.partitioning.blocks, cost_cfg, subtree_roots=list(state.part_roots)
-    )
-    return Plan(
-        net,
-        state.partitioning,
-        list(state.partition_trees),
-        state.reduction_nested,
-        state.tree,
-        list(state.part_roots),
-        report,
+    return assemble_plan(
+        net, state.partitioning, state.partition_trees, state.reduction_nested, cost_cfg
     )
 
 
@@ -238,13 +238,13 @@ def select_neighbor(net, state, cfg, rng):
     trees = list(state.partition_trees)
     trees[k_src] = greedy_tree(net, new_blocks[k_src])
     trees[k_dst] = greedy_tree(net, new_blocks[k_dst])
-    intra = _intra_metric(cfg)
+    intra = _intra(cfg)
     local_costs = list(state.local_costs)
     local_costs[k_src] = intra(trees[k_src])
     local_costs[k_dst] = intra(trees[k_dst])
     red_cfg = GreedyConfig(
         samples=cfg.reduction_samples,
-        noise_scale=cfg.reduction_noise,
+        noise_scale=REDUCTION_NOISE,
         rng_seed=int(rng.integers(2 ** 63)),
     )
     reduction = reduction_path(net, [t.legs(t.root) for t in trees], red_cfg)

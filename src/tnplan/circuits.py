@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import TensorNetwork
+from .network import TensorNetwork, _is_int
 
 UNITARITY_TOL = 1e-10
 
@@ -77,6 +77,10 @@ class Circuit:
     gates: list = field(default_factory=list)
 
 
+def _is_number(x):
+    return isinstance(x, float) or _is_int(x)
+
+
 def _check_unitary(mat, label):
     dim = mat.shape[0]
     dev = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
@@ -96,11 +100,9 @@ def _parse_matrix(raw, k, label):
         raise CircuitError(f"{label}: matrix must be a list")
 
     def entry(x, where):
-        if isinstance(x, (int, float)):
+        if _is_number(x):
             return complex(x)
-        if isinstance(x, list) and len(x) == 2 and all(
-            isinstance(p, (int, float)) for p in x
-        ):
+        if isinstance(x, list) and len(x) == 2 and all(_is_number(p) for p in x):
             return complex(x[0], x[1])
         raise CircuitError(f"{label}: bad matrix entry at {where}: {x!r}")
 
@@ -159,13 +161,21 @@ def make_gate(name, targets, params=(), matrix=None):
 
 
 def circuit_from_dict(doc):
+    """Parse a circuit document; anything malformed raises ``CircuitError``.
+
+    Qubit counts and targets must be integers and angles and matrix
+    entries numbers; booleans are neither, and nothing is coerced.
+    """
     if not isinstance(doc, dict):
         raise CircuitError("circuit document must be a JSON object")
     n = doc.get("qubits")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise CircuitError(f"'qubits' must be a positive integer, got {n!r}")
+    raw_gates = doc.get("gates", [])
+    if not isinstance(raw_gates, list):
+        raise CircuitError(f"'gates' must be a list, got {raw_gates!r}")
     gates = []
-    for idx, g in enumerate(doc.get("gates", [])):
+    for idx, g in enumerate(raw_gates):
         if not isinstance(g, dict):
             raise CircuitError(f"gate {idx} must be an object")
         name = g.get("name")
@@ -173,12 +183,15 @@ def circuit_from_dict(doc):
         if name is None or not isinstance(targets, list):
             raise CircuitError(f"gate {idx} needs 'name' and a 'targets' list")
         for t in targets:
-            if not isinstance(t, int) or not 0 <= t < n:
+            if not _is_int(t) or not 0 <= t < n:
                 raise CircuitError(f"gate {idx} ({name}): target {t!r} out of range 0..{n - 1}")
+        params = g.get("params", [])
+        if not isinstance(params, list) or not all(_is_number(p) for p in params):
+            raise CircuitError(f"gate {idx} ({name}): 'params' must be a list of numbers")
         matrix = None
         if "matrix" in g and g["matrix"] is not None:
             matrix = _parse_matrix(g["matrix"], len(targets), f"gate {idx} ({name})")
-        gates.append(make_gate(name, targets, g.get("params", ()), matrix))
+        gates.append(make_gate(name, targets, params, matrix))
     return Circuit(n, gates)
 
 

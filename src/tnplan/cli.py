@@ -29,7 +29,7 @@ from .execute import DEFAULT_MAX_ENTRIES, execute_distributed_emulation, execute
 from .network import TensorNetwork
 from .partition import initial_partition
 from .pathfind import GreedyConfig
-from .plan import build_plan, plan_from_dict, plan_to_dict, serial_plan
+from .plan import build_plan, plan_from_dict, plan_to_json, serial_plan
 
 
 def _read_json(path):
@@ -85,18 +85,11 @@ def _add_plan_flags(parser, partitions, partitions_help):
     parser.add_argument("--greedy-samples", type=int, default=32)
     parser.add_argument("--greedy-noise", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--execute", action="store_true", help="run the plan afterwards")
-
-
-def _add_run_flags(parser):
     parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=DEFAULT_MAX_ENTRIES,
-        help="refuse plans whose peak memory exceeds this many tensor entries",
-    )
-    parser.add_argument(
-        "--emulate", action="store_true", help="also emulate distributed execution"
+        "--cost-metric",
+        choices=("serial", "par", "dist"),
+        default="dist",
+        help="metric reported as the headline cost (and optimized by anneal)",
     )
 
 
@@ -113,12 +106,6 @@ def _add_replica_flags(parser):
 
 
 def _add_cost_flags(parser):
-    parser.add_argument(
-        "--cost-metric",
-        choices=("serial", "par", "dist"),
-        default="dist",
-        help="metric reported as the headline cost (and optimized by anneal)",
-    )
     parser.add_argument(
         "--intra-node",
         choices=("serial", "par"),
@@ -156,7 +143,7 @@ def cmd_plan(args):
         plan = serial_plan(net, cost_cfg, cfg=_greedy_config(args))
     else:
         plan = _partitioned_plan(net, args, cost_cfg)
-    _write_text(json.dumps(plan_to_dict(plan), sort_keys=True, indent=2), args.output)
+    _write_text(plan_to_json(plan), args.output)
     r = plan.report
     print(
         f"k={len(plan.partitioning.blocks)} cost[{args.cost_metric}]="
@@ -164,8 +151,6 @@ def cmd_plan(args):
         f"(log2 dist={r.con_dist_log2:.2f})",
         file=sys.stderr,
     )
-    if args.execute:
-        return _run_plan(net, plan, args)
     return 0
 
 
@@ -199,19 +184,25 @@ def cmd_anneal(args):
         with open(args.trace, "w") as fh:
             for row in trace:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    _write_text(json.dumps(plan_to_dict(refined), sort_keys=True, indent=2), args.output)
+    _write_text(plan_to_json(refined), args.output)
     final_cost = _metric_value(refined.report, args.cost_metric)
     print(
         f"anneal[{args.mode}] {len(trace)} iterations: "
         f"cost[{args.cost_metric}] {initial_cost:.6g} -> {final_cost:.6g}",
         file=sys.stderr,
     )
-    if args.execute:
-        return _run_plan(net, refined, args)
     return 0
 
 
-def _run_plan(net, plan, args, output=None):
+def cmd_execute(args):
+    net = _load_network(args.network, amplitude=args.amplitude)
+    if not net.has_payloads():
+        raise ValueError("network carries no tensor data; ingest without --shapes-only")
+    cost_cfg = _cost_config(args)
+    if args.plan:
+        plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)
+    else:
+        plan = serial_plan(net, cost_cfg, cfg=GreedyConfig(rng_seed=args.seed))
     trace = execute_plan(net, plan.tree, max_entries=args.max_entries)
     out = {
         "mult_count": trace.mult_count,
@@ -231,20 +222,8 @@ def _run_plan(net, plan, args, output=None):
         out["serial_seconds"] = emu.serial_seconds
         out["partition_seconds"] = emu.partition_seconds
         out["fanin_seconds"] = emu.fanin_seconds
-    _write_text(json.dumps(out, sort_keys=True, indent=2), output)
+    _write_text(json.dumps(out, sort_keys=True, indent=2), args.output)
     return 0
-
-
-def cmd_execute(args):
-    net = _load_network(args.network, amplitude=args.amplitude)
-    if not net.has_payloads():
-        raise ValueError("network carries no tensor data; ingest without --shapes-only")
-    cost_cfg = _cost_config(args)
-    if args.plan:
-        plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)
-    else:
-        plan = serial_plan(net, cost_cfg, cfg=GreedyConfig(rng_seed=args.seed))
-    return _run_plan(net, plan, args, args.output)
 
 
 def cmd_bench(args):
@@ -329,7 +308,6 @@ def build_parser():
     p = sub.add_parser("plan", help="build a partitioned contraction plan")
     _add_input_flags(p)
     _add_plan_flags(p, 1, "number of partitions")
-    _add_run_flags(p)
     _add_cost_flags(p)
     p.set_defaults(func=cmd_plan)
 
@@ -346,7 +324,6 @@ def build_parser():
     p.add_argument("--mode", choices=("naive", "directed"), default="naive")
     p.add_argument("--reduction-samples", type=int, default=8)
     p.add_argument("--trace", default=None, help="write per-iteration JSON lines here")
-    _add_run_flags(p)
     _add_cost_flags(p)
     p.set_defaults(func=cmd_anneal)
 
@@ -354,7 +331,13 @@ def build_parser():
     _add_input_flags(p)
     p.add_argument("--plan", default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_run_flags(p)
+    p.add_argument(
+        "--max-entries",
+        type=int,
+        default=DEFAULT_MAX_ENTRIES,
+        help="refuse plans whose peak memory exceeds this many tensor entries",
+    )
+    p.add_argument("--emulate", action="store_true", help="also emulate distributed execution")
     _add_cost_flags(p)
     p.set_defaults(func=cmd_execute)
 

@@ -14,7 +14,7 @@ do not depend on how a particular set object was assembled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 LOG2_SATURATION = 300.0
 _SATURATION_VALUE = 2.0 ** LOG2_SATURATION
@@ -60,24 +60,12 @@ class CostReport:
     saturated: bool = False
 
     def to_dict(self):
-        def num(x):
-            return x if math.isfinite(x) else None
+        """The report as a JSON-ready dict; non-finite floats become None."""
+        return asdict(self, dict_factory=lambda items: {k: _finite_or_none(v) for k, v in items})
 
-        return {
-            "mem": num(self.mem),
-            "con_serial": num(self.con_serial),
-            "con_par": num(self.con_par),
-            "con_dist": num(self.con_dist),
-            "mem_log2": num(self.mem_log2),
-            "con_serial_log2": num(self.con_serial_log2),
-            "con_par_log2": num(self.con_par_log2),
-            "con_dist_log2": num(self.con_dist_log2),
-            "per_partition": [
-                {"index": p.index, "local": num(p.local), "fanin": num(p.fanin)}
-                for p in self.per_partition
-            ],
-            "saturated": self.saturated,
-        }
+
+def _finite_or_none(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def dims_product(net, legs):
@@ -185,7 +173,8 @@ def comm_cost(tree, t, cfg=None):
     return cfg.comm_alpha + cfg.comm_beta * legs_size(tree, t)
 
 
-def _intra(cfg):
+def intra_metric(cfg):
+    """The metric ``cfg.intra_node`` names for the work inside one partition."""
     return con_par if cfg.intra_node == "par" else con_serial
 
 
@@ -207,7 +196,7 @@ def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_cost
         subtree_roots = tree.subtree_roots(blocks)
         if subtree_roots is None:
             raise ValueError("tree does not accept the partitioning")
-    intra = _intra(cfg)
+    intra = intra_metric(cfg)
     steps = {}  # ancestor -> its ops plus the cheaper child's transfer
     parts = []
     for idx, r in enumerate(subtree_roots):
@@ -228,7 +217,11 @@ def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_cost
 
 def con_dist(tree, blocks, cfg=None, subtree_roots=None, local_costs=None):
     """Distributed-execution cost: the slowest partition's local plus fan-in work."""
-    parts = distributed_breakdown(tree, blocks, cfg, subtree_roots, local_costs)
+    return _slowest(distributed_breakdown(tree, blocks, cfg, subtree_roots, local_costs))
+
+
+def _slowest(parts):
+    """The largest local plus fan-in total over the partitions (0 for none)."""
     best = 0.0
     for p in parts:
         total = p.local + p.fanin
@@ -251,7 +244,7 @@ def _log2_or_ninf(x):
     return math.log2(x) if x > 0 else float("-inf")
 
 
-def cost_report(tree, blocks=None, cfg=None, subtree_roots=None, local_costs=None):
+def cost_report(tree, blocks=None, cfg=None, subtree_roots=None):
     """All four metrics for one tree, optionally under a partitioning.
 
     Without ``blocks`` the tree is treated as one partition, so the
@@ -263,14 +256,9 @@ def cost_report(tree, blocks=None, cfg=None, subtree_roots=None, local_costs=Non
     mem = mem_cost(tree)
     if blocks is None:
         parts = [PartitionCost(0, serial, 0.0)]
-        dist = serial
     else:
-        parts = distributed_breakdown(tree, blocks, cfg, subtree_roots, local_costs)
-        dist = 0.0
-        for p in parts:
-            total = p.local + p.fanin
-            if total > dist:
-                dist = total
+        parts = distributed_breakdown(tree, blocks, cfg, subtree_roots)
+    dist = _slowest(parts)
     return CostReport(
         mem=mem,
         con_serial=serial,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .costs import CostConfig, cost_report
+from .costs import cost_report
 from .partition import Partitioning, validate
 from .pathfind import GreedyConfig, greedy_tree, random_greedy_tree, reduction_path
 from .tree import ContractionTree, compose_plan_tree
@@ -122,7 +122,6 @@ def plan_from_dict(net, doc, cost_cfg=None):
         if set(t.leaves()) != set(part.blocks[i]):
             raise PlanError(f"partition tree {i} does not cover exactly block {i}")
         trees.append(t)
-    cost_cfg = cost_cfg or CostConfig()
     return assemble_plan(net, part, trees, reduction, cost_cfg)
 
 

@@ -9,6 +9,11 @@ the children's legs, so edges shared by the two operands are summed away.
 
 A tree built over a subset of the vertices (a view) treats edges leaving
 the view as open: they survive to the view root's legs.
+
+Every tree goes through ``from_pairs``, which stores each node's legs and
+leaf bitmask as the node is created; children always precede their
+parent, so both are plain lookups afterwards and no query walks a subtree
+to fill them.
 """
 
 from __future__ import annotations
@@ -34,14 +39,14 @@ class ContractionTree:
 
     Leaf node ids equal the vertex ids they stand for; internal node ids
     are allocated from ``net.num_vertices`` upward in creation order, so a
-    fixed build sequence yields a fixed node numbering.
+    fixed build sequence yields a fixed node numbering.  A leaf is a node
+    whose children are ``None``.
     """
 
     def __init__(self, network):
         self.network = network
         self._children = {}
         self._parent = {}
-        self._leaf_vertex = {}
         self._root = None
         self._legs = {}
         self._mask = {}
@@ -51,10 +56,7 @@ class ContractionTree:
 
     @classmethod
     def single_leaf(cls, network, v):
-        tree = cls(network)
-        tree._add_leaf(v)
-        tree._root = v
-        return tree
+        return cls.from_pairs(network, [], leaves=[v])
 
     @classmethod
     def from_pairs(cls, network, pairs, leaves=None):
@@ -71,7 +73,9 @@ class ContractionTree:
             leaves = list(network.vertices())
         for v in leaves:
             tree._add_leaf(v)
-        open_roots = set(tree._leaf_vertex)
+        open_roots = set(tree._children)
+        legs = tree._legs
+        mask = tree._mask
         next_id = network.num_vertices
         for x, y in pairs:
             if x not in open_roots:
@@ -86,6 +90,8 @@ class ContractionTree:
             tree._parent[x] = node
             tree._parent[y] = node
             tree._parent[node] = None
+            legs[node] = legs[x] ^ legs[y]
+            mask[node] = mask[x] | mask[y]
             open_roots.discard(x)
             open_roots.discard(y)
             open_roots.add(node)
@@ -99,51 +105,37 @@ class ContractionTree:
     @classmethod
     def from_nested(cls, network, nested):
         """Build from a nested pair structure: a leaf is a vertex id, an
-        internal node is a two-element list/tuple ``[left, right]``."""
+        internal node is a two-element list/tuple ``[left, right]``.
+
+        Internal nodes are numbered in post-order of the structure."""
         leaves = []
-        cls._collect_leaves(nested, leaves)
-        if len(set(leaves)) != len(leaves):
-            raise TreeError("nested structure repeats a leaf")
-        if len(leaves) == 1:
-            return cls.single_leaf(network, leaves[0])
         pairs = []
-        next_id = [network.num_vertices]
 
         def build(spec):
             if isinstance(spec, (list, tuple)):
                 if len(spec) != 2:
                     raise TreeError(f"internal node must have 2 children, got {len(spec)}")
-                left = build(spec[0])
-                right = build(spec[1])
-                node = next_id[0]
-                next_id[0] += 1
-                pairs.append((left, right))
-                return node
+                pairs.append((build(spec[0]), build(spec[1])))
+                return network.num_vertices + len(pairs) - 1
+            if not isinstance(spec, int):
+                raise TreeError(f"leaf must be an integer vertex id, got {spec!r}")
+            leaves.append(spec)
             return spec
 
         build(nested)
+        if len(set(leaves)) != len(leaves):
+            raise TreeError("nested structure repeats a leaf")
         return cls.from_pairs(network, pairs, leaves=leaves)
-
-    @staticmethod
-    def _collect_leaves(spec, out):
-        if isinstance(spec, (list, tuple)):
-            if len(spec) != 2:
-                raise TreeError(f"internal node must have 2 children, got {len(spec)}")
-            ContractionTree._collect_leaves(spec[0], out)
-            ContractionTree._collect_leaves(spec[1], out)
-        else:
-            if not isinstance(spec, int):
-                raise TreeError(f"leaf must be an integer vertex id, got {spec!r}")
-            out.append(spec)
 
     def _add_leaf(self, v):
         if v not in self.network._axis_edges:
             raise NetworkError(f"no vertex {v} in the network")
-        if v in self._leaf_vertex:
+        if v in self._children:
             raise TreeError(f"vertex {v} appears twice as a leaf")
-        self._leaf_vertex[v] = v
         self._children[v] = None
         self._parent[v] = None
+        self._legs[v] = leaf_legs(self.network, v)
+        self._mask[v] = 1 << v
 
     # -- structure queries ---------------------------------------------------
 
@@ -164,16 +156,16 @@ class ContractionTree:
         """The network vertex a leaf node stands for (the identity map)."""
         if not self.is_leaf(t):
             raise TreeError(f"node {t} is not a leaf")
-        return self._leaf_vertex[t]
+        return t
 
     def nodes(self):
         return list(self._children)
 
     def leaves(self):
-        return sorted(self._leaf_vertex)
+        return sorted(t for t, ch in self._children.items() if ch is None)
 
     def num_leaves(self):
-        return len(self._leaf_vertex)
+        return (len(self._children) + 1) // 2  # a full binary tree
 
     def postorder(self, node=None):
         """Nodes of the subtree under ``node`` (default: root), children first.
@@ -222,33 +214,11 @@ class ContractionTree:
     # -- legs and leaf sets ----------------------------------------------------
 
     def legs(self, t):
-        """Edge set of the intermediate tensor at node ``t`` (cached)."""
-        cached = self._legs.get(t)
-        if cached is not None:
-            return cached
-        for n in self.postorder(t):
-            if n in self._legs:
-                continue
-            ch = self._children[n]
-            if ch is None:
-                self._legs[n] = leaf_legs(self.network, self._leaf_vertex[n])
-            else:
-                self._legs[n] = self._legs[ch[0]] ^ self._legs[ch[1]]
+        """Edge set of the intermediate tensor at node ``t``."""
         return self._legs[t]
 
     def leaf_mask(self, t):
-        """Bitmask of the leaf vertices under node ``t`` (cached)."""
-        cached = self._mask.get(t)
-        if cached is not None:
-            return cached
-        for n in self.postorder(t):
-            if n in self._mask:
-                continue
-            ch = self._children[n]
-            if ch is None:
-                self._mask[n] = 1 << self._leaf_vertex[n]
-            else:
-                self._mask[n] = self._mask[ch[0]] | self._mask[ch[1]]
+        """Bitmask of the leaf vertices under node ``t``."""
         return self._mask[t]
 
     def subtree_leaf_tensors(self, t):
@@ -271,8 +241,7 @@ class ContractionTree:
         Returns a list aligned with ``blocks`` when every block is realized
         by a subtree (i.e. the tree accepts the partitioning), else None.
         """
-        self.leaf_mask(self._root)
-        by_mask = {self._mask[t]: t for t in self._children}
+        by_mask = {m: t for t, m in self._mask.items()}
         roots = []
         for block in blocks:
             mask = 0
@@ -303,7 +272,7 @@ class ContractionTree:
         def rec(t):
             ch = self._children[t]
             if ch is None:
-                return self._leaf_vertex[t]
+                return t
             return [rec(ch[0]), rec(ch[1])]
 
         return rec(self._root)
@@ -312,7 +281,6 @@ class ContractionTree:
         tree = ContractionTree(self.network)
         tree._children = dict(self._children)
         tree._parent = dict(self._parent)
-        tree._leaf_vertex = dict(self._leaf_vertex)
         tree._root = self._root
         tree._legs = dict(self._legs)
         tree._mask = dict(self._mask)

@@ -426,17 +426,16 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    COST = ["--cost-metric", "par", "--intra-node", "par", "--comm-alpha", "1.5",
-            "--comm-beta", "2.5"]
-    COST_ARGS = {"cost_metric": "par", "intra_node": "par", "comm_alpha": 1.5, "comm_beta": 2.5}
+    COST = ["--intra-node", "par", "--comm-alpha", "1.5", "--comm-beta", "2.5"]
+    COST_ARGS = {"intra_node": "par", "comm_alpha": 1.5, "comm_beta": 2.5}
     EVERY_FLAG = {
         "plan": (
             ["net.json", "-o", "p.json", "--amplitude", "01", "--partitions", "3",
              "--imbalance", "0.1", "--greedy-samples", "5", "--greedy-noise", "0.2",
-             "--seed", "7", "--execute", "--max-entries", "99", "--emulate"],
+             "--seed", "7", "--cost-metric", "par"],
             {"network": "net.json", "output": "p.json", "amplitude": "01", "partitions": 3,
              "imbalance": 0.1, "greedy_samples": 5, "greedy_noise": 0.2, "seed": 7,
-             "execute": True, "max_entries": 99, "emulate": True},
+             "cost_metric": "par"},
         ),
         "anneal": (
             ["net.json", "-o", "r.json", "--amplitude", "01", "--plan", "p.json",
@@ -444,14 +443,12 @@ class TestCli:
              "--greedy-noise", "0.2", "--t0", "2", "--tf", "0.5", "--steps", "8",
              "--workers", "2", "--threads", "3", "--time-limit", "1.5", "--iters", "6",
              "--restart-threshold", "4", "--mode", "directed", "--seed", "7",
-             "--reduction-samples", "3", "--trace", "t.jsonl", "--execute",
-             "--max-entries", "99", "--emulate"],
+             "--reduction-samples", "3", "--trace", "t.jsonl", "--cost-metric", "par"],
             {"network": "net.json", "output": "r.json", "amplitude": "01", "plan": "p.json",
              "partitions": 3, "imbalance": 0.1, "greedy_samples": 5, "greedy_noise": 0.2,
              "t0": 2.0, "tf": 0.5, "steps": 8, "workers": 2, "threads": 3, "time_limit": 1.5,
              "iters": 6, "restart_threshold": 4, "mode": "directed", "seed": 7,
-             "reduction_samples": 3, "trace": "t.jsonl", "execute": True, "max_entries": 99,
-             "emulate": True},
+             "reduction_samples": 3, "trace": "t.jsonl", "cost_metric": "par"},
         ),
         "execute": (
             ["net.json", "-o", "x.json", "--amplitude", "01", "--plan", "p.json",
@@ -483,6 +480,17 @@ class TestCli:
     def test_kernel_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "net.json", "--kernel", "matmul"])
+
+    @pytest.mark.parametrize("command", ["plan", "anneal"])
+    @pytest.mark.parametrize("flags", [["--execute"], ["--emulate"], ["--max-entries", "99"]])
+    def test_plan_and_anneal_do_not_execute(self, command, flags, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "net.json"] + flags)
+
+    @pytest.mark.parametrize("argv", [["bench"], ["execute", "net.json"]])
+    def test_cost_metric_only_where_it_is_read(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--cost-metric", "serial"])
 
     def test_anneal_workers_default_matches_bench(self):
         anneal_args = build_parser().parse_args(["anneal", "net.json"])

@@ -16,6 +16,7 @@ from tnplan.circuits import (
     make_gate,
     parse_circuit,
 )
+from tnplan.cli import main
 from tnplan.corpus import bundled_suite, ghz_circuit, graph_state_circuit, qft_circuit, random_circuit
 
 from oracles import amplitude, einsum_value, statevector
@@ -204,3 +205,47 @@ def test_graph_state_ring_amplitude():
     val = complex(einsum_value(net))
     assert val == pytest.approx(amplitude(c, "0000"), abs=1e-10)
     assert abs(val) == pytest.approx(0.25, abs=1e-10)
+
+
+def _gate_doc(**gate):
+    return {"qubits": 2, "gates": [dict({"name": "RZ", "targets": [0], "params": [0.5]}, **gate)]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"qubits": True, "gates": []},
+        {"qubits": 2.0, "gates": []},
+        {"qubits": 2, "gates": 5},
+        {"qubits": 2, "gates": {"name": "H"}},
+        _gate_doc(targets=[True]),
+        _gate_doc(targets=[0.0]),
+        _gate_doc(params=[True]),
+        _gate_doc(params=5),
+        _gate_doc(params=["x"]),
+        _gate_doc(params=[[0.5]]),
+        _gate_doc(name="ID", params=[], matrix=[[True, False], [False, True]]),
+        _gate_doc(name="ID", params=[], matrix=[[1, 0], [0, [True, 0]]]),
+        _gate_doc(name="ID", params=[], matrix=[True, 0, 0, 1]),
+    ],
+)
+def test_circuit_from_dict_does_not_coerce(doc):
+    with pytest.raises(CircuitError):
+        circuit_from_dict(doc)
+
+
+def test_circuit_from_dict_takes_an_int_angle():
+    assert circuit_from_dict(_gate_doc(params=[1])).gates[0].params == (1.0,)
+
+
+@pytest.mark.parametrize(
+    "doc", [{"qubits": True, "gates": []}, _gate_doc(params=5), _gate_doc(params=["x"])]
+)
+def test_plan_rejects_malformed_circuit(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["plan", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
