@@ -221,7 +221,8 @@ def select_neighbor(net, state, cfg, rng):
         raise NoMoveError("no partition exposes a movable proper subtree")
     k_src = eligible[int(rng.integers(len(eligible)))]
     src_tree = state.partition_trees[k_src]
-    candidates = [t for t in sorted(src_tree.nodes()) if t != src_tree.root]
+    # Listed by tree shape alone, so the move does not depend on node ids.
+    candidates = src_tree.leaves() + src_tree.internal_nodes()[:-1]
     node = candidates[int(rng.integers(len(candidates)))]
     moved = frozenset(src_tree.subtree_leaf_tensors(node))
 

@@ -99,14 +99,13 @@ def _method_entries(name, net, method, baseline_cost, cfg, ci, timings):
     n = net.num_vertices
     ks = [k for k in cfg.sweep if 2 <= k <= n]
     entries = []
-    mi = METHODS.index(method)
     for k in ks:
         per_run_budget = cfg.budget_seconds / max(1, len(ks) * cfg.repeats)
         repeat_costs = []
         repeat_mems = []
         started = time.perf_counter()
         for r in range(cfg.repeats):
-            run_seed = derive_seed(cfg.seed, ci, mi, k, r)
+            run_seed = derive_seed(cfg.seed, ci, k, r)  # shared by every method
             plan = _plan_once(net, method, k, run_seed, per_run_budget, cfg)
             repeat_costs.append(plan.report.con_dist)
             repeat_mems.append(plan.report.mem)

@@ -198,11 +198,10 @@ def cmd_execute(args):
     net = _load_network(args.network, amplitude=args.amplitude)
     if not net.has_payloads():
         raise ValueError("network carries no tensor data; ingest without --shapes-only")
-    cost_cfg = _cost_config(args)
     if args.plan:
-        plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)
+        plan = plan_from_dict(net, _read_json(args.plan))
     else:
-        plan = serial_plan(net, cost_cfg, cfg=GreedyConfig(rng_seed=args.seed))
+        plan = serial_plan(net, cfg=GreedyConfig(rng_seed=args.seed))
     trace = execute_plan(net, plan.tree, max_entries=args.max_entries)
     out = {
         "mult_count": trace.mult_count,
@@ -338,7 +337,6 @@ def build_parser():
         help="refuse plans whose peak memory exceeds this many tensor entries",
     )
     p.add_argument("--emulate", action="store_true", help="also emulate distributed execution")
-    _add_cost_flags(p)
     p.set_defaults(func=cmd_execute)
 
     p = sub.add_parser("bench", help="run the batch pipeline over a circuit suite")

@@ -1,14 +1,17 @@
 """Greedy contraction-order search, with noisy multi-sample restarts.
 
-The deterministic pass repeatedly contracts the pair of intermediates that
-maximizes the memory-reduction objective |A| + |B| - |A.B|.  Only pairs
-sharing at least one bound edge are candidates; pairs with nothing in
-common (outer products) are considered only once no adjacent pair is left,
-which happens exactly when the view being contracted is disconnected.
+``greedy_tree`` is the one search.  A pass repeatedly contracts the pair
+of intermediates that maximizes the memory-reduction objective
+|A| + |B| - |A.B|.  Only pairs sharing at least one bound edge are
+candidates; pairs with nothing in common (outer products) are considered
+only once no adjacent pair is left, which happens exactly when the view
+being contracted is disconnected.  The pass records each merge as a
+(left, right) pair of tree node ids, and ``ContractionTree.from_pairs``
+builds the tree from them in merge order.
 
-The randomized variant reruns the pass several times with each pair score
-multiplied by log-normal noise, and keeps the sample with the smallest
-serial cost.
+With a ``GreedyConfig`` the pass runs ``samples`` times with each pair
+score multiplied by log-normal noise, and the sample with the smallest
+serial cost is kept.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class _Forest:
 
     Pieces are immutable once created: a merge retires both operands and
     appends a fresh piece, so a heap entry stays valid exactly while both
-    of its pieces are alive.
+    of its pieces are alive.  A merge appends its operands' node ids to
+    ``pairs``, and the new piece takes the id ``from_pairs`` gives it.
 
     A piece's legs are the symmetric difference of its leaves' legs, so
     its entry count depends only on the bitmask of leaves it covers.
@@ -70,10 +74,11 @@ class _Forest:
         self.sizes = sizes
         self.legs = []
         self.mask = []
-        self.nested = []
+        self.node = []
         self.rep = []
         self.size = []
         self.alive = []
+        self.pairs = []
         self.holders = {}
         for pos, (key, legs) in enumerate(pieces):
             idx = self._append(legs, 1 << pos, key, key)
@@ -87,11 +92,11 @@ class _Forest:
             size = self.sizes[mask] = dims_product(self.net, legs)
         return size
 
-    def _append(self, legs, mask, nested, rep):
+    def _append(self, legs, mask, node, rep):
         idx = len(self.legs)
         self.legs.append(legs)
         self.mask.append(mask)
-        self.nested.append(nested)
+        self.node.append(node)
         self.rep.append(rep)
         self.size.append(self._size(mask, legs))
         self.alive.append(True)
@@ -105,15 +110,13 @@ class _Forest:
         return self.size[i] + self.size[j] - result
 
     def merge(self, i, j):
-        """Contract pieces ``i`` and ``j``; returns the new piece index."""
+        """Contract pieces ``i`` and ``j``, ``i`` holding the smaller leaf
+        vertex, so it becomes the left child; returns the new piece index."""
         li, lj = self.legs[i], self.legs[j]
         self.total_ops += dims_product(self.net, li | lj)
-        if self.rep[i] <= self.rep[j]:
-            nested = [self.nested[i], self.nested[j]]
-        else:
-            nested = [self.nested[j], self.nested[i]]
-        mask = self.mask[i] | self.mask[j]
-        idx = self._append(li ^ lj, mask, nested, min(self.rep[i], self.rep[j]))
+        self.pairs.append((self.node[i], self.node[j]))
+        node = self.net.num_vertices + len(self.pairs) - 1
+        idx = self._append(li ^ lj, self.mask[i] | self.mask[j], node, self.rep[i])
         self.alive[i] = False
         self.alive[j] = False
         for e in li | lj:
@@ -132,22 +135,18 @@ class _Forest:
                     out.add(h)
         return sorted(out)
 
-    def alive_indices(self):
-        return [i for i, a in enumerate(self.alive) if a]
 
-
-def _greedy_pass(net, pieces, rng=None, noise_scale=0.0, sizes=None):
+def _greedy_pass(net, pieces, sizes, rng=None, noise_scale=0.0):
     """One full greedy pass over ``pieces`` (a list of (key, legs)).
 
     ``sizes`` is the entry-count cache of ``_Forest``; pass the same dict
-    to every pass over the same pieces.  Returns (nested structure over
-    the piece keys, total multiplications).
+    to every pass over the same pieces.  Returns the finished forest,
+    whose ``pairs`` and ``total_ops`` are the pass's merges and
+    multiplications.
     """
     if not pieces:
         raise ValueError("nothing to contract")
-    forest = _Forest(net, pieces, {} if sizes is None else sizes)
-    if len(pieces) == 1:
-        return forest.nested[0], 0.0
+    forest = _Forest(net, pieces, sizes)
 
     noisy = rng is not None and noise_scale > 0.0
 
@@ -186,8 +185,7 @@ def _greedy_pass(net, pieces, rng=None, noise_scale=0.0, sizes=None):
     # Disconnected view: the survivors share no edges, contract by outer
     # products under the same objective.
     while n_alive > 1:
-        live = forest.alive_indices()
-        live.sort(key=lambda i: forest.rep[i])
+        live = sorted((i for i, a in enumerate(forest.alive) if a), key=lambda i: forest.rep[i])
         best = None
         for x in range(len(live)):
             for y in range(x + 1, len(live)):
@@ -200,44 +198,40 @@ def _greedy_pass(net, pieces, rng=None, noise_scale=0.0, sizes=None):
         forest.merge(i, j)
         n_alive -= 1
 
-    last = forest.alive_indices()[0]
-    return forest.nested[last], forest.total_ops
+    return forest
 
 
-def _view_pieces(net, view):
-    if view is None:
-        view = net.vertices()
-    return [(v, leaf_legs(net, v)) for v in sorted(view)]
-
-
-def greedy_tree(net, view=None):
-    """Deterministic greedy contraction tree over a network or vertex subset.
+def greedy_tree(net, view=None, cfg=None):
+    """Greedy contraction tree over a network or vertex subset.
 
     Edges leaving the view behave as open legs.  Ties on the objective are
-    broken toward the pair with the smallest leaf vertex ids.
+    broken toward the pair with the smallest leaf vertex ids.  Without
+    ``cfg`` one deterministic pass runs; with it, the best of
+    ``cfg.samples`` noisy passes by serial cost.  Sample seeds derive from
+    ``cfg.rng_seed`` and the sample index alone, so the sequence of
+    candidate paths is a fixed function of the seed and the best-so-far
+    cost is non-increasing in the sample count.  A view of at most two
+    pieces has one possible tree and always gets a single pass.
     """
-    nested, _ = _greedy_pass(net, _view_pieces(net, view))
-    return ContractionTree.from_nested(net, nested)
+    if view is None:
+        view = net.vertices()
+    pieces = [(v, leaf_legs(net, v)) for v in sorted(view)]
+    sizes = {}
+    if cfg is None or len(pieces) <= 2:
+        best = _greedy_pass(net, pieces, sizes)
+    else:
+        best = None
+        for s in range(cfg.samples):
+            rng = _sample_rng(cfg.rng_seed, s)
+            forest = _greedy_pass(net, pieces, sizes, rng, cfg.noise_scale)
+            if best is None or forest.total_ops < best.total_ops:
+                best = forest
+    return ContractionTree.from_pairs(net, best.pairs, leaves=[v for v, _ in pieces])
 
 
 def random_greedy_tree(net, view=None, cfg=None):
-    """Best-of-``cfg.samples`` noisy greedy tree, selected by serial cost.
-
-    Sample seeds derive from ``cfg.rng_seed`` and the sample index alone,
-    so the sequence of candidate paths is a fixed function of the seed and
-    the best-so-far cost is non-increasing in the sample count.
-    """
-    cfg = cfg or GreedyConfig()
-    pieces = _view_pieces(net, view)
-    sizes = {}
-    best_nested = None
-    best_ops = math.inf
-    for s in range(cfg.samples):
-        rng = _sample_rng(cfg.rng_seed, s)
-        nested, ops = _greedy_pass(net, pieces, rng, cfg.noise_scale, sizes)
-        if ops < best_ops:
-            best_nested, best_ops = nested, ops
-    return ContractionTree.from_nested(net, best_nested)
+    """``greedy_tree`` with ``cfg`` defaulting to ``GreedyConfig()``."""
+    return greedy_tree(net, view, cfg or GreedyConfig())
 
 
 def reduction_network(net, partition_legs):
@@ -285,9 +279,4 @@ def reduction_path(net, partition_legs, cfg=None):
     leaf ids are partition indices.  With one partition this is the
     trivial single-node tree.
     """
-    pseudo = reduction_network(net, partition_legs)
-    if len(partition_legs) <= 2:
-        if len(partition_legs) == 1:
-            return ContractionTree.single_leaf(pseudo, 0)
-        return ContractionTree.from_nested(pseudo, [0, 1])
-    return random_greedy_tree(pseudo, cfg=cfg)
+    return random_greedy_tree(reduction_network(net, partition_legs), cfg=cfg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .costs import cost_report
 from .partition import Partitioning, validate
-from .pathfind import GreedyConfig, greedy_tree, random_greedy_tree, reduction_path
+from .pathfind import GreedyConfig, greedy_tree, reduction_path
 from .tree import ContractionTree, compose_plan_tree
 
 
@@ -61,13 +61,12 @@ def build_plan(net, partitioning, reduction_cfg=None, cost_cfg=None):
 def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
     """One-partition baseline: a single greedy tree over the whole network.
 
-    A prebuilt ``tree`` is used as-is.  Otherwise a ``cfg`` selects the
-    best-of-samples noisy greedy search, and without one the deterministic
-    greedy pass runs.
+    A prebuilt ``tree`` is used as-is; otherwise ``greedy_tree`` searches
+    with ``cfg`` (the deterministic pass without one).
     """
     part = Partitioning([frozenset(net.vertices())], epsilon=0.0)
     if tree is None:
-        tree = greedy_tree(net) if cfg is None else random_greedy_tree(net, cfg=cfg)
+        tree = greedy_tree(net, cfg=cfg)
     return assemble_plan(net, part, [tree], 0, cost_cfg)
 
 

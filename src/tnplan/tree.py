@@ -38,9 +38,10 @@ class ContractionTree:
     """One contraction order, stored as parent/child tables keyed by node id.
 
     Leaf node ids equal the vertex ids they stand for; internal node ids
-    are allocated from ``net.num_vertices`` upward in creation order, so a
-    fixed build sequence yields a fixed node numbering.  A leaf is a node
-    whose children are ``None``.
+    are given out from ``net.num_vertices`` upward in creation order and
+    carry no meaning: trees of one shape built in different orders number
+    their internal nodes differently.  A leaf is a node whose children
+    are ``None``.
     """
 
     def __init__(self, network):

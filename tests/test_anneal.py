@@ -1,5 +1,6 @@
 """Tests for the simulated-annealing refinement loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from tnplan.anneal import (
     temperature_at,
 )
 from tnplan.circuits import circuit_to_network
-from tnplan.corpus import ghz_circuit
+from tnplan.corpus import bundled_suite, ghz_circuit
 from tnplan.costs import CostConfig, con_dist
 from tnplan.network import TensorNetwork
 from tnplan.partition import initial_partition, validate
@@ -44,6 +45,22 @@ def chain_net(dims=(2, 4, 8, 3)):
 
 def ghz_net(n=6):
     return circuit_to_network(ghz_circuit(n), bits="0" * n)
+
+
+def renumbered(tree):
+    """The same tree with its internal nodes created right subtree first."""
+    pairs = []
+
+    def build(t):
+        ch = tree.children(t)
+        if ch is None:
+            return t
+        right = build(ch[1])
+        pairs.append((build(ch[0]), right))
+        return tree.network.num_vertices + len(pairs) - 1
+
+    build(tree.root)
+    return ContractionTree.from_pairs(tree.network, pairs, leaves=tree.leaves())
 
 
 def planned_state(net, k=2, seed=0, cfg=None):
@@ -238,6 +255,20 @@ class TestSelectNeighbor:
         state = state_from_plan(plan, cfg)
         with pytest.raises(NoMoveError):
             select_neighbor(net, state, cfg, np.random.default_rng(0))
+
+    def test_move_does_not_depend_on_node_ids(self):
+        net = circuit_to_network(dict(bundled_suite())["rand-12"])
+        plan, state, cfg = planned_state(net, k=4, seed=1)
+        trees = tuple(renumbered(t) for t in state.partition_trees)
+        assert [t.to_nested() for t in trees] == [t.to_nested() for t in state.partition_trees]
+        assert any(t.internal_nodes() != u.internal_nodes()
+                   for t, u in zip(trees, state.partition_trees))
+        relabelled = dataclasses.replace(state, partition_trees=trees)
+        for seed in range(50):
+            a = select_neighbor(net, state, cfg, np.random.default_rng(seed))
+            b = select_neighbor(net, relabelled, cfg, np.random.default_rng(seed))
+            assert a.partitioning.blocks == b.partitioning.blocks
+            assert a.cost == b.cost
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)

@@ -123,6 +123,21 @@ class TestRunPipeline:
             assert len(entry["repeat_costs"]) == n
             assert entry["cost"] == sum(entry["repeat_costs"]) / n
 
+    def test_annealing_refines_the_partition_only_plan(self):
+        # Every method of one (circuit, k, repeat) starts from the same
+        # initial plan, and annealing keeps the best state it visits.
+        suite = [("ghz-3", ghz_circuit(3))] + bundled_suite()[::3]
+        report = run_pipeline(suite, tiny_cfg(sweep=(2, 3, 4), repeats=2, budget_iters=1))
+        start = {
+            (e["circuit"], e["k"]): e["repeat_costs"]
+            for e in report["results"]
+            if e["method"] == "partition-only"
+        }
+        for e in report["results"]:
+            if e["method"].startswith("sa-"):
+                for annealed, initial in zip(e["repeat_costs"], start[e["circuit"], e["k"]]):
+                    assert annealed <= initial, e
+
 
 class TestReportConfig:
     """The report's ``config`` section.
@@ -471,8 +486,10 @@ class TestCli:
     @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
     def test_parser_accepts_every_flag(self, command):
         argv, expected = self.EVERY_FLAG[command]
-        args = vars(build_parser().parse_args([command] + argv + self.COST))
-        expected = dict(expected, **self.COST_ARGS)
+        if command != "execute":
+            argv = argv + self.COST
+            expected = dict(expected, **self.COST_ARGS)
+        args = vars(build_parser().parse_args([command] + argv))
         assert {k: args[k] for k in expected} == expected
         assert set(args) == set(expected) | {"command", "func"}
 
@@ -491,6 +508,12 @@ class TestCli:
     def test_cost_metric_only_where_it_is_read(self, argv, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--cost-metric", "serial"])
+
+    @pytest.mark.parametrize("flag", ["--intra-node", "--comm-alpha", "--comm-beta"])
+    def test_execute_has_no_cost_flags(self, flag, capsys):
+        value = "par" if flag == "--intra-node" else "1.5"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["execute", "net.json", flag, value])
 
     def test_anneal_workers_default_matches_bench(self):
         anneal_args = build_parser().parse_args(["anneal", "net.json"])

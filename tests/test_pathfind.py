@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnplan.circuits import circuit_to_network
+from tnplan.corpus import ghz_circuit
 from tnplan.costs import con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
@@ -96,6 +98,14 @@ def test_random_greedy_without_noise_equals_plain_greedy():
     net = chain_net()
     tree = random_greedy_tree(net, cfg=GreedyConfig(samples=4, noise_scale=0.0, rng_seed=9))
     assert tree.to_nested() == greedy_tree(net).to_nested()
+
+
+def test_greedy_tree_builds_deep_trees_without_recursion():
+    net = circuit_to_network(ghz_circuit(1100))
+    tree = greedy_tree(net)
+    assert tree.num_leaves() == net.num_vertices
+    assert tree.leaf_mask(tree.root) == (1 << net.num_vertices) - 1
+    assert tree.legs(tree.root) == net.open_edges()
 
 
 def test_reduction_path_short_circuits_small_cases():
