@@ -45,7 +45,7 @@ from .costs import CostConfig, con_par, con_serial, con_dist, dims_product, intr
 from .partition import Partitioning, validate
 from .pathfind import GreedyConfig, greedy_tree, reduction_path
 from .plan import assemble_plan
-from .tree import compose_plan_tree
+from .tree import ContractionTree, compose_plan_tree
 
 # Log-standard-deviation of the score noise in each proposal's fan-in search.
 REDUCTION_NOISE = 0.3
@@ -99,20 +99,21 @@ class AnnealConfig:
 class AnnealState:
     """One point of the search space: a plan's parts plus its cached costs.
 
-    The composed tree and the partitions' subtree roots in it are built
-    on first read and then cached.
+    ``reduction`` is the fan-in tree ``reduction_path`` returns.  The
+    composed tree and the partitions' subtree roots in it are built on
+    first read and then cached.
     """
 
     partitioning: Partitioning
     partition_trees: tuple
-    reduction_nested: object
+    reduction: ContractionTree
     local_costs: tuple
     cost: float
 
     @cached_property
     def tree(self):
         net = self.partition_trees[0].network
-        return compose_plan_tree(net, self.partition_trees, self.reduction_nested)
+        return compose_plan_tree(net, self.partition_trees, self.reduction)
 
     @cached_property
     def part_roots(self):
@@ -170,7 +171,7 @@ def state_from_plan(plan, cfg):
     return AnnealState(
         plan.partitioning,
         tuple(plan.partition_trees),
-        plan.reduction_nested,
+        plan.reduction,
         local_costs,
         cost,
     )
@@ -178,7 +179,7 @@ def state_from_plan(plan, cfg):
 
 def state_to_plan(net, state, cost_cfg=None):
     return assemble_plan(
-        net, state.partitioning, state.partition_trees, state.reduction_nested, cost_cfg
+        net, state.partitioning, state.partition_trees, state.reduction, cost_cfg
     )
 
 
@@ -249,17 +250,14 @@ def select_neighbor(net, state, cfg, rng):
         rng_seed=int(rng.integers(2 ** 63)),
     )
     reduction = reduction_path(net, [t.legs(t.root) for t in trees], red_cfg)
-    reduction_nested = reduction.to_nested()
     if cfg.metric == "dist":
         cost = con_dist(
             reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
         )
     else:
-        composed = compose_plan_tree(net, trees, reduction_nested)
+        composed = compose_plan_tree(net, trees, reduction)
         cost = con_serial(composed) if cfg.metric == "serial" else con_par(composed)
-    candidate = AnnealState(
-        partitioning, tuple(trees), reduction_nested, tuple(local_costs), cost
-    )
+    candidate = AnnealState(partitioning, tuple(trees), reduction, tuple(local_costs), cost)
 
     if cfg.check_invariants:
         ok, problems = validate(partitioning, net)

@@ -1,9 +1,16 @@
 """Distributed contraction plans: a partitioning plus all of its trees.
 
 A plan holds the vertex partitioning, one contraction tree per partition,
-the fan-in (reduction) structure joining the partition results, the
-composed overall tree, and the cost report for the composed tree under
-the partitioning.
+the fan-in (reduction) tree joining the partition results, the composed
+overall tree, and the cost report for the composed tree under the
+partitioning.
+
+A plan document stores each partition tree and the reduction tree as
+``{"leaves": [...], "pairs": [[x, y], ...]}``, the ids ``from_pairs``
+uses: a leaf is a vertex id (a partition index in the reduction tree)
+and merge ``j`` is node ``num_vertices + j`` (``k + j`` over ``k``
+partitions).  Loading rebuilds the composed tree; older documents with
+nested-list trees still load.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from dataclasses import dataclass
 
 from .costs import cost_report
 from .partition import Partitioning, validate
-from .pathfind import GreedyConfig, greedy_tree, reduction_path
-from .tree import ContractionTree, compose_plan_tree
+from .pathfind import GreedyConfig, greedy_tree, reduction_network, reduction_path
+from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
 
 
 class PlanError(ValueError):
@@ -26,7 +33,7 @@ class Plan:
     network: object
     partitioning: Partitioning
     partition_trees: list
-    reduction_nested: object
+    reduction: ContractionTree
     tree: ContractionTree
     part_roots: list
     report: object
@@ -36,14 +43,14 @@ class Plan:
         return self.report.con_dist
 
 
-def assemble_plan(net, partitioning, partition_trees, reduction_nested, cost_cfg=None):
+def assemble_plan(net, partitioning, partition_trees, reduction, cost_cfg=None):
     """Compose the full tree from parts and attach a cost report."""
-    tree = compose_plan_tree(net, partition_trees, reduction_nested)
+    tree = compose_plan_tree(net, partition_trees, reduction)
     roots = tree.subtree_roots(partitioning.blocks)
     if roots is None:
         raise PlanError("composed tree does not realize every partition as a subtree")
     report = cost_report(tree, partitioning.blocks, cost_cfg, subtree_roots=roots)
-    return Plan(net, partitioning, list(partition_trees), reduction_nested, tree, roots, report)
+    return Plan(net, partitioning, list(partition_trees), reduction, tree, roots, report)
 
 
 def build_plan(net, partitioning, reduction_cfg=None, cost_cfg=None):
@@ -55,7 +62,7 @@ def build_plan(net, partitioning, reduction_cfg=None, cost_cfg=None):
     trees = [greedy_tree(net, block) for block in partitioning.blocks]
     legs = [t.legs(t.root) for t in trees]
     reduction = reduction_path(net, legs, cfg=reduction_cfg or GreedyConfig())
-    return assemble_plan(net, partitioning, trees, reduction.to_nested(), cost_cfg)
+    return assemble_plan(net, partitioning, trees, reduction, cost_cfg)
 
 
 def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
@@ -67,16 +74,20 @@ def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
     part = Partitioning([frozenset(net.vertices())], epsilon=0.0)
     if tree is None:
         tree = greedy_tree(net, cfg=cfg)
-    return assemble_plan(net, part, [tree], 0, cost_cfg)
+    reduction = reduction_path(net, [tree.legs(tree.root)])
+    return assemble_plan(net, part, [tree], reduction, cost_cfg)
+
+
+def _tree_doc(tree):
+    return {"leaves": tree.leaves(), "pairs": [list(p) for p in tree.pairs()]}
 
 
 def plan_to_dict(plan):
     return {
         "blocks": plan.partitioning.to_lists(),
         "epsilon": plan.partitioning.epsilon,
-        "partition_trees": [t.to_nested() for t in plan.partition_trees],
-        "reduction_tree": plan.reduction_nested,
-        "tree": plan.tree.to_nested(),
+        "partition_trees": [_tree_doc(t) for t in plan.partition_trees],
+        "reduction_tree": _tree_doc(plan.reduction),
         "cost": plan.report.to_dict(),
     }
 
@@ -85,42 +96,69 @@ def plan_to_json(plan):
     return json.dumps(plan_to_dict(plan), sort_keys=True, indent=2)
 
 
-def _nested_leaves(spec):
-    if isinstance(spec, (list, tuple)):
-        return [v for child in spec for v in _nested_leaves(child)]
-    return [spec]
+def _read_tree(net, spec, leaf_set, leaves_error):
+    """One tree of a plan document, in either form, over exactly ``leaf_set``.
+
+    An object is read as leaves and merge pairs; a nested list or a bare
+    leaf in the older nested form.  Both forms then pass the same checks
+    before ``from_pairs`` builds the tree.
+    """
+    if isinstance(spec, dict):
+        leaves, pairs = spec.get("leaves"), spec.get("pairs")
+        if not isinstance(leaves, list) or not isinstance(pairs, list):
+            raise PlanError(f"a tree object needs 'leaves' and 'pairs' lists, got {sorted(spec)}")
+    else:
+        leaves, pairs = nested_to_pairs(spec, net.num_vertices)
+    if any(type(v) is not int for v in leaves) or sorted(leaves) != leaf_set:
+        raise PlanError(leaves_error)
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or [type(x) for x in pair] != [int, int]:
+            raise PlanError(f"a merge pair must be two integer node ids, got {pair!r}")
+    return ContractionTree.from_pairs(net, pairs, leaves)
 
 
 def plan_from_dict(net, doc, cost_cfg=None):
     """Rebuild a plan against ``net`` from its JSON document.
 
-    The blocks must partition the network's vertices and the reduction
-    tree's leaves must be exactly the block indices.  The composed tree is
-    rebuilt from the stored parts and the cost report is recomputed, so a
-    loaded plan is always internally consistent.
+    The blocks must partition the network's vertices, partition tree
+    ``i`` must cover exactly block ``i``, and the reduction tree's leaves
+    must be exactly the block indices.  The composed tree is rebuilt from
+    the stored parts and the cost report is recomputed, so a loaded plan
+    is always internally consistent.
     """
+    if not isinstance(doc, dict):
+        raise PlanError(f"a plan document is a JSON object, got {type(doc).__name__}")
     try:
         blocks = doc["blocks"]
-        nested_trees = doc["partition_trees"]
-        reduction = doc["reduction_tree"]
+        tree_specs = doc["partition_trees"]
+        reduction_spec = doc["reduction_tree"]
     except KeyError as exc:
         raise PlanError(f"plan document missing field {exc}") from exc
-    part = Partitioning(blocks, float(doc.get("epsilon", 0.03)))
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(type(v) is int for v in b) for b in blocks
+    ):
+        raise PlanError("blocks must be a list of lists of integer vertex ids")
+    epsilon = doc.get("epsilon", 0.03)
+    if type(epsilon) not in (int, float) or not abs(epsilon) < 1e300:
+        raise PlanError(f"epsilon must be a finite number, got {epsilon!r}")
+    part = Partitioning(blocks, float(epsilon))
     ok, problems = validate(part, net)
     if not ok:
         raise PlanError("invalid partitioning: " + "; ".join(problems))
     k = len(part.blocks)
-    if len(nested_trees) != k:
-        raise PlanError(f"{k} blocks but {len(nested_trees)} partition trees")
-    leaves = _nested_leaves(reduction)
-    if not all(type(v) is int for v in leaves) or sorted(leaves) != list(range(k)):
-        raise PlanError(f"reduction tree leaves must be exactly the block indices 0..{k - 1}")
-    trees = []
-    for i, nested in enumerate(nested_trees):
-        t = ContractionTree.from_nested(net, nested)
-        if set(t.leaves()) != set(part.blocks[i]):
-            raise PlanError(f"partition tree {i} does not cover exactly block {i}")
-        trees.append(t)
+    if not isinstance(tree_specs, list):
+        raise PlanError("partition_trees must be a list")
+    if len(tree_specs) != k:
+        raise PlanError(f"{k} blocks but {len(tree_specs)} partition trees")
+    trees = [
+        _read_tree(net, spec, sorted(part.blocks[i]),
+                   f"partition tree {i} does not cover exactly block {i}")
+        for i, spec in enumerate(tree_specs)
+    ]
+    reduction = _read_tree(
+        reduction_network(net, [t.legs(t.root) for t in trees]), reduction_spec,
+        list(range(k)), f"reduction tree leaves must be exactly the block indices 0..{k - 1}",
+    )
     return assemble_plan(net, part, trees, reduction, cost_cfg)
 
 

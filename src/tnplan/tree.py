@@ -10,10 +10,11 @@ the children's legs, so edges shared by the two operands are summed away.
 A tree built over a subset of the vertices (a view) treats edges leaving
 the view as open: they survive to the view root's legs.
 
-Every tree goes through ``from_pairs``, which stores each node's legs and
-leaf bitmask as the node is created; children always precede their
-parent, so both are plain lookups afterwards and no query walks a subtree
-to fill them.
+A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
+``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node
+``num_vertices + j``.  Every tree is built by ``from_pairs``, which stores
+each node's legs and leaf bitmask as the node is created, so both are
+plain lookups afterwards; trees are never edited after construction.
 """
 
 from __future__ import annotations
@@ -32,6 +33,29 @@ def leaf_legs(net, v):
     out when the leaf is loaded, so it never appears on an intermediate.
     """
     return frozenset(e for e in net.edges_of(v) if not net.edge(e).is_loop())
+
+
+def nested_to_pairs(nested, first_id):
+    """Unchecked leaves and merge pairs of a nested ``[left, right]``
+    structure, merges numbered from ``first_id`` in post-order."""
+    leaves = []
+    pairs = []
+    done = []  # node ids of the finished subtrees, innermost last
+    stack = [(nested, False)]
+    while stack:
+        spec, expanded = stack.pop()
+        if expanded:
+            right = done.pop()
+            pairs.append((done.pop(), right))
+            done.append(first_id + len(pairs) - 1)
+        elif isinstance(spec, (list, tuple)):
+            if len(spec) != 2:
+                raise TreeError(f"internal node must have 2 children, got {len(spec)}")
+            stack += [(spec, True), (spec[1], False), (spec[0], False)]
+        else:
+            leaves.append(spec)
+            done.append(spec)
+    return leaves, pairs
 
 
 class ContractionTree:
@@ -54,10 +78,6 @@ class ContractionTree:
         self.scratch = {}
 
     # -- builders ----------------------------------------------------------
-
-    @classmethod
-    def single_leaf(cls, network, v):
-        return cls.from_pairs(network, [], leaves=[v])
 
     @classmethod
     def from_pairs(cls, network, pairs, leaves=None):
@@ -105,28 +125,13 @@ class ContractionTree:
 
     @classmethod
     def from_nested(cls, network, nested):
-        """Build from a nested pair structure: a leaf is a vertex id, an
-        internal node is a two-element list/tuple ``[left, right]``.
-
-        Internal nodes are numbered in post-order of the structure."""
-        leaves = []
-        pairs = []
-
-        def build(spec):
-            if isinstance(spec, (list, tuple)):
-                if len(spec) != 2:
-                    raise TreeError(f"internal node must have 2 children, got {len(spec)}")
-                pairs.append((build(spec[0]), build(spec[1])))
-                return network.num_vertices + len(pairs) - 1
-            if not isinstance(spec, int):
-                raise TreeError(f"leaf must be an integer vertex id, got {spec!r}")
-            leaves.append(spec)
-            return spec
-
-        build(nested)
-        if len(set(leaves)) != len(leaves):
-            raise TreeError("nested structure repeats a leaf")
-        return cls.from_pairs(network, pairs, leaves=leaves)
+        """Build from the older nested form: a leaf is a vertex id, an
+        internal node a two-element list/tuple ``[left, right]``."""
+        leaves, pairs = nested_to_pairs(nested, network.num_vertices)
+        for v in leaves:
+            if type(v) is not int:
+                raise TreeError(f"leaf must be an integer vertex id, got {v!r}")
+        return cls.from_pairs(network, pairs, leaves)
 
     def _add_leaf(self, v):
         if v not in self.network._axis_edges:
@@ -159,14 +164,13 @@ class ContractionTree:
             raise TreeError(f"node {t} is not a leaf")
         return t
 
-    def nodes(self):
-        return list(self._children)
-
     def leaves(self):
         return sorted(t for t, ch in self._children.items() if ch is None)
 
-    def num_leaves(self):
-        return (len(self._children) + 1) // 2  # a full binary tree
+    def pairs(self):
+        """The merge sequence ``from_pairs`` built: pair ``j`` made node ``num_vertices + j``."""
+        first = self.network.num_vertices
+        return [self._children[first + j] for j in range(len(self._children) // 2)]
 
     def postorder(self, node=None):
         """Nodes of the subtree under ``node`` (default: root), children first.
@@ -191,26 +195,6 @@ class ContractionTree:
 
     def internal_nodes(self, node=None):
         return [t for t in self.postorder(node) if self._children[t] is not None]
-
-    def ancestors(self, t):
-        """Strict ancestors of ``t``, ordered parent first, root last."""
-        out = []
-        p = self._parent[t]
-        while p is not None:
-            out.append(p)
-            p = self._parent[p]
-        return out
-
-    def shortest_path(self, u, v):
-        """The unique tree path from ``u`` to ``v``, inclusive of both."""
-        up = [u] + self.ancestors(u)
-        vp = [v] + self.ancestors(v)
-        anc_u = {t: i for i, t in enumerate(up)}
-        for j, t in enumerate(vp):
-            if t in anc_u:
-                i = anc_u[t]
-                return up[: i + 1] + vp[:j][::-1]
-        raise TreeError(f"nodes {u} and {v} are not in the same tree")
 
     # -- legs and leaf sets ----------------------------------------------------
 
@@ -258,47 +242,24 @@ class ContractionTree:
         """True when every block's leaf set is realized by some subtree."""
         return self.subtree_roots(blocks) is not None
 
-    # -- edits and conversions ------------------------------------------------------
 
-    def swap_children(self, t):
-        """Swap the operand order at ``t``; legs and leaf sets are unaffected."""
-        ch = self._children[t]
-        if ch is None:
-            raise TreeError(f"node {t} is a leaf")
-        self._children[t] = (ch[1], ch[0])
-
-    def to_nested(self):
-        """Nested pair structure mirroring the tree (leaf = vertex id)."""
-
-        def rec(t):
-            ch = self._children[t]
-            if ch is None:
-                return t
-            return [rec(ch[0]), rec(ch[1])]
-
-        return rec(self._root)
-
-    def clone(self):
-        tree = ContractionTree(self.network)
-        tree._children = dict(self._children)
-        tree._parent = dict(self._parent)
-        tree._root = self._root
-        tree._legs = dict(self._legs)
-        tree._mask = dict(self._mask)
-        return tree
-
-
-def compose_plan_tree(network, partition_trees, reduction_nested):
-    """Graft per-partition trees under a fan-in structure.
-
-    ``reduction_nested`` is a nested pair structure whose leaves are
-    partition indices; each index is replaced by that partition's tree.
-    Returns the composed tree over the union of the partitions' leaves.
-    """
-
-    def substitute(spec):
-        if isinstance(spec, (list, tuple)):
-            return [substitute(spec[0]), substitute(spec[1])]
-        return partition_trees[spec].to_nested()
-
-    return ContractionTree.from_nested(network, substitute(reduction_nested))
+def compose_plan_tree(network, partition_trees, reduction):
+    """Graft per-partition trees under a fan-in tree whose leaf ``i`` stands
+    for partition ``i``, in one ``from_pairs`` call: each partition's pairs
+    offset past the merges before them, then the fan-in pairs with leaf
+    ``i`` mapped to partition ``i``'s root."""
+    first = network.num_vertices
+    leaves = []
+    pairs = []
+    roots = []
+    for tree in partition_trees:
+        shift = len(pairs)
+        pairs += [(x if x < first else x + shift, y if y < first else y + shift)
+                  for x, y in tree.pairs()]
+        leaves += tree.leaves()
+        roots.append(tree.root if tree.root < first else tree.root + shift)
+    k = len(roots)
+    shift = first + len(pairs) - k
+    pairs += [(roots[x] if x < k else x + shift, roots[y] if y < k else y + shift)
+              for x, y in reduction.pairs()]
+    return ContractionTree.from_pairs(network, pairs, leaves)

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from tnplan.network import TensorNetwork
-from tnplan.pathfind import random_greedy_tree
+from tnplan.pathfind import random_greedy_tree, reduction_network
+from tnplan.tree import ContractionTree
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,32 @@ def statevector(circuit, initial=None):
 
 def amplitude(circuit, bits, initial=None):
     return complex(statevector(circuit, initial)[tuple(int(b) for b in bits)])
+
+
+# ---------------------------------------------------------------------------
+# nested tree specs: the reference encoding of tree shapes
+
+def to_nested(tree, node=None):
+    """Nested [left, right] structure of the subtree under ``node`` (default:
+    root); a leaf is its vertex id."""
+    t = tree.root if node is None else node
+    ch = tree.children(t)
+    if ch is None:
+        return t
+    return [to_nested(tree, ch[0]), to_nested(tree, ch[1])]
+
+
+def swapped(tree, nodes):
+    """The tree rebuilt with the children of every node in ``nodes`` swapped."""
+    first = tree.network.num_vertices
+    pairs = [(y, x) if first + j in nodes else (x, y) for j, (x, y) in enumerate(tree.pairs())]
+    return ContractionTree.from_pairs(tree.network, pairs, tree.leaves())
+
+
+def fanin_tree(net, partition_trees, nested):
+    """A fan-in tree of the given nested shape over the partition results."""
+    legs = [t.legs(t.root) for t in partition_trees]
+    return ContractionTree.from_nested(reduction_network(net, legs), nested)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +314,7 @@ def reference_reduction_nested(net, partition_legs, cfg):
     if k <= 2:
         return 0 if k == 1 else [0, 1]
     pseudo = uncollapsed_reduction_network(net, partition_legs)
-    return random_greedy_tree(pseudo, cfg=cfg).to_nested()
+    return to_nested(random_greedy_tree(pseudo, cfg=cfg))
 
 
 # ---------------------------------------------------------------------------

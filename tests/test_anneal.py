@@ -260,7 +260,7 @@ class TestSelectNeighbor:
         net = circuit_to_network(dict(bundled_suite())["rand-12"])
         plan, state, cfg = planned_state(net, k=4, seed=1)
         trees = tuple(renumbered(t) for t in state.partition_trees)
-        assert [t.to_nested() for t in trees] == [t.to_nested() for t in state.partition_trees]
+        assert [oracles.to_nested(t) for t in trees] == [oracles.to_nested(t) for t in state.partition_trees]
         assert any(t.internal_nodes() != u.internal_nodes()
                    for t, u in zip(trees, state.partition_trees))
         relabelled = dataclasses.replace(state, partition_trees=trees)

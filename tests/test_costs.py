@@ -28,6 +28,7 @@ from oracles import (
     oracle_serial,
     random_blocks,
     random_nested,
+    swapped,
     random_network,
 )
 
@@ -119,7 +120,7 @@ def test_distributed_rejects_unrealized_partitioning():
 def test_single_leaf_costs():
     net = TensorNetwork()
     net.add_tensor([3, 5])
-    tree = ContractionTree.single_leaf(net, 0)
+    tree = ContractionTree.from_pairs(net, [], leaves=[0])
     assert con_serial(tree) == 0.0
     assert con_par(tree) == 0.0
     assert mem_cost(tree) == 15.0
@@ -223,12 +224,8 @@ def test_metrics_invariant_under_child_swaps(seed):
         mem_cost(tree),
         con_dist(accepted, blocks),
     )
-    for t in list(tree.internal_nodes()):
-        if rng.random() < 0.6:
-            tree.swap_children(t)
-    for t in list(accepted.internal_nodes()):
-        if rng.random() < 0.6:
-            accepted.swap_children(t)
+    tree = swapped(tree, {t for t in tree.internal_nodes() if rng.random() < 0.6})
+    accepted = swapped(accepted, {t for t in accepted.internal_nodes() if rng.random() < 0.6})
     after = (
         con_serial(tree),
         con_par(tree),

@@ -87,7 +87,7 @@ def test_self_loop_leaf_is_traced():
     arr = np.arange(12, dtype=complex).reshape(3, 2, 2)
     v = net.add_tensor([3, 2, 2], arr)
     net.bond(v, 1, v, 2)
-    tree = ContractionTree.single_leaf(net, v)
+    tree = ContractionTree.from_pairs(net, [], leaves=[v])
     trace = execute_plan(net, tree)
     np.testing.assert_allclose(
         sorted_open_result(trace, net), einsum_value(net), atol=1e-12

@@ -50,7 +50,7 @@ def test_do_steps_states_cost_their_composed_tree(seed, alpha, beta, mode, intra
         blocks = state.partitioning.blocks
         assert state.cost == con_dist(state.tree, blocks, cost)
         expected = oracles.oracle_dist(
-            net, state.tree.to_nested(), blocks, alpha, beta, intra
+            net, oracles.to_nested(state.tree), blocks, alpha, beta, intra
         )
         assert state.cost == pytest.approx(expected, rel=1e-12)
 
@@ -64,7 +64,7 @@ def test_grouped_fanin_search_matches_ungrouped_reference(seed, samples):
     blocks = oracles.random_blocks(rng, net.vertices(), k)
     legs = [t.legs(t.root) for t in (greedy_tree(net, view=set(b)) for b in blocks)]
     cfg = GreedyConfig(samples=samples, rng_seed=seed)
-    got = reduction_path(net, legs, cfg).to_nested()
+    got = oracles.to_nested(reduction_path(net, legs, cfg))
     assert got == oracles.reference_reduction_nested(net, legs, cfg)
 
 
@@ -83,10 +83,10 @@ def test_grouped_dimensions_past_float_range_saturate():
     legs = [leaf_legs(net, v) for v in (a, b, c)]
     cfg = GreedyConfig(samples=4, rng_seed=3)
     reduction = reduction_path(net, legs, cfg)
-    assert reduction.to_nested() == oracles.reference_reduction_nested(net, legs, cfg)
+    assert oracles.to_nested(reduction) == oracles.reference_reduction_nested(net, legs, cfg)
     cost = CostConfig(comm_beta=1.0)
     fanin = con_dist(reduction, None, cost, subtree_roots=range(3), local_costs=[0.0] * 3)
-    parts = [ContractionTree.single_leaf(net, v) for v in (a, b, c)]
-    composed = compose_plan_tree(net, parts, reduction.to_nested())
+    parts = [ContractionTree.from_pairs(net, [], leaves=[v]) for v in (a, b, c)]
+    composed = compose_plan_tree(net, parts, reduction)
     blocks = [frozenset({v}) for v in (a, b, c)]
     assert fanin == con_dist(composed, blocks, cost) == 2.0 ** 301

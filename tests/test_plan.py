@@ -78,7 +78,7 @@ class TestSerialPlan:
         tree = ContractionTree.from_nested(net, [0, 1])
         plan = serial_plan(net, tree=tree)
         assert plan.partition_trees[0] is tree
-        assert plan.tree.to_nested() == tree.to_nested()
+        assert oracles.to_nested(plan.tree) == oracles.to_nested(tree)
         assert plan.report.con_serial == con_serial(tree)
 
     def test_single_tensor_network(self):
@@ -108,8 +108,9 @@ class TestAssemblePlan:
         part = Partitioning([frozenset(verts[::2]), frozenset(verts[1::2])], epsilon=0.5)
         t_lo = greedy_tree(net, frozenset(verts[:half]))
         t_hi = greedy_tree(net, frozenset(verts[half:]))
+        reduction = oracles.fanin_tree(net, [t_lo, t_hi], [0, 1])
         with pytest.raises(PlanError, match="subtree"):
-            assemble_plan(net, part, [t_lo, t_hi], [0, 1])
+            assemble_plan(net, part, [t_lo, t_hi], reduction)
 
 
 class TestSerialization:
@@ -138,7 +139,6 @@ class TestSerialization:
             "epsilon",
             "partition_trees",
             "reduction_tree",
-            "tree",
             "cost",
         }
 
