@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import TensorNetwork, _is_int
+from .network import TensorNetwork, _is_int, _is_number
 
 UNITARITY_TOL = 1e-10
 
@@ -75,10 +76,6 @@ class Gate:
 class Circuit:
     n_qubits: int
     gates: list = field(default_factory=list)
-
-
-def _is_number(x):
-    return isinstance(x, float) or _is_int(x)
 
 
 def _check_unitary(mat, label):
@@ -169,8 +166,8 @@ def circuit_from_dict(doc):
     if not isinstance(doc, dict):
         raise CircuitError("circuit document must be a JSON object")
     n = doc.get("qubits")
-    if not _is_int(n) or n < 1:
-        raise CircuitError(f"'qubits' must be a positive integer, got {n!r}")
+    if not _is_int(n) or not 1 <= n <= sys.maxsize:
+        raise CircuitError(f"'qubits' must be a positive integer that fits an index, got {n!r}")
     raw_gates = doc.get("gates", [])
     if not isinstance(raw_gates, list):
         raise CircuitError(f"'gates' must be a list, got {raw_gates!r}")

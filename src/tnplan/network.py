@@ -31,6 +31,10 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x):
+    return isinstance(x, float) or _is_int(x)
+
+
 @dataclass(frozen=True)
 class Edge:
     """One edge: a dimension plus two (vertex, axis) endpoints.
@@ -294,9 +298,9 @@ class TensorNetwork:
                         f"tensor {entry['id']}: data must be a list of {2 * size} floats "
                         f"for dims {dims}"
                     )
-                raw = np.asarray(data)
-                if raw.ndim != 1 or raw.dtype.kind not in "if":
+                if not all(_is_number(x) for x in data):
                     raise NetworkError(f"tensor {entry['id']}: data must be a flat list of numbers")
+                raw = np.asarray(data, dtype=float)
                 payload = raw[0::2] + 1j * raw[1::2]
             net.add_tensor(dims, payload)
         bonds = doc.get("bonds", [])

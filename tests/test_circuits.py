@@ -234,6 +234,12 @@ def test_circuit_from_dict_does_not_coerce(doc):
         circuit_from_dict(doc)
 
 
+def test_circuit_from_dict_rejects_more_qubits_than_an_index_holds():
+    # Ingest would fail with a bare OverflowError building the bitstring.
+    with pytest.raises(CircuitError, match="qubits"):
+        circuit_from_dict({"qubits": 2**64, "gates": []})
+
+
 def test_circuit_from_dict_takes_an_int_angle():
     assert circuit_from_dict(_gate_doc(params=[1])).gates[0].params == (1.0,)
 

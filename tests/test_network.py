@@ -160,6 +160,8 @@ def test_from_json_rejects_dims_that_are_not_positive_ints(dim):
         {"tensors": [{"id": "0", "dims": [2]}]},
         {"tensors": [{"id": 0, "dims": [2], "data": 4}]},
         {"tensors": [{"id": 0, "dims": [1], "data": ["1", "0"]}]},
+        {"tensors": [{"id": 0, "dims": [1], "data": [[1.0], 0.0]}]},
+        {"tensors": [{"id": 0, "dims": [1], "data": [True, 0.0]}]},
         {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": 3},
         {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": [{"u": 0, "a": 0, "v": 0}]},
         {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": [{"u": 0, "a": 0.0, "v": 0, "b": 1}]},

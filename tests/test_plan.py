@@ -1,6 +1,10 @@
 """Tests for plan assembly and serialization."""
 
+import copy
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import oracles
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import ghz_circuit, random_circuit
 from tnplan.costs import CostConfig, con_dist, con_serial
+from tnplan.execute import execute_plan
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import GreedyConfig, greedy_tree
@@ -24,7 +29,9 @@ from tnplan.plan import (
     plan_to_json,
     serial_plan,
 )
-from tnplan.tree import ContractionTree
+from tnplan.tree import ContractionTree, TreeError
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "amplitudes-rc18x8-k8.json"
 
 
 def ghz_net(n=6):
@@ -210,3 +217,142 @@ def test_single_tensor_report_maps_non_finite_to_null():
     assert doc["mem"] == 15.0 and doc["con_serial"] == 0.0
     assert doc["per_partition"] == [{"index": 0, "local": 0.0, "fanin": 0.0}]
     json.dumps(doc, allow_nan=False)
+
+
+def nested_document(plan):
+    """The plan's document with every tree in the older nested-list form."""
+    doc = plan_to_dict(plan)
+    doc["partition_trees"] = [oracles.to_nested(t) for t in plan.partition_trees]
+    doc["reduction_tree"] = oracles.to_nested(plan.reduction)
+    return doc
+
+
+def two_block_plan():
+    net = ghz_net()
+    return net, build_plan(net, initial_partition(net, 2, seed=0))
+
+
+def _bool_leaf(doc):
+    """Vertex 1 written as ``true`` wherever its partition tree names it."""
+    i = next(i for i, b in enumerate(doc["blocks"]) if 1 in b)
+    tree = doc["partition_trees"][i]
+    swap = lambda x: True if x == 1 else x
+    if isinstance(tree, dict):
+        tree["leaves"] = [swap(v) for v in tree["leaves"]]
+        tree["pairs"] = [[swap(x), swap(y)] for x, y in tree["pairs"]]
+    else:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            for j, child in enumerate(node):
+                if isinstance(child, list):
+                    stack.append(child)
+                else:
+                    node[j] = swap(child)
+        if not isinstance(tree, list):
+            doc["partition_trees"][i] = swap(tree)
+
+
+def _bool_in_blocks(doc):
+    i = next(i for i, b in enumerate(doc["blocks"]) if 1 in b)
+    doc["blocks"][i] = [True if v == 1 else v for v in doc["blocks"][i]]
+
+
+MALFORMED = {
+    "bool-leaf": _bool_leaf,
+    "bool-in-blocks": _bool_in_blocks,
+    "epsilon-string": lambda doc: doc.update(epsilon="0.5"),
+    "epsilon-bool": lambda doc: doc.update(epsilon=True),
+    "epsilon-not-a-number": lambda doc: doc.update(epsilon="x"),
+    "partition-trees-int": lambda doc: doc.update(partition_trees=5),
+    "blocks-string": lambda doc: doc.update(blocks="ab"),
+    "blocks-nested-too-deep": lambda doc: doc.update(blocks=[[[0]]]),
+}
+
+
+class TestDocumentChecks:
+    @pytest.mark.parametrize("form", ["pairs", "nested"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_field_raises_plan_error(self, case, form):
+        net, plan = two_block_plan()
+        doc = plan_to_dict(plan) if form == "pairs" else nested_document(plan)
+        MALFORMED[case](doc)
+        with pytest.raises(PlanError):
+            plan_from_dict(net, doc)
+
+    def test_document_must_be_an_object(self):
+        net, plan = two_block_plan()
+        with pytest.raises(PlanError, match="JSON object"):
+            plan_from_dict(net, [plan_to_dict(plan)])
+
+    @pytest.mark.parametrize(
+        "tree, error",
+        [
+            ({"leaves": [0, 1]}, PlanError),  # no pairs
+            ({"leaves": [0, 1], "pairs": [[0, True]]}, PlanError),
+            ({"leaves": [0, 1], "pairs": [[0, 1, 2]]}, PlanError),
+            ({"leaves": [0, 1], "pairs": [[0, [1]]]}, PlanError),
+            ({"leaves": [0, 0, 1], "pairs": [[0, 1]]}, PlanError),
+            ({"leaves": [0, 1], "pairs": [[0, 3]]}, TreeError),  # 3 does not exist yet
+            ({"leaves": [0, 1], "pairs": [[0, 1], [2, 0]]}, TreeError),  # 0 reused
+            ({"leaves": [0, 1], "pairs": []}, TreeError),  # two roots left
+            ([0, [1]], TreeError),
+        ],
+    )
+    def test_malformed_reduction_tree_is_rejected(self, tree, error):
+        net, plan = two_block_plan()
+        doc = plan_to_dict(plan)
+        doc["reduction_tree"] = tree
+        with pytest.raises(error):
+            plan_from_dict(net, doc)
+
+
+class TestTreeForms:
+    def test_document_trees_are_leaves_and_merge_pairs(self):
+        net, plan = two_block_plan()
+        doc = plan_to_dict(plan)
+        for tree, spec in zip(plan.partition_trees, doc["partition_trees"]):
+            assert spec == {"leaves": tree.leaves(), "pairs": [list(p) for p in tree.pairs()]}
+            assert all(x < net.num_vertices + j for j, p in enumerate(spec["pairs"]) for x in p)
+        assert doc["reduction_tree"] == {"leaves": [0, 1], "pairs": [[0, 1]]}
+
+    def test_nested_and_pair_documents_load_to_the_same_plan(self):
+        net = circuit_to_network(random_circuit(10, 3, seed=13))
+        plan = build_plan(net, initial_partition(net, 4, seed=3))
+        from_pairs = plan_from_dict(net, plan_to_dict(plan))
+        from_nested = plan_from_dict(net, nested_document(plan))
+        assert from_nested.report.to_dict() == from_pairs.report.to_dict() == plan.report.to_dict()
+        assert plan_to_dict(from_pairs) == plan_to_dict(plan)
+        # Nested trees number their merges in post-order, so only shapes agree.
+        for got, want in zip(from_nested.partition_trees, plan.partition_trees):
+            assert oracles.to_nested(got) == oracles.to_nested(want)
+        assert oracles.to_nested(from_nested.tree) == oracles.to_nested(plan.tree)
+
+    def test_committed_nested_fixture_loads_with_its_stored_cost(self):
+        doc = json.loads(FIXTURE.read_text())
+        kind, n, depth, seed = doc["generator"]["circuit"]
+        assert kind == "random"
+        net = circuit_to_network(random_circuit(n, depth, seed=seed))
+        stored = copy.deepcopy(doc["plan"])
+        assert isinstance(stored["reduction_tree"], list)  # the older nested form
+        plan = plan_from_dict(net, stored)
+        assert stored == doc["plan"]  # read-only
+        assert plan.report.con_dist == stored["cost"]["con_dist"]
+        assert plan.report.to_dict() == stored["cost"]
+        assert oracles.to_nested(plan.tree) == stored["tree"]
+
+
+def test_deep_plans_round_trip_and_execute():
+    # ghz-1100 has 3,300 tensors.  Its serial greedy tree is 1,102 levels
+    # deep, past the default recursion limit; at k=2 the trees are about
+    # 570 deep.
+    assert sys.getrecursionlimit() <= 1000
+    n = 1100
+    net = circuit_to_network(ghz_circuit(n), bits="0" * n)
+    for plan in (serial_plan(net), build_plan(net, initial_partition(net, 2, seed=0))):
+        again = plan_from_json(net, plan_to_json(plan))
+        assert again.report.to_dict() == plan.report.to_dict()
+        assert plan_to_dict(again) == plan_to_dict(plan)
+        trace = execute_plan(net, again.tree)
+        assert trace.scalar() == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert trace.mult_count == again.report.con_serial
