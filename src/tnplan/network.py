@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ def _is_int(x):
 
 
 def _is_number(x):
-    return isinstance(x, float) or _is_int(x)
+    return (isinstance(x, float) or _is_int(x)) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -264,8 +265,8 @@ class TensorNetwork:
         """Parse the interchange JSON format into a network.
 
         Accepts either JSON text or an already-parsed document.  Tensor
-        ids must form the dense range 0..n-1 and dims must be ints >= 1;
-        nothing is coerced.  With ``require_connected``
+        ids must form the dense range 0..n-1, dims must be ints >= 1 that
+        a float holds, and nothing is coerced.  With ``require_connected``
         (the default) a network whose bound-edge graph has more than one
         component is rejected.
         """
@@ -287,8 +288,8 @@ class TensorNetwork:
         net = cls()
         for entry in sorted(tensors, key=lambda t: t["id"]):
             dims = entry.get("dims")
-            if not isinstance(dims, list) or not all(_is_int(d) and d >= 1 for d in dims):
-                raise NetworkError(f"tensor {entry['id']}: dims must be a list of ints >= 1")
+            if not isinstance(dims, list) or not all(_is_int(d) and 1 <= d <= sys.float_info.max for d in dims):
+                raise NetworkError(f"tensor {entry['id']}: dims must be a list of ints in 1..{sys.float_info.max:.3g}")
             data = entry.get("data")
             payload = None
             if data is not None:

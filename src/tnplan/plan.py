@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .costs import cost_report
+from .network import _is_number
 from .partition import Partitioning, validate
 from .pathfind import GreedyConfig, greedy_tree, reduction_network, reduction_path
 from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
@@ -97,12 +98,8 @@ def plan_to_json(plan):
 
 
 def _read_tree(net, spec, leaf_set, leaves_error):
-    """One tree of a plan document, in either form, over exactly ``leaf_set``.
-
-    An object is read as leaves and merge pairs; a nested list or a bare
-    leaf in the older nested form.  Both forms then pass the same checks
-    before ``from_pairs`` builds the tree.
-    """
+    """One document tree over exactly ``leaf_set``: an object of leaves and merge
+    pairs, or the older nested form; both pass the same checks before ``from_pairs``."""
     if isinstance(spec, dict):
         leaves, pairs = spec.get("leaves"), spec.get("pairs")
         if not isinstance(leaves, list) or not isinstance(pairs, list):
@@ -112,7 +109,7 @@ def _read_tree(net, spec, leaf_set, leaves_error):
     if any(type(v) is not int for v in leaves) or sorted(leaves) != leaf_set:
         raise PlanError(leaves_error)
     for pair in pairs:
-        if not isinstance(pair, (list, tuple)) or [type(x) for x in pair] != [int, int]:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(type(x) is not int for x in pair):
             raise PlanError(f"a merge pair must be two integer node ids, got {pair!r}")
     return ContractionTree.from_pairs(net, pairs, leaves)
 
@@ -135,11 +132,12 @@ def plan_from_dict(net, doc, cost_cfg=None):
     except KeyError as exc:
         raise PlanError(f"plan document missing field {exc}") from exc
     if not isinstance(blocks, list) or not all(
-        isinstance(b, list) and all(type(v) is int for v in b) for b in blocks
+        isinstance(b, list) and all(type(v) is int for v in b) and len(set(b)) == len(b)
+        for b in blocks
     ):
-        raise PlanError("blocks must be a list of lists of integer vertex ids")
+        raise PlanError("blocks must be a list of lists of distinct integer vertex ids")
     epsilon = doc.get("epsilon", 0.03)
-    if type(epsilon) not in (int, float) or not abs(epsilon) < 1e300:
+    if not _is_number(epsilon):
         raise PlanError(f"epsilon must be a finite number, got {epsilon!r}")
     part = Partitioning(blocks, float(epsilon))
     ok, problems = validate(part, net)

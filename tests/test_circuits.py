@@ -224,6 +224,9 @@ def _gate_doc(**gate):
         _gate_doc(params=5),
         _gate_doc(params=["x"]),
         _gate_doc(params=[[0.5]]),
+        _gate_doc(params=[10**400]),
+        _gate_doc(params=[float("nan")]),
+        _gate_doc(name="ID", params=[], matrix=[[float("inf"), 0], [0, 1]]),
         _gate_doc(name="ID", params=[], matrix=[[True, False], [False, True]]),
         _gate_doc(name="ID", params=[], matrix=[[1, 0], [0, [True, 0]]]),
         _gate_doc(name="ID", params=[], matrix=[True, 0, 0, 1]),

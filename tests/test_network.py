@@ -143,7 +143,9 @@ def test_from_json_rejects_bad_documents():
         TensorNetwork.from_json(doc)  # ids must be dense from 0
 
 
-@pytest.mark.parametrize("dim", [2.5, "2", True, 0, -1, None])
+@pytest.mark.parametrize(
+    "dim", [2.5, "2", True, 0, -1, None, pytest.param(10**400, id="past-float-range")]
+)
 def test_from_json_rejects_dims_that_are_not_positive_ints(dim):
     doc = {"tensors": [{"id": 0, "dims": [2, dim], "data": None}], "bonds": []}
     with pytest.raises(NetworkError, match="dims"):
@@ -162,6 +164,8 @@ def test_from_json_rejects_dims_that_are_not_positive_ints(dim):
         {"tensors": [{"id": 0, "dims": [1], "data": ["1", "0"]}]},
         {"tensors": [{"id": 0, "dims": [1], "data": [[1.0], 0.0]}]},
         {"tensors": [{"id": 0, "dims": [1], "data": [True, 0.0]}]},
+        {"tensors": [{"id": 0, "dims": [1], "data": [10**400, 0.0]}]},
+        {"tensors": [{"id": 0, "dims": [1], "data": [float("nan"), 0.0]}]},
         {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": 3},
         {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": [{"u": 0, "a": 0, "v": 0}]},
         {"tensors": [{"id": 0, "dims": [2, 2]}], "bonds": [{"u": 0, "a": 0.0, "v": 0, "b": 1}]},

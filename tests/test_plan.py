@@ -261,9 +261,11 @@ def _bool_in_blocks(doc):
 MALFORMED = {
     "bool-leaf": _bool_leaf,
     "bool-in-blocks": _bool_in_blocks,
+    "repeated-vertex-in-block": lambda doc: doc["blocks"][0].append(doc["blocks"][0][0]),
     "epsilon-string": lambda doc: doc.update(epsilon="0.5"),
     "epsilon-bool": lambda doc: doc.update(epsilon=True),
     "epsilon-not-a-number": lambda doc: doc.update(epsilon="x"),
+    "epsilon-nan": lambda doc: doc.update(epsilon=float("nan")),
     "partition-trees-int": lambda doc: doc.update(partition_trees=5),
     "blocks-string": lambda doc: doc.update(blocks="ab"),
     "blocks-nested-too-deep": lambda doc: doc.update(blocks=[[[0]]]),
