@@ -232,25 +232,18 @@ def two_block_plan():
     return net, build_plan(net, initial_partition(net, 2, seed=0))
 
 
+def _true_for_vertex_1(spec):
+    if isinstance(spec, dict):
+        return {key: _true_for_vertex_1(value) for key, value in spec.items()}
+    if isinstance(spec, list):
+        return [_true_for_vertex_1(item) for item in spec]
+    return True if type(spec) is int and spec == 1 else spec
+
+
 def _bool_leaf(doc):
     """Vertex 1 written as ``true`` wherever its partition tree names it."""
     i = next(i for i, b in enumerate(doc["blocks"]) if 1 in b)
-    tree = doc["partition_trees"][i]
-    swap = lambda x: True if x == 1 else x
-    if isinstance(tree, dict):
-        tree["leaves"] = [swap(v) for v in tree["leaves"]]
-        tree["pairs"] = [[swap(x), swap(y)] for x, y in tree["pairs"]]
-    else:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            for j, child in enumerate(node):
-                if isinstance(child, list):
-                    stack.append(child)
-                else:
-                    node[j] = swap(child)
-        if not isinstance(tree, list):
-            doc["partition_trees"][i] = swap(tree)
+    doc["partition_trees"][i] = _true_for_vertex_1(doc["partition_trees"][i])
 
 
 def _bool_in_blocks(doc):
