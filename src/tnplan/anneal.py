@@ -4,8 +4,10 @@ The neighborhood move picks a random subtree of a random partition's
 contraction tree and migrates its leaf tensors to another partition,
 chosen either uniformly (naive) or by the pair objective between the
 moved tensor and each candidate partition's result tensor (directed).
-Both affected partitions get fresh greedy trees, the fan-in path is
-re-searched, and the candidate is re-costed.
+Both affected partitions get fresh greedy trees, the fan-in tree is
+rebuilt by one deterministic greedy pass, and the candidate is re-costed.
+A candidate's cost is therefore a function of its partition trees, and
+so, once every tree is a greedy one, of its partitioning alone.
 
 Under the distributed metric a candidate is costed on the k-leaf fan-in
 tree: each partition's local cost comes from its own tree, and its fan-in
@@ -27,9 +29,6 @@ iteration tally of a timed run depends on machine speed.
 Each iteration runs the same starting state through ``workers`` replicas
 in turn, with seeds derived from (seed, iteration, worker); the best
 replica result wins, with ties going to the lowest worker index.
-
-Every proposal re-searches the fan-in path with ``reduction_samples``
-noisy greedy passes at the fixed log-normal noise ``REDUCTION_NOISE``.
 """
 
 from __future__ import annotations
@@ -43,12 +42,9 @@ import numpy as np
 
 from .costs import CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric
 from .partition import Partitioning, validate
-from .pathfind import GreedyConfig, greedy_tree, reduction_path
+from .pathfind import greedy_tree, reduction_path
 from .plan import assemble_plan
 from .tree import ContractionTree, compose_plan_tree
-
-# Log-standard-deviation of the score noise in each proposal's fan-in search.
-REDUCTION_NOISE = 0.3
 
 
 class NoMoveError(RuntimeError):
@@ -74,7 +70,6 @@ class AnnealConfig:
     seed: int = 0
     metric: str = "dist"
     cost: CostConfig = field(default_factory=CostConfig)
-    reduction_samples: int = 8
     threads: int = 1
     check_invariants: bool = False
 
@@ -244,12 +239,7 @@ def select_neighbor(net, state, cfg, rng):
     local_costs = list(state.local_costs)
     local_costs[k_src] = intra(trees[k_src])
     local_costs[k_dst] = intra(trees[k_dst])
-    red_cfg = GreedyConfig(
-        samples=cfg.reduction_samples,
-        noise_scale=REDUCTION_NOISE,
-        rng_seed=int(rng.integers(2 ** 63)),
-    )
-    reduction = reduction_path(net, [t.legs(t.root) for t in trees], red_cfg)
+    reduction = reduction_path(net, [t.legs(t.root) for t in trees])
     if cfg.metric == "dist":
         cost = con_dist(
             reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs

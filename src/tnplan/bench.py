@@ -25,7 +25,6 @@ from .anneal import AnnealConfig, refine_plan
 from .circuits import circuit_to_network
 from .costs import CostConfig
 from .partition import initial_partition
-from .pathfind import GreedyConfig
 from .plan import build_plan, serial_plan
 
 METHODS = ("serial-baseline", "partition-only", "sa-naive", "sa-directed")
@@ -50,9 +49,6 @@ class RunConfig:
     restart_threshold: int = 20
     t0: float = 1.0
     tf: float = 0.001
-    reduction_samples: int = 8
-    path_samples: int = 32
-    path_noise: float = 0.3
     amplitude: str = ""
     cost: CostConfig = field(default_factory=CostConfig)
 
@@ -70,12 +66,7 @@ def derive_seed(master, *key):
 
 def _plan_once(net, method, k, run_seed, budget_seconds, cfg):
     part = initial_partition(net, k, cfg.epsilon, seed=run_seed)
-    reduction_cfg = GreedyConfig(
-        samples=cfg.path_samples,
-        noise_scale=cfg.path_noise,
-        rng_seed=derive_seed(run_seed, 1),
-    )
-    plan = build_plan(net, part, reduction_cfg=reduction_cfg, cost_cfg=cfg.cost)
+    plan = build_plan(net, part, cost_cfg=cfg.cost)
     if method == "partition-only":
         return plan
     anneal_cfg = AnnealConfig(
@@ -89,7 +80,6 @@ def _plan_once(net, method, k, run_seed, budget_seconds, cfg):
         mode="directed" if method == "sa-directed" else "naive",
         seed=derive_seed(run_seed, 2),
         cost=cfg.cost,
-        reduction_samples=cfg.reduction_samples,
     )
     refined, _ = refine_plan(net, plan, anneal_cfg)
     return refined

@@ -62,15 +62,9 @@ def _cost_config(args):
     )
 
 
-def _greedy_config(args):
-    return GreedyConfig(
-        samples=args.greedy_samples, noise_scale=args.greedy_noise, rng_seed=args.seed
-    )
-
-
 def _partitioned_plan(net, args, cost_cfg):
     part = initial_partition(net, args.partitions, args.imbalance, seed=args.seed)
-    return build_plan(net, part, reduction_cfg=_greedy_config(args), cost_cfg=cost_cfg)
+    return build_plan(net, part, cost_cfg=cost_cfg)
 
 
 def _add_input_flags(parser):
@@ -82,8 +76,6 @@ def _add_input_flags(parser):
 def _add_plan_flags(parser, partitions, partitions_help):
     parser.add_argument("--partitions", type=int, default=partitions, help=partitions_help)
     parser.add_argument("--imbalance", type=float, default=0.03, help="allowed size imbalance")
-    parser.add_argument("--greedy-samples", type=int, default=32)
-    parser.add_argument("--greedy-noise", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--cost-metric",
@@ -140,7 +132,10 @@ def cmd_plan(args):
     net = _load_network(args.network, amplitude=args.amplitude)
     cost_cfg = _cost_config(args)
     if args.partitions <= 1:
-        plan = serial_plan(net, cost_cfg, cfg=_greedy_config(args))
+        greedy = GreedyConfig(
+            samples=args.greedy_samples, noise_scale=args.greedy_noise, rng_seed=args.seed
+        )
+        plan = serial_plan(net, cost_cfg, cfg=greedy)
     else:
         plan = _partitioned_plan(net, args, cost_cfg)
     _write_text(plan_to_json(plan), args.output)
@@ -175,7 +170,6 @@ def cmd_anneal(args):
         seed=args.seed,
         metric=args.cost_metric,
         cost=cost_cfg,
-        reduction_samples=args.reduction_samples,
         threads=args.threads,
     )
     initial_cost = _metric_value(plan.report, args.cost_metric)
@@ -307,6 +301,8 @@ def build_parser():
     p = sub.add_parser("plan", help="build a partitioned contraction plan")
     _add_input_flags(p)
     _add_plan_flags(p, 1, "number of partitions")
+    p.add_argument("--greedy-samples", type=int, default=32, help="serial plan search only")
+    p.add_argument("--greedy-noise", type=float, default=0.3, help="serial plan search only")
     _add_cost_flags(p)
     p.set_defaults(func=cmd_plan)
 
@@ -321,7 +317,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=0, help="iteration budget (overrides time limit)")
     p.add_argument("--restart-threshold", type=int, default=20)
     p.add_argument("--mode", choices=("naive", "directed"), default="naive")
-    p.add_argument("--reduction-samples", type=int, default=8)
     p.add_argument("--trace", default=None, help="write per-iteration JSON lines here")
     _add_cost_flags(p)
     p.set_defaults(func=cmd_anneal)

@@ -128,23 +128,17 @@ def con_par(tree, root=None):
     """Critical-path multiplications with unlimited pairwise parallelism.
 
     The maximum over leaves of the summed contraction costs along the
-    leaf-to-root path, the leaf itself excluded.
+    leaf-to-root path, the leaf itself excluded.  One post-order pass
+    keeps each node's heaviest path from below; the sums run bottom-up as
+    a per-leaf walk would add them, and rounding is monotone, so taking
+    the maximum at every node gives the same float as taking it at the
+    root.
     """
-    if root is None:
-        root = tree.root
-    top_parent = tree.parent(root)
-    best = 0.0
+    crit = {}
     for t in tree.postorder(root):
-        if tree.children(t) is not None:
-            continue
-        total = 0.0
-        a = tree.parent(t)
-        while a is not top_parent:
-            total += node_ops(tree, a)
-            a = tree.parent(a)
-        if total > best:
-            best = total
-    return best
+        ch = tree.children(t)
+        crit[t] = 0.0 if ch is None else node_ops(tree, t) + max(crit[ch[0]], crit[ch[1]])
+    return crit[t]  # post-order ends at the root
 
 
 def mem_cost(tree, root=None):

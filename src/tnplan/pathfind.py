@@ -1,4 +1,4 @@
-"""Greedy contraction-order search, with noisy multi-sample restarts.
+"""Greedy contraction-order search, and the fan-in tree over partitions.
 
 ``greedy_tree`` is the one search.  A pass repeatedly contracts the pair
 of intermediates that maximizes the memory-reduction objective
@@ -11,7 +11,9 @@ builds the tree from them in merge order.
 
 With a ``GreedyConfig`` the pass runs ``samples`` times with each pair
 score multiplied by log-normal noise, and the sample with the smallest
-serial cost is kept.
+serial cost is kept; only ``serial_plan`` asks for that.  The fan-in tree
+of ``reduction_path`` is one deterministic pass, so a plan's fan-in, and
+the annealer's cost of a state, depend on its partition trees alone.
 """
 
 from __future__ import annotations
@@ -272,11 +274,11 @@ def reduction_network(net, partition_legs):
     return pseudo
 
 
-def reduction_path(net, partition_legs, cfg=None):
+def reduction_path(net, partition_legs):
     """Fan-in contraction tree over partition result tensors.
 
-    Returns a tree over the pseudo-network of ``reduction_network``; its
-    leaf ids are partition indices.  With one partition this is the
-    trivial single-node tree.
+    One deterministic greedy pass over the pseudo-network of
+    ``reduction_network``; the tree's leaf ids are partition indices.
+    With one partition this is the trivial single-node tree.
     """
-    return random_greedy_tree(reduction_network(net, partition_legs), cfg=cfg)
+    return greedy_tree(reduction_network(net, partition_legs))

@@ -3,7 +3,8 @@
 A plan holds the vertex partitioning, one contraction tree per partition,
 the fan-in (reduction) tree joining the partition results, the composed
 overall tree, and the cost report for the composed tree under the
-partitioning.
+partitioning.  ``build_plan`` makes every tree by one deterministic greedy
+pass; only ``serial_plan`` takes a noisy multi-sample search.
 
 A plan document stores each partition tree and the reduction tree as
 ``{"leaves": [...], "pairs": [[x, y], ...]}``, the ids ``from_pairs``
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .costs import cost_report
 from .network import _is_number
 from .partition import Partitioning, validate
-from .pathfind import GreedyConfig, greedy_tree, reduction_network, reduction_path
+from .pathfind import greedy_tree, reduction_network, reduction_path
 from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
 
 
@@ -54,15 +55,15 @@ def assemble_plan(net, partitioning, partition_trees, reduction, cost_cfg=None):
     return Plan(net, partitioning, list(partition_trees), reduction, tree, roots, report)
 
 
-def build_plan(net, partitioning, reduction_cfg=None, cost_cfg=None):
-    """Initial plan for a partitioning: greedy trees inside each partition,
-    a noisy-greedy fan-in path over the partition results."""
+def build_plan(net, partitioning, cost_cfg=None):
+    """Initial plan for a partitioning: greedy trees inside each partition
+    and the greedy fan-in tree over the partition results, all deterministic."""
     ok, problems = validate(partitioning, net)
     if not ok:
         raise PlanError("invalid partitioning: " + "; ".join(problems))
     trees = [greedy_tree(net, block) for block in partitioning.blocks]
     legs = [t.legs(t.root) for t in trees]
-    reduction = reduction_path(net, legs, cfg=reduction_cfg or GreedyConfig())
+    reduction = reduction_path(net, legs)
     return assemble_plan(net, partitioning, trees, reduction, cost_cfg)
 
 

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
+from tnplan.costs import node_ops
 from tnplan.network import TensorNetwork
-from tnplan.pathfind import random_greedy_tree, reduction_network
+from tnplan.pathfind import greedy_tree, reduction_network
 from tnplan.tree import ContractionTree
 
 
@@ -225,6 +226,25 @@ def oracle_par(net, nested):
     return rec(root)
 
 
+def leaf_walk_con_par(tree, root=None):
+    """``con_par`` as a walk from every leaf to ``root``, O(leaves x depth):
+    the largest sum of contraction costs on a leaf's path, summed bottom-up."""
+    if root is None:
+        root = tree.root
+    top_parent = tree.parent(root)
+    best = 0.0
+    for t in tree.postorder(root):
+        if tree.children(t) is not None:
+            continue
+        total = 0.0
+        a = tree.parent(t)
+        while a is not top_parent:
+            total += node_ops(tree, a)
+            a = tree.parent(a)
+        best = max(best, total)
+    return best
+
+
 def oracle_mem(net, nested):
     root = build_spec(net, nested)
     if root.children is None:
@@ -308,13 +328,13 @@ def uncollapsed_reduction_network(net, partition_legs):
     return pseudo
 
 
-def reference_reduction_nested(net, partition_legs, cfg):
+def reference_reduction_nested(net, partition_legs):
     """Nested fan-in tree that ``reduction_path`` must reproduce."""
     k = len(partition_legs)
     if k <= 2:
         return 0 if k == 1 else [0, 1]
     pseudo = uncollapsed_reduction_network(net, partition_legs)
-    return to_nested(random_greedy_tree(pseudo, cfg=cfg))
+    return to_nested(greedy_tree(pseudo))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the simulated-annealing refinement loop."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -24,10 +25,11 @@ from tnplan.anneal import (
     temperature_at,
 )
 from tnplan.circuits import circuit_to_network
-from tnplan.corpus import bundled_suite, ghz_circuit
-from tnplan.costs import CostConfig, con_dist
+from tnplan.corpus import bundled_suite, ghz_circuit, random_circuit
+from tnplan.costs import CostConfig, con_dist, con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import initial_partition, validate
+from tnplan.pathfind import greedy_tree, reduction_path
 from tnplan.plan import build_plan, plan_to_dict
 from tnplan.tree import ContractionTree
 
@@ -440,6 +442,29 @@ class TestDeterminism:
             _, trace = refine_plan(net, plan, cfg)
             traces.append([row["cost"] for row in trace])
         assert traces[0] != traces[1]
+
+    def test_state_is_a_function_of_its_partitioning(self, monkeypatch):
+        anneal_module = importlib.import_module("tnplan.anneal")
+        proposed = []
+
+        def recording(*args):
+            proposed.append(select_neighbor(*args))
+            return proposed[-1]
+
+        monkeypatch.setattr(anneal_module, "select_neighbor", recording)
+        net = circuit_to_network(random_circuit(20, 8, seed=1))
+        cost = CostConfig(comm_alpha=1.0, comm_beta=0.5)
+        cfg = AnnealConfig(mode="directed", cost=cost, workers=1, max_iters=1)
+        plan = build_plan(net, initial_partition(net, 8, seed=0), cost_cfg=cost)
+        do_steps(net, 40, state_from_plan(plan, cfg), 1.0, cfg, np.random.default_rng(3))
+        assert len(proposed) == 40
+        for state in proposed:
+            trees = [greedy_tree(net, block) for block in state.partitioning.blocks]
+            reduction = reduction_path(net, [t.legs(t.root) for t in trees])
+            assert reduction.pairs() == state.reduction.pairs()
+            local = [con_serial(t) for t in trees]
+            rebuilt = con_dist(reduction, None, cost, subtree_roots=range(8), local_costs=local)
+            assert rebuilt == state.cost
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ def tiny_cfg(**overrides):
         repeats=1,
         steps=4,
         workers=2,
-        path_samples=4,
-        reduction_samples=2,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -153,7 +151,6 @@ class TestReportConfig:
         "restart_threshold": 20,
         "t0": 1.0,
         "tf": 0.001,
-        "path_noise": 0.3,
         "amplitude": "",
         "cost": {"comm_alpha": 0.0, "comm_beta": 0.0, "intra_node": "serial"},
     }
@@ -171,8 +168,6 @@ class TestReportConfig:
             repeats=2,
             steps=64,
             workers=4,
-            reduction_samples=8,
-            path_samples=32,
         )
         assert self.written_config(RunConfig()) == expected
 
@@ -185,8 +180,6 @@ class TestReportConfig:
             repeats=1,
             steps=4,
             workers=2,
-            reduction_samples=2,
-            path_samples=4,
         )
         assert self.written_config(tiny_cfg()) == expected
         assert self.written_config(tiny_cfg(threads=3)) == expected
@@ -454,16 +447,15 @@ class TestCli:
         ),
         "anneal": (
             ["net.json", "-o", "r.json", "--amplitude", "01", "--plan", "p.json",
-             "--partitions", "3", "--imbalance", "0.1", "--greedy-samples", "5",
-             "--greedy-noise", "0.2", "--t0", "2", "--tf", "0.5", "--steps", "8",
-             "--workers", "2", "--threads", "3", "--time-limit", "1.5", "--iters", "6",
-             "--restart-threshold", "4", "--mode", "directed", "--seed", "7",
-             "--reduction-samples", "3", "--trace", "t.jsonl", "--cost-metric", "par"],
+             "--partitions", "3", "--imbalance", "0.1", "--t0", "2", "--tf", "0.5",
+             "--steps", "8", "--workers", "2", "--threads", "3", "--time-limit", "1.5",
+             "--iters", "6", "--restart-threshold", "4", "--mode", "directed", "--seed", "7",
+             "--trace", "t.jsonl", "--cost-metric", "par"],
             {"network": "net.json", "output": "r.json", "amplitude": "01", "plan": "p.json",
-             "partitions": 3, "imbalance": 0.1, "greedy_samples": 5, "greedy_noise": 0.2,
-             "t0": 2.0, "tf": 0.5, "steps": 8, "workers": 2, "threads": 3, "time_limit": 1.5,
-             "iters": 6, "restart_threshold": 4, "mode": "directed", "seed": 7,
-             "reduction_samples": 3, "trace": "t.jsonl", "cost_metric": "par"},
+             "partitions": 3, "imbalance": 0.1, "t0": 2.0, "tf": 0.5, "steps": 8,
+             "workers": 2, "threads": 3, "time_limit": 1.5, "iters": 6,
+             "restart_threshold": 4, "mode": "directed", "seed": 7, "trace": "t.jsonl",
+             "cost_metric": "par"},
         ),
         "execute": (
             ["net.json", "-o", "x.json", "--amplitude", "01", "--plan", "p.json",
@@ -514,6 +506,16 @@ class TestCli:
         value = "par" if flag == "--intra-node" else "1.5"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["execute", "net.json", flag, value])
+
+    @pytest.mark.parametrize(
+        "flags", [["--reduction-samples", "3"], ["--greedy-samples", "5"], ["--greedy-noise", "0.2"]]
+    )
+    def test_anneal_has_no_fanin_search_flags(self, flags, capsys):
+        # The fan-in tree is one deterministic pass, so nothing can steer it.
+        with pytest.raises(SystemExit) as exc:
+            main(["anneal", "net.json", "--partitions", "2"] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_anneal_workers_default_matches_bench(self):
         anneal_args = build_parser().parse_args(["anneal", "net.json"])

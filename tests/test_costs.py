@@ -22,6 +22,7 @@ from tnplan.tree import ContractionTree
 
 from oracles import (
     blocks_nested,
+    leaf_walk_con_par,
     oracle_dist,
     oracle_mem,
     oracle_par,
@@ -173,6 +174,17 @@ def test_serial_par_mem_match_oracles(seed):
     assert con_serial(tree) == oracle_serial(net, nested)
     assert con_par(tree) == oracle_par(net, nested)
     assert mem_cost(tree) == oracle_mem(net, nested)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((4, 100, 1000)))
+def test_con_par_matches_leaf_walk_on_every_subtree(seed, max_dim):
+    # Dimensions up to 1000 push node products past 2**53, where sums round.
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_max=24, max_dim=max_dim, payloads=False)
+    tree = ContractionTree.from_nested(net, random_nested(rng, list(net.vertices())))
+    for t in tree.postorder():
+        assert con_par(tree, t) == leaf_walk_con_par(tree, t)
 
 
 @settings(max_examples=60, deadline=None)

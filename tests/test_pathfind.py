@@ -127,8 +127,7 @@ def test_reduction_path_covers_every_partition_once(seed):
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
     trees = [greedy_tree(net, view=set(b)) for b in blocks]
-    red = reduction_path(net, [t.legs(t.root) for t in trees],
-                         cfg=GreedyConfig(samples=4, rng_seed=seed))
+    red = reduction_path(net, [t.legs(t.root) for t in trees])
     assert sorted(red.leaves()) == list(range(k))
 
 
@@ -139,6 +138,6 @@ def test_built_plan_tree_accepts_its_partitioning(seed):
     net = random_network(rng, n_min=6, payloads=False)
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     part = initial_partition(net, k, seed=seed)
-    plan = build_plan(net, part, reduction_cfg=GreedyConfig(samples=4, rng_seed=seed))
+    plan = build_plan(net, part)
     assert plan.tree.accepts_partitioning(part.blocks)
     assert plan.tree.legs(plan.tree.root) == net.open_edges()
