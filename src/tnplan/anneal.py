@@ -14,9 +14,10 @@ tree: each partition's local cost comes from its own tree, and its fan-in
 from the reduction tree's contractions and transfers, which are those of
 the composed tree.  A proposal therefore never builds the full tree over
 all tensors; a run builds it once, when ``state_to_plan`` assembles the
-plan it returns.  A state composes it on first read of ``tree`` or
-``part_roots``, which only the invariant checks do.  The serial and
-parallel metrics still cost the composed tree of every proposal.
+plan it returns.  A state composes it on first read of ``tree``, which
+only the invariant checks do.  The serial and parallel metrics still cost
+the composed tree of every proposal.  Every state, initial or proposed,
+is built and costed by ``_state``.
 
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
@@ -95,8 +96,7 @@ class AnnealState:
     """One point of the search space: a plan's parts plus its cached costs.
 
     ``reduction`` is the fan-in tree ``reduction_path`` returns.  The
-    composed tree and the partitions' subtree roots in it are built on
-    first read and then cached.
+    composed tree is built on first read and then cached.
     """
 
     partitioning: Partitioning
@@ -109,13 +109,6 @@ class AnnealState:
     def tree(self):
         net = self.partition_trees[0].network
         return compose_plan_tree(net, self.partition_trees, self.reduction)
-
-    @cached_property
-    def part_roots(self):
-        roots = self.tree.subtree_roots(self.partitioning.blocks)
-        if roots is None:
-            raise RuntimeError("composed tree lost a partition subtree")
-        return tuple(roots)
 
 
 def acceptance_probability(current, candidate, temperature):
@@ -151,24 +144,24 @@ def _intra(cfg):
     return globals()[intra_metric(cfg.cost).__name__]
 
 
-def _state_cost(cfg, tree, blocks, roots, local_costs):
-    if cfg.metric == "serial":
-        return con_serial(tree)
-    if cfg.metric == "par":
-        return con_par(tree)
-    return con_dist(tree, blocks, cfg.cost, subtree_roots=roots, local_costs=local_costs)
+def _state(net, cfg, partitioning, trees, reduction, local_costs):
+    """A state from its parts, costed under ``dist`` on the k-leaf fan-in tree
+    and under ``serial``/``par`` on the composed tree."""
+    if cfg.metric == "dist":
+        cost = con_dist(
+            reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
+        )
+    else:
+        composed = compose_plan_tree(net, trees, reduction)
+        cost = con_serial(composed) if cfg.metric == "serial" else con_par(composed)
+    return AnnealState(partitioning, tuple(trees), reduction, tuple(local_costs), cost)
 
 
 def state_from_plan(plan, cfg):
     intra = _intra(cfg)
-    local_costs = tuple(intra(plan.tree, r) for r in plan.part_roots)
-    cost = _state_cost(cfg, plan.tree, plan.partitioning.blocks, plan.part_roots, local_costs)
-    return AnnealState(
-        plan.partitioning,
-        tuple(plan.partition_trees),
-        plan.reduction,
-        local_costs,
-        cost,
+    local_costs = [intra(t) for t in plan.partition_trees]
+    return _state(
+        plan.network, cfg, plan.partitioning, plan.partition_trees, plan.reduction, local_costs
     )
 
 
@@ -240,14 +233,7 @@ def select_neighbor(net, state, cfg, rng):
     local_costs[k_src] = intra(trees[k_src])
     local_costs[k_dst] = intra(trees[k_dst])
     reduction = reduction_path(net, [t.legs(t.root) for t in trees])
-    if cfg.metric == "dist":
-        cost = con_dist(
-            reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
-        )
-    else:
-        composed = compose_plan_tree(net, trees, reduction)
-        cost = con_serial(composed) if cfg.metric == "serial" else con_par(composed)
-    candidate = AnnealState(partitioning, tuple(trees), reduction, tuple(local_costs), cost)
+    candidate = _state(net, cfg, partitioning, trees, reduction, local_costs)
 
     if cfg.check_invariants:
         ok, problems = validate(partitioning, net)
@@ -256,8 +242,12 @@ def select_neighbor(net, state, cfg, rng):
         for i, t in enumerate(trees):
             assert set(t.leaves()) == set(new_blocks[i])
         assert moved and moved != blocks[k_src]
-        fresh = _state_cost(cfg, candidate.tree, new_blocks, candidate.part_roots, None)
-        assert cost == fresh, f"cached cost {cost} but the composed tree costs {fresh}"
+        tree = candidate.tree
+        if cfg.metric == "dist":
+            fresh = con_dist(tree, new_blocks, cfg.cost)
+        else:
+            fresh = con_serial(tree) if cfg.metric == "serial" else con_par(tree)
+        assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
 
     return candidate
 
@@ -348,8 +338,8 @@ def anneal(net, initial, cfg=None):
     return AnnealResult(best, trace, i + 1)
 
 
-def refine_plan(net, plan, cfg=None, cost_cfg=None):
+def refine_plan(net, plan, cfg=None):
     """Anneal a plan and return (refined plan, trace)."""
     cfg = cfg or AnnealConfig()
     result = anneal(net, plan, cfg)
-    return state_to_plan(net, result.best, cost_cfg or cfg.cost), result.trace
+    return state_to_plan(net, result.best, cfg.cost), result.trace

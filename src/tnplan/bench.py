@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,23 +34,32 @@ DEFAULT_SWEEP = (4, 8, 16, 32, 64, 128, 256)
 
 @dataclass
 class RunConfig:
-    """Pipeline settings; ``threads`` is kept for compatibility and has no effect."""
+    """Pipeline settings; ``threads`` is kept for compatibility and has no effect.
+
+    ``anneal`` is the ``AnnealConfig`` every annealed run copies with its own
+    mode, seed and time limit; building it validates the annealing settings.
+    """
 
     methods: tuple = METHODS
     sweep: tuple = DEFAULT_SWEEP
     epsilon: float = 0.03
     seed: int = 0
-    budget_seconds: float = 10.0
-    budget_iters: int = 0
+    budget_seconds: float = AnnealConfig.time_limit
+    budget_iters: int = AnnealConfig.max_iters
     repeats: int = 2
-    steps: int = 64
-    workers: int = 4
-    threads: int = 1
-    restart_threshold: int = 20
-    t0: float = 1.0
-    tf: float = 0.001
+    steps: int = AnnealConfig.steps
+    workers: int = AnnealConfig.workers
+    threads: int = AnnealConfig.threads
     amplitude: str = ""
     cost: CostConfig = field(default_factory=CostConfig)
+
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
+        self.anneal = AnnealConfig(
+            steps=self.steps, workers=self.workers, time_limit=self.budget_seconds,
+            max_iters=self.budget_iters, cost=self.cost, threads=self.threads,
+        )
 
     def to_dict(self):
         """The report's ``config`` section: every field but ``threads``."""
@@ -69,17 +78,11 @@ def _plan_once(net, method, k, run_seed, budget_seconds, cfg):
     plan = build_plan(net, part, cost_cfg=cfg.cost)
     if method == "partition-only":
         return plan
-    anneal_cfg = AnnealConfig(
-        t0=cfg.t0,
-        tf=cfg.tf,
-        steps=cfg.steps,
-        workers=cfg.workers,
-        time_limit=budget_seconds if cfg.budget_iters <= 0 else 0.0,
-        max_iters=cfg.budget_iters,
-        restart_threshold=cfg.restart_threshold,
+    anneal_cfg = replace(
+        cfg.anneal,
         mode="directed" if method == "sa-directed" else "naive",
         seed=derive_seed(run_seed, 2),
-        cost=cfg.cost,
+        time_limit=budget_seconds,
     )
     refined, _ = refine_plan(net, plan, anneal_cfg)
     return refined

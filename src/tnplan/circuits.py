@@ -126,9 +126,9 @@ def make_gate(name, targets, params=(), matrix=None):
     """Build a validated Gate from a name or an explicit matrix."""
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
-        raise CircuitError(f"gate {name}: repeated target in {targets}")
+        raise CircuitError(f"gate {name!r}: repeated target in {targets}")
     if not targets:
-        raise CircuitError(f"gate {name}: no targets")
+        raise CircuitError(f"gate {name!r}: no targets")
     params = tuple(float(p) for p in params)
     canon = str(name).upper()
     if matrix is not None:
@@ -136,9 +136,9 @@ def make_gate(name, targets, params=(), matrix=None):
         dim = 2 ** len(targets)
         if mat.shape != (dim, dim):
             raise CircuitError(
-                f"gate {name}: matrix shape {mat.shape} does not fit {len(targets)} target(s)"
+                f"gate {name!r}: matrix shape {mat.shape} does not fit {len(targets)} target(s)"
             )
-        _check_unitary(mat, f"gate {name}")
+        _check_unitary(mat, f"gate {name!r}")
         return Gate(str(name), targets, mat, params)
     if canon in _ROTATIONS:
         if len(params) != 1:
@@ -181,13 +181,13 @@ def circuit_from_dict(doc):
             raise CircuitError(f"gate {idx} needs 'name' and a 'targets' list")
         for t in targets:
             if not _is_int(t) or not 0 <= t < n:
-                raise CircuitError(f"gate {idx} ({name}): target {t!r} out of range 0..{n - 1}")
+                raise CircuitError(f"gate {idx} ({name!r}): target {t!r} out of range 0..{n - 1}")
         params = g.get("params", [])
         if not isinstance(params, list) or not all(_is_number(p) for p in params):
-            raise CircuitError(f"gate {idx} ({name}): 'params' must be a list of numbers")
+            raise CircuitError(f"gate {idx} ({name!r}): 'params' must be a list of numbers")
         matrix = None
         if "matrix" in g and g["matrix"] is not None:
-            matrix = _parse_matrix(g["matrix"], len(targets), f"gate {idx} ({name})")
+            matrix = _parse_matrix(g["matrix"], len(targets), f"gate {idx} ({name!r})")
         gates.append(make_gate(name, targets, params, matrix))
     return Circuit(n, gates)
 

@@ -73,14 +73,14 @@ def _add_input_flags(parser):
     parser.add_argument("--amplitude", default="", help="used only when ingesting a circuit")
 
 
-def _add_plan_flags(parser, partitions, partitions_help):
+def _add_plan_flags(parser, partitions, partitions_help, seed):
     parser.add_argument("--partitions", type=int, default=partitions, help=partitions_help)
     parser.add_argument("--imbalance", type=float, default=0.03, help="allowed size imbalance")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument(
         "--cost-metric",
         choices=("serial", "par", "dist"),
-        default="dist",
+        default=AnnealConfig.metric,
         help="metric reported as the headline cost (and optimized by anneal)",
     )
 
@@ -101,11 +101,15 @@ def _add_cost_flags(parser):
     parser.add_argument(
         "--intra-node",
         choices=("serial", "par"),
-        default="serial",
+        default=CostConfig.intra_node,
         help="how work inside one partition is costed",
     )
-    parser.add_argument("--comm-alpha", type=float, default=0.0, help="per-message cost")
-    parser.add_argument("--comm-beta", type=float, default=0.0, help="per-entry transfer cost")
+    parser.add_argument(
+        "--comm-alpha", type=float, default=CostConfig.comm_alpha, help="per-message cost"
+    )
+    parser.add_argument(
+        "--comm-beta", type=float, default=CostConfig.comm_beta, help="per-entry transfer cost"
+    )
 
 
 def _metric_value(report, metric):
@@ -163,7 +167,7 @@ def cmd_anneal(args):
         tf=args.tf,
         steps=args.steps,
         workers=args.workers,
-        time_limit=0.0 if args.iters > 0 else args.time_limit,
+        time_limit=args.time_limit,
         max_iters=args.iters,
         restart_threshold=args.restart_threshold,
         mode=args.mode,
@@ -220,23 +224,6 @@ def cmd_execute(args):
 
 
 def cmd_bench(args):
-    if args.circuits:
-        suite = []
-        for path in args.circuits:
-            name = path.rsplit("/", 1)[-1].removesuffix(".json")
-            try:
-                suite.append((name, circuit_from_dict(_read_json(path))))
-            except Exception as exc:
-                suite.append((name, exc))
-    else:
-        suite = bundled_suite()
-    named = []
-    preload_errors = []
-    for name, item in suite:
-        if isinstance(item, Exception):
-            preload_errors.append({"circuit": name, "error": f"{type(item).__name__}: {item}"})
-        else:
-            named.append((name, item))
     cfg = RunConfig(
         methods=tuple(args.methods.split(",")) if args.methods else METHODS,
         sweep=tuple(int(k) for k in args.sweep.split(",")) if args.sweep else RunConfig.sweep,
@@ -251,6 +238,14 @@ def cmd_bench(args):
         amplitude=args.amplitude or "",
         cost=_cost_config(args),
     )
+    named = [] if args.circuits else bundled_suite()
+    preload_errors = []
+    for path in args.circuits:
+        name = path.rsplit("/", 1)[-1].removesuffix(".json")
+        try:
+            named.append((name, circuit_from_dict(_read_json(path))))
+        except Exception as exc:
+            preload_errors.append({"circuit": name, "error": f"{type(exc).__name__}: {exc}"})
     report = run_pipeline(named, cfg)
     report["errors"] = preload_errors + report["errors"]
     _write_text(report_json(report), args.output)
@@ -300,23 +295,24 @@ def build_parser():
 
     p = sub.add_parser("plan", help="build a partitioned contraction plan")
     _add_input_flags(p)
-    _add_plan_flags(p, 1, "number of partitions")
-    p.add_argument("--greedy-samples", type=int, default=32, help="serial plan search only")
-    p.add_argument("--greedy-noise", type=float, default=0.3, help="serial plan search only")
+    _add_plan_flags(p, 1, "number of partitions", GreedyConfig.rng_seed)
+    serial_only = "serial plan search only"
+    p.add_argument("--greedy-samples", type=int, default=GreedyConfig.samples, help=serial_only)
+    p.add_argument("--greedy-noise", type=float, default=GreedyConfig.noise_scale, help=serial_only)
     _add_cost_flags(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("anneal", help="refine a plan with simulated annealing")
     _add_input_flags(p)
     p.add_argument("--plan", default=None, help="plan JSON to refine")
-    _add_plan_flags(p, 0, "build the initial plan inline")
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--tf", type=float, default=0.001)
+    _add_plan_flags(p, 0, "build the initial plan inline", AnnealConfig.seed)
+    p.add_argument("--t0", type=float, default=AnnealConfig.t0)
+    p.add_argument("--tf", type=float, default=AnnealConfig.tf)
     _add_replica_flags(p)
-    p.add_argument("--time-limit", type=float, default=10.0, help="wall budget in seconds")
-    p.add_argument("--iters", type=int, default=0, help="iteration budget (overrides time limit)")
-    p.add_argument("--restart-threshold", type=int, default=20)
-    p.add_argument("--mode", choices=("naive", "directed"), default="naive")
+    p.add_argument("--time-limit", type=float, default=AnnealConfig.time_limit, help="wall seconds")
+    p.add_argument("--iters", type=int, default=AnnealConfig.max_iters, help="overrides --time-limit")
+    p.add_argument("--restart-threshold", type=int, default=AnnealConfig.restart_threshold)
+    p.add_argument("--mode", choices=("naive", "directed"), default=AnnealConfig.mode)
     p.add_argument("--trace", default=None, help="write per-iteration JSON lines here")
     _add_cost_flags(p)
     p.set_defaults(func=cmd_anneal)
@@ -339,13 +335,17 @@ def build_parser():
     p.add_argument("-o", "--output", default=None, help="report JSON path (default stdout)")
     p.add_argument("--methods", default="", help=f"comma list from {','.join(METHODS)}")
     p.add_argument("--sweep", default="", help="comma list of partition counts")
-    p.add_argument("--imbalance", type=float, default=0.03)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-seconds", type=float, default=10.0, help="anneal budget per method+circuit")
-    p.add_argument("--budget-iters", type=int, default=0, help="iteration budget (deterministic reports)")
-    p.add_argument("--repeats", type=int, default=2)
+    p.add_argument("--imbalance", type=float, default=RunConfig.epsilon)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument(
+        "--budget-seconds", type=float, default=RunConfig.budget_seconds, help="per method+circuit"
+    )
+    p.add_argument(
+        "--budget-iters", type=int, default=RunConfig.budget_iters, help="deterministic reports"
+    )
+    p.add_argument("--repeats", type=int, default=RunConfig.repeats)
     _add_replica_flags(p)
-    p.add_argument("--amplitude", default="")
+    p.add_argument("--amplitude", default=RunConfig.amplitude)
     _add_cost_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import mem_cost, vertex_congestion
+from .costs import mem_cost
 
 DEFAULT_MAX_ENTRIES = 2 ** 28
 
@@ -68,7 +68,6 @@ def contract_pair(s, t, pairs):
 @dataclass
 class ContractionRecord:
     node: int
-    vc: float
     entries: int
     seconds: float
 
@@ -172,7 +171,7 @@ def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES, inputs=None):
         shared_set = set(shared)
         axes = [e for e in lax if e not in shared_set] + [e for e in rax if e not in shared_set]
         env[node] = (out, axes)
-        records.append(ContractionRecord(node, vertex_congestion(tree, node), out.size, seconds))
+        records.append(ContractionRecord(node, out.size, seconds))
 
     arr, axes = env[tree.root]
     if not np.all(np.isfinite(arr)):

@@ -17,9 +17,13 @@ from tnplan.bench import (
     report_json,
     run_pipeline,
 )
+from tnplan import cli
+from tnplan.anneal import AnnealConfig
 from tnplan.circuits import circuit_to_json
 from tnplan.cli import build_parser, main
+from tnplan.costs import CostConfig
 from tnplan.corpus import bundled_suite, ghz_circuit, random_circuit
+from tnplan.pathfind import GreedyConfig
 
 
 def tiny_cfg(**overrides):
@@ -141,16 +145,14 @@ class TestReportConfig:
     """The report's ``config`` section.
 
     The expected dicts were captured from the hand-written ``to_dict`` that
-    ``dataclasses.asdict`` replaced.
+    ``dataclasses.asdict`` replaced, less ``restart_threshold``, ``t0`` and
+    ``tf``: bench runs take those from ``AnnealConfig``'s defaults.
     """
 
     COMMON = {
         "methods": ["serial-baseline", "partition-only", "sa-naive", "sa-directed"],
         "epsilon": 0.03,
         "seed": 0,
-        "restart_threshold": 20,
-        "t0": 1.0,
-        "tf": 0.001,
         "amplitude": "",
         "cost": {"comm_alpha": 0.0, "comm_beta": 0.0, "intra_node": "serial"},
     }
@@ -183,6 +185,25 @@ class TestReportConfig:
         )
         assert self.written_config(tiny_cfg()) == expected
         assert self.written_config(tiny_cfg(threads=3)) == expected
+
+
+class TestRunConfigValidation:
+    @pytest.mark.parametrize("name", ["repeats", "workers", "steps"])
+    def test_setting_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: 0})
+
+    def test_zero_annealing_budget_rejected_for_every_method_list(self):
+        # Checked up front, even when no method anneals.
+        with pytest.raises(ValueError, match="time_limit"):
+            RunConfig(methods=("partition-only",), budget_seconds=0.0, budget_iters=0)
+
+    def test_runs_copy_the_one_anneal_config(self):
+        cfg = tiny_cfg(cost=CostConfig(comm_beta=2.0))
+        assert cfg.anneal == AnnealConfig(
+            steps=4, workers=2, time_limit=0.0, max_iters=2, cost=CostConfig(comm_beta=2.0)
+        )
+        assert "anneal" not in cfg.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -530,3 +551,54 @@ class TestCli:
         code = main(["plan", str(tmp_path / "missing.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bench_with_zero_repeats_exits_one_before_any_run(self, tmp_path, ghz_file, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["bench", str(ghz_file), "--repeats", "0", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert not out.exists()
+
+
+class TestFlagDefaults:
+    """Every ``plan``/``anneal``/``bench`` flag default equals the dataclass field it feeds.
+
+    Each command runs with default flags and the config objects it builds
+    are captured and compared with default-constructed ones.
+    """
+
+    def test_plan(self, monkeypatch, ghz_file, capsys):
+        seen = []
+        serial_plan = cli.serial_plan
+
+        def capture(net, cost_cfg, cfg):
+            seen.append((cost_cfg, cfg))
+            return serial_plan(net, cost_cfg, cfg=cfg)
+
+        monkeypatch.setattr(cli, "serial_plan", capture)
+        assert main(["plan", str(ghz_file)]) == 0
+        assert seen == [(CostConfig(), GreedyConfig())]
+
+    def test_anneal(self, monkeypatch, ghz_file, capsys):
+        seen = []
+
+        def capture(net, plan, cfg):
+            seen.append(cfg)
+            return plan, []
+
+        monkeypatch.setattr(cli, "refine_plan", capture)
+        assert main(["anneal", str(ghz_file), "--partitions", "2"]) == 0
+        assert seen == [AnnealConfig()]
+
+    def test_bench(self, monkeypatch, ghz_file, capsys):
+        seen = []
+
+        def capture(named, cfg):
+            seen.append(cfg)
+            return run_pipeline([], cfg)
+
+        monkeypatch.setattr(cli, "run_pipeline", capture)
+        assert main(["bench", str(ghz_file)]) == 0
+        assert seen == [RunConfig()]

@@ -5,12 +5,17 @@ values, and valid documents with one part (possibly the whole document)
 replaced by such a value.  Plans start from both tree forms, merge pairs
 and nested lists.  Reading any of them either succeeds or raises
 ``NetworkError``, ``CircuitError``, ``PlanError`` or ``TreeError``;
-anything else, such as a bare ``TypeError``, fails the test.
+anything else, such as a bare ``TypeError``, fails the test.  The same
+documents, read by ``tnplan plan`` and ``tnplan execute --plan``, exit 0,
+or 1 with one ``error:`` line and nothing on stdout.
 """
 
 import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +129,56 @@ def test_execute_with_a_malformed_plan_prints_one_error(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def cli_exits_cleanly(argv):
+    """``main(argv)`` returns 0, or 1 with exactly one ``error:`` line and no output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs")
+    (path / "ghz3.json").write_text(json.dumps(circuit_to_dict(CIRCUIT)))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_plan_command_on_network_and_circuit_documents(doc_dir, data):
+    base = data.draw(st.sampled_from([json.loads(NET.to_json()), circuit_to_dict(CIRCUIT)]))
+    path = doc_dir / "input.json"
+    path.write_text(json.dumps(mutated(data, base)))
+    cli_exits_cleanly(["plan", str(path)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_execute_command_on_plan_documents_in_both_tree_forms(doc_dir, data):
+    path = doc_dir / "plan.json"
+    path.write_text(json.dumps(mutated(data, data.draw(st.sampled_from(PLAN_DOCS)))))
+    circuit = str(doc_dir / "ghz3.json")
+    cli_exits_cleanly(["execute", circuit, "--amplitude", "000", "--plan", str(path)])
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        {"name": "a\nb", "targets": [7]},
+        {"name": "a\nb", "targets": [0], "params": 1},
+        {"name": "a\nb", "targets": [0, 0]},
+        {"name": "a\nb", "targets": [0], "matrix": [[1, 0], [0, 2]]},
+    ],
+)
+def test_gate_name_with_a_line_break_gives_one_error_line(doc_dir, gate):
+    path = doc_dir / "gate.json"
+    path.write_text(json.dumps({"qubits": 2, "gates": [gate]}))
+    assert cli_exits_cleanly(["plan", str(path)]) == 1
