@@ -73,10 +73,9 @@ def _add_input_flags(parser):
     parser.add_argument("--amplitude", default="", help="used only when ingesting a circuit")
 
 
-def _add_plan_flags(parser, partitions, partitions_help, seed):
+def _add_plan_flags(parser, partitions, partitions_help):
     parser.add_argument("--partitions", type=int, default=partitions, help=partitions_help)
     parser.add_argument("--imbalance", type=float, default=0.03, help="allowed size imbalance")
-    parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument(
         "--cost-metric",
         choices=("serial", "par", "dist"),
@@ -295,7 +294,8 @@ def build_parser():
 
     p = sub.add_parser("plan", help="build a partitioned contraction plan")
     _add_input_flags(p)
-    _add_plan_flags(p, 1, "number of partitions", GreedyConfig.rng_seed)
+    _add_plan_flags(p, 1, "number of partitions")
+    p.add_argument("--seed", type=int, default=GreedyConfig.rng_seed)
     serial_only = "serial plan search only"
     p.add_argument("--greedy-samples", type=int, default=GreedyConfig.samples, help=serial_only)
     p.add_argument("--greedy-noise", type=float, default=GreedyConfig.noise_scale, help=serial_only)
@@ -305,7 +305,8 @@ def build_parser():
     p = sub.add_parser("anneal", help="refine a plan with simulated annealing")
     _add_input_flags(p)
     p.add_argument("--plan", default=None, help="plan JSON to refine")
-    _add_plan_flags(p, 0, "build the initial plan inline", AnnealConfig.seed)
+    _add_plan_flags(p, 0, "build the initial plan inline")
+    p.add_argument("--seed", type=int, default=AnnealConfig.seed)
     p.add_argument("--t0", type=float, default=AnnealConfig.t0)
     p.add_argument("--tf", type=float, default=AnnealConfig.tf)
     _add_replica_flags(p)
