@@ -56,6 +56,10 @@ class RunConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not self.sweep or min(self.sweep) < 2:
+            raise ValueError(f"sweep must list partition counts >= 2, got {list(self.sweep)}")
+        if self.epsilon < 0:
+            raise ValueError(f"imbalance epsilon must be >= 0, got {self.epsilon}")
         self.anneal = AnnealConfig(
             steps=self.steps, workers=self.workers, time_limit=self.budget_seconds,
             max_iters=self.budget_iters, cost=self.cost, threads=self.threads,
@@ -88,9 +92,7 @@ def _plan_once(net, method, k, run_seed, budget_seconds, cfg):
     return refined
 
 
-def _method_entries(name, net, method, baseline_cost, cfg, ci, timings):
-    n = net.num_vertices
-    ks = [k for k in cfg.sweep if 2 <= k <= n]
+def _method_entries(name, net, method, ks, baseline_cost, cfg, ci, timings):
     entries = []
     for k in ks:
         per_run_budget = cfg.budget_seconds / max(1, len(ks) * cfg.repeats)
@@ -126,7 +128,8 @@ def run_pipeline(named_circuits, cfg=None):
     """Plan every circuit with every configured method; returns the report dict.
 
     ``named_circuits`` is a list of (name, Circuit).  A circuit that fails
-    to ingest or plan contributes an error entry instead of results.
+    to ingest or plan contributes an error entry instead of results, and
+    so does one whose network is smaller than every count of the sweep.
     """
     cfg = cfg or RunConfig()
     results = []
@@ -136,6 +139,12 @@ def run_pipeline(named_circuits, cfg=None):
         try:
             bits = cfg.amplitude or None
             net = circuit_to_network(circuit, bits=bits)
+            n = net.num_vertices
+            ks = [k for k in cfg.sweep if k <= n]
+            if not ks and set(cfg.methods) - {"serial-baseline"}:
+                raise ValueError(
+                    f"sweep {list(cfg.sweep)} has no partition count in 2..{n} (|V| = {n})"
+                )
             started = time.perf_counter()
             baseline = serial_plan(net, cfg.cost)
             timings[f"{name}|serial-baseline"] = time.perf_counter() - started
@@ -159,7 +168,7 @@ def run_pipeline(named_circuits, cfg=None):
                 if method not in METHODS:
                     raise ValueError(f"unknown method {method!r}")
                 results.extend(
-                    _method_entries(name, net, method, baseline_cost, cfg, ci, timings)
+                    _method_entries(name, net, method, ks, baseline_cost, cfg, ci, timings)
                 )
         except Exception as exc:
             errors.append({"circuit": name, "error": f"{type(exc).__name__}: {exc}"})

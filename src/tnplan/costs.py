@@ -2,13 +2,14 @@
 
 All metrics derive from one quantity per internal tree node: the number of
 scalar multiplications of that pairwise contraction, which equals the
-product of the dimensions over the union of the children's legs.  Values
-are accumulated in linear 64-bit floats; per-node products are exact
-integers as long as they stay below 2**53, and anything past 2**300 is
-clamped and flagged rather than allowed to overflow.
-
-Reductions over edge sets always iterate in sorted edge order so results
-do not depend on how a particular set object was assembled.
+product of the dimensions over the union of the children's legs.  Every
+entry count (``dims_product``) is the exact integer product of its edges'
+dimensions, rounded once to a 64-bit float, so it does not depend on the
+order of the edges or on how they are grouped; anything past 2**300 is
+clamped and flagged rather than allowed to overflow.  Sums over nodes are
+accumulated in linear floats.  The log2 sums of ``vertex_congestion`` and
+``is_saturated`` iterate in sorted edge order, so they do not depend on how
+a particular set object was assembled.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 LOG2_SATURATION = 300.0
 _SATURATION_VALUE = 2.0 ** LOG2_SATURATION
+_SATURATION_INT = 2 ** int(LOG2_SATURATION)
 
 
 @dataclass
@@ -69,13 +71,10 @@ def _finite_or_none(x):
 
 
 def dims_product(net, legs):
-    """Product of edge dimensions over a leg set, clamped at 2**300."""
-    value = 1.0
-    for e in sorted(legs):
-        value *= net.edge_dim(e)
-        if value > _SATURATION_VALUE:
-            return _SATURATION_VALUE
-    return value
+    """Entry count over a leg set: the exact integer product of the edge
+    dimensions (``net.edge_dims``), clamped at 2**300 and rounded once."""
+    value = math.prod(map(net.edge_dims.__getitem__, legs))
+    return _SATURATION_VALUE if value > _SATURATION_INT else float(value)
 
 
 def _log2_dims(net, legs):

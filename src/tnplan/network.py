@@ -71,6 +71,12 @@ class TensorNetwork:
     never reused after deletion, so ids stay stable across ``bond`` calls.
     The network is meant to be built once and treated as immutable while
     plans are computed against it.
+
+    Two tables serve the plan search.  ``edge_dims`` maps every live edge
+    id to its dimension, so a leg set's entry count is one product over
+    it.  ``leaf_legs`` fills a per-vertex table of planning legs on first
+    read.  ``add_tensor`` and ``bond`` keep both current; treat
+    ``edge_dims`` as read-only.
     """
 
     def __init__(self):
@@ -78,6 +84,8 @@ class TensorNetwork:
         self._edges = {}
         self._payloads = {}
         self._next_edge = 0
+        self.edge_dims = {}
+        self._leaf_legs = {}
 
     # -- construction ----------------------------------------------------
 
@@ -123,17 +131,21 @@ class TensorNetwork:
             raise NetworkError(
                 f"dimension mismatch: ({u},{a}) has {ea.dim}, ({v},{b}) has {eb.dim}"
             )
-        del self._edges[ea.id]
-        del self._edges[eb.id]
+        for old in (ea.id, eb.id):
+            del self._edges[old]
+            del self.edge_dims[old]
         e = self._new_edge(ea.dim, ((u, a), (v, b)))
         self._axis_edges[u][a] = e
         self._axis_edges[v][b] = e
+        self._leaf_legs.pop(u, None)
+        self._leaf_legs.pop(v, None)
         return e
 
     def _new_edge(self, dim, ends):
         eid = self._next_edge
         self._next_edge += 1
         self._edges[eid] = Edge(eid, dim, ends)
+        self.edge_dims[eid] = dim
         return eid
 
     def _axis_edge_checked(self, v, a):
@@ -168,7 +180,17 @@ class TensorNetwork:
         return self._edges[e]
 
     def edge_dim(self, e):
-        return self._edges[e].dim
+        return self.edge_dims[e]
+
+    def leaf_legs(self, v):
+        """Planning legs of ``v``: its distinct incident edges, self-loops
+        dropped.  Computed on first read and kept until ``bond`` touches ``v``."""
+        legs = self._leaf_legs.get(v)
+        if legs is None:
+            legs = self._leaf_legs[v] = frozenset(
+                e for e in self._axis_edges[v] if not self._edges[e].is_loop()
+            )
+        return legs
 
     def dims_of(self, v):
         return tuple(self._edges[e].dim for e in self._axis_edges[v])

@@ -152,9 +152,12 @@ def _bfs_distances(net, sources):
 def initial_partition(net, k, epsilon=0.03, seed=0):
     """Balanced k-way partitioning by seeded BFS growth plus refinement.
 
-    Deterministic for a given seed.  Raises on k < 1 or k > |V|.
+    Deterministic for a given seed.  Raises on k < 1, k > |V| or a
+    negative ``epsilon``.
     """
     n = net.num_vertices
+    if epsilon < 0:
+        raise ValueError(f"imbalance epsilon must be >= 0, got {epsilon}")
     if k < 1:
         raise ValueError(f"need at least one block, got k={k}")
     if k > n:

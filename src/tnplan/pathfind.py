@@ -5,15 +5,16 @@ of intermediates that maximizes the memory-reduction objective
 |A| + |B| - |A.B|.  Only pairs sharing at least one bound edge are
 candidates; pairs with nothing in common (outer products) are considered
 only once no adjacent pair is left, which happens exactly when the view
-being contracted is disconnected.  The pass records each merge as a
-(left, right) pair of tree node ids, and ``ContractionTree.from_pairs``
-builds the tree from them in merge order.
+being contracted is disconnected.  The pass records each merge, and
+``ContractionTree.from_pairs`` builds the tree from them, as (left, right)
+pairs of tree node ids in merge order.
 
 With a ``GreedyConfig`` the pass runs ``samples`` times with each pair
 score multiplied by log-normal noise, and the sample with the smallest
-serial cost is kept; only ``serial_plan`` asks for that.  The fan-in tree
-of ``reduction_path`` is one deterministic pass, so a plan's fan-in, and
-the annealer's cost of a state, depend on its partition trees alone.
+serial cost is kept; only ``serial_plan`` asks for that, and only there
+are a pass's merges costed.  The fan-in tree of ``reduction_path`` is one
+deterministic pass, so a plan's fan-in, and the annealer's cost of a
+state, depend on its partition trees alone.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class _Forest:
 
     Pieces are immutable once created: a merge retires both operands and
     appends a fresh piece, so a heap entry stays valid exactly while both
-    of its pieces are alive.  A merge appends its operands' node ids to
-    ``pairs``, and the new piece takes the id ``from_pairs`` gives it.
+    of its pieces are alive.  A merge appends its operands' piece indices
+    to ``merges``, and the new piece takes the node id ``from_pairs``
+    gives it.
 
     A piece's legs are the symmetric difference of its leaves' legs, so
     its entry count depends only on the bitmask of leaves it covers.
@@ -80,13 +82,12 @@ class _Forest:
         self.rep = []
         self.size = []
         self.alive = []
-        self.pairs = []
+        self.merges = []
         self.holders = {}
         for pos, (key, legs) in enumerate(pieces):
             idx = self._append(legs, 1 << pos, key, key)
             for e in legs:
                 self.holders.setdefault(e, set()).add(idx)
-        self.total_ops = 0.0
 
     def _size(self, mask, legs):
         size = self.sizes.get(mask)
@@ -115,9 +116,8 @@ class _Forest:
         """Contract pieces ``i`` and ``j``, ``i`` holding the smaller leaf
         vertex, so it becomes the left child; returns the new piece index."""
         li, lj = self.legs[i], self.legs[j]
-        self.total_ops += dims_product(self.net, li | lj)
-        self.pairs.append((self.node[i], self.node[j]))
-        node = self.net.num_vertices + len(self.pairs) - 1
+        self.merges.append((i, j))
+        node = self.net.num_vertices + len(self.merges) - 1
         idx = self._append(li ^ lj, self.mask[i] | self.mask[j], node, self.rep[i])
         self.alive[i] = False
         self.alive[j] = False
@@ -128,6 +128,17 @@ class _Forest:
         for e in self.legs[idx]:
             self.holders.setdefault(e, set()).add(idx)
         return idx
+
+    def pairs(self):
+        """The merges as (left, right) tree node ids, in merge order."""
+        return [(self.node[i], self.node[j]) for i, j in self.merges]
+
+    def total_ops(self):
+        """Multiplications of the merges, summed in merge order."""
+        total = 0.0
+        for i, j in self.merges:
+            total += dims_product(self.net, self.legs[i] | self.legs[j])
+        return total
 
     def neighbors(self, idx):
         out = set()
@@ -143,7 +154,7 @@ def _greedy_pass(net, pieces, sizes, rng=None, noise_scale=0.0):
 
     ``sizes`` is the entry-count cache of ``_Forest``; pass the same dict
     to every pass over the same pieces.  Returns the finished forest,
-    whose ``pairs`` and ``total_ops`` are the pass's merges and
+    whose ``pairs()`` and ``total_ops()`` are the pass's merges and
     multiplications.
     """
     if not pieces:
@@ -226,9 +237,10 @@ def greedy_tree(net, view=None, cfg=None):
         for s in range(cfg.samples):
             rng = _sample_rng(cfg.rng_seed, s)
             forest = _greedy_pass(net, pieces, sizes, rng, cfg.noise_scale)
-            if best is None or forest.total_ops < best.total_ops:
-                best = forest
-    return ContractionTree.from_pairs(net, best.pairs, leaves=[v for v, _ in pieces])
+            ops = forest.total_ops()
+            if best is None or ops < best_ops:
+                best, best_ops = forest, ops
+    return ContractionTree.from_pairs(net, best.pairs(), leaves=[v for v, _ in pieces])
 
 
 def random_greedy_tree(net, view=None, cfg=None):
@@ -242,24 +254,26 @@ def reduction_network(net, partition_legs):
     The original edges shared by partitions ``i`` and ``j`` become one
     bond between pseudo-vertices ``i`` and ``j``, and the open legs of
     partition ``i`` one open axis of ``i``.  A group's dimension is the
-    product of its edges' dimensions, kept as an int and clamped at
-    2**301: past the 2**300 cost saturation, so any product over it still
-    saturates, and small enough to multiply a float without overflow.
-    The edges of a group are always legs of the same pieces, so every leg
-    product, and hence every greedy score and cost, is the one over the
-    original edges.  Pseudo-vertex ``i`` has one axis per group it belongs
-    to, in sorted group order.
+    exact product of its edges' dimensions, read from ``net.edge_dims``
+    and clamped at 2**301: past the 2**300 cost saturation, so any product
+    over it still saturates, while the integers stay small.  The edges of
+    a group are always legs of the same pieces, and ``dims_product``
+    multiplies exactly, so every leg product, and hence every greedy score
+    and cost, is bit for bit the one over the original edges.
+    Pseudo-vertex ``i`` has one axis per group it belongs to, in sorted
+    group order.
     """
     holders = {}
     for i, legs in enumerate(partition_legs):
         for e in legs:
             holders.setdefault(e, []).append(i)
+    dims = net.edge_dims
     groups = {}  # (i,) for open legs of i, (i, j) with i < j for a bond
     for e in sorted(holders):
         ends = tuple(holders[e])
         if len(ends) > 2:
             raise ValueError(f"edge {e} appears in {len(ends)} partitions")
-        groups[ends] = min(groups.get(ends, 1) * net.edge_dim(e), _FAT_DIM_CAP)
+        groups[ends] = min(groups.get(ends, 1) * dims[e], _FAT_DIM_CAP)
     axes = [[] for _ in partition_legs]
     for ends in sorted(groups):
         for i in ends:

@@ -138,8 +138,8 @@ def plan_from_dict(net, doc, cost_cfg=None):
     ):
         raise PlanError("blocks must be a list of lists of distinct integer vertex ids")
     epsilon = doc.get("epsilon", 0.03)
-    if not _is_number(epsilon):
-        raise PlanError(f"epsilon must be a finite number, got {epsilon!r}")
+    if not _is_number(epsilon) or epsilon < 0:
+        raise PlanError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     part = Partitioning(blocks, float(epsilon))
     ok, problems = validate(part, net)
     if not ok:

@@ -31,8 +31,9 @@ def leaf_legs(net, v):
 
     A self-loop is a trace internal to the tensor; the executor sums it
     out when the leaf is loaded, so it never appears on an intermediate.
+    The set comes from the network's per-vertex table.
     """
-    return frozenset(e for e in net.edges_of(v) if not net.edge(e).is_loop())
+    return net.leaf_legs(v)
 
 
 def nested_to_pairs(nested, first_id):

@@ -177,6 +177,19 @@ def _size(net, legs):
     return p
 
 
+def sequential_dims_product(net, legs):
+    """Entry count as one float multiply per edge in sorted edge order,
+    stopping at the 2**300 clamp: ``tnplan.costs.dims_product`` before it
+    took exact integer products.  Exact whenever every dimension is a
+    power of two."""
+    value = 1.0
+    for e in sorted(legs):
+        value *= net.edge_dim(e)
+        if value > 2.0 ** 300:
+            return 2.0 ** 300
+    return value
+
+
 class _Node:
     __slots__ = ("legs", "leafset", "children", "ops")
 

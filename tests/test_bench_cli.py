@@ -193,6 +193,19 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: 0})
 
+    @pytest.mark.parametrize("sweep", [(), (1,), (2, 0), (4, -2)])
+    def test_empty_sweep_or_count_below_two_rejected(self, sweep):
+        with pytest.raises(ValueError, match="sweep"):
+            RunConfig(sweep=sweep)
+
+    def test_circuit_smaller_than_every_sweep_count_is_an_error(self):
+        # 2-qubit GHZ yields a 6-tensor network.
+        report = run_pipeline([("ghz-2", ghz_circuit(2))], tiny_cfg(sweep=(7, 99)))
+        assert report["results"] == []
+        (entry,) = report["errors"]
+        assert entry["circuit"] == "ghz-2"
+        assert "[7, 99]" in entry["error"] and "2..6" in entry["error"]
+
     def test_zero_annealing_budget_rejected_for_every_method_list(self):
         # Checked up front, even when no method anneals.
         with pytest.raises(ValueError, match="time_limit"):
@@ -560,6 +573,36 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert not out.exists()
+
+
+class TestRejectedSettings:
+    """Settings that once ran silently and exited 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--partitions", "2", "--imbalance", "-1"],
+            ["anneal", "--partitions", "2", "--iters", "1", "--imbalance", "-1"],
+            ["bench", "--sweep", "1", "--budget-iters", "1", "--repeats", "1"],
+            ["bench", "--sweep", "2", "--budget-iters", "1", "--imbalance", "-1"],
+        ],
+    )
+    def test_exits_one_with_one_error_line(self, tmp_path, ghz_file, capsys, argv):
+        out = tmp_path / "out.json"
+        assert main(argv[:1] + [str(ghz_file), "-o", str(out)] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert not out.exists()
+
+    def test_bench_sweep_past_the_network_reports_an_error(self, tmp_path, ghz_file, capsys):
+        out = tmp_path / "rep.json"
+        argv = ["bench", str(ghz_file), "--sweep", "99", "--budget-iters", "1", "-o", str(out)]
+        assert main(argv) == 1
+        report = json.loads(out.read_text())
+        assert report["results"] == []
+        (entry,) = report["errors"]
+        assert "[99]" in entry["error"] and "|V|" in entry["error"]
 
 
 class TestFlagDefaults:

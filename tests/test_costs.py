@@ -13,6 +13,7 @@ from tnplan.costs import (
     con_par,
     con_serial,
     cost_report,
+    dims_product,
     mem_cost,
     node_ops,
     vertex_congestion,
@@ -29,6 +30,7 @@ from oracles import (
     oracle_serial,
     random_blocks,
     random_nested,
+    sequential_dims_product,
     swapped,
     random_network,
 )
@@ -258,3 +260,37 @@ def test_dist_monotone_in_transfer_cost(seed):
     betas = [0.0, 0.5, 1.0, 4.0]
     costs = [con_dist(tree, blocks, CostConfig(comm_beta=b)) for b in betas]
     assert costs == sorted(costs)
+
+
+def open_legs(dims):
+    """A one-tensor network with the given open axes, and its leg set."""
+    net = TensorNetwork()
+    v = net.add_tensor(dims)
+    return net, frozenset(net.axis_edges(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 10**6), max_size=60))
+def test_dims_product_is_the_exact_product_rounded_once(dims):
+    net, legs = open_legs(dims)
+    exact = math.prod(dims)
+    expected = 2.0 ** 300 if exact > 2 ** 300 else float(exact)
+    assert dims_product(net, legs) == expected
+
+
+def test_dims_product_of_no_legs_is_one():
+    net, legs = open_legs([])
+    assert dims_product(net, legs) == 1.0
+
+
+@pytest.mark.parametrize("dims", [[2] * 301, [10**6] * 51, [3] * 190 + [10**6] * 2])
+def test_dims_product_clamps_past_2_to_the_300(dims):
+    net, legs = open_legs(dims)
+    assert dims_product(net, legs) == 2.0 ** 300
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=40))
+def test_dims_product_matches_sequential_product_on_powers_of_two(exponents):
+    net, legs = open_legs([2**x for x in exponents])
+    assert dims_product(net, legs) == sequential_dims_product(net, legs)

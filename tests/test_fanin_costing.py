@@ -88,3 +88,52 @@ def test_grouped_dimensions_past_float_range_saturate():
     composed = compose_plan_tree(net, parts, reduction)
     blocks = [frozenset({v}) for v in (a, b, c)]
     assert fanin == con_dist(composed, blocks, cost) == 2.0 ** 301
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    beta=st.sampled_from((0.0, 1.0)),
+    mode=st.sampled_from(("naive", "directed")),
+)
+def test_costs_stay_exact_on_dimensions_up_to_1000(seed, beta, mode):
+    # Products of such dimensions pass 2**53, where rounding after every
+    # multiply made the grouped fan-in cost differ from the composed tree's.
+    rng = np.random.default_rng(seed)
+    net = oracles.random_network(rng, n_min=6, n_max=12, max_dim=1000, payloads=False)
+    k = int(rng.integers(2, min(5, net.num_vertices) + 1))
+    cost = CostConfig(comm_beta=beta)
+    cfg = AnnealConfig(
+        workers=1, max_iters=1, mode=mode, cost=cost, seed=seed, check_invariants=True
+    )
+    plan = build_plan(net, initial_partition(net, k, seed=seed), cost_cfg=cost)
+    state = state_from_plan(plan, cfg)
+    assert state.cost == plan.report.con_dist
+    walk = np.random.default_rng(seed + 1)
+    for _ in range(3):
+        state = do_steps(net, 4, state, 1.0, cfg, walk)
+        assert state.cost == con_dist(state.tree, state.partitioning.blocks, cost)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(3, 999), min_size=9, max_size=9))
+def test_three_bonds_per_pair_fan_in_matches_the_composed_tree(dims):
+    # Tensors 0, 1, 2 share three bonds per pair, so every grouped edge of
+    # the fan-in network is a product of three dimensions.
+    groups = {(0, 1): dims[0:3], (0, 2): dims[3:6], (1, 2): dims[6:9]}
+    net = TensorNetwork()
+    for v in range(3):
+        net.add_tensor([d for pair, ds in groups.items() if v in pair for d in ds])
+    next_axis = [0, 0, 0]
+    for (u, v), ds in groups.items():
+        for _ in ds:
+            net.bond(u, next_axis[u], v, next_axis[v])
+            next_axis[u] += 1
+            next_axis[v] += 1
+    legs = [leaf_legs(net, v) for v in range(3)]
+    reduction = reduction_path(net, legs)
+    cost = CostConfig(comm_beta=1.0)
+    fanin = con_dist(reduction, None, cost, subtree_roots=range(3), local_costs=[0.0] * 3)
+    parts = [ContractionTree.from_pairs(net, [], leaves=[v]) for v in range(3)]
+    composed = compose_plan_tree(net, parts, reduction)
+    assert fanin == con_dist(composed, [frozenset({v}) for v in range(3)], cost)

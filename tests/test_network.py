@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnplan.costs import dims_product
 from tnplan.network import OPEN, DisconnectedNetworkError, NetworkError, TensorNetwork
 
 from oracles import random_network
@@ -82,6 +83,31 @@ def test_self_loop_is_admitted_and_counted_per_axis():
     assert net.edges_of(v) == {e, net.axis_edges(v)[2]}
     # loop dim enters the size once per incident axis
     assert net.tensor_size(v) == 3 * 3 * 2
+
+
+def test_leg_tables_follow_a_bond_made_after_a_read():
+    net = TensorNetwork()
+    u = net.add_tensor([2, 5])
+    v = net.add_tensor([5, 3])
+    open_u, open_v = net.axis_edges(u)[1], net.axis_edges(v)[0]
+    assert net.leaf_legs(u) == set(net.axis_edges(u))
+    assert dims_product(net, net.leaf_legs(u)) == 10.0
+    e = net.bond(u, 1, v, 0)
+    assert net.leaf_legs(u) == {net.axis_edges(u)[0], e}
+    assert net.leaf_legs(v) == {e, net.axis_edges(v)[1]}
+    assert open_u not in net.edge_dims and open_v not in net.edge_dims
+    assert net.edge_dims[e] == 5
+    assert dims_product(net, net.leaf_legs(u) | net.leaf_legs(v)) == 30.0
+
+
+def test_self_loop_bonded_after_a_read_leaves_the_leaf_legs():
+    net = TensorNetwork()
+    v = net.add_tensor([3, 3, 2])
+    keep = net.axis_edges(v)[2]
+    assert net.leaf_legs(v) == set(net.axis_edges(v))
+    net.bond(v, 0, v, 1)
+    assert net.leaf_legs(v) == {keep}
+    assert dims_product(net, net.leaf_legs(v)) == 2.0
 
 
 def test_open_edge_constant_marks_dangling_end():

@@ -82,6 +82,13 @@ def test_partition_count_bounds():
     assert sorted(len(b) for b in full.blocks) == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_negative_imbalance_rejected(k):
+    with pytest.raises(ValueError, match="epsilon"):
+        initial_partition(ring(4), k, epsilon=-1.0)
+    assert initial_partition(ring(4), k, epsilon=0.0).epsilon == 0.0
+
+
 def test_balance_limit_formula():
     assert balance_limit(8, 2, 0.0) == 4
     assert balance_limit(8, 2, 0.25) == 5

@@ -259,6 +259,7 @@ MALFORMED = {
     "epsilon-bool": lambda doc: doc.update(epsilon=True),
     "epsilon-not-a-number": lambda doc: doc.update(epsilon="x"),
     "epsilon-nan": lambda doc: doc.update(epsilon=float("nan")),
+    "epsilon-negative": lambda doc: doc.update(epsilon=-1),
     "partition-trees-int": lambda doc: doc.update(partition_trees=5),
     "blocks-string": lambda doc: doc.update(blocks="ab"),
     "blocks-nested-too-deep": lambda doc: doc.update(blocks=[[[0]]]),
