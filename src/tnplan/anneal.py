@@ -56,8 +56,9 @@ class NoMoveError(RuntimeError):
 class AnnealConfig:
     """Annealing settings.
 
-    ``threads`` is kept for compatibility and has no effect: the replicas
-    run one after another in the calling thread.
+    The temperatures are finite with 0 < tf <= t0.  ``threads`` is kept
+    for compatibility and has no effect: the replicas run one after
+    another in the calling thread.
     """
 
     t0: float = 1.0
@@ -75,8 +76,10 @@ class AnnealConfig:
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.t0 <= 0 or self.tf <= 0 or self.tf > self.t0:
-            raise ValueError("temperatures must satisfy 0 < tf <= t0")
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf) and 0 < self.tf <= self.t0):
+            raise ValueError(
+                f"temperatures must be finite with 0 < tf <= t0, got t0={self.t0!r}, tf={self.tf!r}"
+            )
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.workers < 1:

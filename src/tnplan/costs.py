@@ -6,10 +6,9 @@ product of the dimensions over the union of the children's legs.  Every
 entry count (``dims_product``) is the exact integer product of its edges'
 dimensions, rounded once to a 64-bit float, so it does not depend on the
 order of the edges or on how they are grouped; anything past 2**300 is
-clamped and flagged rather than allowed to overflow.  Sums over nodes are
-accumulated in linear floats.  The log2 sums of ``vertex_congestion`` and
-``is_saturated`` iterate in sorted edge order, so they do not depend on how
-a particular set object was assembled.
+clamped and flagged rather than allowed to overflow.  ``vertex_congestion``
+and ``is_saturated`` read the same exact product before it is rounded.
+Sums over nodes are accumulated in linear floats.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ class CostConfig:
 
     ``comm_alpha`` and ``comm_beta`` give the per-message latency and the
     per-entry transfer cost of shipping an intermediate between nodes; both
-    default to 0, which ignores communication.  ``intra_node`` picks the
-    metric used inside one partition: "serial" or "par".
+    are finite and >= 0, and both default to 0, which ignores
+    communication.  ``intra_node`` picks the metric used inside one
+    partition: "serial" or "par".
     """
 
     comm_alpha: float = 0.0
@@ -37,6 +37,10 @@ class CostConfig:
     intra_node: str = "serial"
 
     def __post_init__(self):
+        for name in ("comm_alpha", "comm_beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.intra_node not in ("serial", "par"):
             raise ValueError(f"intra_node must be 'serial' or 'par', got {self.intra_node!r}")
 
@@ -70,15 +74,23 @@ def _finite_or_none(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
+def _exact_product(net, legs):
+    """The exact integer product of the edge dimensions (``net.edge_dims``) over ``legs``."""
+    return math.prod(map(net.edge_dims.__getitem__, legs))
+
+
 def dims_product(net, legs):
-    """Entry count over a leg set: the exact integer product of the edge
-    dimensions (``net.edge_dims``), clamped at 2**300 and rounded once."""
-    value = math.prod(map(net.edge_dims.__getitem__, legs))
+    """Entry count over a leg set: the exact product, clamped at 2**300 and rounded once."""
+    value = _exact_product(net, legs)
     return _SATURATION_VALUE if value > _SATURATION_INT else float(value)
 
 
-def _log2_dims(net, legs):
-    return sum(math.log2(net.edge_dim(e)) for e in sorted(legs))
+def _contracted_legs(tree, t):
+    """The union of the children's legs at internal node ``t``."""
+    ch = tree.children(t)
+    if ch is None:
+        raise ValueError(f"node {t} is a leaf; only contractions have a multiplication count")
+    return tree.legs(ch[0]) | tree.legs(ch[1])
 
 
 def legs_size(tree, t):
@@ -88,11 +100,7 @@ def legs_size(tree, t):
 
 def vertex_congestion(tree, t):
     """log2 of the multiplication count of the contraction at internal ``t``."""
-    ch = tree.children(t)
-    if ch is None:
-        raise ValueError(f"node {t} is a leaf; congestion is defined on contractions")
-    union = tree.legs(ch[0]) | tree.legs(ch[1])
-    return _log2_dims(tree.network, union)
+    return math.log2(_exact_product(tree.network, _contracted_legs(tree, t)))
 
 
 def node_ops(tree, t):
@@ -105,12 +113,7 @@ def node_ops(tree, t):
     memo = tree.scratch.setdefault("ops", {})
     val = memo.get(t)
     if val is None:
-        ch = tree.children(t)
-        if ch is None:
-            raise ValueError(f"node {t} is a leaf; ops are defined on contractions")
-        union = tree.legs(ch[0]) | tree.legs(ch[1])
-        val = dims_product(tree.network, union)
-        memo[t] = val
+        val = memo[t] = dims_product(tree.network, _contracted_legs(tree, t))
     return val
 
 
@@ -224,13 +227,11 @@ def _slowest(parts):
 
 
 def is_saturated(tree):
-    """True when any node size or contraction in the tree hit the 2**300 clamp."""
-    for t in tree.postorder():
-        if _log2_dims(tree.network, tree.legs(t)) > LOG2_SATURATION:
-            return True
-        if tree.children(t) is not None and vertex_congestion(tree, t) > LOG2_SATURATION:
-            return True
-    return False
+    """True when a contraction's exact multiplication count, or a one-leaf
+    tree's tensor size, is past 2**300; no tensor is larger than the
+    contraction that consumes or produces it."""
+    leg_sets = [_contracted_legs(tree, t) for t in tree.internal_nodes()] or [tree.legs(tree.root)]
+    return any(_exact_product(tree.network, legs) > _SATURATION_INT for legs in leg_sets)
 
 
 def _log2_or_ninf(x):

@@ -9,12 +9,13 @@ being contracted is disconnected.  The pass records each merge, and
 ``ContractionTree.from_pairs`` builds the tree from them, as (left, right)
 pairs of tree node ids in merge order.
 
-With a ``GreedyConfig`` the pass runs ``samples`` times with each pair
-score multiplied by log-normal noise, and the sample with the smallest
-serial cost is kept; only ``serial_plan`` asks for that, and only there
-are a pass's merges costed.  The fan-in tree of ``reduction_path`` is one
-deterministic pass, so a plan's fan-in, and the annealer's cost of a
-state, depend on its partition trees alone.
+With a ``GreedyConfig`` the deterministic pass is followed by ``samples``
+passes with each pair score multiplied by log-normal noise, and the pass
+with the smallest serial cost is kept; only ``serial_plan`` asks for
+that, and only there are a pass's merges costed.  The fan-in tree of
+``reduction_path`` is one deterministic pass over ``reduction_network``,
+so a plan's fan-in, and the annealer's cost of a state, depend on its
+partition trees alone.
 """
 
 from __future__ import annotations
@@ -25,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import LOG2_SATURATION, dims_product
-from .network import TensorNetwork
+from .costs import dims_product
 from .tree import ContractionTree, leaf_legs
-
-
-# Clamp for grouped edge dimensions in ``reduction_network``.
-_FAT_DIM_CAP = 2 ** (int(LOG2_SATURATION) + 1)
 
 
 @dataclass
@@ -219,26 +215,27 @@ def greedy_tree(net, view=None, cfg=None):
 
     Edges leaving the view behave as open legs.  Ties on the objective are
     broken toward the pair with the smallest leaf vertex ids.  Without
-    ``cfg`` one deterministic pass runs; with it, the best of
-    ``cfg.samples`` noisy passes by serial cost.  Sample seeds derive from
-    ``cfg.rng_seed`` and the sample index alone, so the sequence of
-    candidate paths is a fixed function of the seed and the best-so-far
-    cost is non-increasing in the sample count.  A view of at most two
-    pieces has one possible tree and always gets a single pass.
+    ``cfg`` one deterministic pass runs; with it, that pass competes with
+    ``cfg.samples`` noisy passes and the one of least serial cost wins,
+    ties going to the earlier pass, so the search is never worse than the
+    deterministic pass.  Sample seeds derive from ``cfg.rng_seed`` and the
+    sample index alone, so the sequence of candidate paths is a fixed
+    function of the seed and the best-so-far cost is non-increasing in the
+    sample count.  A view of at most two pieces has one possible tree and
+    always gets a single pass.
     """
     if view is None:
         view = net.vertices()
     pieces = [(v, leaf_legs(net, v)) for v in sorted(view)]
     sizes = {}
-    if cfg is None or len(pieces) <= 2:
-        best = _greedy_pass(net, pieces, sizes)
-    else:
-        best = None
+    best = _greedy_pass(net, pieces, sizes)
+    if cfg is not None and len(pieces) > 2:
+        best_ops = best.total_ops()
         for s in range(cfg.samples):
             rng = _sample_rng(cfg.rng_seed, s)
             forest = _greedy_pass(net, pieces, sizes, rng, cfg.noise_scale)
             ops = forest.total_ops()
-            if best is None or ops < best_ops:
+            if ops < best_ops:
                 best, best_ops = forest, ops
     return ContractionTree.from_pairs(net, best.pairs(), leaves=[v for v, _ in pieces])
 
@@ -248,50 +245,54 @@ def random_greedy_tree(net, view=None, cfg=None):
     return greedy_tree(net, view, cfg or GreedyConfig())
 
 
-def reduction_network(net, partition_legs):
-    """A network of one pseudo-tensor per partition, wired by grouped edges.
+class FanInNetwork:
+    """The network of a fan-in tree: vertex ``i`` is partition ``i``, its
+    legs are integer group ids, and ``edge_dims[g]`` is group ``g``'s exact
+    integer size.  It has only what ``tree.py`` asks of a network."""
 
-    The original edges shared by partitions ``i`` and ``j`` become one
-    bond between pseudo-vertices ``i`` and ``j``, and the open legs of
-    partition ``i`` one open axis of ``i``.  A group's dimension is the
-    exact product of its edges' dimensions, read from ``net.edge_dims``
-    and clamped at 2**301: past the 2**300 cost saturation, so any product
-    over it still saturates, while the integers stay small.  The edges of
-    a group are always legs of the same pieces, and ``dims_product``
-    multiplies exactly, so every leg product, and hence every greedy score
-    and cost, is bit for bit the one over the original edges.
-    Pseudo-vertex ``i`` has one axis per group it belongs to, in sorted
-    group order.
+    def __init__(self, legs, edge_dims):
+        self.num_vertices = len(legs)
+        self.edge_dims = edge_dims
+        self._legs = legs
+
+    def vertices(self):
+        return range(self.num_vertices)
+
+    def leaf_legs(self, v):
+        return self._legs[v]
+
+
+def reduction_network(net, partition_legs):
+    """The ``FanInNetwork`` over the partition result tensors.
+
+    The edges shared by partitions ``i`` and ``j`` form one group, a leg of
+    both, and the open legs of ``i`` one group, a leg of ``i`` alone; a
+    group's size is the product of its edges' dimensions.  A group's
+    edges are always legs of the same pieces and ``dims_product``
+    multiplies exactly, so every greedy score and cost is bit for bit the
+    one over the original edges.  An edge held by three or more partitions
+    is a ``ValueError``.
     """
     holders = {}
     for i, legs in enumerate(partition_legs):
         for e in legs:
-            holders.setdefault(e, []).append(i)
-    dims = net.edge_dims
-    groups = {}  # (i,) for open legs of i, (i, j) with i < j for a bond
-    for e in sorted(holders):
-        ends = tuple(holders[e])
+            holders[e] = holders.get(e, ()) + (i,)
+    groups = {}  # (i,) for the open legs of i, (i, j) with i < j for a bond -> size
+    for e, ends in holders.items():
         if len(ends) > 2:
             raise ValueError(f"edge {e} appears in {len(ends)} partitions")
-        groups[ends] = min(groups.get(ends, 1) * dims[e], _FAT_DIM_CAP)
-    axes = [[] for _ in partition_legs]
-    for ends in sorted(groups):
+        groups[ends] = groups.get(ends, 1) * net.edge_dims[e]
+    legs = [set() for _ in partition_legs]
+    for g, ends in enumerate(groups):
         for i in ends:
-            axes[i].append(ends)
-    pseudo = TensorNetwork()
-    for keys in axes:
-        pseudo.add_tensor([groups[ends] for ends in keys])
-    for ends in sorted(groups):
-        if len(ends) == 2:
-            i, j = ends
-            pseudo.bond(i, axes[i].index(ends), j, axes[j].index(ends))
-    return pseudo
+            legs[i].add(g)
+    return FanInNetwork([frozenset(l) for l in legs], list(groups.values()))
 
 
 def reduction_path(net, partition_legs):
     """Fan-in contraction tree over partition result tensors.
 
-    One deterministic greedy pass over the pseudo-network of
+    One deterministic greedy pass over the fan-in network of
     ``reduction_network``; the tree's leaf ids are partition indices.
     With one partition this is the trivial single-node tree.
     """

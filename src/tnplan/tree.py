@@ -10,6 +10,10 @@ the children's legs, so edges shared by the two operands are summed away.
 A tree built over a subset of the vertices (a view) treats edges leaving
 the view as open: they survive to the view root's legs.
 
+A tree reads ``num_vertices``, ``vertices()``, ``leaf_legs(v)`` (a frozenset
+of int edge ids) and, in the cost functions, ``edge_dims[e]`` of its network:
+a ``TensorNetwork`` or the fan-in network of ``pathfind.reduction_network``.
+
 A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 ``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node
 ``num_vertices + j``.  Every tree is built by ``from_pairs``, which stores
@@ -31,7 +35,6 @@ def leaf_legs(net, v):
 
     A self-loop is a trace internal to the tensor; the executor sums it
     out when the leaf is loaded, so it never appears on an intermediate.
-    The set comes from the network's per-vertex table.
     """
     return net.leaf_legs(v)
 
@@ -135,7 +138,7 @@ class ContractionTree:
         return cls.from_pairs(network, pairs, leaves)
 
     def _add_leaf(self, v):
-        if v not in self.network._axis_edges:
+        if v not in self.network.vertices():
             raise NetworkError(f"no vertex {v} in the network")
         if v in self._children:
             raise TreeError(f"vertex {v} appears twice as a leaf")

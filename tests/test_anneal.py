@@ -165,6 +165,10 @@ class TestAnnealConfig:
             AnnealConfig(t0=1.0, tf=2.0)
         with pytest.raises(ValueError, match="temperatures"):
             AnnealConfig(tf=-1.0)
+        nan, inf = float("nan"), float("inf")
+        for t0, tf in ((nan, nan), (nan, 0.001), (1.0, nan), (inf, 0.001), (inf, inf)):
+            with pytest.raises(ValueError, match="temperatures"):
+                AnnealConfig(t0=t0, tf=tf)
 
     def test_bad_steps_and_threshold(self):
         with pytest.raises(ValueError, match="steps"):

@@ -585,6 +585,14 @@ class TestRejectedSettings:
             ["anneal", "--partitions", "2", "--iters", "1", "--imbalance", "-1"],
             ["bench", "--sweep", "1", "--budget-iters", "1", "--repeats", "1"],
             ["bench", "--sweep", "2", "--budget-iters", "1", "--imbalance", "-1"],
+            ["plan", "--partitions", "2", "--comm-beta", "nan"],
+            ["plan", "--partitions", "2", "--comm-beta", "-5"],
+            ["plan", "--comm-alpha", "inf"],
+            ["anneal", "--partitions", "2", "--iters", "1", "--comm-alpha", "-1"],
+            ["anneal", "--partitions", "2", "--iters", "1", "--t0", "nan", "--tf", "nan"],
+            ["anneal", "--partitions", "2", "--iters", "1", "--t0", "inf"],
+            ["bench", "--sweep", "2", "--budget-iters", "1", "--comm-beta", "nan"],
+            ["bench", "--sweep", "2", "--budget-iters", "1", "--comm-alpha", "-1"],
         ],
     )
     def test_exits_one_with_one_error_line(self, tmp_path, ghz_file, capsys, argv):
@@ -594,6 +602,13 @@ class TestRejectedSettings:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert not out.exists()
+
+    def test_anneal_with_nan_temperatures_writes_no_trace(self, tmp_path, ghz_file, capsys):
+        trace = tmp_path / "t.jsonl"
+        argv = ["anneal", str(ghz_file), "--partitions", "2", "--iters", "1",
+                "--t0", "nan", "--tf", "nan", "--trace", str(trace), "-o", str(tmp_path / "p.json")]
+        assert main(argv) == 1
+        assert not trace.exists()
 
     def test_bench_sweep_past_the_network_reports_an_error(self, tmp_path, ghz_file, capsys):
         out = tmp_path / "rep.json"

@@ -159,6 +159,31 @@ def test_saturation_flags_huge_networks():
     assert rep.con_serial == 2.0 ** 300
 
 
+@pytest.mark.parametrize("n_tensors", [1, 2])
+@pytest.mark.parametrize("dims, saturated", [([2 ** 150 + 1, 2 ** 150], True), ([2 ** 150] * 2, False)])
+def test_saturated_exactly_when_a_count_passes_2_to_the_300(n_tensors, dims, saturated):
+    # (2**150 + 1) * 2**150 rounds to 2.0**300, and so does the sum of the
+    # two dimensions' float log2s: only the exact product is past the clamp.
+    # Two tensors bond both axes (one contraction); one tensor is a one-leaf tree.
+    net = TensorNetwork()
+    for _ in range(n_tensors):
+        net.add_tensor(dims)
+    if n_tensors == 2:
+        net.bond(0, 0, 1, 0)
+        net.bond(0, 1, 1, 1)
+    rep = cost_report(ContractionTree.from_nested(net, [0, 1] if n_tensors == 2 else 0))
+    assert (rep.con_serial if n_tensors == 2 else rep.mem) == 2.0 ** 300
+    assert rep.saturated is saturated
+
+
+@pytest.mark.parametrize("field", ["comm_alpha", "comm_beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -5.0, -1e-300])
+def test_cost_config_rejects_non_finite_or_negative_comm(field, value):
+    with pytest.raises(ValueError, match=field):
+        CostConfig(**{field: value})
+    assert getattr(CostConfig(**{field: 0.0}), field) == 0.0
+
+
 def test_one_partition_report_is_serial():
     net = four_chain()
     tree = ContractionTree.from_nested(net, [[0, 1], [2, 3]])

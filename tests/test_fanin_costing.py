@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import oracles
 from tnplan.anneal import AnnealConfig, do_steps, state_from_plan
-from tnplan.costs import CostConfig, con_dist
+from tnplan.costs import CostConfig, con_dist, dims_product
 from tnplan.network import TensorNetwork
 from tnplan.partition import initial_partition
-from tnplan.pathfind import greedy_tree, reduction_path
+from tnplan.pathfind import greedy_tree, reduction_network, reduction_path
 from tnplan.plan import build_plan
 from tnplan.tree import ContractionTree, compose_plan_tree, leaf_legs
 
@@ -65,6 +65,16 @@ def test_grouped_fanin_search_matches_ungrouped_reference(seed):
     legs = [t.legs(t.root) for t in (greedy_tree(net, view=set(b)) for b in blocks)]
     got = oracles.to_nested(reduction_path(net, legs))
     assert got == oracles.reference_reduction_nested(net, legs)
+    # Every set of partition results has the same entry count over the
+    # grouped fan-in legs as over the original edges.
+    fanin = reduction_network(net, legs)
+    for subset in range(1, 1 << k):
+        grouped = original = frozenset()
+        for i in range(k):
+            if subset >> i & 1:
+                grouped ^= fanin.leaf_legs(i)
+                original ^= legs[i]
+        assert dims_product(fanin, grouped) == dims_product(net, original)
 
 
 def test_grouped_dimensions_past_float_range_saturate():

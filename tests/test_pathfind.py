@@ -10,8 +10,10 @@ from tnplan.corpus import ghz_circuit
 from tnplan.costs import con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
-from tnplan.pathfind import GreedyConfig, greedy_tree, random_greedy_tree, reduction_path
-from tnplan.plan import build_plan
+from tnplan.pathfind import (
+    GreedyConfig, greedy_tree, random_greedy_tree, reduction_network, reduction_path,
+)
+from tnplan.plan import build_plan, serial_plan
 
 from oracles import random_blocks, random_network, to_nested
 
@@ -92,6 +94,15 @@ def test_random_greedy_cost_non_increasing_in_samples(seed):
         tree = random_greedy_tree(net, cfg=GreedyConfig(samples=s, rng_seed=seed))
         costs.append(con_serial(tree))
     assert costs[0] >= costs[1] >= costs[2]
+    assert con_serial(greedy_tree(net)) >= costs[0]
+
+
+def test_noisy_serial_search_keeps_a_better_deterministic_pass():
+    # On ghz-8 the best of the 32 default noisy passes costs 210, the deterministic one 202.
+    net = circuit_to_network(ghz_circuit(8))
+    assert con_serial(greedy_tree(net)) == 202.0
+    assert con_serial(random_greedy_tree(net, cfg=GreedyConfig())) == 202.0
+    assert serial_plan(net, cfg=GreedyConfig()).report.con_serial == 202.0
 
 
 def test_random_greedy_without_noise_equals_plain_greedy():
@@ -106,6 +117,13 @@ def test_greedy_tree_builds_deep_trees_without_recursion():
     assert len(tree.leaves()) == net.num_vertices
     assert tree.leaf_mask(tree.root) == (1 << net.num_vertices) - 1
     assert tree.legs(tree.root) == net.open_edges()
+
+
+def test_reduction_network_rejects_an_edge_in_three_partitions():
+    net = path4()
+    legs = net.leaf_legs(1)
+    with pytest.raises(ValueError, match="appears in 3 partitions"):
+        reduction_network(net, [legs, legs, legs])
 
 
 def test_reduction_path_short_circuits_small_cases():
