@@ -56,9 +56,10 @@ class NoMoveError(RuntimeError):
 class AnnealConfig:
     """Annealing settings.
 
-    The temperatures are finite with 0 < tf <= t0.  ``threads`` is kept
-    for compatibility and has no effect: the replicas run one after
-    another in the calling thread.
+    The temperatures are finite with 0 < tf <= t0.  ``time_limit`` is
+    finite, and positive unless ``max_iters`` sets the budget.
+    ``threads`` is kept for compatibility and has no effect: the replicas
+    run one after another in the calling thread.
     """
 
     t0: float = 1.0
@@ -88,6 +89,8 @@ class AnnealConfig:
             raise ValueError(f"mode must be 'naive' or 'directed', got {self.mode!r}")
         if self.metric not in ("dist", "serial", "par"):
             raise ValueError(f"metric must be dist, serial or par, got {self.metric!r}")
+        if not math.isfinite(self.time_limit):
+            raise ValueError(f"time_limit must be finite, got {self.time_limit!r}")
         if self.max_iters <= 0 and self.time_limit <= 0:
             raise ValueError("either max_iters or a positive time_limit is required")
         if self.restart_threshold < 1:

@@ -153,14 +153,7 @@ def cmd_plan(args):
 
 
 def cmd_anneal(args):
-    net = _load_network(args.network, amplitude=args.amplitude)
     cost_cfg = _cost_config(args)
-    if args.plan:
-        plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)
-    elif args.partitions <= 1:
-        raise ValueError("anneal needs --plan or --partitions >= 2")
-    else:
-        plan = _partitioned_plan(net, args, cost_cfg)
     cfg = AnnealConfig(
         t0=args.t0,
         tf=args.tf,
@@ -175,6 +168,13 @@ def cmd_anneal(args):
         cost=cost_cfg,
         threads=args.threads,
     )
+    net = _load_network(args.network, amplitude=args.amplitude)
+    if args.plan:
+        plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)
+    elif args.partitions <= 1:
+        raise ValueError("anneal needs --plan or --partitions >= 2")
+    else:
+        plan = _partitioned_plan(net, args, cost_cfg)
     initial_cost = _metric_value(plan.report, args.cost_metric)
     refined, trace = refine_plan(net, plan, cfg)
     if args.trace:

@@ -4,9 +4,10 @@ All metrics derive from one quantity per internal tree node: the number of
 scalar multiplications of that pairwise contraction, which equals the
 product of the dimensions over the union of the children's legs.  Every
 entry count (``dims_product``) is the exact integer product of its edges'
-dimensions, rounded once to a 64-bit float, so it does not depend on the
-order of the edges or on how they are grouped; anything past 2**300 is
-clamped and flagged rather than allowed to overflow.  ``vertex_congestion``
+dimensions, rounded once to a 64-bit float by ``rounded_count``, so it
+does not depend on the order of the edges or on how they are grouped;
+anything past 2**300 is clamped and flagged rather than allowed to
+overflow.  ``vertex_congestion``
 and ``is_saturated`` read the same exact product before it is rounded.
 Sums over nodes are accumulated in linear floats.
 """
@@ -79,10 +80,16 @@ def _exact_product(net, legs):
     return math.prod(map(net.edge_dims.__getitem__, legs))
 
 
+def rounded_count(value):
+    """An exact integer entry or multiplication count as a float: clamped
+    at 2**300, otherwise rounded once.  The one rounding rule of every size
+    and cost, in ``dims_product`` and in the greedy pass."""
+    return _SATURATION_VALUE if value > _SATURATION_INT else float(value)
+
+
 def dims_product(net, legs):
     """Entry count over a leg set: the exact product, clamped at 2**300 and rounded once."""
-    value = _exact_product(net, legs)
-    return _SATURATION_VALUE if value > _SATURATION_INT else float(value)
+    return rounded_count(_exact_product(net, legs))
 
 
 def _contracted_legs(tree, t):

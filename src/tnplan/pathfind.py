@@ -7,7 +7,8 @@ candidates; pairs with nothing in common (outer products) are considered
 only once no adjacent pair is left, which happens exactly when the view
 being contracted is disconnected.  The pass records each merge, and
 ``ContractionTree.from_pairs`` builds the tree from them, as (left, right)
-pairs of tree node ids in merge order.
+pairs of tree node ids in merge order.  A pass works on exact integer
+sizes, not leg sets (``_Forest``), rounded as ``costs.rounded_count`` does.
 
 With a ``GreedyConfig`` the deterministic pass is followed by ``samples``
 passes with each pair score multiplied by log-normal noise, and the pass
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import dims_product
+# dims_product is unused here but stays importable: perfbench's tracer wraps it.
+from .costs import dims_product, rounded_count  # noqa: F401
 from .tree import ContractionTree, leaf_legs
 
 
@@ -55,7 +57,7 @@ def _sample_rng(seed, index):
 
 
 class _Forest:
-    """Mutable piece set for one greedy pass.
+    """Mutable piece set for one greedy pass, on exact integer sizes.
 
     Pieces are immutable once created: a merge retires both operands and
     appends a fresh piece, so a heap entry stays valid exactly while both
@@ -63,66 +65,75 @@ class _Forest:
     to ``merges``, and the new piece takes the node id ``from_pairs``
     gives it.
 
-    A piece's legs are the symmetric difference of its leaves' legs, so
-    its entry count depends only on the bitmask of leaves it covers.
-    ``sizes`` caches entry counts by that mask; the passes of one search
-    share it, so a pair scored once is never re-sized.
+    Piece ``p`` keeps ``entries[p]``, the exact integer entry count E of
+    its tensor, and ``shared[p]``, which maps every piece sharing an edge
+    with it to X, the exact product of the dimensions they share; an edge
+    is held by at most two pieces.  The legs of a merge are the symmetric
+    difference of its operands' legs and the multiplications run over
+    their union, so
+
+        E(A u B) = E(A) * E(B) / X(A, B)**2,   ops(A, B) = E(A) * E(B) / X(A, B),
+
+    both exact.  Two pieces are adjacent when one is a key of the other's
+    table, so bonds of dimension 1 and parallel bonds count as any other.
     """
 
-    def __init__(self, net, pieces, sizes):
-        self.net = net
-        self.sizes = sizes
-        self.legs = []
-        self.mask = []
+    def __init__(self, net, pieces):
+        self.first_node = net.num_vertices
+        self.entries = []
+        self.shared = []
         self.node = []
         self.rep = []
         self.size = []
         self.alive = []
         self.merges = []
-        self.holders = {}
-        for pos, (key, legs) in enumerate(pieces):
-            idx = self._append(legs, 1 << pos, key, key)
+        holder = {}  # edge -> the piece seen holding it
+        for p, (key, legs) in enumerate(pieces):
+            table = {}
+            entries = 1
             for e in legs:
-                self.holders.setdefault(e, set()).add(idx)
+                d = net.edge_dims[e]
+                entries *= d
+                q = holder.setdefault(e, p)
+                if q != p:
+                    table[q] = table.get(q, 1) * d
+                    self.shared[q][p] = table[q]
+            self._append(entries, table, key, key)
 
-    def _size(self, mask, legs):
-        size = self.sizes.get(mask)
-        if size is None:
-            size = self.sizes[mask] = dims_product(self.net, legs)
-        return size
-
-    def _append(self, legs, mask, node, rep):
-        idx = len(self.legs)
-        self.legs.append(legs)
-        self.mask.append(mask)
+    def _append(self, entries, table, node, rep):
+        self.entries.append(entries)
+        self.shared.append(table)
         self.node.append(node)
         self.rep.append(rep)
-        self.size.append(self._size(mask, legs))
+        self.size.append(rounded_count(entries))
         self.alive.append(True)
-        return idx
+        return len(self.entries) - 1
 
     def score(self, i, j):
-        mask = self.mask[i] | self.mask[j]
-        result = self.sizes.get(mask)
-        if result is None:
-            result = self.sizes[mask] = dims_product(self.net, self.legs[i] ^ self.legs[j])
+        x = self.shared[i].get(j, 1)
+        result = rounded_count(self.entries[i] * self.entries[j] // (x * x))
         return self.size[i] + self.size[j] - result
 
     def merge(self, i, j):
         """Contract pieces ``i`` and ``j``, ``i`` holding the smaller leaf
         vertex, so it becomes the left child; returns the new piece index."""
-        li, lj = self.legs[i], self.legs[j]
+        si, sj = self.shared[i], self.shared[j]
+        x = si.get(j, 1)
+        table = dict(si)
+        for nb, d in sj.items():
+            table[nb] = table.get(nb, 1) * d
+        table.pop(i, None)
+        table.pop(j, None)
         self.merges.append((i, j))
-        node = self.net.num_vertices + len(self.merges) - 1
-        idx = self._append(li ^ lj, self.mask[i] | self.mask[j], node, self.rep[i])
+        node = self.first_node + len(self.merges) - 1
+        idx = self._append(self.entries[i] * self.entries[j] // (x * x), table, node, self.rep[i])
         self.alive[i] = False
         self.alive[j] = False
-        for e in li | lj:
-            hs = self.holders[e]
-            hs.discard(i)
-            hs.discard(j)
-        for e in self.legs[idx]:
-            self.holders.setdefault(e, set()).add(idx)
+        for nb, d in table.items():
+            other = self.shared[nb]
+            other.pop(i, None)
+            other.pop(j, None)
+            other[idx] = d
         return idx
 
     def pairs(self):
@@ -133,29 +144,19 @@ class _Forest:
         """Multiplications of the merges, summed in merge order."""
         total = 0.0
         for i, j in self.merges:
-            total += dims_product(self.net, self.legs[i] | self.legs[j])
+            total += rounded_count(self.entries[i] * self.entries[j] // self.shared[i].get(j, 1))
         return total
 
-    def neighbors(self, idx):
-        out = set()
-        for e in self.legs[idx]:
-            for h in self.holders.get(e, ()):
-                if h != idx:
-                    out.add(h)
-        return sorted(out)
 
-
-def _greedy_pass(net, pieces, sizes, rng=None, noise_scale=0.0):
+def _greedy_pass(net, pieces, rng=None, noise_scale=0.0):
     """One full greedy pass over ``pieces`` (a list of (key, legs)).
 
-    ``sizes`` is the entry-count cache of ``_Forest``; pass the same dict
-    to every pass over the same pieces.  Returns the finished forest,
-    whose ``pairs()`` and ``total_ops()`` are the pass's merges and
-    multiplications.
+    Returns the finished forest, whose ``pairs()`` and ``total_ops()`` are
+    the pass's merges and multiplications.
     """
     if not pieces:
         raise ValueError("nothing to contract")
-    forest = _Forest(net, pieces, sizes)
+    forest = _Forest(net, pieces)
 
     noisy = rng is not None and noise_scale > 0.0
 
@@ -172,13 +173,7 @@ def _greedy_pass(net, pieces, sizes, rng=None, noise_scale=0.0):
         s = perturbed(forest.score(i, j))
         heapq.heappush(heap, (-s, forest.rep[i], forest.rep[j], i, j))
 
-    seeds = set()
-    for e in sorted(forest.holders):
-        hs = forest.holders[e]
-        if len(hs) == 2:
-            a, b = sorted(hs)
-            seeds.add((a, b))
-    for a, b in sorted(seeds):
+    for a, b in sorted((a, b) for a, table in enumerate(forest.shared) for b in table if a < b):
         push(a, b)
 
     n_alive = len(pieces)
@@ -188,7 +183,7 @@ def _greedy_pass(net, pieces, sizes, rng=None, noise_scale=0.0):
             continue
         idx = forest.merge(i, j)
         n_alive -= 1
-        for nb in forest.neighbors(idx):
+        for nb in sorted(forest.shared[idx]):
             push(idx, nb)
 
     # Disconnected view: the survivors share no edges, contract by outer
@@ -227,13 +222,12 @@ def greedy_tree(net, view=None, cfg=None):
     if view is None:
         view = net.vertices()
     pieces = [(v, leaf_legs(net, v)) for v in sorted(view)]
-    sizes = {}
-    best = _greedy_pass(net, pieces, sizes)
+    best = _greedy_pass(net, pieces)
     if cfg is not None and len(pieces) > 2:
         best_ops = best.total_ops()
         for s in range(cfg.samples):
             rng = _sample_rng(cfg.rng_seed, s)
-            forest = _greedy_pass(net, pieces, sizes, rng, cfg.noise_scale)
+            forest = _greedy_pass(net, pieces, rng, cfg.noise_scale)
             ops = forest.total_ops()
             if ops < best_ops:
                 best, best_ops = forest, ops
@@ -268,8 +262,8 @@ def reduction_network(net, partition_legs):
     The edges shared by partitions ``i`` and ``j`` form one group, a leg of
     both, and the open legs of ``i`` one group, a leg of ``i`` alone; a
     group's size is the product of its edges' dimensions.  A group's
-    edges are always legs of the same pieces and ``dims_product``
-    multiplies exactly, so every greedy score and cost is bit for bit the
+    edges are always legs of the same pieces and every size is an exact
+    integer product, so every greedy score and cost is bit for bit the
     one over the original edges.  An edge held by three or more partitions
     is a ``ValueError``.
     """

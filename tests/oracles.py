@@ -9,11 +9,12 @@ tree specs.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
-from tnplan.costs import node_ops
+from tnplan.costs import dims_product, node_ops
 from tnplan.network import TensorNetwork
 from tnplan.pathfind import greedy_tree, reduction_network
 from tnplan.tree import ContractionTree
@@ -351,6 +352,75 @@ def reference_reduction_nested(net, partition_legs):
 
 
 # ---------------------------------------------------------------------------
+# greedy pass over leg sets
+
+def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
+    """``tnplan.pathfind._greedy_pass`` over leg sets.
+
+    Every piece keeps its legs as a frozenset; a score sizes the two
+    operands and their symmetric difference with ``dims_product``, and a
+    merge's multiplications are ``dims_product`` of the union.  Heap keys,
+    tie-breaks, noise draws and the outer-product phase are those of the
+    package.  Returns the merges as (left, right) node ids and their
+    multiplications summed in merge order.
+    """
+    legs = [l for _, l in pieces]
+    rep = [key for key, _ in pieces]
+    node = list(rep)
+    alive = [True] * len(pieces)
+    pairs = []
+    total = 0.0
+
+    def score(i, j):
+        result = dims_product(net, legs[i] ^ legs[j])
+        s = dims_product(net, legs[i]) + dims_product(net, legs[j]) - result
+        if rng is not None and noise_scale > 0.0:
+            s *= math.exp(noise_scale * rng.standard_normal())
+        return s
+
+    def key(i, j):
+        return (-score(i, j), rep[i], rep[j])
+
+    def merge(i, j):
+        nonlocal total
+        total += dims_product(net, legs[i] | legs[j])
+        pairs.append((node[i], node[j]))
+        legs.append(legs[i] ^ legs[j])
+        rep.append(rep[i])
+        node.append(net.num_vertices + len(pairs) - 1)
+        alive.append(True)
+        alive[i] = alive[j] = False
+        return len(legs) - 1
+
+    heap = []
+
+    def push(i, j):
+        if rep[i] > rep[j]:
+            i, j = j, i
+        heapq.heappush(heap, key(i, j) + (i, j))
+
+    for a in range(len(pieces)):
+        for b in range(a + 1, len(pieces)):
+            if legs[a] & legs[b]:
+                push(a, b)
+    n_alive = len(pieces)
+    while heap and n_alive > 1:
+        *_, i, j = heapq.heappop(heap)
+        if alive[i] and alive[j]:
+            idx = merge(i, j)
+            n_alive -= 1
+            for nb in range(idx):
+                if alive[nb] and legs[nb] & legs[idx]:
+                    push(idx, nb)
+    while n_alive > 1:
+        live = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
+        best = min((key(i, j), i, j) for x, i in enumerate(live) for j in live[x + 1:])
+        merge(best[1], best[2])
+        n_alive -= 1
+    return pairs, total
+
+
+# ---------------------------------------------------------------------------
 # random instance generators
 
 def random_network(rng, n_min=2, n_max=12, max_dim=4, max_degree=6,
@@ -407,6 +477,32 @@ def random_network(rng, n_min=2, n_max=12, max_dim=4, max_degree=6,
         net.add_tensor(dims, data)
     for idx in range(len(edges)):
         (u, a), (v, b) = slots[idx]
+        net.bond(u, a, v, b)
+    return net
+
+
+def random_bond_network(rng, n_max=10, scale=1):
+    """A random network, often disconnected, whose bonds may have dimension
+    1 or run in parallel, with some open axes; every dimension is a draw
+    from 1..4 times ``scale``, so a large ``scale`` passes the 2**300 clamp."""
+    n = int(rng.integers(1, n_max + 1))
+    drawn = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
+    bonds = [(int(u), int(v)) for u, v in drawn if u != v]
+    bonds += [b for b in bonds if rng.random() < 0.3]
+    axes = [[] for _ in range(n)]  # per vertex: dims of its axes
+    ends = []
+    for u, v in bonds:
+        d = scale * int(rng.integers(1, 5))
+        ends.append(((u, len(axes[u])), (v, len(axes[v]))))
+        axes[u].append(d)
+        axes[v].append(d)
+    for dims in axes:
+        if rng.random() < 0.3:
+            dims.append(scale * int(rng.integers(1, 5)))
+    net = TensorNetwork()
+    for dims in axes:
+        net.add_tensor(dims)
+    for (u, a), (v, b) in ends:
         net.bond(u, a, v, b)
     return net
 

@@ -195,6 +195,13 @@ class TestAnnealConfig:
         AnnealConfig(max_iters=5, time_limit=0.0)
         AnnealConfig(max_iters=0, time_limit=1.0)
 
+    def test_time_limit_must_be_finite(self):
+        # nan once failed at the first temperature; inf with max_iters=0 never stopped.
+        for limit in (float("nan"), float("inf"), float("-inf")):
+            for iters in (0, 5):
+                with pytest.raises(ValueError, match="time_limit must be finite"):
+                    AnnealConfig(max_iters=iters, time_limit=limit)
+
 
 # ---------------------------------------------------------------------------
 # directed target selection

@@ -211,6 +211,10 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="time_limit"):
             RunConfig(methods=("partition-only",), budget_seconds=0.0, budget_iters=0)
 
+    def test_unbounded_annealing_budget_rejected(self):
+        with pytest.raises(ValueError, match="time_limit must be finite"):
+            RunConfig(budget_seconds=float("inf"), budget_iters=0)
+
     def test_runs_copy_the_one_anneal_config(self):
         cfg = tiny_cfg(cost=CostConfig(comm_beta=2.0))
         assert cfg.anneal == AnnealConfig(
@@ -601,6 +605,20 @@ class TestRejectedSettings:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["anneal", "--partitions", "2", "--time-limit", "nan"],
+            ["bench", "--sweep", "2", "--budget-seconds", "nan"],
+        ],
+    )
+    def test_nan_time_budget_is_rejected_before_any_run(self, tmp_path, ghz_file, capsys, argv):
+        out = tmp_path / "out.json"
+        assert main(argv[:1] + [str(ghz_file), "-o", str(out)] + argv[1:]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: time_limit must be finite"), lines
         assert not out.exists()
 
     def test_anneal_with_nan_temperatures_writes_no_trace(self, tmp_path, ghz_file, capsys):

@@ -11,11 +11,14 @@ from tnplan.costs import con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import (
-    GreedyConfig, greedy_tree, random_greedy_tree, reduction_network, reduction_path,
+    GreedyConfig, _greedy_pass, greedy_tree, random_greedy_tree, reduction_network, reduction_path,
 )
 from tnplan.plan import build_plan, serial_plan
+from tnplan.tree import leaf_legs
 
-from oracles import random_blocks, random_network, to_nested
+from oracles import (
+    random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
+)
 
 
 def chain_net():
@@ -117,6 +120,28 @@ def test_greedy_tree_builds_deep_trees_without_recursion():
     assert len(tree.leaves()) == net.num_vertices
     assert tree.leaf_mask(tree.root) == (1 << net.num_vertices) - 1
     assert tree.legs(tree.root) == net.open_edges()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), source=st.sampled_from(("view", "fanin")), noisy=st.booleans())
+def test_greedy_pass_matches_the_leg_set_reference(seed, source, noisy):
+    rng = np.random.default_rng(seed)
+    if source == "view":
+        # Random views of networks with dimension-1 and parallel bonds,
+        # often disconnected, some past the 2**300 clamp.
+        net = random_bond_network(rng, scale=2**100 if rng.random() < 0.2 else 1)
+        view = [v for v in net.vertices() if rng.random() < 0.7] or [0]
+    else:
+        base = random_network(rng, n_min=6, payloads=False)
+        k = int(rng.integers(2, min(6, base.num_vertices) + 1))
+        blocks = random_blocks(rng, base.vertices(), k)
+        trees = [greedy_tree(base, set(b)) for b in blocks]
+        net = reduction_network(base, [t.legs(t.root) for t in trees])
+        view = net.vertices()
+    pieces = [(v, leaf_legs(net, v)) for v in view]
+    draws = [np.random.default_rng(seed) if noisy else None for _ in range(2)]
+    got = _greedy_pass(net, pieces, draws[0], 0.3)
+    assert (got.pairs(), got.total_ops()) == reference_greedy_pass(net, pieces, draws[1], 0.3)
 
 
 def test_reduction_network_rejects_an_edge_in_three_partitions():
