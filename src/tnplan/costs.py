@@ -81,9 +81,7 @@ def _exact_product(net, legs):
 
 
 def rounded_count(value):
-    """An exact integer entry or multiplication count as a float: clamped
-    at 2**300, otherwise rounded once.  The one rounding rule of every size
-    and cost, in ``dims_product`` and in the greedy pass."""
+    """An exact integer count as a float: clamped at 2**300, else rounded once."""
     return _SATURATION_VALUE if value > _SATURATION_INT else float(value)
 
 

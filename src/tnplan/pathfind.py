@@ -141,7 +141,8 @@ class _Forest:
         return [(self.node[i], self.node[j]) for i, j in self.merges]
 
     def total_ops(self):
-        """Multiplications of the merges, summed in merge order."""
+        """Multiplications of the merges, summed in merge order.  A retired
+        piece's table is never edited again, so it still holds X."""
         total = 0.0
         for i, j in self.merges:
             total += rounded_count(self.entries[i] * self.entries[j] // self.shared[i].get(j, 1))
