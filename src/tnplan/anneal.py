@@ -229,7 +229,7 @@ def select_neighbor(net, state, cfg, rng):
     new_blocks = list(blocks)
     new_blocks[k_src] = blocks[k_src] - moved
     new_blocks[k_dst] = blocks[k_dst] | moved
-    partitioning = Partitioning(new_blocks, state.partitioning.epsilon)
+    partitioning = Partitioning(new_blocks)
 
     trees = list(state.partition_trees)
     trees[k_src] = greedy_tree(net, new_blocks[k_src])

@@ -60,6 +60,10 @@ class RunConfig:
             raise ValueError(f"sweep must list partition counts >= 2, got {list(self.sweep)}")
         if self.epsilon < 0:
             raise ValueError(f"imbalance epsilon must be >= 0, got {self.epsilon}")
+        if not math.isfinite(self.budget_seconds):
+            raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds!r}")
+        if self.budget_iters <= 0 and self.budget_seconds <= 0:
+            raise ValueError("either budget_iters or a positive budget_seconds is required")
         self.anneal = AnnealConfig(
             steps=self.steps, workers=self.workers, time_limit=self.budget_seconds,
             max_iters=self.budget_iters, cost=self.cost, threads=self.threads,

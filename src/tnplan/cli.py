@@ -75,7 +75,7 @@ def _add_input_flags(parser):
 
 def _add_plan_flags(parser, partitions, partitions_help):
     parser.add_argument("--partitions", type=int, default=partitions, help=partitions_help)
-    parser.add_argument("--imbalance", type=float, default=0.03, help="allowed size imbalance")
+    parser.add_argument("--imbalance", type=float, default=0.03, help="initial partition imbalance")
     parser.add_argument(
         "--cost-metric",
         choices=("serial", "par", "dist"),

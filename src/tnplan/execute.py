@@ -1,10 +1,10 @@
 """Dense execution of contraction trees, with operation and memory accounting.
 
 The executor walks a tree bottom-up, contracting pairs of complex-double
-tensors by permuting each operand into a matrix and multiplying.  Each
-contraction performs (and counts) exactly result_entries *
-shared_dims_product scalar multiplications, so the trace's mult_count
-matches the serial cost metric of the tree it executed.
+tensors with ``np.tensordot``, which permutes each operand into a matrix
+and multiplies.  Each contraction performs (and counts) exactly
+result_entries * shared_dims_product scalar multiplications, so the
+trace's mult_count matches the serial cost metric of the tree it executed.
 
 Self-loop (trace) edges on a leaf are summed out when the leaf is loaded;
 that uses additions only and leaves the planning-level tensor whose legs
@@ -52,17 +52,7 @@ def contract_pair(s, t, pairs):
             raise ExecutionError(
                 f"dimension mismatch on pair ({a}, {b}): {s.shape[a]} vs {t.shape[b]}"
             )
-    saxes = [p[0] for p in pairs]
-    taxes = [p[1] for p in pairs]
-    sf = [a for a in range(s.ndim) if a not in seen_s]
-    tf = [a for a in range(t.ndim) if a not in seen_t]
-    f = int(np.prod([s.shape[a] for a in sf], dtype=object)) if sf else 1
-    g = int(np.prod([s.shape[a] for a in saxes], dtype=object)) if saxes else 1
-    h = int(np.prod([t.shape[a] for a in tf], dtype=object)) if tf else 1
-    s2 = np.transpose(s, sf + saxes).reshape(f, g)
-    t2 = np.transpose(t, taxes + tf).reshape(g, h)
-    shape = [s.shape[a] for a in sf] + [t.shape[a] for a in tf]
-    return (s2 @ t2).reshape(shape)
+    return np.tensordot(s, t, axes=([a for a, _ in pairs], [b for _, b in pairs]))
 
 
 @dataclass
@@ -118,10 +108,8 @@ def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES, inputs=None):
     not descended into.  Plans whose peak buffer need exceeds
     ``max_entries`` are refused before anything is allocated.
     """
-    if max_entries is not None and mem_cost(tree) > max_entries:
-        raise MemoryBudgetError(
-            f"plan needs {mem_cost(tree):.4g} buffer entries, budget is {max_entries}"
-        )
+    if max_entries is not None and (need := mem_cost(tree)) > max_entries:
+        raise MemoryBudgetError(f"plan needs {need:.4g} buffer entries, budget is {max_entries}")
     inputs = inputs or {}
     env = {}
     live_total = 0

@@ -4,7 +4,9 @@ The initial partitioning grows blocks by multi-source BFS from seeds spread
 out with a farthest-point pass over the bound-edge graph, then runs a few
 rounds of first-improvement single-vertex moves to shrink the total
 log2-weight of cut edges while respecting the balance bound
-size <= (1 + epsilon) * ceil(|V| / k).
+size <= (1 + epsilon) * ceil(|V| / k).  The bound is a setting of this
+partitioner alone: a ``Partitioning`` is only its blocks, and the annealer
+moves tensors without regard to block sizes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ class Partitioning:
     """An ordered list of vertex blocks, each a frozenset of vertex ids."""
 
     blocks: list = field(default_factory=list)
-    epsilon: float = 0.03
 
     def __post_init__(self):
         self.blocks = [frozenset(b) for b in self.blocks]
@@ -76,7 +77,7 @@ def cut_weight(part, net):
     return total
 
 
-def _vertex_cut_terms(net, v, where, src):
+def _vertex_cut_terms(net, v, where):
     """log2 cut contribution of v's edges, by currently assigned neighbor block."""
     terms = []
     for e in sorted(net.edges_of(v)):
@@ -88,13 +89,17 @@ def _vertex_cut_terms(net, v, where, src):
     return terms
 
 
-def refine_partition(part, net, max_passes=10):
-    """First-improvement boundary refinement under the balance bound.
+REFINE_PASSES = 10
+
+
+def refine_partition(part, net, epsilon=0.03):
+    """First-improvement boundary refinement under the balance bound
+    ``balance_limit(|V|, k, epsilon)``.
 
     Scans vertices in id order; the first strictly cut-reducing move of a
     vertex to a neighboring block that neither empties its source nor
     overfills its target is applied immediately.  Stops after a pass with
-    no move, or after ``max_passes`` passes.  Returns the refined
+    no move, or after ``REFINE_PASSES`` passes.  Returns the refined
     partitioning and the cut-weight history (one entry before refinement
     plus one per completed pass).
     """
@@ -103,15 +108,16 @@ def refine_partition(part, net, max_passes=10):
     for i, b in enumerate(blocks):
         for v in b:
             where[v] = i
-    cap = balance_limit(net.num_vertices, len(blocks), part.epsilon)
+    cap = balance_limit(net.num_vertices, len(blocks), epsilon)
+    refined = part
     history = [cut_weight(part, net)]
-    for _ in range(max_passes):
+    for _ in range(REFINE_PASSES):
         moved = False
         for v in sorted(where):
             b = where[v]
             if len(blocks[b]) <= 1:
                 continue
-            terms = _vertex_cut_terms(net, v, where, b)
+            terms = _vertex_cut_terms(net, v, where)
             if not terms:
                 continue
             current = sum(w for blk, w in terms if blk != b)
@@ -126,11 +132,11 @@ def refine_partition(part, net, max_passes=10):
                     where[v] = t
                     moved = True
                     break
-        refined = Partitioning([frozenset(b) for b in blocks], part.epsilon)
+        refined = Partitioning(blocks)
         history.append(cut_weight(refined, net))
         if not moved:
             break
-    return Partitioning([frozenset(b) for b in blocks], part.epsilon), history
+    return refined, history
 
 
 def _bfs_distances(net, sources):
@@ -163,7 +169,7 @@ def initial_partition(net, k, epsilon=0.03, seed=0):
     if k > n:
         raise ValueError(f"cannot split {n} vertices into {k} non-empty blocks")
     if k == 1:
-        return Partitioning([frozenset(net.vertices())], epsilon)
+        return Partitioning([net.vertices()])
 
     rng = np.random.default_rng(seed & ((1 << 128) - 1))
     seeds = [int(rng.integers(n))]
@@ -202,6 +208,5 @@ def initial_partition(net, k, epsilon=0.03, seed=0):
         blocks[b].add(v)
         where[v] = b
 
-    part = Partitioning([frozenset(b) for b in blocks], epsilon)
-    refined, _ = refine_partition(part, net)
+    refined, _ = refine_partition(Partitioning(blocks), net, epsilon)
     return refined

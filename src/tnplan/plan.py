@@ -73,7 +73,7 @@ def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
     A prebuilt ``tree`` is used as-is; otherwise ``greedy_tree`` searches
     with ``cfg`` (the deterministic pass without one).
     """
-    part = Partitioning([frozenset(net.vertices())], epsilon=0.0)
+    part = Partitioning([net.vertices()])
     if tree is None:
         tree = greedy_tree(net, cfg=cfg)
     reduction = reduction_path(net, [tree.legs(tree.root)])
@@ -87,7 +87,6 @@ def _tree_doc(tree):
 def plan_to_dict(plan):
     return {
         "blocks": plan.partitioning.to_lists(),
-        "epsilon": plan.partitioning.epsilon,
         "partition_trees": [_tree_doc(t) for t in plan.partition_trees],
         "reduction_tree": _tree_doc(plan.reduction),
         "cost": plan.report.to_dict(),
@@ -137,10 +136,11 @@ def plan_from_dict(net, doc, cost_cfg=None):
         for b in blocks
     ):
         raise PlanError("blocks must be a list of lists of distinct integer vertex ids")
-    epsilon = doc.get("epsilon", 0.03)
+    # Older documents store the partitioner's balance bound: checked, then dropped.
+    epsilon = doc.get("epsilon", 0)
     if not _is_number(epsilon) or epsilon < 0:
         raise PlanError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
-    part = Partitioning(blocks, float(epsilon))
+    part = Partitioning(blocks)
     ok, problems = validate(part, net)
     if not ok:
         raise PlanError("invalid partitioning: " + "; ".join(problems))

@@ -212,15 +212,7 @@ class ContractionTree:
 
     def subtree_leaf_tensors(self, t):
         """The set of network vertices mapped to leaves under ``t``."""
-        mask = self.leaf_mask(t)
-        out = set()
-        v = 0
-        while mask:
-            if mask & 1:
-                out.add(v)
-            mask >>= 1
-            v += 1
-        return out
+        return {u for u in self.postorder(t) if self._children[u] is None}
 
     # -- partitionings -----------------------------------------------------------
 

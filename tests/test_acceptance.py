@@ -259,7 +259,7 @@ def test_criterion_8_ring_bisection_finds_minimum_cut():
         if 0 not in left:
             continue
         blocks = [frozenset(left), frozenset(range(8)) - frozenset(left)]
-        best = min(best, cut_weight(Partitioning(blocks, 0.0), net))
+        best = min(best, cut_weight(Partitioning(blocks), net))
     assert best == 2.0
 
     part = initial_partition(net, 2, seed=0)

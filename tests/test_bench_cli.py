@@ -208,11 +208,11 @@ class TestRunConfigValidation:
 
     def test_zero_annealing_budget_rejected_for_every_method_list(self):
         # Checked up front, even when no method anneals.
-        with pytest.raises(ValueError, match="time_limit"):
+        with pytest.raises(ValueError, match="budget_iters or a positive budget_seconds"):
             RunConfig(methods=("partition-only",), budget_seconds=0.0, budget_iters=0)
 
     def test_unbounded_annealing_budget_rejected(self):
-        with pytest.raises(ValueError, match="time_limit must be finite"):
+        with pytest.raises(ValueError, match="budget_seconds must be finite"):
             RunConfig(budget_seconds=float("inf"), budget_iters=0)
 
     def test_runs_copy_the_one_anneal_config(self):
@@ -618,7 +618,19 @@ class TestRejectedSettings:
         out = tmp_path / "out.json"
         assert main(argv[:1] + [str(ghz_file), "-o", str(out)] + argv[1:]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: time_limit must be finite"), lines
+        name = "budget_seconds" if argv[0] == "bench" else "time_limit"
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be finite"), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+    def test_bench_budget_errors_name_the_bench_settings(self, tmp_path, ghz_file, capsys, seconds):
+        out = tmp_path / "out.json"
+        argv = ["bench", str(ghz_file), "--sweep", "2", "--budget-seconds", seconds, "-o", str(out)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "budget_seconds" in lines[0], lines
+        assert "time_limit" not in lines[0] and "max_iters" not in lines[0], lines
         assert not out.exists()
 
     def test_anneal_with_nan_temperatures_writes_no_trace(self, tmp_path, ghz_file, capsys):

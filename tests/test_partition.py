@@ -86,7 +86,7 @@ def test_partition_count_bounds():
 def test_negative_imbalance_rejected(k):
     with pytest.raises(ValueError, match="epsilon"):
         initial_partition(ring(4), k, epsilon=-1.0)
-    assert initial_partition(ring(4), k, epsilon=0.0).epsilon == 0.0
+    assert len(initial_partition(ring(4), k, epsilon=0.0).blocks) == k
 
 
 def test_balance_limit_formula():
@@ -122,16 +122,16 @@ def test_initial_partition_is_deterministic(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_refinement_never_increases_cut_weight(seed):
+@given(st.integers(0, 10**6), st.sampled_from([0.0, 0.03, 0.2, 1.0]))
+def test_refinement_never_increases_cut_weight(seed, eps):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_min=5, payloads=False)
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
-    part = initial_partition(net, k, seed=seed)
-    refined, history = refine_partition(part, net)
+    part = initial_partition(net, k, epsilon=eps, seed=seed)
+    refined, history = refine_partition(part, net, eps)
     assert history == sorted(history, reverse=True)
     assert cut_weight(refined, net) == history[-1]
-    limit = balance_limit(net.num_vertices, k, part.epsilon)
+    limit = balance_limit(net.num_vertices, k, eps)
     assert max(len(b) for b in refined.blocks) <= limit
     ok, problems = validate(refined, net)
     assert ok, problems

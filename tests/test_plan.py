@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tnplan.anneal import AnnealConfig, refine_plan
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import ghz_circuit, random_circuit
 from tnplan.costs import CostConfig, con_dist, con_serial
@@ -61,7 +62,7 @@ class TestBuildPlan:
 
     def test_invalid_partitioning_rejected(self):
         net = pair_net()
-        bad = Partitioning([frozenset({0}), frozenset({0, 1})], epsilon=0.0)
+        bad = Partitioning([frozenset({0}), frozenset({0, 1})])
         with pytest.raises(PlanError, match="invalid partitioning"):
             build_plan(net, bad)
 
@@ -112,7 +113,7 @@ class TestAssemblePlan:
         net = ghz_net()
         verts = sorted(net.vertices())
         half = len(verts) // 2
-        part = Partitioning([frozenset(verts[::2]), frozenset(verts[1::2])], epsilon=0.5)
+        part = Partitioning([frozenset(verts[::2]), frozenset(verts[1::2])])
         t_lo = greedy_tree(net, frozenset(verts[:half]))
         t_hi = greedy_tree(net, frozenset(verts[half:]))
         reduction = oracles.fanin_tree(net, [t_lo, t_hi], [0, 1])
@@ -143,11 +144,28 @@ class TestSerialization:
         doc = json.loads(plan_to_json(plan))
         assert set(doc) == {
             "blocks",
-            "epsilon",
             "partition_trees",
             "reduction_tree",
             "cost",
         }
+
+    def test_no_plan_document_states_a_balance_bound(self):
+        # The bound is the partitioner's setting; annealing does not keep it.
+        net = ghz_net()
+        plan = build_plan(net, initial_partition(net, 3, seed=0))
+        refined, _ = refine_plan(net, plan, AnnealConfig(max_iters=2, steps=4, workers=1))
+        for p in (serial_plan(net), plan, refined):
+            assert "epsilon" not in plan_to_dict(p)
+            assert '"epsilon"' not in plan_to_json(p)
+
+    @pytest.mark.parametrize("epsilon", [0, 0.03, 0.5, 7])
+    def test_legacy_epsilon_is_checked_then_dropped(self, epsilon):
+        net = ghz_net()
+        doc = plan_to_dict(build_plan(net, initial_partition(net, 3, seed=1)))
+        legacy = dict(doc, epsilon=epsilon)
+        again = plan_from_dict(net, legacy)
+        assert again.report.to_dict() == doc["cost"]
+        assert plan_to_dict(again) == doc
 
     def test_missing_field_rejected(self):
         net = ghz_net()
