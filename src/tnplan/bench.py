@@ -24,7 +24,7 @@ import numpy as np
 from .anneal import AnnealConfig, refine_plan
 from .circuits import circuit_to_network
 from .costs import CostConfig
-from .partition import initial_partition
+from .partition import DEFAULT_IMBALANCE, initial_partition
 from .plan import build_plan, serial_plan
 
 METHODS = ("serial-baseline", "partition-only", "sa-naive", "sa-directed")
@@ -42,7 +42,7 @@ class RunConfig:
 
     methods: tuple = METHODS
     sweep: tuple = DEFAULT_SWEEP
-    epsilon: float = 0.03
+    epsilon: float = DEFAULT_IMBALANCE
     seed: int = 0
     budget_seconds: float = AnnealConfig.time_limit
     budget_iters: int = AnnealConfig.max_iters

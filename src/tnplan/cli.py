@@ -27,7 +27,7 @@ from .corpus import bundled_suite
 from .costs import CostConfig, cost_report
 from .execute import DEFAULT_MAX_ENTRIES, execute_distributed_emulation, execute_plan
 from .network import TensorNetwork
-from .partition import initial_partition
+from .partition import DEFAULT_IMBALANCE, initial_partition
 from .pathfind import GreedyConfig
 from .plan import build_plan, plan_from_dict, plan_to_json, serial_plan
 
@@ -75,7 +75,9 @@ def _add_input_flags(parser):
 
 def _add_plan_flags(parser, partitions, partitions_help):
     parser.add_argument("--partitions", type=int, default=partitions, help=partitions_help)
-    parser.add_argument("--imbalance", type=float, default=0.03, help="initial partition imbalance")
+    parser.add_argument(
+        "--imbalance", type=float, default=DEFAULT_IMBALANCE, help="initial partition imbalance"
+    )
     parser.add_argument(
         "--cost-metric",
         choices=("serial", "par", "dist"),
@@ -199,7 +201,12 @@ def cmd_execute(args):
         plan = plan_from_dict(net, _read_json(args.plan))
     else:
         plan = serial_plan(net, cfg=GreedyConfig(rng_seed=args.seed))
-    trace = execute_plan(net, plan.tree, max_entries=args.max_entries)
+    emu = None
+    if args.emulate and len(plan.partitioning.blocks) > 1:
+        emu = execute_distributed_emulation(net, plan, max_entries=args.max_entries)
+        trace = emu.trace
+    else:
+        trace = execute_plan(net, plan.tree, max_entries=args.max_entries)
     out = {
         "mult_count": trace.mult_count,
         "peak_entries": trace.peak_entries,
@@ -212,8 +219,7 @@ def cmd_execute(args):
         out["value"] = [value.real, value.imag]
         out["abs"] = abs(value)
         out["prob"] = abs(value) ** 2
-    if args.emulate and len(plan.partitioning.blocks) > 1:
-        emu = execute_distributed_emulation(net, plan, max_entries=args.max_entries)
+    if emu is not None:
         out["emulated_seconds"] = emu.emulated_seconds
         out["serial_seconds"] = emu.serial_seconds
         out["partition_seconds"] = emu.partition_seconds

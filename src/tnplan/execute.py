@@ -99,18 +99,15 @@ def _leaf_tensor(net, v):
     return np.asarray(arr, dtype=np.complex128), axes
 
 
-def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES, inputs=None):
+def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES):
     """Evaluate a contraction tree over materialized tensors.
 
     ``tree`` may cover the whole network or a vertex subset; edges leaving
-    the covered set appear as axes of the result.  ``inputs`` may preset
-    tensors for some nodes as (array, axis_edge_ids); their subtrees are
-    not descended into.  Plans whose peak buffer need exceeds
-    ``max_entries`` are refused before anything is allocated.
+    the covered set appear as axes of the result.  Plans whose peak buffer
+    need exceeds ``max_entries`` are refused before anything is allocated.
     """
     if max_entries is not None and (need := mem_cost(tree)) > max_entries:
         raise MemoryBudgetError(f"plan needs {need:.4g} buffer entries, budget is {max_entries}")
-    inputs = inputs or {}
     env = {}
     live_total = 0
     mult_count = 0
@@ -122,13 +119,6 @@ def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES, inputs=None):
     while stack:
         node, expanded = stack.pop()
         if not expanded:
-            if node in inputs:
-                arr, axes = inputs[node]
-                arr = np.asarray(arr, dtype=np.complex128)
-                env[node] = (arr, list(axes))
-                live_total += arr.size
-                resident = max(resident, live_total)
-                continue
             ch = tree.children(node)
             if ch is None:
                 arr, axes = _leaf_tensor(net, tree.leaf_vertex(node))
@@ -169,49 +159,44 @@ def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES, inputs=None):
 
 @dataclass
 class EmulationResult:
-    """Distributed run emulated on one machine.
+    """Distributed run emulated from one serial walk of the composed tree.
 
-    Partitions execute serially and are timed individually; the emulated
-    wall time charges each partition its own work plus the fan-in
-    contractions on its path to the root, and takes the slowest partition.
+    Each contraction's measured seconds are charged to the partition whose
+    subtree holds it, or else to the fan-in.  The emulated wall time
+    charges each partition its own work plus the fan-in contractions on
+    its path to the root, and takes the slowest partition;
+    ``serial_seconds`` is the sum over all contractions of the walk.
     """
 
-    result: np.ndarray
-    mult_count: int
+    trace: ExecutionTrace
     partition_seconds: list
     fanin_seconds: list
     emulated_seconds: float
     serial_seconds: float
 
+    @property
+    def mult_count(self):
+        return self.trace.mult_count
+
     def scalar(self):
-        arr = np.asarray(self.result)
-        if arr.size != 1:
-            raise ExecutionError(f"result has {arr.size} entries, not a scalar")
-        return complex(arr.reshape(()))
+        return self.trace.scalar()
 
 
 def execute_distributed_emulation(net, plan, max_entries=DEFAULT_MAX_ENTRIES):
-    """Run a partitioned plan, timing per-partition and fan-in work separately."""
+    """Run a partitioned plan once, timing per-partition and fan-in work separately."""
+    tree = plan.tree
+    trace = execute_plan(net, tree, max_entries=max_entries)
+    seconds = {r.node: r.seconds for r in trace.records}
     locals_ = []
-    inputs = {}
-    mult_count = 0
-    for i, ptree in enumerate(plan.partition_trees):
-        started = time.perf_counter()
-        trace = execute_plan(net, ptree, max_entries=max_entries)
-        locals_.append(time.perf_counter() - started)
-        mult_count += trace.mult_count
-        inputs[plan.part_roots[i]] = (trace.result, trace.axis_edges)
-    fan = execute_plan(net, plan.tree, max_entries=max_entries, inputs=inputs)
-    mult_count += fan.mult_count
-    node_seconds = {r.node: r.seconds for r in fan.records}
     fanin = []
-    for i, r in enumerate(plan.part_roots):
+    for r in plan.part_roots:
+        locals_.append(sum(seconds[t] for t in tree.internal_nodes(r)))
         total = 0.0
-        a = plan.tree.parent(r)
+        a = tree.parent(r)
         while a is not None:
-            total += node_seconds.get(a, 0.0)
-            a = plan.tree.parent(a)
+            total += seconds[a]
+            a = tree.parent(a)
         fanin.append(total)
     emulated = max(l + f for l, f in zip(locals_, fanin))
-    serial = sum(locals_) + sum(node_seconds.values())
-    return EmulationResult(fan.result, mult_count, locals_, fanin, emulated, serial)
+    serial = sum(r.seconds for r in trace.records)
+    return EmulationResult(trace, locals_, fanin, emulated, serial)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+DEFAULT_IMBALANCE = 0.03
+
 
 @dataclass
 class Partitioning:
@@ -92,7 +94,7 @@ def _vertex_cut_terms(net, v, where):
 REFINE_PASSES = 10
 
 
-def refine_partition(part, net, epsilon=0.03):
+def refine_partition(part, net, epsilon=DEFAULT_IMBALANCE):
     """First-improvement boundary refinement under the balance bound
     ``balance_limit(|V|, k, epsilon)``.
 
@@ -155,7 +157,7 @@ def _bfs_distances(net, sources):
     return dist
 
 
-def initial_partition(net, k, epsilon=0.03, seed=0):
+def initial_partition(net, k, epsilon=DEFAULT_IMBALANCE, seed=0):
     """Balanced k-way partitioning by seeded BFS growth plus refinement.
 
     Deterministic for a given seed.  Raises on k < 1, k > |V| or a

@@ -17,8 +17,8 @@ a ``TensorNetwork`` or the fan-in network of ``pathfind.reduction_network``.
 A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 ``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node
 ``num_vertices + j``.  Every tree is built by ``from_pairs``, which stores
-each node's legs and leaf bitmask as the node is created, so both are
-plain lookups afterwards; trees are never edited after construction.
+each node's legs as the node is created, so they are plain lookups
+afterwards; trees are never edited after construction.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class ContractionTree:
         self._parent = {}
         self._root = None
         self._legs = {}
-        self._mask = {}
         self.scratch = {}
 
     # -- builders ----------------------------------------------------------
@@ -100,7 +99,6 @@ class ContractionTree:
             tree._add_leaf(v)
         open_roots = set(tree._children)
         legs = tree._legs
-        mask = tree._mask
         next_id = network.num_vertices
         for x, y in pairs:
             if x not in open_roots:
@@ -116,7 +114,6 @@ class ContractionTree:
             tree._parent[y] = node
             tree._parent[node] = None
             legs[node] = legs[x] ^ legs[y]
-            mask[node] = mask[x] | mask[y]
             open_roots.discard(x)
             open_roots.discard(y)
             open_roots.add(node)
@@ -145,7 +142,6 @@ class ContractionTree:
         self._children[v] = None
         self._parent[v] = None
         self._legs[v] = leaf_legs(self.network, v)
-        self._mask[v] = 1 << v
 
     # -- structure queries ---------------------------------------------------
 
@@ -206,10 +202,6 @@ class ContractionTree:
         """Edge set of the intermediate tensor at node ``t``."""
         return self._legs[t]
 
-    def leaf_mask(self, t):
-        """Bitmask of the leaf vertices under node ``t``."""
-        return self._mask[t]
-
     def subtree_leaf_tensors(self, t):
         """The set of network vertices mapped to leaves under ``t``."""
         return {u for u in self.postorder(t) if self._children[u] is None}
@@ -221,15 +213,29 @@ class ContractionTree:
 
         Returns a list aligned with ``blocks`` when every block is realized
         by a subtree (i.e. the tree accepts the partitioning), else None.
+        The blocks are disjoint vertex sets.  One pass over the nodes,
+        children first, labels each node with the block all of its leaves
+        share and counts its leaves; a block is realized when its topmost
+        labelled node has ``len(block)`` leaves.
         """
-        by_mask = {m: t for t, m in self._mask.items()}
+        where = {v: i for i, block in enumerate(blocks) for v in block}
+        label = {}  # node -> index of the block holding all its leaves, or None
+        size = {}
+        top = [None] * len(blocks)
+        for t, ch in self._children.items():  # creation order: children first
+            if ch is None:
+                b, n = where.get(t), 1
+            else:
+                x, y = ch
+                b = label[x] if label[x] == label[y] else None
+                n = size[x] + size[y]
+            label[t] = b
+            size[t] = n
+            if b is not None:
+                top[b] = t
         roots = []
-        for block in blocks:
-            mask = 0
-            for v in block:
-                mask |= 1 << v
-            t = by_mask.get(mask)
-            if t is None:
+        for block, t in zip(blocks, top):
+            if t is None or size[t] != len(block):
                 return None
             roots.append(t)
         return roots

@@ -156,6 +156,14 @@ def fanin_tree(net, partition_trees, nested):
     return ContractionTree.from_nested(reduction_network(net, legs), nested)
 
 
+def subtree_roots_by_leaf_sets(tree, blocks):
+    """``ContractionTree.subtree_roots`` by comparing each block with the leaf
+    set of every node: the matching nodes, or None if a block has none."""
+    by_leaves = {frozenset(tree.subtree_leaf_tensors(t)): t for t in tree.postorder()}
+    roots = [by_leaves.get(frozenset(b)) for b in blocks]
+    return None if None in roots else roots
+
+
 # ---------------------------------------------------------------------------
 # cost recomputation over nested tree specs
 

@@ -1,6 +1,7 @@
 """Tests for the batch pipeline and the command-line interface."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -17,12 +18,13 @@ from tnplan.bench import (
     report_json,
     run_pipeline,
 )
-from tnplan import cli
+from tnplan import cli, execute
 from tnplan.anneal import AnnealConfig
 from tnplan.circuits import circuit_to_json
 from tnplan.cli import build_parser, main
 from tnplan.costs import CostConfig
 from tnplan.corpus import bundled_suite, ghz_circuit, random_circuit
+from tnplan.partition import DEFAULT_IMBALANCE, initial_partition, refine_partition
 from tnplan.pathfind import GreedyConfig
 
 
@@ -560,6 +562,27 @@ class TestCli:
         bench_args = build_parser().parse_args(["bench"])
         assert anneal_args.workers == bench_args.workers == RunConfig.workers == 4
 
+    @pytest.mark.parametrize("emulate", [False, True])
+    def test_execute_contracts_the_network_once(self, tmp_path, ghz_file, monkeypatch, capsys, emulate):
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", str(ghz_file), "--partitions", "2", "-o", str(plan_path)]) == 0
+        calls = []
+        execute_plan = execute.execute_plan
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return execute_plan(*args, **kwargs)
+
+        monkeypatch.setattr(execute, "execute_plan", counted)
+        monkeypatch.setattr(cli, "execute_plan", counted)
+        out = tmp_path / "x.json"
+        argv = ["execute", str(ghz_file), "--plan", str(plan_path), "-o", str(out)]
+        assert main(argv + ["--emulate"] * emulate) == 0
+        assert len(calls) == 1
+        doc = json.loads(out.read_text())
+        assert doc["mult_count"] == doc["predicted_con_serial"]
+        assert len(doc.get("partition_seconds", [])) == 2 * emulate
+
     def test_unknown_subcommand_fails(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -679,6 +702,24 @@ class TestFlagDefaults:
         monkeypatch.setattr(cli, "refine_plan", capture)
         assert main(["anneal", str(ghz_file), "--partitions", "2"]) == 0
         assert seen == [AnnealConfig()]
+
+    @pytest.mark.parametrize("command", ["plan", "anneal"])
+    def test_partitioned_commands_pass_the_default_imbalance(
+        self, monkeypatch, ghz_file, capsys, command
+    ):
+        seen = []
+
+        def capture(net, k, epsilon, seed):
+            seen.append(epsilon)
+            return initial_partition(net, k, epsilon, seed=seed)
+
+        monkeypatch.setattr(cli, "initial_partition", capture)
+        monkeypatch.setattr(cli, "refine_plan", lambda net, plan, cfg: (plan, []))
+        assert main([command, str(ghz_file), "--partitions", "2"]) == 0
+        default = inspect.signature(initial_partition).parameters["epsilon"].default
+        assert seen == [DEFAULT_IMBALANCE] and default == DEFAULT_IMBALANCE
+        assert inspect.signature(refine_partition).parameters["epsilon"].default == DEFAULT_IMBALANCE
+        assert RunConfig.epsilon == DEFAULT_IMBALANCE
 
     def test_bench(self, monkeypatch, ghz_file, capsys):
         seen = []

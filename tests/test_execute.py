@@ -184,7 +184,15 @@ def test_emulation_reproduces_serial_result():
     plan = build_plan(net, part)
     emu = execute_distributed_emulation(net, plan)
     direct = execute_plan(net, plan.tree)
-    np.testing.assert_allclose(emu.scalar(), direct.scalar(), atol=1e-10)
-    assert emu.mult_count == direct.mult_count
+    assert emu.scalar() == direct.scalar()
+    assert emu.mult_count == direct.mult_count == plan.report.con_serial
+    records = emu.trace.records
+    assert emu.serial_seconds == sum(r.seconds for r in records)
     assert len(emu.partition_seconds) == 3
+    paths = zip(emu.partition_seconds, emu.fanin_seconds)
+    assert emu.emulated_seconds == max(local + fanin for local, fanin in paths)
     assert emu.emulated_seconds <= emu.serial_seconds + 1e-12
+    # Each contraction is charged to the one block that holds all its leaves, if any.
+    for block, seconds in zip(plan.partitioning.blocks, emu.partition_seconds):
+        held = [r.seconds for r in records if plan.tree.subtree_leaf_tensors(r.node) <= block]
+        assert seconds == pytest.approx(sum(held), rel=1e-12, abs=0)

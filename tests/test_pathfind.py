@@ -118,7 +118,7 @@ def test_greedy_tree_builds_deep_trees_without_recursion():
     net = circuit_to_network(ghz_circuit(1100))
     tree = greedy_tree(net)
     assert len(tree.leaves()) == net.num_vertices
-    assert tree.leaf_mask(tree.root) == (1 << net.num_vertices) - 1
+    assert tree.subtree_roots([set(net.vertices())]) == [tree.root]
     assert tree.legs(tree.root) == net.open_edges()
 
 

@@ -11,7 +11,7 @@ from tnplan.network import TensorNetwork
 from tnplan.tree import ContractionTree, TreeError, compose_plan_tree, leaf_legs
 
 from oracles import (blocks_nested, fanin_tree, random_blocks, random_nested, random_network,
-                     random_pairs, swapped, to_nested)
+                     random_pairs, subtree_roots_by_leaf_sets, swapped, to_nested)
 
 
 def chain_net():
@@ -202,27 +202,50 @@ def test_acceptance_invariant_under_child_swaps(seed):
     assert tree.accepts_partitioning(blocks)
 
 
-def _masks_match_leaves(tree):
-    for t in tree.postorder():
-        expected = 0
-        for n in tree.postorder(t):
-            if tree.is_leaf(n):
-                expected |= 1 << tree.leaf_vertex(n)
-        assert tree.leaf_mask(t) == expected
+def _roots_as_oracle(tree, blocks):
+    roots = tree.subtree_roots(blocks)
+    assert roots == subtree_roots_by_leaf_sets(tree, blocks)
+    assert tree.accepts_partitioning(blocks) == (roots is not None)
+    return roots
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
-def test_leaf_mask_is_the_or_of_the_subtree_leaves(seed):
+def test_subtree_roots_match_the_leaf_set_oracle(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_min=3, payloads=False)
     vertices = list(net.vertices())
-    _masks_match_leaves(ContractionTree.from_pairs(net, random_pairs(rng, vertices)))
-    nested_tree = ContractionTree.from_nested(net, random_nested(rng, vertices))
-    _masks_match_leaves(nested_tree)
     k = int(rng.integers(1, min(3, net.num_vertices) + 1))
-    blocks = random_blocks(rng, net.vertices(), k)
+    blocks = random_blocks(rng, vertices, k)
     parts = [ContractionTree.from_nested(net, random_nested(rng, sorted(b))) for b in blocks]
     composed = compose_plan_tree(net, parts, fanin_tree(net, parts, random_nested(rng, list(range(k)))))
-    _masks_match_leaves(composed)
-    _masks_match_leaves(swapped(composed, {t for t in composed.internal_nodes() if rng.random() < 0.5}))
+    roots = _roots_as_oracle(composed, blocks)
+    assert roots is not None
+    flipped = swapped(composed, {t for t in composed.internal_nodes() if rng.random() < 0.5})
+    assert _roots_as_oracle(flipped, blocks) == roots
+    pair_tree = ContractionTree.from_pairs(net, random_pairs(rng, vertices))
+    _roots_as_oracle(pair_tree, blocks)
+    assert _roots_as_oracle(pair_tree, [frozenset(vertices)]) == [pair_tree.root]
+
+    # Partitionings the composed tree does not realize.
+    assert _roots_as_oracle(composed, blocks + [frozenset()]) is None
+    assert _roots_as_oracle(composed, [blocks[0] | {net.num_vertices}] + blocks[1:]) is None
+    if k >= 2:
+        assert _roots_as_oracle(parts[0], [blocks[0] | blocks[1]]) is None
+    big = [i for i, b in enumerate(blocks) if len(b) >= 2]
+    if k >= 2 and big:
+        # A leaf moved out of its block joins a block none of its ancestors covers.
+        i = big[0]
+        j = (i + 1) % k
+        v = min(blocks[i])
+        moved = list(blocks)
+        moved[i] = blocks[i] - {v}
+        moved[j] = blocks[j] | {v}
+        assert _roots_as_oracle(composed, moved) is None
+        assert _roots_as_oracle(flipped, moved) is None
+    if big:
+        # Splitting a block in two is realized only by its root's two children.
+        i = big[0]
+        half = set(rng.choice(sorted(blocks[i]), size=len(blocks[i]) // 2, replace=False).tolist())
+        split = blocks[:i] + [frozenset(half), blocks[i] - half] + blocks[i + 1:]
+        _roots_as_oracle(composed, split)
