@@ -53,7 +53,7 @@ from .execute import (
     execute_distributed_emulation,
     execute_plan,
 )
-from .network import OPEN, DisconnectedNetworkError, Edge, NetworkError, TensorNetwork
+from .network import OPEN, Edge, NetworkError, TensorNetwork
 from .partition import Partitioning, cut_weight, initial_partition, refine_partition, validate
 from .pathfind import GreedyConfig, greedy_tree, random_greedy_tree, reduction_path
 from .plan import (
@@ -80,7 +80,6 @@ __all__ = [
     "ContractionTree",
     "CostConfig",
     "CostReport",
-    "DisconnectedNetworkError",
     "Edge",
     "ExecutionError",
     "ExecutionTrace",

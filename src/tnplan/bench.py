@@ -54,6 +54,11 @@ class RunConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self):
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must not repeat, got {list(self.methods)}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not self.sweep or min(self.sweep) < 2:
@@ -169,8 +174,6 @@ def run_pipeline(named_circuits, cfg=None):
             for method in cfg.methods:
                 if method == "serial-baseline":
                     continue
-                if method not in METHODS:
-                    raise ValueError(f"unknown method {method!r}")
                 results.extend(
                     _method_entries(name, net, method, ks, baseline_cost, cfg, ci, timings)
                 )

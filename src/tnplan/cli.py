@@ -24,7 +24,7 @@ from .anneal import AnnealConfig, refine_plan
 from .bench import METHODS, RunConfig, compare_report, format_comparison, report_json, run_pipeline
 from .circuits import circuit_from_dict, circuit_to_network
 from .corpus import bundled_suite
-from .costs import CostConfig, cost_report
+from .costs import CostConfig
 from .execute import DEFAULT_MAX_ENTRIES, execute_distributed_emulation, execute_plan
 from .network import TensorNetwork
 from .partition import DEFAULT_IMBALANCE, initial_partition
@@ -47,12 +47,12 @@ def _write_text(text, path):
             fh.write(text + "\n")
 
 
-def _load_network(path, amplitude=None, initial=None):
+def _load_network(path, amplitude=None):
     """Load a network JSON file; circuit JSON is ingested on the fly."""
     payload = _read_json(path)
     if isinstance(payload, dict) and "gates" in payload:
         circuit = circuit_from_dict(payload)
-        return circuit_to_network(circuit, bits=amplitude or None, initial=initial or None)
+        return circuit_to_network(circuit, bits=amplitude or None)
     return TensorNetwork.from_json(payload)
 
 
@@ -202,7 +202,7 @@ def cmd_execute(args):
     else:
         plan = serial_plan(net, cfg=GreedyConfig(rng_seed=args.seed))
     emu = None
-    if args.emulate and len(plan.partitioning.blocks) > 1:
+    if args.emulate:
         emu = execute_distributed_emulation(net, plan, max_entries=args.max_entries)
         trace = emu.trace
     else:

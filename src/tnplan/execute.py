@@ -115,23 +115,15 @@ def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES):
     resident = 0
     records = []
 
-    stack = [(tree.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            ch = tree.children(node)
-            if ch is None:
-                arr, axes = _leaf_tensor(net, tree.leaf_vertex(node))
-                env[node] = (arr, axes)
-                live_total += arr.size
-                resident = max(resident, live_total)
-                continue
-            stack.append((node, True))
-            stack.append((ch[1], False))
-            stack.append((ch[0], False))
+    for node in tree.postorder():
+        ch = tree.children(node)
+        if ch is None:
+            arr, axes = _leaf_tensor(net, node)
+            env[node] = (arr, axes)
+            live_total += arr.size
+            resident = max(resident, live_total)
             continue
-
-        left, right = tree.children(node)
+        left, right = ch
         larr, lax = env.pop(left)
         rarr, rax = env.pop(right)
         shared = sorted(tree.legs(left) & tree.legs(right))

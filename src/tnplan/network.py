@@ -24,10 +24,6 @@ class NetworkError(ValueError):
     """Structural problem in a tensor network."""
 
 
-class DisconnectedNetworkError(NetworkError):
-    """The bound-edge graph of the network is not connected."""
-
-
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -208,9 +204,8 @@ class TensorNetwork:
     def payload(self, v):
         return self._payloads[v]
 
-    def has_payloads(self, view=None):
-        verts = self.vertices() if view is None else view
-        return all(self._payloads[v] is not None for v in verts)
+    def has_payloads(self):
+        return all(arr is not None for arr in self._payloads.values())
 
     def open_edges(self):
         return frozenset(e for e, ed in self._edges.items() if ed.is_open())
@@ -283,14 +278,13 @@ class TensorNetwork:
         return json.dumps({"tensors": tensors, "bonds": bonds}, sort_keys=True, indent=indent)
 
     @classmethod
-    def from_json(cls, text, require_connected=True):
+    def from_json(cls, text):
         """Parse the interchange JSON format into a network.
 
         Accepts either JSON text or an already-parsed document.  Tensor
         ids must form the dense range 0..n-1, dims must be ints >= 1 that
-        a float holds, and nothing is coerced.  With ``require_connected``
-        (the default) a network whose bound-edge graph has more than one
-        component is rejected.
+        a float holds, and nothing is coerced.  The network may be
+        disconnected: the planner joins its components by outer products.
         """
         if isinstance(text, (str, bytes, bytearray)):
             try:
@@ -334,9 +328,4 @@ class TensorNetwork:
             if not all(_is_int(x) for x in ends):
                 raise NetworkError(f"bond entry {b!r} needs int fields u, a, v, b")
             net.bond(*ends)
-        if require_connected and net.num_vertices > 1 and not net.is_connected():
-            comps = net.connected_components()
-            raise DisconnectedNetworkError(
-                f"network has {len(comps)} components; planning assumes one"
-            )
         return net

@@ -158,12 +158,6 @@ class ContractionTree:
     def parent(self, t):
         return self._parent[t]
 
-    def leaf_vertex(self, t):
-        """The network vertex a leaf node stands for (the identity map)."""
-        if not self.is_leaf(t):
-            raise TreeError(f"node {t} is not a leaf")
-        return t
-
     def leaves(self):
         return sorted(t for t, ch in self._children.items() if ch is None)
 

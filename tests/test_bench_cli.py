@@ -115,10 +115,12 @@ class TestRunPipeline:
         assert report["results"]
 
     def test_unknown_method_rejected(self):
-        cfg = tiny_cfg(methods=("sa-quantum",))
-        report = run_pipeline([("ghz-4", ghz_circuit(4))], cfg)
-        assert report["results"] == []
-        assert "sa-quantum" in report["errors"][0]["error"]
+        with pytest.raises(ValueError, match="sa-quantum"):
+            tiny_cfg(methods=("serial-baseline", "sa-quantum"))
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            tiny_cfg(methods=("sa-naive", "sa-naive"))
 
     def test_cost_is_mean_of_repeats(self):
         report = run_pipeline([("ghz-6", ghz_circuit(6))], tiny_cfg(repeats=2))
@@ -583,6 +585,30 @@ class TestCli:
         assert doc["mult_count"] == doc["predicted_con_serial"]
         assert len(doc.get("partition_seconds", [])) == 2 * emulate
 
+    def test_one_block_plan_emulates(self, tmp_path, ghz_file, capsys):
+        plan_path = tmp_path / "serial.json"
+        assert main(["plan", str(ghz_file), "-o", str(plan_path)]) == 0
+        out = tmp_path / "emu.json"
+        assert main(["execute", str(ghz_file), "--plan", str(plan_path), "--emulate", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["partition_seconds"]) == 1
+        assert doc["fanin_seconds"] == [0.0]
+        assert doc["emulated_seconds"] == doc["serial_seconds"]
+
+    def test_ingested_idle_qubit_network_plans_and_emulates(self, tmp_path, capsys):
+        circuit = tmp_path / "idle.json"
+        circuit.write_text(json.dumps(
+            {"qubits": 3, "gates": [{"name": "H", "targets": [0]}, {"name": "CX", "targets": [0, 1]}]}
+        ))
+        net, plan, out = (tmp_path / name for name in ("net.json", "plan.json", "emu.json"))
+        assert main(["ingest", str(circuit), "-o", str(net)]) == 0
+        assert main(["plan", str(net), "--partitions", "2", "-o", str(plan)]) == 0
+        assert main(["execute", str(net), "--plan", str(plan), "--emulate", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["abs"] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        assert doc["mult_count"] == doc["predicted_con_serial"]
+        assert len(doc["partition_seconds"]) == 2
+
     def test_unknown_subcommand_fails(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -620,6 +646,8 @@ class TestRejectedSettings:
             ["anneal", "--partitions", "2", "--iters", "1", "--t0", "inf"],
             ["bench", "--sweep", "2", "--budget-iters", "1", "--comm-beta", "nan"],
             ["bench", "--sweep", "2", "--budget-iters", "1", "--comm-alpha", "-1"],
+            ["bench", "--sweep", "2", "--budget-iters", "1", "--methods", "serial-baseline,sa-bogus"],
+            ["bench", "--sweep", "2", "--budget-iters", "1", "--methods", "sa-naive,sa-naive"],
         ],
     )
     def test_exits_one_with_one_error_line(self, tmp_path, ghz_file, capsys, argv):

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnplan.circuits import circuit_from_dict, circuit_to_network
 from tnplan.costs import dims_product
-from tnplan.network import OPEN, DisconnectedNetworkError, NetworkError, TensorNetwork
+from tnplan.execute import execute_plan
+from tnplan.network import OPEN, NetworkError, TensorNetwork
+from tnplan.partition import initial_partition
+from tnplan.plan import build_plan, serial_plan
 
-from oracles import random_network
+from oracles import random_network, statevector
 
 
 def chain_net():
@@ -202,18 +206,21 @@ def test_from_json_rejects_malformed_documents_with_network_error(doc):
         TensorNetwork.from_json(doc)
 
 
-def test_from_json_enforces_connectivity_by_default():
-    doc = {
-        "tensors": [
-            {"id": 0, "dims": [2], "data": None},
-            {"id": 1, "dims": [2], "data": None},
-        ],
-        "bonds": [],
-    }
-    with pytest.raises(DisconnectedNetworkError):
-        TensorNetwork.from_json(doc)
-    net = TensorNetwork.from_json(doc, require_connected=False)
-    assert net.num_vertices == 2
+@pytest.mark.parametrize("bits", ["000", "110"])
+def test_idle_qubit_network_round_trips_plans_and_executes(bits):
+    # Qubit 2 shares no gate, so its two tensors form a component of their own.
+    circuit = circuit_from_dict(
+        {"qubits": 3, "gates": [{"name": "H", "targets": [0]}, {"name": "CX", "targets": [0, 1]}]}
+    )
+    net = TensorNetwork.from_json(circuit_to_network(circuit, bits=bits).to_json())
+    assert len(net.connected_components()) == 2
+    expected = statevector(circuit)[tuple(int(b) for b in bits)]
+    for k in (1, 2, 3):
+        plan = serial_plan(net) if k == 1 else build_plan(net, initial_partition(net, k, seed=0))
+        assert len(plan.partitioning.blocks) == k
+        trace = execute_plan(net, plan.tree)
+        assert trace.scalar() == pytest.approx(expected, abs=1e-9)
+        assert trace.mult_count == plan.report.con_serial
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,7 +243,7 @@ def test_axis_coverage_and_dim_symmetry(seed):
 def test_random_network_json_round_trip(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, payloads=False)
-    back = TensorNetwork.from_json(net.to_json(), require_connected=False)
+    back = TensorNetwork.from_json(net.to_json())
     assert back.num_vertices == net.num_vertices
     assert [back.dims_of(v) for v in back.vertices()] == [net.dims_of(v) for v in net.vertices()]
     assert len(back.bound_edges()) == len(net.bound_edges())
