@@ -99,8 +99,16 @@ def _contracted_legs(tree, t):
 
 
 def legs_size(tree, t):
-    """Entry count of the intermediate tensor at node ``t``."""
-    return dims_product(tree.network, tree.legs(t))
+    """Entry count of the intermediate tensor at node ``t``.
+
+    Memoized in ``tree.entry_counts``, which a greedy tree's pass fills
+    from the exact integer entry counts it merged on.
+    """
+    memo = tree.entry_counts
+    val = memo.get(t)
+    if val is None:
+        val = memo[t] = dims_product(tree.network, tree.legs(t))
+    return val
 
 
 def vertex_congestion(tree, t):
@@ -113,9 +121,11 @@ def node_ops(tree, t):
 
     Computed as the exact product over the union of the children's legs
     (not via 2**vc, which would round for non-power-of-two dimensions).
-    Memoized on the tree; trees are not edited after construction.
+    Memoized in ``tree.op_counts``, which a greedy tree's pass fills with
+    the same figure, E(A) * E(B) / X(A, B) on its exact integers; trees
+    are not edited after construction.
     """
-    memo = tree.scratch.setdefault("ops", {})
+    memo = tree.op_counts
     val = memo.get(t)
     if val is None:
         val = memo[t] = dims_product(tree.network, _contracted_legs(tree, t))

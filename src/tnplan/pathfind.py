@@ -5,15 +5,18 @@ of intermediates that maximizes the memory-reduction objective
 |A| + |B| - |A.B|.  Only pairs sharing at least one bound edge are
 candidates; pairs with nothing in common (outer products) are considered
 only once no adjacent pair is left, which happens exactly when the view
-being contracted is disconnected.  The pass records each merge, and
-``ContractionTree.from_pairs`` builds the tree from them, as (left, right)
-pairs of tree node ids in merge order.  A pass works on exact integer
-sizes, not leg sets (``_Forest``), rounded as ``costs.rounded_count`` does.
+being contracted is disconnected.  A pass works on exact integer sizes,
+not leg sets (``_Forest``), rounded as ``costs.rounded_count`` does.  It
+records each merge as a (left, right) pair of tree node ids, and the tree
+and its sizes leave the pass together: ``ContractionTree.from_valid_pairs``
+builds the tree from the pairs without re-checking them, and the pass
+fills the tree's ``node_ops`` and ``legs_size`` memos from its exact
+integers, so costing a greedy tree derives no size from leg sets.
 
 With a ``GreedyConfig`` the deterministic pass is followed by ``samples``
 passes with each pair score multiplied by log-normal noise, and the pass
 with the smallest serial cost is kept; only ``serial_plan`` asks for
-that, and only there are a pass's merges costed.  The fan-in tree of
+that.  The fan-in tree of
 ``reduction_path`` is one deterministic pass over ``reduction_network``,
 so a plan's fan-in, and the annealer's cost of a state, depend on its
 partition trees alone.
@@ -62,8 +65,8 @@ class _Forest:
     Pieces are immutable once created: a merge retires both operands and
     appends a fresh piece, so a heap entry stays valid exactly while both
     of its pieces are alive.  A merge appends its operands' piece indices
-    to ``merges``, and the new piece takes the node id ``from_pairs``
-    gives it.
+    to ``merges`` and its multiplication count to ``ops``, and the new
+    piece takes the node id its tree gives it.
 
     Piece ``p`` keeps ``entries[p]``, the exact integer entry count E of
     its tensor, and ``shared[p]``, which maps every piece sharing an edge
@@ -76,19 +79,18 @@ class _Forest:
 
     both exact.  Two pieces are adjacent when one is a key of the other's
     table, so bonds of dimension 1 and parallel bonds count as any other.
+    ``tree`` hands the finished pass over as a tree whose ``node_ops`` and
+    ``legs_size`` memos hold these figures, rounded as ``costs`` rounds
+    them.
     """
 
     def __init__(self, net, pieces):
+        self.net = net
         self.first_node = net.num_vertices
         self.entries = []
         self.shared = []
-        self.node = []
-        self.rep = []
-        self.size = []
-        self.alive = []
-        self.merges = []
         holder = {}  # edge -> the piece seen holding it
-        for p, (key, legs) in enumerate(pieces):
+        for p, (_, legs) in enumerate(pieces):
             table = {}
             entries = 1
             for e in legs:
@@ -96,18 +98,15 @@ class _Forest:
                 entries *= d
                 q = holder.setdefault(e, p)
                 if q != p:
-                    table[q] = table.get(q, 1) * d
-                    self.shared[q][p] = table[q]
-            self._append(entries, table, key, key)
-
-    def _append(self, entries, table, node, rep):
-        self.entries.append(entries)
-        self.shared.append(table)
-        self.node.append(node)
-        self.rep.append(rep)
-        self.size.append(rounded_count(entries))
-        self.alive.append(True)
-        return len(self.entries) - 1
+                    table[q] = self.shared[q][p] = table.get(q, 1) * d
+            self.entries.append(entries)
+            self.shared.append(table)
+        self.node = [key for key, _ in pieces]
+        self.rep = list(self.node)
+        self.size = [rounded_count(e) for e in self.entries]
+        self.alive = [True] * len(pieces)
+        self.merges = []
+        self.ops = []
 
     def score(self, i, j):
         x = self.shared[i].get(j, 1)
@@ -117,20 +116,28 @@ class _Forest:
     def merge(self, i, j):
         """Contract pieces ``i`` and ``j``, ``i`` holding the smaller leaf
         vertex, so it becomes the left child; returns the new piece index."""
-        si, sj = self.shared[i], self.shared[j]
+        shared = self.shared
+        si, sj = shared[i], shared[j]
         x = si.get(j, 1)
         table = dict(si)
         for nb, d in sj.items():
             table[nb] = table.get(nb, 1) * d
         table.pop(i, None)
         table.pop(j, None)
+        product = self.entries[i] * self.entries[j]
+        entries = product // (x * x)
         self.merges.append((i, j))
-        node = self.first_node + len(self.merges) - 1
-        idx = self._append(self.entries[i] * self.entries[j] // (x * x), table, node, self.rep[i])
-        self.alive[i] = False
-        self.alive[j] = False
+        self.ops.append(rounded_count(product // x))
+        idx = len(self.entries)
+        self.entries.append(entries)
+        shared.append(table)
+        self.node.append(self.first_node + len(self.merges) - 1)
+        self.rep.append(self.rep[i])
+        self.size.append(rounded_count(entries))
+        self.alive.append(True)
+        self.alive[i] = self.alive[j] = False
         for nb, d in table.items():
-            other = self.shared[nb]
+            other = shared[nb]
             other.pop(i, None)
             other.pop(j, None)
             other[idx] = d
@@ -138,65 +145,87 @@ class _Forest:
 
     def pairs(self):
         """The merges as (left, right) tree node ids, in merge order."""
-        return [(self.node[i], self.node[j]) for i, j in self.merges]
+        node = self.node
+        return [(node[i], node[j]) for i, j in self.merges]
 
     def total_ops(self):
-        """Multiplications of the merges, summed in merge order.  A retired
-        piece's table is never edited again, so it still holds X."""
+        """Multiplications of the merges, summed in merge order."""
         total = 0.0
-        for i, j in self.merges:
-            total += rounded_count(self.entries[i] * self.entries[j] // self.shared[i].get(j, 1))
+        for ops in self.ops:
+            total += ops
         return total
+
+    def tree(self):
+        """The pass's tree, its leaves in piece order, with its size memos filled."""
+        node, pairs = self.node, self.pairs()
+        tree = ContractionTree.from_valid_pairs(self.net, pairs, node[: len(node) - len(pairs)])
+        tree.op_counts = dict(zip(range(self.first_node, self.first_node + len(pairs)), self.ops))
+        tree.entry_counts = dict(zip(node, self.size))
+        return tree
 
 
 def _greedy_pass(net, pieces, rng=None, noise_scale=0.0):
     """One full greedy pass over ``pieces`` (a list of (key, legs)).
 
-    Returns the finished forest, whose ``pairs()`` and ``total_ops()`` are
-    the pass's merges and multiplications.
+    Returns the finished forest, whose ``pairs()``, ``total_ops()`` and
+    ``tree()`` are the pass's merges, multiplications and tree.  Heap
+    entries are unique, so the pop order does not depend on the order of
+    pushes; a noisy pass still scores pairs in sorted order, which fixes
+    the pair each noise draw perturbs.
     """
     if not pieces:
         raise ValueError("nothing to contract")
     forest = _Forest(net, pieces)
-
+    entries, shared, size, rep, alive = (
+        forest.entries, forest.shared, forest.size, forest.rep, forest.alive,
+    )
     noisy = rng is not None and noise_scale > 0.0
 
-    def perturbed(score):
-        if noisy:
-            return score * math.exp(noise_scale * rng.standard_normal())
-        return score
-
+    seeds = [(a, b) for a, table in enumerate(shared) for b in table if a < b]
+    if noisy:
+        seeds.sort()
     heap = []
+    for a, b in seeds:
+        s = forest.score(a, b)
+        if noisy:
+            s *= math.exp(noise_scale * rng.standard_normal())
+        if rep[a] > rep[b]:
+            a, b = b, a
+        heap.append((-s, rep[a], rep[b], a, b))
+    heapq.heapify(heap)
 
-    def push(i, j):
-        if forest.rep[i] > forest.rep[j]:
-            i, j = j, i
-        s = perturbed(forest.score(i, j))
-        heapq.heappush(heap, (-s, forest.rep[i], forest.rep[j], i, j))
-
-    for a, b in sorted((a, b) for a, table in enumerate(forest.shared) for b in table if a < b):
-        push(a, b)
-
+    heappop, heappush = heapq.heappop, heapq.heappush
     n_alive = len(pieces)
     while heap and n_alive > 1:
-        _, _, _, i, j = heapq.heappop(heap)
-        if not (forest.alive[i] and forest.alive[j]):
+        _, _, _, i, j = heappop(heap)
+        if not (alive[i] and alive[j]):
             continue
         idx = forest.merge(i, j)
         n_alive -= 1
-        for nb in sorted(forest.shared[idx]):
-            push(idx, nb)
+        r, e, sz = rep[idx], entries[idx], size[idx]
+        table = shared[idx]
+        for nb in sorted(table) if noisy else table:
+            x = table[nb]
+            s = sz + size[nb] - rounded_count(e * entries[nb] // (x * x))
+            if noisy:
+                s *= math.exp(noise_scale * rng.standard_normal())
+            if r < rep[nb]:
+                heappush(heap, (-s, r, rep[nb], idx, nb))
+            else:
+                heappush(heap, (-s, rep[nb], r, nb, idx))
 
     # Disconnected view: the survivors share no edges, contract by outer
     # products under the same objective.
     while n_alive > 1:
-        live = sorted((i for i, a in enumerate(forest.alive) if a), key=lambda i: forest.rep[i])
+        live = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
         best = None
         for x in range(len(live)):
             for y in range(x + 1, len(live)):
                 i, j = live[x], live[y]
-                s = perturbed(forest.score(i, j))
-                key = (-s, forest.rep[i], forest.rep[j])
+                s = forest.score(i, j)
+                if noisy:
+                    s *= math.exp(noise_scale * rng.standard_normal())
+                key = (-s, rep[i], rep[j])
                 if best is None or key < best[0]:
                     best = (key, i, j)
         _, i, j = best
@@ -218,7 +247,9 @@ def greedy_tree(net, view=None, cfg=None):
     sample index alone, so the sequence of candidate paths is a fixed
     function of the seed and the best-so-far cost is non-increasing in the
     sample count.  A view of at most two pieces has one possible tree and
-    always gets a single pass.
+    always gets a single pass.  The tree leaves the pass built and sized:
+    its pairs are not re-checked and its ``node_ops`` and ``legs_size``
+    are the pass's own figures.
     """
     if view is None:
         view = net.vertices()
@@ -232,7 +263,7 @@ def greedy_tree(net, view=None, cfg=None):
             ops = forest.total_ops()
             if ops < best_ops:
                 best, best_ops = forest, ops
-    return ContractionTree.from_pairs(net, best.pairs(), leaves=[v for v, _ in pieces])
+    return best.tree()
 
 
 def random_greedy_tree(net, view=None, cfg=None):

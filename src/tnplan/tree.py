@@ -16,9 +16,12 @@ a ``TensorNetwork`` or the fan-in network of ``pathfind.reduction_network``.
 
 A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 ``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node
-``num_vertices + j``.  Every tree is built by ``from_pairs``, which stores
-each node's legs as the node is created, so they are plain lookups
-afterwards; trees are never edited after construction.
+``num_vertices + j``.  Every tree is built by ``from_valid_pairs``, which
+stores each node's legs as the node is created, so they are plain lookups
+afterwards; trees are never edited after construction.  Pairs from a
+document or a caller go through ``from_pairs``, which checks them first;
+the greedy pass and ``compose_plan_tree`` make valid pairs by
+construction and build directly.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ class ContractionTree:
     carry no meaning: trees of one shape built in different orders number
     their internal nodes differently.  A leaf is a node whose children
     are ``None``.
+
+    ``op_counts`` and ``entry_counts`` are the memo tables, keyed by node
+    id, of ``costs.node_ops`` and ``costs.legs_size``; a greedy tree
+    arrives with both filled by its pass.
     """
 
     def __init__(self, network):
@@ -78,7 +85,8 @@ class ContractionTree:
         self._parent = {}
         self._root = None
         self._legs = {}
-        self.scratch = {}
+        self.op_counts = {}
+        self.entry_counts = {}
 
     # -- builders ----------------------------------------------------------
 
@@ -92,28 +100,22 @@ class ContractionTree:
         sequence must consume every node exactly once and reduce the
         forest to a single root.
         """
-        tree = cls(network)
         if leaves is None:
             leaves = list(network.vertices())
+        open_roots = set()
         for v in leaves:
-            tree._add_leaf(v)
-        open_roots = set(tree._children)
-        legs = tree._legs
-        next_id = network.num_vertices
-        for x, y in pairs:
+            if v not in network.vertices():
+                raise NetworkError(f"no vertex {v} in the network")
+            if v in open_roots:
+                raise TreeError(f"vertex {v} appears twice as a leaf")
+            open_roots.add(v)
+        for node, (x, y) in enumerate(pairs, network.num_vertices):
             if x not in open_roots:
                 raise TreeError(f"node {x} is not an available root in the sequence")
             if y not in open_roots:
                 raise TreeError(f"node {y} is not an available root in the sequence")
             if x == y:
                 raise TreeError(f"pair ({x}, {y}) contracts a node with itself")
-            node = next_id
-            next_id += 1
-            tree._children[node] = (x, y)
-            tree._parent[x] = node
-            tree._parent[y] = node
-            tree._parent[node] = None
-            legs[node] = legs[x] ^ legs[y]
             open_roots.discard(x)
             open_roots.discard(y)
             open_roots.add(node)
@@ -121,7 +123,25 @@ class ContractionTree:
             raise TreeError(
                 f"sequence leaves {len(open_roots)} roots; it must reduce to one"
             )
-        tree._root = open_roots.pop()
+        return cls.from_valid_pairs(network, pairs, leaves)
+
+    @classmethod
+    def from_valid_pairs(cls, network, pairs, leaves):
+        """``from_pairs`` without its checks, for pairs known to be valid."""
+        tree = cls(network)
+        children, parent, legs = tree._children, tree._parent, tree._legs
+        for v in leaves:
+            children[v] = None
+            parent[v] = None
+            legs[v] = network.leaf_legs(v)
+        node = network.num_vertices
+        for x, y in pairs:
+            children[node] = (x, y)
+            parent[x] = parent[y] = node
+            parent[node] = None
+            legs[node] = legs[x] ^ legs[y]
+            node += 1
+        tree._root = node - 1 if pairs else leaves[0]
         return tree
 
     @classmethod
@@ -133,15 +153,6 @@ class ContractionTree:
             if type(v) is not int:
                 raise TreeError(f"leaf must be an integer vertex id, got {v!r}")
         return cls.from_pairs(network, pairs, leaves)
-
-    def _add_leaf(self, v):
-        if v not in self.network.vertices():
-            raise NetworkError(f"no vertex {v} in the network")
-        if v in self._children:
-            raise TreeError(f"vertex {v} appears twice as a leaf")
-        self._children[v] = None
-        self._parent[v] = None
-        self._legs[v] = leaf_legs(self.network, v)
 
     # -- structure queries ---------------------------------------------------
 
@@ -162,7 +173,7 @@ class ContractionTree:
         return sorted(t for t, ch in self._children.items() if ch is None)
 
     def pairs(self):
-        """The merge sequence ``from_pairs`` built: pair ``j`` made node ``num_vertices + j``."""
+        """The merge sequence the tree was built from: pair ``j`` made node ``num_vertices + j``."""
         first = self.network.num_vertices
         return [self._children[first + j] for j in range(len(self._children) // 2)]
 
@@ -172,19 +183,16 @@ class ContractionTree:
         The order is deterministic: left child's subtree, right child's
         subtree, then the node.
         """
-        if node is None:
-            node = self._root
+        children = self._children
         out = []
-        stack = [(node, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if expanded or self._children[t] is None:
-                out.append(t)
-                continue
-            left, right = self._children[t]
-            stack.append((t, True))
-            stack.append((right, False))
-            stack.append((left, False))
+        stack = [self._root if node is None else node]
+        while stack:  # node, right subtree, left subtree: postorder reversed
+            t = stack.pop()
+            out.append(t)
+            ch = children[t]
+            if ch is not None:
+                stack += ch
+        out.reverse()
         return out
 
     def internal_nodes(self, node=None):
@@ -241,9 +249,11 @@ class ContractionTree:
 
 def compose_plan_tree(network, partition_trees, reduction):
     """Graft per-partition trees under a fan-in tree whose leaf ``i`` stands
-    for partition ``i``, in one ``from_pairs`` call: each partition's pairs
-    offset past the merges before them, then the fan-in pairs with leaf
-    ``i`` mapped to partition ``i``'s root."""
+    for partition ``i``, in one ``from_valid_pairs`` call: each partition's
+    pairs offset past the merges before them, then the fan-in pairs with
+    leaf ``i`` mapped to partition ``i``'s root.  The partition trees cover
+    disjoint vertex sets and the fan-in tree's leaves are ``0..k-1``, as in
+    every plan, so the pairs are valid by construction and not re-checked."""
     first = network.num_vertices
     leaves = []
     pairs = []
@@ -258,4 +268,4 @@ def compose_plan_tree(network, partition_trees, reduction):
     shift = first + len(pairs) - k
     pairs += [(roots[x] if x < k else x + shift, roots[y] if y < k else y + shift)
               for x, y in reduction.pairs()]
-    return ContractionTree.from_pairs(network, pairs, leaves)
+    return ContractionTree.from_valid_pairs(network, pairs, leaves)

@@ -171,7 +171,9 @@ def test_criterion_5_directed_annealing_halves_distributed_cost():
 
 def test_criterion_6_distributed_cost_predicts_emulated_walltime():
     """Across 16 plans over 8 random networks, the distributed cost metric
-    correlates with emulated wall time at Pearson r >= 0.9."""
+    correlates with emulated wall time at Pearson r >= 0.9.  Each plan is
+    emulated 3 times and its fastest run counts, so that a burst of load
+    from other processes does not stand in for the plan's own time."""
     started = time.perf_counter()
     specs = [
         (10, 3, 101),
@@ -198,9 +200,10 @@ def test_criterion_6_distributed_cost_predicts_emulated_walltime():
         )
         for k in (2, 4):
             plan = build_plan(net, initial_partition(net, k, seed=idx))
-            emu = execute_distributed_emulation(net, plan)
             costs.append(plan.report.con_dist)
-            seconds.append(emu.emulated_seconds)
+            seconds.append(min(
+                execute_distributed_emulation(net, plan).emulated_seconds for _ in range(3)
+            ))
     elapsed = time.perf_counter() - started
     assert len(costs) >= 10
     r = oracles.pearson(costs, seconds)

@@ -454,7 +454,17 @@ class TestDeterminism:
             traces.append([row["cost"] for row in trace])
         assert traces[0] != traces[1]
 
-    def test_state_is_a_function_of_its_partitioning(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "qubits, depth, k, cost",
+        [
+            (20, 8, 8, CostConfig(comm_alpha=1.0, comm_beta=0.5)),
+            # Costs near 2**80, where float sums round: a reordered sum or a
+            # changed rounding shows here, not in the exact sums under 2**53.
+            (30, 12, 16, CostConfig(comm_beta=1.0)),
+        ],
+        ids=["rc20x8-k8", "rc30x12-k16"],
+    )
+    def test_state_is_a_function_of_its_partitioning(self, monkeypatch, qubits, depth, k, cost):
         anneal_module = importlib.import_module("tnplan.anneal")
         proposed = []
 
@@ -463,10 +473,9 @@ class TestDeterminism:
             return proposed[-1]
 
         monkeypatch.setattr(anneal_module, "select_neighbor", recording)
-        net = circuit_to_network(random_circuit(20, 8, seed=1))
-        cost = CostConfig(comm_alpha=1.0, comm_beta=0.5)
+        net = circuit_to_network(random_circuit(qubits, depth, seed=1))
         cfg = AnnealConfig(mode="directed", cost=cost, workers=1, max_iters=1)
-        plan = build_plan(net, initial_partition(net, 8, seed=0), cost_cfg=cost)
+        plan = build_plan(net, initial_partition(net, k, seed=0), cost_cfg=cost)
         do_steps(net, 40, state_from_plan(plan, cfg), 1.0, cfg, np.random.default_rng(3))
         assert len(proposed) == 40
         for state in proposed:
@@ -474,7 +483,7 @@ class TestDeterminism:
             reduction = reduction_path(net, [t.legs(t.root) for t in trees])
             assert reduction.pairs() == state.reduction.pairs()
             local = [con_serial(t) for t in trees]
-            rebuilt = con_dist(reduction, None, cost, subtree_roots=range(8), local_costs=local)
+            rebuilt = con_dist(reduction, None, cost, subtree_roots=range(k), local_costs=local)
             assert rebuilt == state.cost
 
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import ghz_circuit
-from tnplan.costs import con_serial
+from tnplan.costs import con_par, con_serial, legs_size, mem_cost, node_ops
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import (
     GreedyConfig, _greedy_pass, greedy_tree, random_greedy_tree, reduction_network, reduction_path,
 )
 from tnplan.plan import build_plan, serial_plan
-from tnplan.tree import leaf_legs
+from tnplan.tree import ContractionTree, leaf_legs
 
 from oracles import (
     random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
@@ -142,6 +142,44 @@ def test_greedy_pass_matches_the_leg_set_reference(seed, source, noisy):
     draws = [np.random.default_rng(seed) if noisy else None for _ in range(2)]
     got = _greedy_pass(net, pieces, draws[0], 0.3)
     assert (got.pairs(), got.total_ops()) == reference_greedy_pass(net, pieces, draws[1], 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), source=st.sampled_from(("view", "fanin")), noisy=st.booleans())
+def test_greedy_tree_equals_the_checked_tree_of_its_pairs(seed, source, noisy):
+    """A greedy tree leaves its pass unchecked and sized by the pass; the
+    tree ``from_pairs`` checks and sizes from leg sets is the same, bit for bit."""
+    rng = np.random.default_rng(seed)
+    if source == "view":
+        # Dimension-1 and parallel bonds, often disconnected, some past the
+        # 2**300 clamp; some views hold one vertex.
+        net = random_bond_network(rng, scale=2**100 if rng.random() < 0.2 else 1)
+        view = [v for v in net.vertices() if rng.random() < 0.7] or [0]
+        if rng.random() < 0.1:
+            view = view[:1]
+    else:
+        base = random_network(rng, n_min=6, payloads=False)
+        k = int(rng.integers(2, min(6, base.num_vertices) + 1))
+        blocks = random_blocks(rng, base.vertices(), k)
+        trees = [greedy_tree(base, set(b)) for b in blocks]
+        net = reduction_network(base, [t.legs(t.root) for t in trees])
+        view = None
+    tree = greedy_tree(net, view, GreedyConfig(samples=3, rng_seed=seed) if noisy else None)
+    checked = ContractionTree.from_pairs(net, tree.pairs(), tree.leaves())
+    nodes = checked.postorder()
+    internal = checked.internal_nodes()
+    assert tree.root == checked.root
+    assert sorted(tree.op_counts) == sorted(internal)
+    assert sorted(tree.entry_counts) == sorted(nodes)
+    for t in nodes:
+        assert tree.children(t) == checked.children(t)
+        assert tree.parent(t) == checked.parent(t)
+        assert tree.legs(t) == checked.legs(t)
+        assert legs_size(tree, t) == legs_size(checked, t)
+    for t in internal:
+        assert node_ops(tree, t) == node_ops(checked, t)
+    for metric in (con_serial, con_par, mem_cost):
+        assert metric(tree) == metric(checked)
 
 
 def test_reduction_network_rejects_an_edge_in_three_partitions():

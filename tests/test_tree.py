@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnplan.network import TensorNetwork
+from tnplan.network import NetworkError, TensorNetwork
 from tnplan.tree import ContractionTree, TreeError, compose_plan_tree, leaf_legs
 
 from oracles import (blocks_nested, fanin_tree, random_blocks, random_nested, random_network,
@@ -46,6 +46,10 @@ def test_from_pairs_rejects_bad_sequences():
         ContractionTree.from_pairs(net, [(0, 1)])  # node 2 left over
     with pytest.raises(TreeError):
         ContractionTree.from_pairs(net, [(0, 1), (3, 2), (4, 2)])  # 2 reused
+    with pytest.raises(TreeError, match="appears twice"):
+        ContractionTree.from_pairs(net, [(0, 1), (3, 0)], leaves=[0, 1, 0])
+    with pytest.raises(NetworkError, match="no vertex 5"):
+        ContractionTree.from_pairs(net, [(0, 5)], leaves=[0, 5])
 
 
 def test_nested_round_trip():
