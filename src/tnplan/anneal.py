@@ -5,9 +5,19 @@ contraction tree and migrates its leaf tensors to another partition,
 chosen either uniformly (naive) or by the pair objective between the
 moved tensor and each candidate partition's result tensor (directed).
 Both affected partitions get fresh greedy trees, the fan-in tree is
-rebuilt by one deterministic greedy pass, and the candidate is re-costed.
-A candidate's cost is therefore a function of its partition trees, and
-so, once every tree is a greedy one, of its partitioning alone.
+rebuilt by one deterministic greedy pass over tables the state carries,
+and the candidate is re-costed.  A candidate's cost is therefore a
+function of its partition trees, and so, once every tree is a greedy one,
+of its partitioning alone.
+
+The tables are the exact integers of the partition results
+(``pathfind.leg_tables``): each result's entry count and, per pair of
+partitions, the product of the dimensions they share.  A move changes two
+partitions, so a proposal recomputes only their two rows, from the root
+legs of their new trees and a vertex -> partition map, and seeds the
+fan-in pass with the tables through ``pathfind.FanInNetwork``, with no
+scan of the other partitions' legs.  The directed target is sized from
+the same tables.
 
 Under the distributed metric a candidate is costed on the k-leaf fan-in
 tree: each partition's local cost comes from its own tree, and its fan-in
@@ -41,9 +51,13 @@ from time import perf_counter
 
 import numpy as np
 
-from .costs import CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric
+# dims_product is unused here but stays importable: perfbench's tracer wraps it.
+from .costs import (  # noqa: F401
+    CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric, rounded_count,
+)
+from .network import OPEN
 from .partition import Partitioning, validate
-from .pathfind import greedy_tree, reduction_path
+from .pathfind import FanInNetwork, greedy_tree, leg_tables, reduction_path
 from .plan import assemble_plan
 from .tree import ContractionTree, compose_plan_tree
 
@@ -103,6 +117,14 @@ class AnnealState:
 
     ``reduction`` is the fan-in tree ``reduction_path`` returns.  The
     composed tree is built on first read and then cached.
+
+    ``entries`` and ``shared`` are the ``leg_tables`` of the partition
+    trees' root legs: ``entries[i]`` is the exact entry count of partition
+    ``i``'s result and ``shared[i]`` maps every partition sharing edges with
+    it to the exact product of the shared dimensions.  ``owner[v]`` is the
+    partition of vertex ``v``; its last entry, ``owner[OPEN]``, is ``OPEN``,
+    so the open end of a leg belongs to no partition.  States share these
+    lists and dicts and never edit them.
     """
 
     partitioning: Partitioning
@@ -110,6 +132,9 @@ class AnnealState:
     reduction: ContractionTree
     local_costs: tuple
     cost: float
+    entries: list
+    shared: list
+    owner: list
 
     @cached_property
     def tree(self):
@@ -150,9 +175,10 @@ def _intra(cfg):
     return globals()[intra_metric(cfg.cost).__name__]
 
 
-def _state(net, cfg, partitioning, trees, reduction, local_costs):
-    """A state from its parts, costed under ``dist`` on the k-leaf fan-in tree
-    and under ``serial``/``par`` on the composed tree."""
+def _state(net, cfg, partitioning, trees, reduction, local_costs, tables):
+    """A state from its parts and its (entries, shared, owner) tables, costed
+    under ``dist`` on the k-leaf fan-in tree and under ``serial``/``par`` on
+    the composed tree."""
     if cfg.metric == "dist":
         cost = con_dist(
             reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
@@ -160,14 +186,26 @@ def _state(net, cfg, partitioning, trees, reduction, local_costs):
     else:
         composed = compose_plan_tree(net, trees, reduction)
         cost = con_serial(composed) if cfg.metric == "serial" else con_par(composed)
-    return AnnealState(partitioning, tuple(trees), reduction, tuple(local_costs), cost)
+    return AnnealState(partitioning, tuple(trees), reduction, tuple(local_costs), cost, *tables)
+
+
+def owner_map(net, blocks):
+    """The ``AnnealState.owner`` list of a partitioning."""
+    owner = [OPEN] * (net.num_vertices + 1)
+    for i, block in enumerate(blocks):
+        for v in block:
+            owner[v] = i
+    return owner
 
 
 def state_from_plan(plan, cfg):
+    net, trees = plan.network, plan.partition_trees
     intra = _intra(cfg)
-    local_costs = [intra(t) for t in plan.partition_trees]
+    local_costs = [intra(t) for t in trees]
+    entries, shared = leg_tables(net, [t.legs(t.root) for t in trees])
+    owner = owner_map(net, plan.partitioning.blocks)
     return _state(
-        plan.network, cfg, plan.partitioning, plan.partition_trees, plan.reduction, local_costs
+        net, cfg, plan.partitioning, trees, plan.reduction, local_costs, (entries, shared, owner)
     )
 
 
@@ -183,21 +221,51 @@ def select_target_naive(n_blocks, k_src, rng):
     return others[int(rng.integers(len(others)))]
 
 
-def select_target_directed(net, partition_trees, k_src, moved_legs):
+def result_row(net, owner, own, legs):
+    """The exact entry count and shared products of a tensor over vertices of
+    partition ``own`` with legs ``legs``.
+
+    Returns (E, {j: X}): E is the product of the legs' dimensions and X,
+    for each partition ``j``, the product over the legs whose far end lies
+    in ``j``.  A leg's far end is its end outside ``own``, or in ``own`` when
+    both ends are; open ends count for no partition.  For a partition's
+    root legs this is its ``leg_tables`` row; for a subtree's legs ``own``
+    itself may appear.
+    """
+    dims = net.edge_dims
+    entries = 1
+    row = {}
+    for e in legs:
+        d = dims[e]
+        entries *= d
+        (u, _), (v, _) = net.edge(e).ends
+        j = owner[u]
+        if j == own:
+            j = owner[v]
+        if j != OPEN:
+            row[j] = row.get(j, 1) * d
+    return entries, row
+
+
+def select_target_directed(entries, k_src, moved_entries, moved_shared):
     """Partition whose result tensor pairs best with the moved tensor.
 
     Maximizes |moved| + |target| - |moved . target| over targets; ties go
-    to the lowest partition index.
+    to the lowest partition index.  Sizes come from exact entry counts,
+    each rounded once as ``dims_product`` rounds it: ``entries[t]`` for
+    target ``t``, ``moved_entries`` for the moved tensor, and
+    E_moved * E_t / X**2 for their product, where X is ``moved_shared``'s
+    product for ``t`` (see ``result_row``), or 1.
     """
-    moved_size = dims_product(net, moved_legs)
+    moved_size = rounded_count(moved_entries)
     best_k = None
     best_obj = -math.inf
-    for k, t in enumerate(partition_trees):
+    for k, dest in enumerate(entries):
         if k == k_src:
             continue
-        dest_legs = t.legs(t.root)
-        result = dims_product(net, moved_legs ^ dest_legs)
-        obj = moved_size + dims_product(net, dest_legs) - result
+        x = moved_shared.get(k, 1)
+        result = rounded_count(moved_entries * dest // (x * x))
+        obj = moved_size + rounded_count(dest) - result
         if obj > best_obj:
             best_obj = obj
             best_k = k
@@ -222,7 +290,8 @@ def select_neighbor(net, state, cfg, rng):
     moved = frozenset(src_tree.subtree_leaf_tensors(node))
 
     if cfg.mode == "directed":
-        k_dst = select_target_directed(net, state.partition_trees, k_src, src_tree.legs(node))
+        moved_entries, moved_shared = result_row(net, state.owner, k_src, src_tree.legs(node))
+        k_dst = select_target_directed(state.entries, k_src, moved_entries, moved_shared)
     else:
         k_dst = select_target_naive(len(blocks), k_src, rng)
 
@@ -230,16 +299,35 @@ def select_neighbor(net, state, cfg, rng):
     new_blocks[k_src] = blocks[k_src] - moved
     new_blocks[k_dst] = blocks[k_dst] | moved
     partitioning = Partitioning(new_blocks)
+    owner = list(state.owner)
+    for v in moved:
+        owner[v] = k_dst
 
     trees = list(state.partition_trees)
-    trees[k_src] = greedy_tree(net, new_blocks[k_src])
-    trees[k_dst] = greedy_tree(net, new_blocks[k_dst])
     intra = _intra(cfg)
     local_costs = list(state.local_costs)
-    local_costs[k_src] = intra(trees[k_src])
-    local_costs[k_dst] = intra(trees[k_dst])
-    reduction = reduction_path(net, [t.legs(t.root) for t in trees])
-    candidate = _state(net, cfg, partitioning, trees, reduction, local_costs)
+    entries = list(state.entries)
+    shared = list(state.shared)
+    pair = (k_src, k_dst)
+    stale = set(shared[k_src]).union(shared[k_dst])
+    for i in pair:
+        t = trees[i] = greedy_tree(net, new_blocks[i])
+        local_costs[i] = intra(t)
+        entries[i], shared[i] = result_row(net, owner, i, t.legs(t.root))
+        stale.update(shared[i])
+    # Every other row changes only in its entries for the moved pair.
+    for j in stale.difference(pair):
+        row = shared[j] = dict(shared[j])
+        for i in pair:
+            x = shared[i].get(j)
+            if x is None:
+                row.pop(i, None)
+            else:
+                row[i] = x
+    reduction = reduction_path(FanInNetwork(entries, shared))
+    candidate = _state(
+        net, cfg, partitioning, trees, reduction, local_costs, (entries, shared, owner)
+    )
 
     if cfg.check_invariants:
         ok, problems = validate(partitioning, net)
@@ -248,6 +336,8 @@ def select_neighbor(net, state, cfg, rng):
         for i, t in enumerate(trees):
             assert set(t.leaves()) == set(new_blocks[i])
         assert moved and moved != blocks[k_src]
+        assert owner == owner_map(net, new_blocks)
+        assert [entries, shared] == list(leg_tables(net, [t.legs(t.root) for t in trees]))
         tree = candidate.tree
         if cfg.metric == "dist":
             fresh = con_dist(tree, new_blocks, cfg.cost)

@@ -13,13 +13,19 @@ builds the tree from the pairs without re-checking them, and the pass
 fills the tree's ``node_ops`` and ``legs_size`` memos from its exact
 integers, so costing a greedy tree derives no size from leg sets.
 
+A pass starts from exact tables, not from legs: each tensor's entry
+count and, for every tensor it shares edges with, the product of the
+shared dimensions.  ``leg_tables`` reads them off leg sets once.
+
 With a ``GreedyConfig`` the deterministic pass is followed by ``samples``
 passes with each pair score multiplied by log-normal noise, and the pass
 with the smallest serial cost is kept; only ``serial_plan`` asks for
-that.  The fan-in tree of
-``reduction_path`` is one deterministic pass over ``reduction_network``,
-so a plan's fan-in, and the annealer's cost of a state, depend on its
-partition trees alone.
+that.  The fan-in tree of ``reduction_path`` is one deterministic pass
+seeded straight from the tables of a ``FanInNetwork``: ``reduction_network``
+makes them from the partitions' result legs, and the annealer carries them
+from one state to the next, updating only the partitions a move changed.
+Either way a plan's fan-in, and the annealer's cost of a state, depend on
+its partition trees alone.
 """
 
 from __future__ import annotations
@@ -70,10 +76,10 @@ class _Forest:
 
     Piece ``p`` keeps ``entries[p]``, the exact integer entry count E of
     its tensor, and ``shared[p]``, which maps every piece sharing an edge
-    with it to X, the exact product of the dimensions they share; an edge
-    is held by at most two pieces.  The legs of a merge are the symmetric
-    difference of its operands' legs and the multiplications run over
-    their union, so
+    with it to X, the exact product of the dimensions they share (the
+    tables of ``leg_tables``; the forest owns and edits them).  The legs
+    of a merge are the symmetric difference of its operands' legs and the
+    multiplications run over their union, so
 
         E(A u B) = E(A) * E(B) / X(A, B)**2,   ops(A, B) = E(A) * E(B) / X(A, B),
 
@@ -84,27 +90,15 @@ class _Forest:
     them.
     """
 
-    def __init__(self, net, pieces):
+    def __init__(self, net, nodes, entries, shared):
         self.net = net
         self.first_node = net.num_vertices
-        self.entries = []
-        self.shared = []
-        holder = {}  # edge -> the piece seen holding it
-        for p, (_, legs) in enumerate(pieces):
-            table = {}
-            entries = 1
-            for e in legs:
-                d = net.edge_dims[e]
-                entries *= d
-                q = holder.setdefault(e, p)
-                if q != p:
-                    table[q] = self.shared[q][p] = table.get(q, 1) * d
-            self.entries.append(entries)
-            self.shared.append(table)
-        self.node = [key for key, _ in pieces]
-        self.rep = list(self.node)
-        self.size = [rounded_count(e) for e in self.entries]
-        self.alive = [True] * len(pieces)
+        self.entries = entries
+        self.shared = shared
+        self.node = list(nodes)
+        self.rep = list(nodes)
+        self.size = [rounded_count(e) for e in entries]
+        self.alive = [True] * len(entries)
         self.merges = []
         self.ops = []
 
@@ -164,8 +158,39 @@ class _Forest:
         return tree
 
 
-def _greedy_pass(net, pieces, rng=None, noise_scale=0.0):
-    """One full greedy pass over ``pieces`` (a list of (key, legs)).
+def leg_tables(net, leg_sets):
+    """The exact tables of tensors with the given leg sets, as lists.
+
+    ``entries[p]`` is the product of ``net.edge_dims`` over leg set ``p``,
+    and ``shared[p]`` maps every ``q`` whose leg set meets it to the
+    product of the dimensions of the edges they share, dimension-1 edges
+    included.  An edge in three or more leg sets is a ``ValueError``.
+    """
+    dims = net.edge_dims
+    entries = []
+    shared = []
+    holder = {}  # edge -> the leg set seen holding it, -1 once two have
+    for p, legs in enumerate(leg_sets):
+        table = {}
+        n = 1
+        for e in legs:
+            d = dims[e]
+            n *= d
+            q = holder.setdefault(e, p)
+            if q != p:
+                if q < 0:
+                    count = sum(e in other for other in leg_sets)
+                    raise ValueError(f"edge {e} appears in {count} partitions")
+                table[q] = shared[q][p] = table.get(q, 1) * d
+                holder[e] = -1
+        entries.append(n)
+        shared.append(table)
+    return entries, shared
+
+
+def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
+    """One full greedy pass over the tensors with node ids ``nodes`` and the
+    tables ``entries`` and ``shared`` of ``leg_tables``, which it edits.
 
     Returns the finished forest, whose ``pairs()``, ``total_ops()`` and
     ``tree()`` are the pass's merges, multiplications and tree.  Heap
@@ -173,9 +198,9 @@ def _greedy_pass(net, pieces, rng=None, noise_scale=0.0):
     pushes; a noisy pass still scores pairs in sorted order, which fixes
     the pair each noise draw perturbs.
     """
-    if not pieces:
+    if not nodes:
         raise ValueError("nothing to contract")
-    forest = _Forest(net, pieces)
+    forest = _Forest(net, nodes, entries, shared)
     entries, shared, size, rep, alive = (
         forest.entries, forest.shared, forest.size, forest.rep, forest.alive,
     )
@@ -195,7 +220,7 @@ def _greedy_pass(net, pieces, rng=None, noise_scale=0.0):
     heapq.heapify(heap)
 
     heappop, heappush = heapq.heappop, heapq.heappush
-    n_alive = len(pieces)
+    n_alive = len(nodes)
     while heap and n_alive > 1:
         _, _, _, i, j = heappop(heap)
         if not (alive[i] and alive[j]):
@@ -251,18 +276,20 @@ def greedy_tree(net, view=None, cfg=None):
     its pairs are not re-checked and its ``node_ops`` and ``legs_size``
     are the pass's own figures.
     """
-    if view is None:
-        view = net.vertices()
-    pieces = [(v, leaf_legs(net, v)) for v in sorted(view)]
-    best = _greedy_pass(net, pieces)
-    if cfg is not None and len(pieces) > 2:
-        best_ops = best.total_ops()
-        for s in range(cfg.samples):
-            rng = _sample_rng(cfg.rng_seed, s)
-            forest = _greedy_pass(net, pieces, rng, cfg.noise_scale)
-            ops = forest.total_ops()
-            if ops < best_ops:
-                best, best_ops = forest, ops
+    nodes = sorted(net.vertices() if view is None else view)
+    entries, shared = leg_tables(net, [leaf_legs(net, v) for v in nodes])
+    if cfg is None or len(nodes) <= 2:
+        return _greedy_pass(net, nodes, entries, shared).tree()
+    best = _greedy_pass(net, nodes, list(entries), [dict(t) for t in shared])
+    best_ops = best.total_ops()
+    for s in range(cfg.samples):
+        rng = _sample_rng(cfg.rng_seed, s)
+        forest = _greedy_pass(
+            net, nodes, list(entries), [dict(t) for t in shared], rng, cfg.noise_scale
+        )
+        ops = forest.total_ops()
+        if ops < best_ops:
+            best, best_ops = forest, ops
     return best.tree()
 
 
@@ -272,14 +299,43 @@ def random_greedy_tree(net, view=None, cfg=None):
 
 
 class FanInNetwork:
-    """The network of a fan-in tree: vertex ``i`` is partition ``i``, its
-    legs are integer group ids, and ``edge_dims[g]`` is group ``g``'s exact
-    integer size.  It has only what ``tree.py`` asks of a network."""
+    """The network of a fan-in tree, built from the exact tables of the
+    partition result tensors.
 
-    def __init__(self, legs, edge_dims):
-        self.num_vertices = len(legs)
-        self.edge_dims = edge_dims
-        self._legs = legs
+    Vertex ``i`` is partition ``i``: ``entries[i]`` is the exact entry
+    count of its result tensor and ``shared[i]`` maps every partition
+    sharing edges with it to the exact product of the dimensions they
+    share, as ``leg_tables`` gives them.  The legs are integer group ids.
+    The edges two partitions share form one group, a leg of both; the
+    open legs of ``i`` form one group, a leg of ``i`` alone, unless their
+    product is 1; ``edge_dims[g]`` is group ``g``'s size.  Groups are
+    numbered by partition, then by partner, so equal tables give equal
+    legs.  Every size is an exact integer product, so every greedy score
+    and cost is bit for bit the one over the original edges.  The network
+    has what ``tree.py`` asks of one, and ``reduction_path`` seeds its pass
+    from the tables, which it does not edit.
+    """
+
+    def __init__(self, entries, shared):
+        self.num_vertices = len(entries)
+        self.entries = entries
+        self.shared = shared
+        legs = [[] for _ in entries]
+        dims = []
+        for i, table in enumerate(shared):
+            mine = legs[i]
+            for j in sorted(table):
+                if j > i:
+                    g = len(dims)
+                    mine.append(g)
+                    legs[j].append(g)
+                    dims.append(table[j])
+            rest = entries[i] // math.prod(table.values())
+            if rest != 1:
+                mine.append(len(dims))
+                dims.append(rest)
+        self.edge_dims = dims
+        self._legs = [frozenset(l) for l in legs]
 
     def vertices(self):
         return range(self.num_vertices)
@@ -289,37 +345,19 @@ class FanInNetwork:
 
 
 def reduction_network(net, partition_legs):
-    """The ``FanInNetwork`` over the partition result tensors.
+    """The ``FanInNetwork`` over partition result tensors with the given legs:
+    their ``leg_tables``.  An edge held by three or more partitions is a
+    ``ValueError``."""
+    return FanInNetwork(*leg_tables(net, partition_legs))
 
-    The edges shared by partitions ``i`` and ``j`` form one group, a leg of
-    both, and the open legs of ``i`` one group, a leg of ``i`` alone; a
-    group's size is the product of its edges' dimensions.  A group's
-    edges are always legs of the same pieces and every size is an exact
-    integer product, so every greedy score and cost is bit for bit the
-    one over the original edges.  An edge held by three or more partitions
-    is a ``ValueError``.
+
+def reduction_path(fanin):
+    """Fan-in contraction tree over the partitions of a ``FanInNetwork``.
+
+    One deterministic greedy pass, seeded from copies of the network's
+    tables; the tree's leaf ids are partition indices.  With one
+    partition this is the trivial single-node tree.
     """
-    holders = {}
-    for i, legs in enumerate(partition_legs):
-        for e in legs:
-            holders[e] = holders.get(e, ()) + (i,)
-    groups = {}  # (i,) for the open legs of i, (i, j) with i < j for a bond -> size
-    for e, ends in holders.items():
-        if len(ends) > 2:
-            raise ValueError(f"edge {e} appears in {len(ends)} partitions")
-        groups[ends] = groups.get(ends, 1) * net.edge_dims[e]
-    legs = [set() for _ in partition_legs]
-    for g, ends in enumerate(groups):
-        for i in ends:
-            legs[i].add(g)
-    return FanInNetwork([frozenset(l) for l in legs], list(groups.values()))
-
-
-def reduction_path(net, partition_legs):
-    """Fan-in contraction tree over partition result tensors.
-
-    One deterministic greedy pass over the fan-in network of
-    ``reduction_network``; the tree's leaf ids are partition indices.
-    With one partition this is the trivial single-node tree.
-    """
-    return greedy_tree(reduction_network(net, partition_legs))
+    nodes = range(fanin.num_vertices)
+    shared = [dict(t) for t in fanin.shared]
+    return _greedy_pass(fanin, nodes, list(fanin.entries), shared).tree()

@@ -62,8 +62,7 @@ def build_plan(net, partitioning, cost_cfg=None):
     if not ok:
         raise PlanError("invalid partitioning: " + "; ".join(problems))
     trees = [greedy_tree(net, block) for block in partitioning.blocks]
-    legs = [t.legs(t.root) for t in trees]
-    reduction = reduction_path(net, legs)
+    reduction = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
     return assemble_plan(net, partitioning, trees, reduction, cost_cfg)
 
 
@@ -76,7 +75,7 @@ def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
     part = Partitioning([net.vertices()])
     if tree is None:
         tree = greedy_tree(net, cfg=cfg)
-    reduction = reduction_path(net, [tree.legs(tree.root)])
+    reduction = reduction_path(reduction_network(net, [tree.legs(tree.root)]))
     return assemble_plan(net, part, [tree], reduction, cost_cfg)
 
 

@@ -12,7 +12,7 @@ the view as open: they survive to the view root's legs.
 
 A tree reads ``num_vertices``, ``vertices()``, ``leaf_legs(v)`` (a frozenset
 of int edge ids) and, in the cost functions, ``edge_dims[e]`` of its network:
-a ``TensorNetwork`` or the fan-in network of ``pathfind.reduction_network``.
+a ``TensorNetwork`` or a fan-in network, ``pathfind.FanInNetwork``.
 
 A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 ``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node

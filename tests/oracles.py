@@ -360,6 +360,28 @@ def reference_reduction_nested(net, partition_legs):
 
 
 # ---------------------------------------------------------------------------
+# directed target over leg sets
+
+def select_target_directed(net, partition_trees, k_src, moved_legs):
+    """``tnplan.anneal.select_target_directed`` over leg sets: every size is
+    ``dims_product`` of the moved legs, a target's root legs, or their
+    symmetric difference."""
+    moved_size = dims_product(net, moved_legs)
+    best_k = None
+    best_obj = -math.inf
+    for k, t in enumerate(partition_trees):
+        if k == k_src:
+            continue
+        dest_legs = t.legs(t.root)
+        result = dims_product(net, moved_legs ^ dest_legs)
+        obj = moved_size + dims_product(net, dest_legs) - result
+        if obj > best_obj:
+            best_obj = obj
+            best_k = k
+    return best_k
+
+
+# ---------------------------------------------------------------------------
 # greedy pass over leg sets
 
 def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):

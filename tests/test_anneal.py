@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +17,9 @@ from tnplan.anneal import (
     acceptance_probability,
     anneal,
     do_steps,
+    owner_map,
     refine_plan,
+    result_row,
     select_neighbor,
     select_target_directed,
     state_from_plan,
@@ -28,8 +30,8 @@ from tnplan.circuits import circuit_to_network
 from tnplan.corpus import bundled_suite, ghz_circuit, random_circuit
 from tnplan.costs import CostConfig, con_dist, con_serial
 from tnplan.network import TensorNetwork
-from tnplan.partition import initial_partition, validate
-from tnplan.pathfind import greedy_tree, reduction_path
+from tnplan.partition import Partitioning, initial_partition, validate
+from tnplan.pathfind import greedy_tree, leg_tables, reduction_network, reduction_path
 from tnplan.plan import build_plan, plan_to_dict
 from tnplan.tree import ContractionTree
 
@@ -208,6 +210,16 @@ class TestAnnealConfig:
 # ---------------------------------------------------------------------------
 
 
+def directed_target(net, trees, k_src, moved_legs):
+    """``select_target_directed`` on the tables of ``trees``, checked against
+    the leg-set rule of the oracle."""
+    entries, _ = leg_tables(net, [t.legs(t.root) for t in trees])
+    owner = owner_map(net, [t.leaves() for t in trees])
+    k = select_target_directed(entries, k_src, *result_row(net, owner, k_src, moved_legs))
+    assert k == oracles.select_target_directed(net, trees, k_src, moved_legs)
+    return k
+
+
 class TestDirectedSelection:
     def test_chain_prefers_heavier_contraction(self):
         # Moving T1 (size 4*8=32): pairing with T2 (size 8*3=24) removes the
@@ -216,7 +228,7 @@ class TestDirectedSelection:
         net = chain_net()
         trees = [ContractionTree.from_pairs(net, [], leaves=[i]) for i in range(3)]
         moved = trees[1].legs(trees[1].root)
-        assert select_target_directed(net, trees, 1, moved) == 2
+        assert directed_target(net, trees, 1, moved) == 2
 
     def test_tie_breaks_to_lowest_index(self):
         # Symmetric chain: both neighbours of the middle tensor offer the
@@ -224,14 +236,53 @@ class TestDirectedSelection:
         net = chain_net(dims=(3, 4, 4, 3))
         trees = [ContractionTree.from_pairs(net, [], leaves=[i]) for i in range(3)]
         moved = trees[1].legs(trees[1].root)
-        assert select_target_directed(net, trees, 1, moved) == 0
+        assert directed_target(net, trees, 1, moved) == 0
 
     def test_source_partition_never_selected(self):
         net = chain_net()
         trees = [ContractionTree.from_pairs(net, [], leaves=[i]) for i in range(3)]
         for src in range(3):
             moved = trees[src].legs(trees[src].root)
-            assert select_target_directed(net, trees, src, moved) != src
+            assert directed_target(net, trees, src, moved) != src
+
+
+# ---------------------------------------------------------------------------
+# carried fan-in tables
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(("naive", "directed")),
+    huge=st.booleans(),
+)
+def test_walks_carry_the_tables_of_their_trees(seed, mode, huge):
+    # Dimension-1 and parallel bonds, often disconnected; with ``huge``
+    # every dimension is a multiple of 2**100, past the 2**300 clamp.
+    rng = np.random.default_rng(seed)
+    net = oracles.random_bond_network(rng, scale=2**100 if huge else 1)
+    assume(net.num_vertices >= 3)
+    k = int(rng.integers(2, min(5, net.num_vertices)))
+    part = Partitioning(oracles.random_blocks(rng, net.vertices(), k))
+    cfg = AnnealConfig(mode=mode, cost=CostConfig(comm_beta=1.0), workers=1, max_iters=1)
+    state = state_from_plan(build_plan(net, part, cost_cfg=cfg.cost), cfg)
+    for _ in range(6):
+        trees = state.partition_trees
+        legs = [t.legs(t.root) for t in trees]
+        assert [state.entries, state.shared] == list(leg_tables(net, legs))
+        assert state.owner == owner_map(net, state.partitioning.blocks)
+        fresh = reduction_path(reduction_network(net, legs))
+        assert state.reduction.pairs() == fresh.pairs()
+        for t in state.reduction.postorder():
+            assert state.reduction.legs(t) == fresh.legs(t)
+        for k_src, tree in enumerate(trees):
+            for node in tree.postorder()[:-1]:
+                directed_target(net, trees, k_src, tree.legs(node))
+        try:
+            state = select_neighbor(net, state, cfg, rng)
+        except NoMoveError:
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +506,20 @@ class TestDeterminism:
         assert traces[0] != traces[1]
 
     @pytest.mark.parametrize(
-        "qubits, depth, k, cost",
+        "network, k, cost",
         [
-            (20, 8, 8, CostConfig(comm_alpha=1.0, comm_beta=0.5)),
+            ((20, 8), 8, CostConfig(comm_alpha=1.0, comm_beta=0.5)),
             # Costs near 2**80, where float sums round: a reordered sum or a
             # changed rounding shows here, not in the exact sums under 2**53.
-            (30, 12, 16, CostConfig(comm_beta=1.0)),
+            ((30, 12), 16, CostConfig(comm_beta=1.0)),
+            # Every circuit dimension is 2, so those sums hold powers of two;
+            # dimensions 2..7 and costs of 2**80-2**120 make a reordered sum
+            # round differently.
+            (80, 8, CostConfig(comm_alpha=0.5, comm_beta=1.0)),
         ],
-        ids=["rc20x8-k8", "rc30x12-k16"],
+        ids=["rc20x8-k8", "rc30x12-k16", "rand80-d7-k8"],
     )
-    def test_state_is_a_function_of_its_partitioning(self, monkeypatch, qubits, depth, k, cost):
+    def test_state_is_a_function_of_its_partitioning(self, monkeypatch, network, k, cost):
         anneal_module = importlib.import_module("tnplan.anneal")
         proposed = []
 
@@ -473,14 +528,19 @@ class TestDeterminism:
             return proposed[-1]
 
         monkeypatch.setattr(anneal_module, "select_neighbor", recording)
-        net = circuit_to_network(random_circuit(qubits, depth, seed=1))
+        if isinstance(network, tuple):
+            net = circuit_to_network(random_circuit(*network, seed=1))
+        else:
+            net = oracles.random_network(
+                np.random.default_rng(0), n_min=network, n_max=network, max_dim=7, payloads=False
+            )
         cfg = AnnealConfig(mode="directed", cost=cost, workers=1, max_iters=1)
         plan = build_plan(net, initial_partition(net, k, seed=0), cost_cfg=cost)
         do_steps(net, 40, state_from_plan(plan, cfg), 1.0, cfg, np.random.default_rng(3))
         assert len(proposed) == 40
         for state in proposed:
             trees = [greedy_tree(net, block) for block in state.partitioning.blocks]
-            reduction = reduction_path(net, [t.legs(t.root) for t in trees])
+            reduction = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
             assert reduction.pairs() == state.reduction.pairs()
             local = [con_serial(t) for t in trees]
             rebuilt = con_dist(reduction, None, cost, subtree_roots=range(k), local_costs=local)

@@ -63,7 +63,7 @@ def test_grouped_fanin_search_matches_ungrouped_reference(seed):
     k = int(rng.integers(1, min(7, net.num_vertices) + 1))
     blocks = oracles.random_blocks(rng, net.vertices(), k)
     legs = [t.legs(t.root) for t in (greedy_tree(net, view=set(b)) for b in blocks)]
-    got = oracles.to_nested(reduction_path(net, legs))
+    got = oracles.to_nested(reduction_path(reduction_network(net, legs)))
     assert got == oracles.reference_reduction_nested(net, legs)
     # Every set of partition results has the same entry count over the
     # grouped fan-in legs as over the original edges.
@@ -90,7 +90,7 @@ def test_grouped_dimensions_past_float_range_saturate():
     net.bond(a, wide, c, 0)
     net.bond(b, wide, c, 1)
     legs = [leaf_legs(net, v) for v in (a, b, c)]
-    reduction = reduction_path(net, legs)
+    reduction = reduction_path(reduction_network(net, legs))
     assert oracles.to_nested(reduction) == oracles.reference_reduction_nested(net, legs)
     cost = CostConfig(comm_beta=1.0)
     fanin = con_dist(reduction, None, cost, subtree_roots=range(3), local_costs=[0.0] * 3)
@@ -141,7 +141,7 @@ def test_three_bonds_per_pair_fan_in_matches_the_composed_tree(dims):
             next_axis[u] += 1
             next_axis[v] += 1
     legs = [leaf_legs(net, v) for v in range(3)]
-    reduction = reduction_path(net, legs)
+    reduction = reduction_path(reduction_network(net, legs))
     cost = CostConfig(comm_beta=1.0)
     fanin = con_dist(reduction, None, cost, subtree_roots=range(3), local_costs=[0.0] * 3)
     parts = [ContractionTree.from_pairs(net, [], leaves=[v]) for v in range(3)]

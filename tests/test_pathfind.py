@@ -11,7 +11,8 @@ from tnplan.costs import con_par, con_serial, legs_size, mem_cost, node_ops
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import (
-    GreedyConfig, _greedy_pass, greedy_tree, random_greedy_tree, reduction_network, reduction_path,
+    GreedyConfig, _greedy_pass, greedy_tree, leg_tables, random_greedy_tree, reduction_network,
+    reduction_path,
 )
 from tnplan.plan import build_plan, serial_plan
 from tnplan.tree import ContractionTree, leaf_legs
@@ -140,7 +141,8 @@ def test_greedy_pass_matches_the_leg_set_reference(seed, source, noisy):
         view = net.vertices()
     pieces = [(v, leaf_legs(net, v)) for v in view]
     draws = [np.random.default_rng(seed) if noisy else None for _ in range(2)]
-    got = _greedy_pass(net, pieces, draws[0], 0.3)
+    tables = leg_tables(net, [legs for _, legs in pieces])
+    got = _greedy_pass(net, list(view), *tables, draws[0], 0.3)
     assert (got.pairs(), got.total_ops()) == reference_greedy_pass(net, pieces, draws[1], 0.3)
 
 
@@ -192,11 +194,11 @@ def test_reduction_network_rejects_an_edge_in_three_partitions():
 def test_reduction_path_short_circuits_small_cases():
     net = path4()
     t_all = greedy_tree(net)
-    one = reduction_path(net, [t_all.legs(t_all.root)])
+    one = reduction_path(reduction_network(net, [t_all.legs(t_all.root)]))
     assert one.leaves() == [0] and one.root == 0
     left = greedy_tree(net, view={0, 1})
     right = greedy_tree(net, view={2, 3})
-    two = reduction_path(net, [left.legs(left.root), right.legs(right.root)])
+    two = reduction_path(reduction_network(net, [left.legs(left.root), right.legs(right.root)]))
     assert sorted(two.leaves()) == [0, 1]
 
 
@@ -208,7 +210,7 @@ def test_reduction_path_covers_every_partition_once(seed):
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
     trees = [greedy_tree(net, view=set(b)) for b in blocks]
-    red = reduction_path(net, [t.legs(t.root) for t in trees])
+    red = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
     assert sorted(red.leaves()) == list(range(k))
 
 
