@@ -43,7 +43,6 @@ from .costs import (
     cost_report,
     mem_cost,
     node_ops,
-    vertex_congestion,
 )
 from .execute import (
     ExecutionError,
@@ -134,5 +133,4 @@ __all__ = [
     "serial_plan",
     "temperature_at",
     "validate",
-    "vertex_congestion",
 ]

@@ -19,15 +19,14 @@ fan-in pass with the tables through ``pathfind.FanInNetwork``, with no
 scan of the other partitions' legs.  The directed target is sized from
 the same tables.
 
-Under the distributed metric a candidate is costed on the k-leaf fan-in
-tree: each partition's local cost comes from its own tree, and its fan-in
-from the reduction tree's contractions and transfers, which are those of
-the composed tree.  A proposal therefore never builds the full tree over
-all tensors; a run builds it once, when ``state_to_plan`` assembles the
-plan it returns.  A state composes it on first read of ``tree``, which
-only the invariant checks do.  The serial and parallel metrics still cost
-the composed tree of every proposal.  Every state, initial or proposed,
-is built and costed by ``_state``.
+A candidate is costed under ``con_dist`` on the k-leaf fan-in tree: each
+partition's local cost comes from its own tree, and its fan-in from the
+reduction tree's contractions and transfers, which are those of the
+composed tree.  A proposal therefore never builds the full tree over all
+tensors; a run builds it once, when ``state_to_plan`` assembles the plan
+it returns.  A state composes it on first read of ``tree``, which only
+the invariant checks do.  Every state, initial or proposed, is built and
+costed by ``_state``.
 
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
@@ -51,7 +50,8 @@ from time import perf_counter
 
 import numpy as np
 
-# dims_product is unused here but stays importable: perfbench's tracer wraps it.
+# Unused by name but kept: perfbench's tracer wraps dims_product, and _intra
+# looks con_par and con_serial up in globals().
 from .costs import (  # noqa: F401
     CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric, rounded_count,
 )
@@ -85,7 +85,6 @@ class AnnealConfig:
     restart_threshold: int = 20
     mode: str = "naive"
     seed: int = 0
-    metric: str = "dist"
     cost: CostConfig = field(default_factory=CostConfig)
     threads: int = 1
     check_invariants: bool = False
@@ -101,8 +100,6 @@ class AnnealConfig:
             raise ValueError("workers must be >= 1")
         if self.mode not in ("naive", "directed"):
             raise ValueError(f"mode must be 'naive' or 'directed', got {self.mode!r}")
-        if self.metric not in ("dist", "serial", "par"):
-            raise ValueError(f"metric must be dist, serial or par, got {self.metric!r}")
         if not math.isfinite(self.time_limit):
             raise ValueError(f"time_limit must be finite, got {self.time_limit!r}")
         if self.max_iters <= 0 and self.time_limit <= 0:
@@ -175,17 +172,12 @@ def _intra(cfg):
     return globals()[intra_metric(cfg.cost).__name__]
 
 
-def _state(net, cfg, partitioning, trees, reduction, local_costs, tables):
+def _state(cfg, partitioning, trees, reduction, local_costs, tables):
     """A state from its parts and its (entries, shared, owner) tables, costed
-    under ``dist`` on the k-leaf fan-in tree and under ``serial``/``par`` on
-    the composed tree."""
-    if cfg.metric == "dist":
-        cost = con_dist(
-            reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
-        )
-    else:
-        composed = compose_plan_tree(net, trees, reduction)
-        cost = con_serial(composed) if cfg.metric == "serial" else con_par(composed)
+    under ``con_dist`` on the k-leaf fan-in tree."""
+    cost = con_dist(
+        reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
+    )
     return AnnealState(partitioning, tuple(trees), reduction, tuple(local_costs), cost, *tables)
 
 
@@ -205,7 +197,7 @@ def state_from_plan(plan, cfg):
     entries, shared = leg_tables(net, [t.legs(t.root) for t in trees])
     owner = owner_map(net, plan.partitioning.blocks)
     return _state(
-        net, cfg, plan.partitioning, trees, plan.reduction, local_costs, (entries, shared, owner)
+        cfg, plan.partitioning, trees, plan.reduction, local_costs, (entries, shared, owner)
     )
 
 
@@ -325,9 +317,7 @@ def select_neighbor(net, state, cfg, rng):
             else:
                 row[i] = x
     reduction = reduction_path(FanInNetwork(entries, shared))
-    candidate = _state(
-        net, cfg, partitioning, trees, reduction, local_costs, (entries, shared, owner)
-    )
+    candidate = _state(cfg, partitioning, trees, reduction, local_costs, (entries, shared, owner))
 
     if cfg.check_invariants:
         ok, problems = validate(partitioning, net)
@@ -338,11 +328,7 @@ def select_neighbor(net, state, cfg, rng):
         assert moved and moved != blocks[k_src]
         assert owner == owner_map(net, new_blocks)
         assert [entries, shared] == list(leg_tables(net, [t.legs(t.root) for t in trees]))
-        tree = candidate.tree
-        if cfg.metric == "dist":
-            fresh = con_dist(tree, new_blocks, cfg.cost)
-        else:
-            fresh = con_serial(tree) if cfg.metric == "serial" else con_par(tree)
+        fresh = con_dist(candidate.tree, new_blocks, cfg.cost)
         assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
 
     return candidate

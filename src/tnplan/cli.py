@@ -78,12 +78,6 @@ def _add_plan_flags(parser, partitions, partitions_help):
     parser.add_argument(
         "--imbalance", type=float, default=DEFAULT_IMBALANCE, help="initial partition imbalance"
     )
-    parser.add_argument(
-        "--cost-metric",
-        choices=("serial", "par", "dist"),
-        default=AnnealConfig.metric,
-        help="metric reported as the headline cost (and optimized by anneal)",
-    )
 
 
 def _add_replica_flags(parser):
@@ -111,10 +105,6 @@ def _add_cost_flags(parser):
     parser.add_argument(
         "--comm-beta", type=float, default=CostConfig.comm_beta, help="per-entry transfer cost"
     )
-
-
-def _metric_value(report, metric):
-    return {"serial": report.con_serial, "par": report.con_par, "dist": report.con_dist}[metric]
 
 
 def cmd_ingest(args):
@@ -146,8 +136,7 @@ def cmd_plan(args):
     _write_text(plan_to_json(plan), args.output)
     r = plan.report
     print(
-        f"k={len(plan.partitioning.blocks)} cost[{args.cost_metric}]="
-        f"{_metric_value(r, args.cost_metric):.6g} mem={r.mem:.6g} "
+        f"k={len(plan.partitioning.blocks)} cost[dist]={r.con_dist:.6g} mem={r.mem:.6g} "
         f"(log2 dist={r.con_dist_log2:.2f})",
         file=sys.stderr,
     )
@@ -166,7 +155,6 @@ def cmd_anneal(args):
         restart_threshold=args.restart_threshold,
         mode=args.mode,
         seed=args.seed,
-        metric=args.cost_metric,
         cost=cost_cfg,
         threads=args.threads,
     )
@@ -177,17 +165,15 @@ def cmd_anneal(args):
         raise ValueError("anneal needs --plan or --partitions >= 2")
     else:
         plan = _partitioned_plan(net, args, cost_cfg)
-    initial_cost = _metric_value(plan.report, args.cost_metric)
     refined, trace = refine_plan(net, plan, cfg)
     if args.trace:
         with open(args.trace, "w") as fh:
             for row in trace:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
     _write_text(plan_to_json(refined), args.output)
-    final_cost = _metric_value(refined.report, args.cost_metric)
     print(
         f"anneal[{args.mode}] {len(trace)} iterations: "
-        f"cost[{args.cost_metric}] {initial_cost:.6g} -> {final_cost:.6g}",
+        f"cost[dist] {plan.report.con_dist:.6g} -> {refined.report.con_dist:.6g}",
         file=sys.stderr,
     )
     return 0

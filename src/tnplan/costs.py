@@ -7,8 +7,8 @@ entry count (``dims_product``) is the exact integer product of its edges'
 dimensions, rounded once to a 64-bit float by ``rounded_count``, so it
 does not depend on the order of the edges or on how they are grouped;
 anything past 2**300 is clamped and flagged rather than allowed to
-overflow.  ``vertex_congestion``
-and ``is_saturated`` read the same exact product before it is rounded.
+overflow.  ``is_saturated`` reads the same exact product before it is
+rounded.
 Sums over nodes are accumulated in linear floats.
 """
 
@@ -109,11 +109,6 @@ def legs_size(tree, t):
     if val is None:
         val = memo[t] = dims_product(tree.network, tree.legs(t))
     return val
-
-
-def vertex_congestion(tree, t):
-    """log2 of the multiplication count of the contraction at internal ``t``."""
-    return math.log2(_exact_product(tree.network, _contracted_legs(tree, t)))
 
 
 def node_ops(tree, t):

@@ -225,29 +225,6 @@ class TensorNetwork:
                     out.add(w)
         return out
 
-    def connected_components(self):
-        """Connected components of the bound-edge graph, as sorted vertex lists."""
-        seen = set()
-        comps = []
-        for s in self.vertices():
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-    def is_connected(self):
-        return len(self.connected_components()) <= 1
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self, include_data=True, indent=None):

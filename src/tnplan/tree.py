@@ -144,16 +144,6 @@ class ContractionTree:
         tree._root = node - 1 if pairs else leaves[0]
         return tree
 
-    @classmethod
-    def from_nested(cls, network, nested):
-        """Build from the older nested form: a leaf is a vertex id, an
-        internal node a two-element list/tuple ``[left, right]``."""
-        leaves, pairs = nested_to_pairs(nested, network.num_vertices)
-        for v in leaves:
-            if type(v) is not int:
-                raise TreeError(f"leaf must be an integer vertex id, got {v!r}")
-        return cls.from_pairs(network, pairs, leaves)
-
     # -- structure queries ---------------------------------------------------
 
     @property

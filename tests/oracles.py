@@ -17,7 +17,7 @@ import numpy as np
 from tnplan.costs import dims_product, node_ops
 from tnplan.network import TensorNetwork
 from tnplan.pathfind import greedy_tree, reduction_network
-from tnplan.tree import ContractionTree
+from tnplan.tree import ContractionTree, nested_to_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,13 @@ def amplitude(circuit, bits, initial=None):
 # ---------------------------------------------------------------------------
 # nested tree specs: the reference encoding of tree shapes
 
+def from_nested(net, nested):
+    """A tree from a nested ``[left, right]`` structure: a leaf is a vertex
+    id, an internal node a two-element list or tuple."""
+    leaves, pairs = nested_to_pairs(nested, net.num_vertices)
+    return ContractionTree.from_pairs(net, pairs, leaves)
+
+
 def to_nested(tree, node=None):
     """Nested [left, right] structure of the subtree under ``node`` (default:
     root); a leaf is its vertex id."""
@@ -153,7 +160,7 @@ def swapped(tree, nodes):
 def fanin_tree(net, partition_trees, nested):
     """A fan-in tree of the given nested shape over the partition results."""
     legs = [t.legs(t.root) for t in partition_trees]
-    return ContractionTree.from_nested(reduction_network(net, legs), nested)
+    return from_nested(reduction_network(net, legs), nested)
 
 
 def subtree_roots_by_leaf_sets(tree, blocks):
@@ -166,6 +173,13 @@ def subtree_roots_by_leaf_sets(tree, blocks):
 
 # ---------------------------------------------------------------------------
 # cost recomputation over nested tree specs
+
+def vertex_congestion(tree, t):
+    """log2 of the multiplication count of the contraction at internal ``t``."""
+    left, right = tree.children(t)
+    legs = tree.legs(left) | tree.legs(right)
+    return math.log2(math.prod(tree.network.edge_dims[e] for e in legs))
+
 
 def _leaf_legs(net, v):
     seen = set()
@@ -451,6 +465,33 @@ def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
 
 
 # ---------------------------------------------------------------------------
+# connectivity
+
+def connected_components(net):
+    """Connected components of the bound-edge graph, as sorted vertex lists."""
+    seen = set()
+    comps = []
+    for s in net.vertices():
+        if s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for w in net.neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def is_connected(net):
+    return len(connected_components(net)) <= 1
+
+
+# ---------------------------------------------------------------------------
 # random instance generators
 
 def random_network(rng, n_min=2, n_max=12, max_dim=4, max_degree=6,
@@ -509,6 +550,19 @@ def random_network(rng, n_min=2, n_max=12, max_dim=4, max_degree=6,
         (u, a), (v, b) = slots[idx]
         net.bond(u, a, v, b)
     return net
+
+
+def disjoint_union(nets):
+    """One network holding ``nets`` side by side, vertex ids offset in order."""
+    out = TensorNetwork()
+    for net in nets:
+        offset = out.num_vertices
+        for v in net.vertices():
+            out.add_tensor(net.dims_of(v))
+        for e in net.bound_edges():
+            (u, a), (v, b) = net.edge(e).ends
+            out.bond(u + offset, a, v + offset, b)
+    return out
 
 
 def random_bond_network(rng, n_max=10, scale=1):

@@ -34,7 +34,6 @@ from tnplan.partition import (
     validate,
 )
 from tnplan.plan import build_plan, plan_to_json, serial_plan
-from tnplan.tree import ContractionTree
 
 
 def test_criterion_1_executor_mult_count_equals_serial_cost():
@@ -46,7 +45,7 @@ def test_criterion_1_executor_mult_count_equals_serial_cost():
         rng = np.random.default_rng(seed)
         net = oracles.random_network(rng, n_min=2, n_max=12, max_dim=4, payloads=True)
         nested = oracles.random_nested(rng, list(net.vertices()))
-        tree = ContractionTree.from_nested(net, nested)
+        tree = oracles.from_nested(net, nested)
         trace = execute_plan(net, tree)
         predicted = con_serial(tree)
         assert predicted == float(int(predicted))
@@ -102,7 +101,7 @@ def test_criterion_3_distributed_metric_recovers_serial_and_parallel():
         rng = np.random.default_rng(seed)
         net = oracles.random_network(rng, n_min=2, n_max=10, max_dim=4, payloads=False)
         nested = oracles.random_nested(rng, list(net.vertices()))
-        tree = ContractionTree.from_nested(net, nested)
+        tree = oracles.from_nested(net, nested)
         whole = [frozenset(net.vertices())]
         assert con_dist(tree, whole, free) == con_serial(tree), f"seed {seed}"
         singles = [frozenset({v}) for v in net.vertices()]

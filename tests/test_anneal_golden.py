@@ -38,22 +38,20 @@ COSTS = {"a0b0": (0.0, 0.0), "a1b0.5": (1.0, 0.5)}
 
 def case_ids():
     return [
-        f"{circuit}-{mode}-{cost}-{metric}"
-        for circuit, mode, cost, metric in itertools.product(
-            CIRCUITS, ("naive", "directed"), COSTS, ("dist", "serial", "par")
-        )
+        f"{circuit}-{mode}-{cost}-dist"
+        for circuit, mode, cost in itertools.product(CIRCUITS, ("naive", "directed"), COSTS)
     ]
 
 
 def run_case(case_id):
     """Refined plan document and trace for one case, JSON-normalised."""
-    circuit, mode, cost, metric = case_id.split("-")
+    circuit, mode, cost, _ = case_id.split("-")
     alpha, beta = COSTS[cost]
     cost_cfg = CostConfig(comm_alpha=alpha, comm_beta=beta)
     net = circuit_to_network(CIRCUITS[circuit]())
     plan = build_plan(net, initial_partition(net, K, seed=SEED), cost_cfg=cost_cfg)
     cfg = AnnealConfig(
-        mode=mode, metric=metric, cost=cost_cfg, workers=2, steps=4,
+        mode=mode, cost=cost_cfg, workers=2, steps=4,
         max_iters=MAX_ITERS, seed=SEED, threads=1,
     )
     refined, trace = refine_plan(net, plan, cfg)

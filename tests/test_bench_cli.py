@@ -353,6 +353,18 @@ class TestCli:
         assert out["abs"] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
         assert out["mult_count"] == int(out["predicted_con_serial"])
 
+    def test_headline_is_the_written_plans_con_dist(self, tmp_path, ghz_file, capsys):
+        plan_path, refined_path = tmp_path / "plan.json", tmp_path / "refined.json"
+        assert main(["plan", str(ghz_file), "--partitions", "2", "-o", str(plan_path)]) == 0
+        cost = json.loads(plan_path.read_text())["cost"]
+        assert cost["con_dist"] not in (cost["con_serial"], cost["con_par"])
+        assert f"cost[dist]={cost['con_dist']:.6g} " in capsys.readouterr().err
+        argv = ["anneal", str(ghz_file), "--plan", str(plan_path), "--iters", "2"]
+        assert main(argv + ["-o", str(refined_path)]) == 0
+        refined = json.loads(refined_path.read_text())["cost"]["con_dist"]
+        headline = f"cost[dist] {cost['con_dist']:.6g} -> {refined:.6g}\n"
+        assert capsys.readouterr().err.endswith(headline)
+
     def test_execute_without_payloads_exits_nonzero(self, tmp_path, ghz_file, capsys):
         net_path = tmp_path / "shapes.json"
         assert main(["ingest", str(ghz_file), "--shapes-only", "-o", str(net_path)]) == 0
@@ -482,22 +494,20 @@ class TestCli:
         "plan": (
             ["net.json", "-o", "p.json", "--amplitude", "01", "--partitions", "3",
              "--imbalance", "0.1", "--greedy-samples", "5", "--greedy-noise", "0.2",
-             "--seed", "7", "--cost-metric", "par"],
+             "--seed", "7"],
             {"network": "net.json", "output": "p.json", "amplitude": "01", "partitions": 3,
-             "imbalance": 0.1, "greedy_samples": 5, "greedy_noise": 0.2, "seed": 7,
-             "cost_metric": "par"},
+             "imbalance": 0.1, "greedy_samples": 5, "greedy_noise": 0.2, "seed": 7},
         ),
         "anneal": (
             ["net.json", "-o", "r.json", "--amplitude", "01", "--plan", "p.json",
              "--partitions", "3", "--imbalance", "0.1", "--t0", "2", "--tf", "0.5",
              "--steps", "8", "--workers", "2", "--threads", "3", "--time-limit", "1.5",
              "--iters", "6", "--restart-threshold", "4", "--mode", "directed", "--seed", "7",
-             "--trace", "t.jsonl", "--cost-metric", "par"],
+             "--trace", "t.jsonl"],
             {"network": "net.json", "output": "r.json", "amplitude": "01", "plan": "p.json",
              "partitions": 3, "imbalance": 0.1, "t0": 2.0, "tf": 0.5, "steps": 8,
              "workers": 2, "threads": 3, "time_limit": 1.5, "iters": 6,
-             "restart_threshold": 4, "mode": "directed", "seed": 7, "trace": "t.jsonl",
-             "cost_metric": "par"},
+             "restart_threshold": 4, "mode": "directed", "seed": 7, "trace": "t.jsonl"},
         ),
         "execute": (
             ["net.json", "-o", "x.json", "--amplitude", "01", "--plan", "p.json",
@@ -538,10 +548,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "net.json"] + flags)
 
-    @pytest.mark.parametrize("argv", [["bench"], ["execute", "net.json"]])
-    def test_cost_metric_only_where_it_is_read(self, argv, capsys):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["execute", "net.json"], ["plan", "net.json"], ["anneal", "net.json"]]
+    )
+    def test_cost_metric_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv + ["--cost-metric", "serial"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--intra-node", "--comm-alpha", "--comm-beta"])
     def test_execute_has_no_cost_flags(self, flag, capsys):

@@ -16,13 +16,13 @@ from tnplan.costs import (
     dims_product,
     mem_cost,
     node_ops,
-    vertex_congestion,
 )
 from tnplan.network import TensorNetwork
 from tnplan.tree import ContractionTree
 
 from oracles import (
     blocks_nested,
+    from_nested,
     leaf_walk_con_par,
     oracle_dist,
     oracle_mem,
@@ -33,6 +33,7 @@ from oracles import (
     sequential_dims_product,
     swapped,
     random_network,
+    vertex_congestion,
 )
 
 
@@ -76,7 +77,7 @@ def path4_dims2():
 
 def test_single_matrix_product_costs():
     net = matrix_pair()
-    tree = ContractionTree.from_nested(net, [0, 1])
+    tree = from_nested(net, [0, 1])
     assert con_serial(tree) == 24.0
     assert mem_cost(tree) == 26.0  # 8 result + 6 + 12 operands
     assert con_par(tree) == 24.0
@@ -86,8 +87,8 @@ def test_single_matrix_product_costs():
 
 def test_chain_order_changes_serial_cost():
     net = chain_net()
-    left_first = ContractionTree.from_nested(net, [[0, 1], 2])
-    right_first = ContractionTree.from_nested(net, [0, [1, 2]])
+    left_first = from_nested(net, [[0, 1], 2])
+    right_first = from_nested(net, [0, [1, 2]])
     assert con_serial(left_first) == 112.0
     assert con_serial(right_first) == 120.0
     assert mem_cost(left_first) == 56.0
@@ -96,7 +97,7 @@ def test_chain_order_changes_serial_cost():
 
 def test_balanced_tree_parallel_cost_takes_heavier_branch():
     net = four_chain()
-    tree = ContractionTree.from_nested(net, [[0, 1], [2, 3]])
+    tree = from_nested(net, [[0, 1], [2, 3]])
     assert con_serial(tree) == 192.0
     assert con_par(tree) == 168.0  # 48 root + max(24, 120)
     assert mem_cost(tree) == 74.0
@@ -104,7 +105,7 @@ def test_balanced_tree_parallel_cost_takes_heavier_branch():
 
 def test_distributed_cost_on_split_path():
     net = path4_dims2()
-    tree = ContractionTree.from_nested(net, [[0, 1], [2, 3]])
+    tree = from_nested(net, [[0, 1], [2, 3]])
     blocks = [frozenset({0, 1}), frozenset({2, 3})]
     assert con_serial(tree) == 24.0
     assert con_par(tree) == 16.0
@@ -115,7 +116,7 @@ def test_distributed_cost_on_split_path():
 
 def test_distributed_rejects_unrealized_partitioning():
     net = path4_dims2()
-    tree = ContractionTree.from_nested(net, [[0, 1], [2, 3]])
+    tree = from_nested(net, [[0, 1], [2, 3]])
     with pytest.raises(ValueError):
         con_dist(tree, [frozenset({0, 2}), frozenset({1, 3})])
 
@@ -133,7 +134,7 @@ def test_single_leaf_costs():
 
 def test_cost_report_fields_consistent():
     net = four_chain()
-    tree = ContractionTree.from_nested(net, [[0, 1], [2, 3]])
+    tree = from_nested(net, [[0, 1], [2, 3]])
     blocks = [frozenset({0, 1}), frozenset({2, 3})]
     rep = cost_report(tree, blocks)
     assert rep.con_serial == 192.0
@@ -153,7 +154,7 @@ def test_saturation_flags_huge_networks():
     for a in range(3):
         net.bond(0, a, 1, a)
     # five edges of dim 2^70 meet at the contraction: 2^350 ops, clamped
-    tree = ContractionTree.from_nested(net, [0, 1])
+    tree = from_nested(net, [0, 1])
     rep = cost_report(tree)
     assert rep.saturated
     assert rep.con_serial == 2.0 ** 300
@@ -171,7 +172,7 @@ def test_saturated_exactly_when_a_count_passes_2_to_the_300(n_tensors, dims, sat
     if n_tensors == 2:
         net.bond(0, 0, 1, 0)
         net.bond(0, 1, 1, 1)
-    rep = cost_report(ContractionTree.from_nested(net, [0, 1] if n_tensors == 2 else 0))
+    rep = cost_report(from_nested(net, [0, 1] if n_tensors == 2 else 0))
     assert (rep.con_serial if n_tensors == 2 else rep.mem) == 2.0 ** 300
     assert rep.saturated is saturated
 
@@ -186,7 +187,7 @@ def test_cost_config_rejects_non_finite_or_negative_comm(field, value):
 
 def test_one_partition_report_is_serial():
     net = four_chain()
-    tree = ContractionTree.from_nested(net, [[0, 1], [2, 3]])
+    tree = from_nested(net, [[0, 1], [2, 3]])
     rep = cost_report(tree, [frozenset(net.vertices())])
     assert rep.con_dist == rep.con_serial == 192.0
 
@@ -197,7 +198,7 @@ def test_serial_par_mem_match_oracles(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, payloads=False)
     nested = random_nested(rng, list(net.vertices()))
-    tree = ContractionTree.from_nested(net, nested)
+    tree = from_nested(net, nested)
     assert con_serial(tree) == oracle_serial(net, nested)
     assert con_par(tree) == oracle_par(net, nested)
     assert mem_cost(tree) == oracle_mem(net, nested)
@@ -209,7 +210,7 @@ def test_con_par_matches_leaf_walk_on_every_subtree(seed, max_dim):
     # Dimensions up to 1000 push node products past 2**53, where sums round.
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_max=24, max_dim=max_dim, payloads=False)
-    tree = ContractionTree.from_nested(net, random_nested(rng, list(net.vertices())))
+    tree = from_nested(net, random_nested(rng, list(net.vertices())))
     for t in tree.postorder():
         assert con_par(tree, t) == leaf_walk_con_par(tree, t)
 
@@ -222,7 +223,7 @@ def test_dist_matches_oracle(seed):
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
     nested = blocks_nested(rng, net, blocks)
-    tree = ContractionTree.from_nested(net, nested)
+    tree = from_nested(net, nested)
     alpha = float(rng.choice([0.0, 1.0, 10.0]))
     beta = float(rng.choice([0.0, 0.5, 2.0]))
     for intra in ("serial", "par"):
@@ -240,7 +241,7 @@ def test_recovery_from_distributed_metric(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, payloads=False)
     nested = random_nested(rng, list(net.vertices()))
-    tree = ContractionTree.from_nested(net, nested)
+    tree = from_nested(net, nested)
     whole = [frozenset(net.vertices())]
     assert con_dist(tree, whole) == con_serial(tree)
     singles = [frozenset({v}) for v in net.vertices()]
@@ -253,10 +254,10 @@ def test_metrics_invariant_under_child_swaps(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_min=3, payloads=False)
     nested = random_nested(rng, list(net.vertices()))
-    tree = ContractionTree.from_nested(net, nested)
+    tree = from_nested(net, nested)
     k = int(rng.integers(1, min(4, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
-    accepted = ContractionTree.from_nested(net, blocks_nested(rng, net, blocks))
+    accepted = from_nested(net, blocks_nested(rng, net, blocks))
     before = (
         con_serial(tree),
         con_par(tree),
@@ -281,7 +282,7 @@ def test_dist_monotone_in_transfer_cost(seed):
     net = random_network(rng, n_min=4, payloads=False)
     k = int(rng.integers(2, min(4, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
-    tree = ContractionTree.from_nested(net, blocks_nested(rng, net, blocks))
+    tree = from_nested(net, blocks_nested(rng, net, blocks))
     betas = [0.0, 0.5, 1.0, 4.0]
     costs = [con_dist(tree, blocks, CostConfig(comm_beta=b)) for b in betas]
     assert costs == sorted(costs)

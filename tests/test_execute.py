@@ -21,7 +21,9 @@ from tnplan.pathfind import greedy_tree
 from tnplan.plan import build_plan, serial_plan
 from tnplan.tree import ContractionTree
 
-from oracles import contract_loops, einsum_value, random_nested, random_network, sorted_open_result
+from oracles import (
+    contract_loops, einsum_value, from_nested, random_nested, random_network, sorted_open_result,
+)
 
 
 def matrix_net(rng=None):
@@ -54,7 +56,7 @@ def test_contract_pair_axis_order_is_free_axes_of_each_operand():
 
 def test_matrix_product_trace_and_peak():
     net = matrix_net()
-    tree = ContractionTree.from_nested(net, [0, 1])
+    tree = from_nested(net, [0, 1])
     trace = execute_plan(net, tree)
     np.testing.assert_allclose(
         sorted_open_result(trace, net), einsum_value(net), atol=1e-12
@@ -66,7 +68,7 @@ def test_matrix_product_trace_and_peak():
 
 def test_memory_guard_refuses_oversized_plans():
     net = matrix_net()
-    tree = ContractionTree.from_nested(net, [0, 1])
+    tree = from_nested(net, [0, 1])
     with pytest.raises(MemoryBudgetError):
         execute_plan(net, tree, max_entries=25)
     execute_plan(net, tree, max_entries=26)
@@ -77,7 +79,7 @@ def test_execute_requires_payloads():
     net.add_tensor([2, 2])
     net.add_tensor([2, 2])
     net.bond(0, 0, 1, 0)
-    tree = ContractionTree.from_nested(net, [0, 1])
+    tree = from_nested(net, [0, 1])
     with pytest.raises(ExecutionError):
         execute_plan(net, tree)
 
@@ -97,7 +99,7 @@ def test_self_loop_leaf_is_traced():
 
 def test_scalar_accessor_rejects_tensors():
     net = matrix_net()
-    tree = ContractionTree.from_nested(net, [0, 1])
+    tree = from_nested(net, [0, 1])
     trace = execute_plan(net, tree)
     with pytest.raises(ExecutionError):
         trace.scalar()
@@ -118,7 +120,7 @@ def test_same_tree_is_bit_deterministic():
 def test_executor_matches_whole_network_einsum(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_max=8, max_dim=3)
-    tree = ContractionTree.from_nested(net, random_nested(rng, list(net.vertices())))
+    tree = from_nested(net, random_nested(rng, list(net.vertices())))
     trace = execute_plan(net, tree)
     expected = einsum_value(net)
     got = sorted_open_result(trace, net)
@@ -130,7 +132,7 @@ def test_executor_matches_whole_network_einsum(seed):
 def test_kernels_agree_on_values_and_mult_count(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_max=6, max_dim=3)
-    tree = ContractionTree.from_nested(net, random_nested(rng, list(net.vertices())))
+    tree = from_nested(net, random_nested(rng, list(net.vertices())))
     fast = execute_plan(net, tree)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(execute, "contract_pair", contract_loops)
@@ -144,7 +146,7 @@ def test_kernels_agree_on_values_and_mult_count(seed):
 def test_results_are_order_independent_across_trees(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_max=7, max_dim=3)
-    t1 = ContractionTree.from_nested(net, random_nested(rng, list(net.vertices())))
+    t1 = from_nested(net, random_nested(rng, list(net.vertices())))
     t2 = greedy_tree(net)
     r1 = sorted_open_result(execute_plan(net, t1), net)
     r2 = sorted_open_result(execute_plan(net, t2), net)
@@ -157,7 +159,7 @@ def test_results_are_order_independent_across_trees(seed):
 def test_mult_count_equals_serial_cost(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_max=9)
-    tree = ContractionTree.from_nested(net, random_nested(rng, list(net.vertices())))
+    tree = from_nested(net, random_nested(rng, list(net.vertices())))
     trace = execute_plan(net, tree)
     assert trace.mult_count == int(con_serial(tree))
 
@@ -170,7 +172,7 @@ def test_peak_and_resident_accounting_on_chain():
     net.add_tensor([8, 3], rng.normal(size=(8, 3)))
     net.bond(0, 1, 1, 0)
     net.bond(1, 1, 2, 0)
-    tree = ContractionTree.from_nested(net, [[0, 1], 2])
+    tree = from_nested(net, [[0, 1], 2])
     trace = execute_plan(net, tree)
     assert trace.peak_entries == int(mem_cost(tree))
     assert trace.resident_peak >= trace.peak_entries - 6  # last contraction frees T0

@@ -14,7 +14,7 @@ from tnplan.network import OPEN, NetworkError, TensorNetwork
 from tnplan.partition import initial_partition
 from tnplan.plan import build_plan, serial_plan
 
-from oracles import random_network, statevector
+from oracles import connected_components, is_connected, random_network, statevector
 
 
 def chain_net():
@@ -124,12 +124,12 @@ def test_open_edge_constant_marks_dangling_end():
 def test_neighbors_and_connectivity():
     net = chain_net()
     assert net.neighbors(1) == {0, 2}
-    assert net.is_connected()
+    assert is_connected(net)
     lone = TensorNetwork()
     lone.add_tensor([2, 2])
     lone.add_tensor([2, 2])
-    assert not lone.is_connected()
-    assert len(lone.connected_components()) == 2
+    assert not is_connected(lone)
+    assert len(connected_components(lone)) == 2
 
 
 def test_json_round_trip_preserves_structure_and_data():
@@ -213,7 +213,7 @@ def test_idle_qubit_network_round_trips_plans_and_executes(bits):
         {"qubits": 3, "gates": [{"name": "H", "targets": [0]}, {"name": "CX", "targets": [0, 1]}]}
     )
     net = TensorNetwork.from_json(circuit_to_network(circuit, bits=bits).to_json())
-    assert len(net.connected_components()) == 2
+    assert len(connected_components(net)) == 2
     expected = statevector(circuit)[tuple(int(b) for b in bits)]
     for k in (1, 2, 3):
         plan = serial_plan(net) if k == 1 else build_plan(net, initial_partition(net, k, seed=0))

@@ -30,7 +30,7 @@ from tnplan.plan import (
     plan_to_json,
     serial_plan,
 )
-from tnplan.tree import ContractionTree, TreeError
+from tnplan.tree import TreeError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "amplitudes-rc18x8-k8.json"
 
@@ -83,7 +83,7 @@ class TestSerialPlan:
 
     def test_prebuilt_tree_used_verbatim(self):
         net = pair_net()
-        tree = ContractionTree.from_nested(net, [0, 1])
+        tree = oracles.from_nested(net, [0, 1])
         plan = serial_plan(net, tree=tree)
         assert plan.partition_trees[0] is tree
         assert oracles.to_nested(plan.tree) == oracles.to_nested(tree)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from tnplan.network import NetworkError, TensorNetwork
 from tnplan.tree import ContractionTree, TreeError, compose_plan_tree, leaf_legs
 
-from oracles import (blocks_nested, fanin_tree, random_blocks, random_nested, random_network,
-                     random_pairs, subtree_roots_by_leaf_sets, swapped, to_nested)
+from oracles import (blocks_nested, fanin_tree, from_nested, random_blocks, random_nested,
+                     random_network, random_pairs, subtree_roots_by_leaf_sets, swapped, to_nested)
 
 
 def chain_net():
@@ -54,12 +54,12 @@ def test_from_pairs_rejects_bad_sequences():
 
 def test_nested_round_trip():
     net = chain_net()
-    tree = ContractionTree.from_nested(net, [0, [1, 2]])
+    tree = from_nested(net, [0, [1, 2]])
     assert to_nested(tree) == [0, [1, 2]]
     with pytest.raises(TreeError):
-        ContractionTree.from_nested(net, [0, [0, 2]])  # repeated leaf
+        from_nested(net, [0, [0, 2]])  # repeated leaf
     # trees over a subset of vertices are fine (partition-local trees)
-    sub = ContractionTree.from_nested(net, [0, 1])
+    sub = from_nested(net, [0, 1])
     assert sub.leaves() == [0, 1]
 
 
@@ -117,7 +117,7 @@ def test_subtree_roots_and_acceptance():
 
 def test_compose_plan_tree_places_partitions_under_skeleton():
     net = chain_net()
-    t01 = ContractionTree.from_nested(net, [0, 1])
+    t01 = from_nested(net, [0, 1])
     t2 = ContractionTree.from_pairs(net, [], leaves=[2])
     composed = compose_plan_tree(net, [t01, t2], fanin_tree(net, [t01, t2], [0, 1]))
     assert to_nested(composed) == [[0, 1], 2]
@@ -133,7 +133,7 @@ def test_compose_grafts_partition_trees_at_the_fanin_leaves(seed):
     net = random_network(rng, n_min=3, payloads=False)
     k = int(rng.integers(1, min(4, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
-    parts = [ContractionTree.from_nested(net, random_nested(rng, sorted(b))) for b in blocks]
+    parts = [from_nested(net, random_nested(rng, sorted(b))) for b in blocks]
     shape = random_nested(rng, list(range(k)))
     composed = compose_plan_tree(net, parts, fanin_tree(net, parts, shape))
 
@@ -155,7 +155,7 @@ def test_from_nested_is_not_limited_by_the_recursion_limit():
     nested = 0
     for v in range(1, n):
         nested = [nested, v]
-    tree = ContractionTree.from_nested(net, nested)
+    tree = from_nested(net, nested)
     assert tree.pairs()[-1] == (2 * n - 3, n - 1)
     assert len(tree.postorder()) == 2 * n - 1
 
@@ -177,12 +177,12 @@ def test_legs_cache_matches_fresh_computation(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, payloads=False)
     nested = random_nested(rng, list(net.vertices()))
-    tree = ContractionTree.from_nested(net, nested)
+    tree = from_nested(net, nested)
     for t in tree.postorder():
         tree.legs(t)  # warm the cache
     swap = [t for t in tree.internal_nodes()]
     tree = swapped(tree, set(swap[:: max(1, len(swap) // 3)]))
-    fresh = ContractionTree.from_nested(net, to_nested(tree))
+    fresh = from_nested(net, to_nested(tree))
     match = {}
     for t in tree.postorder():
         key = frozenset(tree.subtree_leaf_tensors(t))
@@ -200,7 +200,7 @@ def test_acceptance_invariant_under_child_swaps(seed):
     k = int(rng.integers(2, min(4, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
     nested = blocks_nested(rng, net, blocks)
-    tree = ContractionTree.from_nested(net, nested)
+    tree = from_nested(net, nested)
     assert tree.accepts_partitioning(blocks)
     tree = swapped(tree, {t for t in tree.internal_nodes() if rng.random() < 0.5})
     assert tree.accepts_partitioning(blocks)
@@ -221,7 +221,7 @@ def test_subtree_roots_match_the_leaf_set_oracle(seed):
     vertices = list(net.vertices())
     k = int(rng.integers(1, min(3, net.num_vertices) + 1))
     blocks = random_blocks(rng, vertices, k)
-    parts = [ContractionTree.from_nested(net, random_nested(rng, sorted(b))) for b in blocks]
+    parts = [from_nested(net, random_nested(rng, sorted(b))) for b in blocks]
     composed = compose_plan_tree(net, parts, fanin_tree(net, parts, random_nested(rng, list(range(k)))))
     roots = _roots_as_oracle(composed, blocks)
     assert roots is not None
