@@ -5,12 +5,13 @@ contraction tree and migrates its leaf tensors to another partition,
 chosen either uniformly (naive) or by the pair objective between the
 moved tensor and each candidate partition's result tensor (directed).
 Both affected partitions get fresh greedy trees, the fan-in tree is
-rebuilt by one deterministic greedy pass over tables the state carries,
+rebuilt by one deterministic greedy pass over tables the plan carries,
 and the candidate is re-costed.  A candidate's cost is therefore a
 function of its partition trees, and so, once every tree is a greedy one,
 of its partitioning alone.
 
-The tables are the exact integers of the partition results
+The search runs over ``plan.Plan``s, the one costed-plan type.  A plan
+carries the exact integers of its partition results
 (``pathfind.leg_tables``): each result's entry count and, per pair of
 partitions, the product of the dimensions they share.  A move changes two
 partitions, so a proposal recomputes only their two rows, from the root
@@ -19,14 +20,14 @@ fan-in pass with the tables through ``pathfind.FanInNetwork``, with no
 scan of the other partitions' legs.  The directed target is sized from
 the same tables.
 
-A candidate is costed under ``con_dist`` on the k-leaf fan-in tree: each
+A proposal is costed under ``con_dist`` on the k-leaf fan-in tree: each
 partition's local cost comes from its own tree, and its fan-in from the
 reduction tree's contractions and transfers, which are those of the
 composed tree.  A proposal therefore never builds the full tree over all
-tensors; a run builds it once, when ``state_to_plan`` assembles the plan
-it returns.  A state composes it on first read of ``tree``, which only
-the invariant checks do.  Every state, initial or proposed, is built and
-costed by ``_state``.
+tensors; a plan composes it on first read of ``tree`` or ``report``,
+which in a run only the invariant checks and the reader of the returned
+plan do.  ``anneal`` first recosts its input under ``cfg.cost`` with
+``state_to_plan``, which returns a plan already costed so unchanged.
 
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
@@ -45,21 +46,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
-# Unused by name but kept: perfbench's tracer wraps dims_product, and _intra
-# looks con_par and con_serial up in globals().
+# Unused by name but kept: perfbench's tracer wraps dims_product and
+# compose_plan_tree, and _intra looks con_par and con_serial up in globals().
 from .costs import (  # noqa: F401
     CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric, rounded_count,
 )
 from .network import OPEN
 from .partition import Partitioning, validate
 from .pathfind import FanInNetwork, greedy_tree, leg_tables, reduction_path
-from .plan import assemble_plan
-from .tree import ContractionTree, compose_plan_tree
+from .plan import Plan, assemble_plan, owner_map
+from .tree import compose_plan_tree  # noqa: F401
 
 
 class NoMoveError(RuntimeError):
@@ -108,37 +108,6 @@ class AnnealConfig:
             raise ValueError("restart_threshold must be >= 1")
 
 
-@dataclass(frozen=True)
-class AnnealState:
-    """One point of the search space: a plan's parts plus its cached costs.
-
-    ``reduction`` is the fan-in tree ``reduction_path`` returns.  The
-    composed tree is built on first read and then cached.
-
-    ``entries`` and ``shared`` are the ``leg_tables`` of the partition
-    trees' root legs: ``entries[i]`` is the exact entry count of partition
-    ``i``'s result and ``shared[i]`` maps every partition sharing edges with
-    it to the exact product of the shared dimensions.  ``owner[v]`` is the
-    partition of vertex ``v``; its last entry, ``owner[OPEN]``, is ``OPEN``,
-    so the open end of a leg belongs to no partition.  States share these
-    lists and dicts and never edit them.
-    """
-
-    partitioning: Partitioning
-    partition_trees: tuple
-    reduction: ContractionTree
-    local_costs: tuple
-    cost: float
-    entries: list
-    shared: list
-    owner: list
-
-    @cached_property
-    def tree(self):
-        net = self.partition_trees[0].network
-        return compose_plan_tree(net, self.partition_trees, self.reduction)
-
-
 def acceptance_probability(current, candidate, temperature):
     """Scale-free Metropolis rule on the cost ratio.
 
@@ -172,39 +141,13 @@ def _intra(cfg):
     return globals()[intra_metric(cfg.cost).__name__]
 
 
-def _state(cfg, partitioning, trees, reduction, local_costs, tables):
-    """A state from its parts and its (entries, shared, owner) tables, costed
-    under ``con_dist`` on the k-leaf fan-in tree."""
-    cost = con_dist(
-        reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs
-    )
-    return AnnealState(partitioning, tuple(trees), reduction, tuple(local_costs), cost, *tables)
-
-
-def owner_map(net, blocks):
-    """The ``AnnealState.owner`` list of a partitioning."""
-    owner = [OPEN] * (net.num_vertices + 1)
-    for i, block in enumerate(blocks):
-        for v in block:
-            owner[v] = i
-    return owner
-
-
-def state_from_plan(plan, cfg):
-    net, trees = plan.network, plan.partition_trees
-    intra = _intra(cfg)
-    local_costs = [intra(t) for t in trees]
-    entries, shared = leg_tables(net, [t.legs(t.root) for t in trees])
-    owner = owner_map(net, plan.partitioning.blocks)
-    return _state(
-        cfg, plan.partitioning, trees, plan.reduction, local_costs, (entries, shared, owner)
-    )
-
-
-def state_to_plan(net, state, cost_cfg=None):
-    return assemble_plan(
-        net, state.partitioning, state.partition_trees, state.reduction, cost_cfg
-    )
+def state_to_plan(net, plan, cost_cfg=None):
+    """``plan`` costed under ``cost_cfg``: the plan itself when it already is,
+    else a plan assembled afresh from its parts."""
+    cost_cfg = cost_cfg or CostConfig()
+    if plan.cost_cfg == cost_cfg:
+        return plan
+    return assemble_plan(net, plan.partitioning, plan.partition_trees, plan.reduction, cost_cfg)
 
 
 def select_target_naive(n_blocks, k_src, rng):
@@ -317,7 +260,9 @@ def select_neighbor(net, state, cfg, rng):
             else:
                 row[i] = x
     reduction = reduction_path(FanInNetwork(entries, shared))
-    candidate = _state(cfg, partitioning, trees, reduction, local_costs, (entries, shared, owner))
+    cost = con_dist(reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs)
+    candidate = Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost,
+                     entries, shared, owner)
 
     if cfg.check_invariants:
         ok, problems = validate(partitioning, net)
@@ -354,13 +299,13 @@ def _worker_rng(seed, iteration, worker):
 
 @dataclass
 class AnnealResult:
-    best: AnnealState
+    best: Plan
     trace: list
     iterations: int
 
 
-def anneal(net, initial, cfg=None):
-    """Refine a plan or state; returns the best state ever visited plus a trace.
+def anneal(net, plan, cfg=None):
+    """Refine a plan; returns the best plan ever visited plus a trace.
 
     Every iteration restarts ``workers`` seeded replicas from the current
     state, each running ceil(steps / workers) proposals at the current
@@ -370,9 +315,8 @@ def anneal(net, initial, cfg=None):
     per iteration.
     """
     cfg = cfg or AnnealConfig()
-    state = initial if isinstance(initial, AnnealState) else state_from_plan(initial, cfg)
-    best = current = state
-    if len(state.partitioning.blocks) < 2 or not _movable_blocks(state.partitioning.blocks):
+    best = current = state_to_plan(net, plan, cfg.cost)
+    if len(best.partitioning.blocks) < 2 or not _movable_blocks(best.partitioning.blocks):
         return AnnealResult(best, [], 0)
 
     n_per = math.ceil(cfg.steps / cfg.workers)
@@ -422,6 +366,5 @@ def anneal(net, initial, cfg=None):
 
 def refine_plan(net, plan, cfg=None):
     """Anneal a plan and return (refined plan, trace)."""
-    cfg = cfg or AnnealConfig()
     result = anneal(net, plan, cfg)
-    return state_to_plan(net, result.best, cfg.cost), result.trace
+    return result.best, result.trace

@@ -173,7 +173,7 @@ def cmd_anneal(args):
     _write_text(plan_to_json(refined), args.output)
     print(
         f"anneal[{args.mode}] {len(trace)} iterations: "
-        f"cost[dist] {plan.report.con_dist:.6g} -> {refined.report.con_dist:.6g}",
+        f"cost[dist] {plan.cost:.6g} -> {refined.cost:.6g}",
         file=sys.stderr,
     )
     return 0

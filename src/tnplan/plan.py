@@ -1,28 +1,32 @@
-"""Distributed contraction plans: a partitioning plus all of its trees.
+"""Distributed contraction plans: one costed type for a partitioning and its trees.
 
-A plan holds the vertex partitioning, one contraction tree per partition,
-the fan-in (reduction) tree joining the partition results, the composed
-overall tree, and the cost report for the composed tree under the
-partitioning.  ``build_plan`` makes every tree by one deterministic greedy
-pass; only ``serial_plan`` takes a noisy multi-sample search.
+A ``Plan`` holds the vertex partitioning, one contraction tree per
+partition, the fan-in (reduction) tree joining the partition results, its
+``con_dist`` cost under a ``CostConfig``, and the exact tables of the
+partition results that the annealer updates move by move.  The composed
+tree over all tensors and its cost report are built on first read.
+``assemble_plan`` makes every plan but the annealer's proposals;
+``build_plan`` makes every tree by one deterministic greedy pass; only
+``serial_plan`` takes a noisy multi-sample search.
 
 A plan document stores each partition tree and the reduction tree as
 ``{"leaves": [...], "pairs": [[x, y], ...]}``, the ids ``from_pairs``
 uses: a leaf is a vertex id (a partition index in the reduction tree)
 and merge ``j`` is node ``num_vertices + j`` (``k + j`` over ``k``
-partitions).  Loading rebuilds the composed tree; older documents with
-nested-list trees still load.
+partitions).  Loading rebuilds the plan from these parts; older documents
+with nested-list trees still load.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .costs import cost_report
-from .network import _is_number
+from .costs import CostConfig, con_dist, cost_report, intra_metric
+from .network import OPEN, _is_number
 from .partition import Partitioning, validate
-from .pathfind import greedy_tree, reduction_network, reduction_path
+from .pathfind import FanInNetwork, greedy_tree, leg_tables, reduction_network, reduction_path
 from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
 
 
@@ -30,29 +34,78 @@ class PlanError(ValueError):
     """Inconsistent plan document or plan construction failure."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Plan:
+    """A partitioning with its trees, costed under ``cost_cfg``.
+
+    ``reduction`` is the fan-in tree whose leaf ``i`` stands for partition
+    ``i``.  ``local_costs[i]`` is partition ``i``'s own cost (per
+    ``cost_cfg.intra_node``) and ``cost`` is ``con_dist`` of the plan.
+
+    ``entries`` and ``shared`` are the ``leg_tables`` of the partition
+    trees' root legs: ``entries[i]`` is the exact entry count of partition
+    ``i``'s result and ``shared[i]`` maps every partition sharing edges with
+    it to the exact product of the shared dimensions.  ``owner[v]`` is the
+    partition of vertex ``v``; its last entry, ``owner[OPEN]``, is ``OPEN``,
+    so the open end of a leg belongs to no partition.  Plans share these
+    lists and dicts and never edit them.
+    """
+
     network: object
     partitioning: Partitioning
-    partition_trees: list
+    partition_trees: tuple
     reduction: ContractionTree
-    tree: ContractionTree
-    part_roots: list
-    report: object
+    cost_cfg: CostConfig
+    local_costs: tuple
+    cost: float
+    entries: list
+    shared: list
+    owner: list
 
-    @property
-    def cost(self):
-        return self.report.con_dist
+    @cached_property
+    def tree(self):
+        return compose_plan_tree(self.network, self.partition_trees, self.reduction)
+
+    @cached_property
+    def part_roots(self):
+        return self.tree.subtree_roots(self.partitioning.blocks)
+
+    @cached_property
+    def report(self):
+        return cost_report(self.tree, self.partitioning.blocks, self.cost_cfg, subtree_roots=self.part_roots)
 
 
-def assemble_plan(net, partitioning, partition_trees, reduction, cost_cfg=None):
-    """Compose the full tree from parts and attach a cost report."""
-    tree = compose_plan_tree(net, partition_trees, reduction)
-    roots = tree.subtree_roots(partitioning.blocks)
-    if roots is None:
-        raise PlanError("composed tree does not realize every partition as a subtree")
-    report = cost_report(tree, partitioning.blocks, cost_cfg, subtree_roots=roots)
-    return Plan(net, partitioning, list(partition_trees), reduction, tree, roots, report)
+def owner_map(net, blocks):
+    """The ``Plan.owner`` list of a partitioning."""
+    owner = [OPEN] * (net.num_vertices + 1)
+    for i, block in enumerate(blocks):
+        for v in block:
+            owner[v] = i
+    return owner
+
+
+def assemble_plan(net, partitioning, partition_trees, reduction=None, cost_cfg=None):
+    """The plan of a partitioning and its trees, costed under ``cost_cfg``.
+
+    Tree ``i`` must cover exactly block ``i``.  Without a ``reduction``
+    (leaf ``i`` standing for block ``i``), the fan-in tree is the
+    deterministic greedy pass over the partition results.
+    """
+    blocks = partitioning.blocks
+    k = len(blocks)
+    if len(partition_trees) != k:
+        raise PlanError(f"{k} blocks but {len(partition_trees)} partition trees")
+    for i, t in enumerate(partition_trees):
+        if blocks[i] != set(t.leaves()):
+            raise PlanError(f"partition tree {i} does not cover exactly block {i}")
+    cost_cfg = cost_cfg or CostConfig()
+    entries, shared = leg_tables(net, [t.legs(t.root) for t in partition_trees])
+    if reduction is None:
+        reduction = reduction_path(FanInNetwork(entries, shared))
+    local_costs = tuple(map(intra_metric(cost_cfg), partition_trees))
+    cost = con_dist(reduction, None, cost_cfg, subtree_roots=range(k), local_costs=local_costs)
+    return Plan(net, partitioning, tuple(partition_trees), reduction, cost_cfg, local_costs, cost,
+                entries, shared, owner_map(net, blocks))
 
 
 def build_plan(net, partitioning, cost_cfg=None):
@@ -62,8 +115,7 @@ def build_plan(net, partitioning, cost_cfg=None):
     if not ok:
         raise PlanError("invalid partitioning: " + "; ".join(problems))
     trees = [greedy_tree(net, block) for block in partitioning.blocks]
-    reduction = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
-    return assemble_plan(net, partitioning, trees, reduction, cost_cfg)
+    return assemble_plan(net, partitioning, trees, cost_cfg=cost_cfg)
 
 
 def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
@@ -72,11 +124,9 @@ def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
     A prebuilt ``tree`` is used as-is; otherwise ``greedy_tree`` searches
     with ``cfg`` (the deterministic pass without one).
     """
-    part = Partitioning([net.vertices()])
     if tree is None:
         tree = greedy_tree(net, cfg=cfg)
-    reduction = reduction_path(reduction_network(net, [tree.legs(tree.root)]))
-    return assemble_plan(net, part, [tree], reduction, cost_cfg)
+    return assemble_plan(net, Partitioning([net.vertices()]), [tree], cost_cfg=cost_cfg)
 
 
 def _tree_doc(tree):
@@ -118,9 +168,9 @@ def plan_from_dict(net, doc, cost_cfg=None):
 
     The blocks must partition the network's vertices, partition tree
     ``i`` must cover exactly block ``i``, and the reduction tree's leaves
-    must be exactly the block indices.  The composed tree is rebuilt from
-    the stored parts and the cost report is recomputed, so a loaded plan
-    is always internally consistent.
+    must be exactly the block indices.  The plan is assembled from the
+    stored parts and costed afresh, so a loaded plan is always internally
+    consistent.
     """
     if not isinstance(doc, dict):
         raise PlanError(f"a plan document is a JSON object, got {type(doc).__name__}")

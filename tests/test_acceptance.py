@@ -18,7 +18,6 @@ from tnplan.anneal import (
     acceptance_probability,
     anneal,
     refine_plan,
-    state_from_plan,
 )
 from tnplan.bench import RunConfig, compare_report, report_json, run_pipeline
 from tnplan.circuits import circuit_to_network
@@ -119,10 +118,9 @@ def test_criterion_4_annealer_never_regresses_and_states_stay_valid():
         workers=1, steps=2, max_iters=1000, check_invariants=True, seed=0
     )
     plan = build_plan(net, initial_partition(net, 2, seed=0), cost_cfg=cfg.cost)
-    state = state_from_plan(plan, cfg)
-    result = anneal(net, state, cfg)
+    result = anneal(net, plan, cfg)
     assert len(result.trace) == 1000
-    assert result.best.cost <= state.cost
+    assert result.best.cost <= plan.cost
     ok, problems = validate(result.best.partitioning, net)
     assert ok, problems
     assert result.best.tree.accepts_partitioning(result.best.partitioning.blocks)
@@ -132,9 +130,8 @@ def test_criterion_4_annealer_never_regresses_and_states_stay_valid():
             workers=2, steps=8, max_iters=40, check_invariants=True, seed=seed
         )
         plan = build_plan(net, initial_partition(net, 3, seed=seed), cost_cfg=cfg.cost)
-        state = state_from_plan(plan, cfg)
-        result = anneal(net, state, cfg)
-        assert result.best.cost <= state.cost, f"seed {seed}"
+        result = anneal(net, plan, cfg)
+        assert result.best.cost <= plan.cost, f"seed {seed}"
     print("CRITERION 4 PASS: annealer monotone vs initial; 1000-iteration "
           "trace kept every invariant")
 

@@ -17,12 +17,10 @@ from tnplan.anneal import (
     acceptance_probability,
     anneal,
     do_steps,
-    owner_map,
     refine_plan,
     result_row,
     select_neighbor,
     select_target_directed,
-    state_from_plan,
     state_to_plan,
     temperature_at,
 )
@@ -32,7 +30,7 @@ from tnplan.costs import CostConfig, con_dist, con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition, validate
 from tnplan.pathfind import greedy_tree, leg_tables, reduction_network, reduction_path
-from tnplan.plan import build_plan, plan_to_dict
+from tnplan.plan import Plan, build_plan, owner_map, plan_to_dict
 from tnplan.tree import ContractionTree
 
 
@@ -67,11 +65,10 @@ def renumbered(tree):
     return ContractionTree.from_pairs(tree.network, pairs, leaves=tree.leaves())
 
 
-def planned_state(net, k=2, seed=0, cfg=None):
+def planned(net, k=2, seed=0, cfg=None):
     cfg = cfg or AnnealConfig(workers=2, max_iters=4, seed=seed)
     part = initial_partition(net, k, seed=seed)
-    plan = build_plan(net, part, cost_cfg=cfg.cost)
-    return plan, state_from_plan(plan, cfg), cfg
+    return build_plan(net, part, cost_cfg=cfg.cost), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def test_walks_carry_the_tables_of_their_trees(seed, mode, huge):
     k = int(rng.integers(2, min(5, net.num_vertices)))
     part = Partitioning(oracles.random_blocks(rng, net.vertices(), k))
     cfg = AnnealConfig(mode=mode, cost=CostConfig(comm_beta=1.0), workers=1, max_iters=1)
-    state = state_from_plan(build_plan(net, part, cost_cfg=cfg.cost), cfg)
+    state = build_plan(net, part, cost_cfg=cfg.cost)
     for _ in range(6):
         trees = state.partition_trees
         legs = [t.legs(t.root) for t in trees]
@@ -291,7 +288,7 @@ def test_walks_carry_the_tables_of_their_trees(seed, mode, huge):
 class TestSelectNeighbor:
     def test_move_preserves_validity(self):
         net = ghz_net(6)
-        plan, state, cfg = planned_state(net, k=2, seed=3)
+        state, cfg = planned(net, k=2, seed=3)
         cfg.check_invariants = True
         rng = np.random.default_rng(7)
         nxt = select_neighbor(net, state, cfg, rng)
@@ -302,7 +299,7 @@ class TestSelectNeighbor:
 
     def test_cached_cost_matches_fresh_evaluation(self):
         net = ghz_net(6)
-        plan, state, cfg = planned_state(net, k=3, seed=1)
+        state, cfg = planned(net, k=3, seed=1)
         rng = np.random.default_rng(11)
         for _ in range(5):
             state = select_neighbor(net, state, cfg, rng)
@@ -313,14 +310,13 @@ class TestSelectNeighbor:
         net = chain_net()
         cfg = AnnealConfig(workers=1, max_iters=1)
         part = initial_partition(net, net.num_vertices, seed=0)
-        plan = build_plan(net, part, cost_cfg=cfg.cost)
-        state = state_from_plan(plan, cfg)
+        state = build_plan(net, part, cost_cfg=cfg.cost)
         with pytest.raises(NoMoveError):
             select_neighbor(net, state, cfg, np.random.default_rng(0))
 
     def test_move_does_not_depend_on_node_ids(self):
         net = circuit_to_network(dict(bundled_suite())["rand-12"])
-        plan, state, cfg = planned_state(net, k=4, seed=1)
+        state, cfg = planned(net, k=4, seed=1)
         trees = tuple(renumbered(t) for t in state.partition_trees)
         assert [oracles.to_nested(t) for t in trees] == [oracles.to_nested(t) for t in state.partition_trees]
         assert any(t.internal_nodes() != u.internal_nodes()
@@ -339,8 +335,7 @@ class TestSelectNeighbor:
         net = oracles.random_network(rng, n_min=6, n_max=10, max_dim=3, payloads=False)
         cfg = AnnealConfig(workers=1, max_iters=1, check_invariants=True, seed=seed)
         part = initial_partition(net, 2, seed=seed)
-        plan = build_plan(net, part, cost_cfg=cfg.cost)
-        state = state_from_plan(plan, cfg)
+        state = build_plan(net, part, cost_cfg=cfg.cost)
         walk = np.random.default_rng(seed + 1)
         for _ in range(4):
             try:
@@ -360,14 +355,14 @@ class TestAnneal:
     def test_result_never_worse_than_initial(self):
         for seed in range(4):
             net = ghz_net(6)
-            plan, state, _ = planned_state(net, k=2, seed=seed)
+            state, _ = planned(net, k=2, seed=seed)
             cfg = AnnealConfig(workers=2, steps=8, max_iters=12, seed=seed)
             result = anneal(net, state, cfg)
             assert result.best.cost <= state.cost
 
     def test_trace_shape_and_bookkeeping(self):
         net = ghz_net(6)
-        plan, state, _ = planned_state(net, k=2, seed=0)
+        state, _ = planned(net, k=2, seed=0)
         cfg = AnnealConfig(workers=2, steps=8, max_iters=15, restart_threshold=4, seed=0)
         result = anneal(net, state, cfg)
         assert isinstance(result, AnnealResult)
@@ -392,7 +387,7 @@ class TestAnneal:
 
     def test_restart_resumes_from_best(self):
         net = ghz_net(6)
-        plan, state, _ = planned_state(net, k=2, seed=0)
+        state, _ = planned(net, k=2, seed=0)
         cfg = AnnealConfig(
             t0=2.0, tf=1.0, workers=1, steps=4, max_iters=40, restart_threshold=3, seed=5
         )
@@ -417,16 +412,6 @@ class TestAnneal:
                 expect = (False, False)
             assert (row["improved"], row["restarted"]) == expect, f"iteration {i}"
 
-    def test_plan_and_state_inputs_agree(self):
-        net = ghz_net(6)
-        cfg = AnnealConfig(workers=2, steps=8, max_iters=6, seed=2)
-        part = initial_partition(net, 2, seed=2)
-        plan = build_plan(net, part, cost_cfg=cfg.cost)
-        from_plan = anneal(net, plan, cfg)
-        from_state = anneal(net, state_from_plan(plan, cfg), cfg)
-        assert from_plan.best.cost == from_state.best.cost
-        assert from_plan.trace == from_state.trace
-
     def test_no_movable_blocks_returns_initial(self):
         net = chain_net()
         cfg = AnnealConfig(workers=1, max_iters=10, seed=0)
@@ -435,7 +420,7 @@ class TestAnneal:
         result = anneal(net, plan, cfg)
         assert result.iterations == 0
         assert result.trace == []
-        assert result.best.cost == state_from_plan(plan, cfg).cost
+        assert result.best is plan
 
     def test_single_block_returns_initial(self):
         net = chain_net()
@@ -443,15 +428,24 @@ class TestAnneal:
         plan = build_plan(net, initial_partition(net, 1, seed=0), cost_cfg=cfg.cost)
         result = anneal(net, plan, cfg)
         assert result.iterations == 0 and result.trace == []
+        assert result.best is plan
+
+    def test_best_is_a_plan_under_the_run_costs(self):
+        net = ghz_net(6)
+        plan, _ = planned(net, k=3, seed=1)
+        cfg = AnnealConfig(cost=CostConfig(comm_beta=1.0), workers=2, steps=8, max_iters=6, seed=1)
+        best = anneal(net, plan, cfg).best
+        assert isinstance(best, Plan)
+        assert best.cost_cfg == cfg.cost
+        assert best.cost == best.report.con_dist == con_dist(best.tree, best.partitioning.blocks, cfg.cost)
 
     def test_directed_mode_runs_and_improves(self):
         net = ghz_net(8)
         cfg = AnnealConfig(workers=2, steps=8, max_iters=20, mode="directed", seed=1)
         part = initial_partition(net, 4, seed=1)
         plan = build_plan(net, part, cost_cfg=cfg.cost)
-        state = state_from_plan(plan, cfg)
-        result = anneal(net, state, cfg)
-        assert result.best.cost <= state.cost
+        result = anneal(net, plan, cfg)
+        assert result.best.cost <= plan.cost
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +527,7 @@ class TestDeterminism:
             )
         cfg = AnnealConfig(mode="directed", cost=cost, workers=1, max_iters=1)
         plan = build_plan(net, initial_partition(net, k, seed=0), cost_cfg=cost)
-        do_steps(net, 40, state_from_plan(plan, cfg), 1.0, cfg, np.random.default_rng(3))
+        do_steps(net, 40, plan, 1.0, cfg, np.random.default_rng(3))
         assert len(proposed) == 40
         for state in proposed:
             trees = [greedy_tree(net, block) for block in state.partitioning.blocks]
@@ -545,23 +539,24 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# state <-> plan round trip
+# recosting a plan
 # ---------------------------------------------------------------------------
 
 
 class TestStatePlanRoundTrip:
     def test_round_trip_preserves_everything(self):
         net = ghz_net(6)
-        cfg = AnnealConfig(workers=1, max_iters=1, seed=0)
-        plan = build_plan(net, initial_partition(net, 2, seed=0), cost_cfg=cfg.cost)
-        state = state_from_plan(plan, cfg)
-        back = state_to_plan(net, state, cfg.cost)
+        free, dear = CostConfig(), CostConfig(comm_beta=1.0)
+        plan = build_plan(net, initial_partition(net, 2, seed=0), cost_cfg=free)
+        recosted = state_to_plan(net, plan, dear)
+        assert recosted.cost == con_dist(plan.tree, plan.partitioning.blocks, dear) > plan.cost
+        back = state_to_plan(net, recosted, CostConfig())
         assert plan_to_dict(back) == plan_to_dict(plan)
-        assert state.cost == plan.report.con_dist
+        assert state_to_plan(net, plan, CostConfig()) is plan
 
     def test_do_steps_returns_reachable_state(self):
         net = ghz_net(6)
-        plan, state, cfg = planned_state(net, k=2, seed=0)
+        state, cfg = planned(net, k=2, seed=0)
         rng = np.random.default_rng(3)
         out = do_steps(net, 6, state, 1.0, cfg, rng)
         ok, problems = validate(out.partitioning, net)

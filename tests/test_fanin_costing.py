@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tnplan.anneal import AnnealConfig, do_steps, state_from_plan
+from tnplan.anneal import AnnealConfig, do_steps
 from tnplan.costs import CostConfig, con_dist, dims_product
 from tnplan.network import TensorNetwork
 from tnplan.partition import initial_partition
@@ -42,8 +42,7 @@ def test_do_steps_states_cost_their_composed_tree(seed, alpha, beta, mode, intra
     cfg = AnnealConfig(
         workers=1, max_iters=1, mode=mode, cost=cost, seed=seed, check_invariants=True
     )
-    plan = build_plan(net, initial_partition(net, k, seed=seed), cost_cfg=cost)
-    state = state_from_plan(plan, cfg)
+    state = build_plan(net, initial_partition(net, k, seed=seed), cost_cfg=cost)
     walk = np.random.default_rng(seed + 1)
     for _ in range(4):
         state = do_steps(net, 3, state, 1.0, cfg, walk)
@@ -116,9 +115,8 @@ def test_costs_stay_exact_on_dimensions_up_to_1000(seed, beta, mode):
     cfg = AnnealConfig(
         workers=1, max_iters=1, mode=mode, cost=cost, seed=seed, check_invariants=True
     )
-    plan = build_plan(net, initial_partition(net, k, seed=seed), cost_cfg=cost)
-    state = state_from_plan(plan, cfg)
-    assert state.cost == plan.report.con_dist
+    state = build_plan(net, initial_partition(net, k, seed=seed), cost_cfg=cost)
+    assert state.cost == state.report.con_dist
     walk = np.random.default_rng(seed + 1)
     for _ in range(3):
         state = do_steps(net, 4, state, 1.0, cfg, walk)

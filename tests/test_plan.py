@@ -60,6 +60,15 @@ class TestBuildPlan:
         assert plan.cost == plan.report.con_dist
         assert plan.cost == con_dist(plan.tree, part.blocks)
 
+    def test_tree_and_report_are_built_on_first_read(self):
+        net = ghz_net()
+        plan = build_plan(net, initial_partition(net, 3, seed=0))
+        assert not {"tree", "report"} & set(vars(plan))
+        loaded = plan_from_dict(net, plan_to_dict(plan))
+        assert not {"tree", "report"} & set(vars(loaded))
+        assert loaded.report.con_dist == loaded.cost == plan.cost
+        assert {"tree", "report"} <= set(vars(loaded))
+
     def test_invalid_partitioning_rejected(self):
         net = pair_net()
         bad = Partitioning([frozenset({0}), frozenset({0, 1})])
@@ -105,20 +114,19 @@ class TestSerialPlan:
 
 
 class TestAssemblePlan:
-    def test_unrealized_partitioning_rejected(self):
-        # A tree built over the whole network in one piece cannot expose
-        # an interleaved split as subtrees.
+    @pytest.mark.parametrize("given", ["halves", "short"])
+    def test_unrealized_partitioning_rejected(self, given):
         # Blocks interleave even/odd vertices, but the supplied trees cover
-        # the two contiguous halves, so neither block appears as a subtree.
+        # the two contiguous halves, or only the first block.
         net = ghz_net()
         verts = sorted(net.vertices())
         half = len(verts) // 2
         part = Partitioning([frozenset(verts[::2]), frozenset(verts[1::2])])
-        t_lo = greedy_tree(net, frozenset(verts[:half]))
-        t_hi = greedy_tree(net, frozenset(verts[half:]))
-        reduction = oracles.fanin_tree(net, [t_lo, t_hi], [0, 1])
-        with pytest.raises(PlanError, match="subtree"):
-            assemble_plan(net, part, [t_lo, t_hi], reduction)
+        halves = [greedy_tree(net, frozenset(verts[:half])), greedy_tree(net, frozenset(verts[half:]))]
+        trees = halves if given == "halves" else [greedy_tree(net, part.blocks[0])]
+        reduction = oracles.fanin_tree(net, halves, [0, 1])
+        with pytest.raises(PlanError, match="block"):
+            assemble_plan(net, part, trees, reduction)
 
 
 class TestSerialization:
