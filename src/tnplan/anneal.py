@@ -10,15 +10,15 @@ and the candidate is re-costed.  A candidate's cost is therefore a
 function of its partition trees, and so, once every tree is a greedy one,
 of its partitioning alone.
 
-The search runs over ``plan.Plan``s, the one costed-plan type.  A plan
-carries the exact integers of its partition results
-(``pathfind.leg_tables``): each result's entry count and, per pair of
-partitions, the product of the dimensions they share.  A move changes two
-partitions, so a proposal recomputes only their two rows, from the root
-legs of their new trees and a vertex -> partition map, and seeds the
-fan-in pass with the tables through ``pathfind.FanInNetwork``, with no
-scan of the other partitions' legs.  The directed target is sized from
-the same tables.
+The search runs over ``plan.Plan``s, the one costed-plan type.  A plan's
+fan-in network (``pathfind.FanInNetwork``) carries the exact integers of
+its partition results (``pathfind.leg_tables``): each result's entry
+count and, per pair of partitions, the product of the dimensions they
+share.  A move changes two partitions, so a proposal recomputes only
+their two rows, from the root legs of their new trees and a vertex ->
+partition map, and hands the tables to the candidate's fan-in network,
+with no scan of the other partitions' legs.  The directed target is sized
+from the same tables.
 
 A proposal is costed under ``con_dist`` on the k-leaf fan-in tree: each
 partition's local cost comes from its own tree, and its fan-in from the
@@ -223,10 +223,11 @@ def select_neighbor(net, state, cfg, rng):
     candidates = src_tree.leaves() + src_tree.internal_nodes()[:-1]
     node = candidates[int(rng.integers(len(candidates)))]
     moved = frozenset(src_tree.subtree_leaf_tensors(node))
+    fanin = state.reduction.network
 
     if cfg.mode == "directed":
         moved_entries, moved_shared = result_row(net, state.owner, k_src, src_tree.legs(node))
-        k_dst = select_target_directed(state.entries, k_src, moved_entries, moved_shared)
+        k_dst = select_target_directed(fanin.entries, k_src, moved_entries, moved_shared)
     else:
         k_dst = select_target_naive(len(blocks), k_src, rng)
 
@@ -241,8 +242,8 @@ def select_neighbor(net, state, cfg, rng):
     trees = list(state.partition_trees)
     intra = _intra(cfg)
     local_costs = list(state.local_costs)
-    entries = list(state.entries)
-    shared = list(state.shared)
+    entries = list(fanin.entries)
+    shared = list(fanin.shared)
     pair = (k_src, k_dst)
     stale = set(shared[k_src]).union(shared[k_dst])
     for i in pair:
@@ -259,10 +260,9 @@ def select_neighbor(net, state, cfg, rng):
                 row.pop(i, None)
             else:
                 row[i] = x
-    reduction = reduction_path(FanInNetwork(entries, shared))
+    reduction = reduction_path(FanInNetwork(net, [t.legs(t.root) for t in trees], entries, shared))
     cost = con_dist(reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs)
-    candidate = Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost,
-                     entries, shared, owner)
+    candidate = Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
 
     if cfg.check_invariants:
         ok, problems = validate(partitioning, net)

@@ -144,6 +144,8 @@ def cmd_plan(args):
 
 
 def cmd_anneal(args):
+    if args.plan and args.partitions:
+        raise ValueError("anneal takes --plan or --partitions, not both")
     cost_cfg = _cost_config(args)
     cfg = AnnealConfig(
         t0=args.t0,
@@ -297,7 +299,7 @@ def build_parser():
     p = sub.add_parser("anneal", help="refine a plan with simulated annealing")
     _add_input_flags(p)
     p.add_argument("--plan", default=None, help="plan JSON to refine")
-    _add_plan_flags(p, 0, "build the initial plan inline")
+    _add_plan_flags(p, 0, "build the initial plan inline (not with --plan)")
     p.add_argument("--seed", type=int, default=AnnealConfig.seed)
     p.add_argument("--t0", type=float, default=AnnealConfig.t0)
     p.add_argument("--tf", type=float, default=AnnealConfig.tf)

@@ -5,10 +5,9 @@ scalar multiplications of that pairwise contraction, which equals the
 product of the dimensions over the union of the children's legs.  Every
 entry count (``dims_product``) is the exact integer product of its edges'
 dimensions, rounded once to a 64-bit float by ``rounded_count``, so it
-does not depend on the order of the edges or on how they are grouped;
-anything past 2**300 is clamped and flagged rather than allowed to
-overflow.  ``is_saturated`` reads the same exact product before it is
-rounded.
+does not depend on the order of the edges; anything past 2**300 is
+clamped and flagged rather than allowed to overflow.  ``is_saturated``
+reads the same exact product before it is rounded.
 Sums over nodes are accumulated in linear floats.
 """
 

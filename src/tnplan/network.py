@@ -161,9 +161,6 @@ class TensorNetwork:
     def vertices(self):
         return range(len(self._axis_edges))
 
-    def degree(self, v):
-        return len(self._axis_edges[v])
-
     def axis_edges(self, v):
         """Edge id attached to each axis of ``v``, in axis order."""
         return tuple(self._axis_edges[v])

@@ -21,11 +21,11 @@ With a ``GreedyConfig`` the deterministic pass is followed by ``samples``
 passes with each pair score multiplied by log-normal noise, and the pass
 with the smallest serial cost is kept; only ``serial_plan`` asks for
 that.  The fan-in tree of ``reduction_path`` is one deterministic pass
-seeded straight from the tables of a ``FanInNetwork``: ``reduction_network``
-makes them from the partitions' result legs, and the annealer carries them
-from one state to the next, updating only the partitions a move changed.
-Either way a plan's fan-in, and the annealer's cost of a state, depend on
-its partition trees alone.
+over a ``FanInNetwork``, whose legs are the partitions' result legs, seeded
+straight from its tables: ``reduction_network`` scans them off the legs,
+and the annealer carries them from one state to the next, updating only
+the partitions a move changed.  Either way a plan's fan-in, and the
+annealer's cost of a state, depend on its partition trees alone.
 """
 
 from __future__ import annotations
@@ -299,43 +299,22 @@ def random_greedy_tree(net, view=None, cfg=None):
 
 
 class FanInNetwork:
-    """The network of a fan-in tree, built from the exact tables of the
-    partition result tensors.
+    """The network of a fan-in tree over the results of the partitions of ``net``.
 
-    Vertex ``i`` is partition ``i``: ``entries[i]`` is the exact entry
-    count of its result tensor and ``shared[i]`` maps every partition
-    sharing edges with it to the exact product of the dimensions they
-    share, as ``leg_tables`` gives them.  The legs are integer group ids.
-    The edges two partitions share form one group, a leg of both; the
-    open legs of ``i`` form one group, a leg of ``i`` alone, unless their
-    product is 1; ``edge_dims[g]`` is group ``g``'s size.  Groups are
-    numbered by partition, then by partner, so equal tables give equal
-    legs.  Every size is an exact integer product, so every greedy score
-    and cost is bit for bit the one over the original edges.  The network
-    has what ``tree.py`` asks of one, and ``reduction_path`` seeds its pass
-    from the tables, which it does not edit.
+    Vertex ``i`` is partition ``i`` and its legs, ``legs[i]``, are the root
+    legs of partition tree ``i``: edge ids of ``net``, whose ``edge_dims``
+    this network shares.  A fan-in tree's node therefore carries exactly
+    the legs of the matching node of the composed tree.  ``entries`` and
+    ``shared`` are the ``leg_tables`` of those legs; ``reduction_path``
+    seeds its pass from them and does not edit them.
     """
 
-    def __init__(self, entries, shared):
-        self.num_vertices = len(entries)
+    def __init__(self, net, legs, entries, shared):
+        self.num_vertices = len(legs)
+        self.edge_dims = net.edge_dims
+        self._legs = legs
         self.entries = entries
         self.shared = shared
-        legs = [[] for _ in entries]
-        dims = []
-        for i, table in enumerate(shared):
-            mine = legs[i]
-            for j in sorted(table):
-                if j > i:
-                    g = len(dims)
-                    mine.append(g)
-                    legs[j].append(g)
-                    dims.append(table[j])
-            rest = entries[i] // math.prod(table.values())
-            if rest != 1:
-                mine.append(len(dims))
-                dims.append(rest)
-        self.edge_dims = dims
-        self._legs = [frozenset(l) for l in legs]
 
     def vertices(self):
         return range(self.num_vertices)
@@ -345,10 +324,10 @@ class FanInNetwork:
 
 
 def reduction_network(net, partition_legs):
-    """The ``FanInNetwork`` over partition result tensors with the given legs:
-    their ``leg_tables``.  An edge held by three or more partitions is a
+    """The ``FanInNetwork`` over partition result tensors with the given legs,
+    with their ``leg_tables``.  An edge held by three or more partitions is a
     ``ValueError``."""
-    return FanInNetwork(*leg_tables(net, partition_legs))
+    return FanInNetwork(net, partition_legs, *leg_tables(net, partition_legs))
 
 
 def reduction_path(fanin):

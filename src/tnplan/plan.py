@@ -1,10 +1,11 @@
 """Distributed contraction plans: one costed type for a partitioning and its trees.
 
 A ``Plan`` holds the vertex partitioning, one contraction tree per
-partition, the fan-in (reduction) tree joining the partition results, its
-``con_dist`` cost under a ``CostConfig``, and the exact tables of the
-partition results that the annealer updates move by move.  The composed
-tree over all tensors and its cost report are built on first read.
+partition, the fan-in (reduction) tree joining the partition results, and
+its ``con_dist`` cost under a ``CostConfig``.  The fan-in tree's network,
+a ``pathfind.FanInNetwork``, holds the exact tables of the partition
+results that the annealer updates move by move.  The composed tree over
+all tensors and its cost report are built on first read.
 ``assemble_plan`` makes every plan but the annealer's proposals;
 ``build_plan`` makes every tree by one deterministic greedy pass; only
 ``serial_plan`` takes a noisy multi-sample search.
@@ -26,7 +27,7 @@ from functools import cached_property
 from .costs import CostConfig, con_dist, cost_report, intra_metric
 from .network import OPEN, _is_number
 from .partition import Partitioning, validate
-from .pathfind import FanInNetwork, greedy_tree, leg_tables, reduction_network, reduction_path
+from .pathfind import FanInNetwork, greedy_tree, reduction_network, reduction_path
 from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
 
 
@@ -39,16 +40,14 @@ class Plan:
     """A partitioning with its trees, costed under ``cost_cfg``.
 
     ``reduction`` is the fan-in tree whose leaf ``i`` stands for partition
-    ``i``.  ``local_costs[i]`` is partition ``i``'s own cost (per
+    ``i``; its network is the ``FanInNetwork`` of the partition trees' root
+    legs, whose ``entries`` and ``shared`` are their ``leg_tables``.
+    ``local_costs[i]`` is partition ``i``'s own cost (per
     ``cost_cfg.intra_node``) and ``cost`` is ``con_dist`` of the plan.
 
-    ``entries`` and ``shared`` are the ``leg_tables`` of the partition
-    trees' root legs: ``entries[i]`` is the exact entry count of partition
-    ``i``'s result and ``shared[i]`` maps every partition sharing edges with
-    it to the exact product of the shared dimensions.  ``owner[v]`` is the
-    partition of vertex ``v``; its last entry, ``owner[OPEN]``, is ``OPEN``,
-    so the open end of a leg belongs to no partition.  Plans share these
-    lists and dicts and never edit them.
+    ``owner[v]`` is the partition of vertex ``v``; its last entry,
+    ``owner[OPEN]``, is ``OPEN``, so the open end of a leg belongs to no
+    partition.  Plans share these lists and tables and never edit them.
     """
 
     network: object
@@ -58,8 +57,6 @@ class Plan:
     cost_cfg: CostConfig
     local_costs: tuple
     cost: float
-    entries: list
-    shared: list
     owner: list
 
     @cached_property
@@ -87,8 +84,9 @@ def owner_map(net, blocks):
 def assemble_plan(net, partitioning, partition_trees, reduction=None, cost_cfg=None):
     """The plan of a partitioning and its trees, costed under ``cost_cfg``.
 
-    Tree ``i`` must cover exactly block ``i``.  Without a ``reduction``
-    (leaf ``i`` standing for block ``i``), the fan-in tree is the
+    Tree ``i`` must cover exactly block ``i``.  A given ``reduction`` has
+    leaves ``0..k-1`` over the ``FanInNetwork`` of the trees' root legs,
+    whose tables it brings; without one, the fan-in tree is the
     deterministic greedy pass over the partition results.
     """
     blocks = partitioning.blocks
@@ -99,13 +97,20 @@ def assemble_plan(net, partitioning, partition_trees, reduction=None, cost_cfg=N
         if blocks[i] != set(t.leaves()):
             raise PlanError(f"partition tree {i} does not cover exactly block {i}")
     cost_cfg = cost_cfg or CostConfig()
-    entries, shared = leg_tables(net, [t.legs(t.root) for t in partition_trees])
+    legs = [t.legs(t.root) for t in partition_trees]
     if reduction is None:
-        reduction = reduction_path(FanInNetwork(entries, shared))
+        reduction = reduction_path(reduction_network(net, legs))
+    elif reduction.leaves() != list(range(k)):
+        raise PlanError(f"reduction tree leaves must be exactly the block indices 0..{k - 1}")
+    else:
+        fanin = reduction.network
+        if not (isinstance(fanin, FanInNetwork) and fanin.edge_dims is net.edge_dims
+                and fanin.num_vertices == k and all(fanin.leaf_legs(i) == legs[i] for i in range(k))):
+            raise PlanError("the reduction tree is not over the fan-in network of the partition trees")
     local_costs = tuple(map(intra_metric(cost_cfg), partition_trees))
     cost = con_dist(reduction, None, cost_cfg, subtree_roots=range(k), local_costs=local_costs)
     return Plan(net, partitioning, tuple(partition_trees), reduction, cost_cfg, local_costs, cost,
-                entries, shared, owner_map(net, blocks))
+                owner_map(net, blocks))
 
 
 def build_plan(net, partitioning, cost_cfg=None):
@@ -118,14 +123,10 @@ def build_plan(net, partitioning, cost_cfg=None):
     return assemble_plan(net, partitioning, trees, cost_cfg=cost_cfg)
 
 
-def serial_plan(net, cost_cfg=None, tree=None, cfg=None):
-    """One-partition baseline: a single greedy tree over the whole network.
-
-    A prebuilt ``tree`` is used as-is; otherwise ``greedy_tree`` searches
-    with ``cfg`` (the deterministic pass without one).
-    """
-    if tree is None:
-        tree = greedy_tree(net, cfg=cfg)
+def serial_plan(net, cost_cfg=None, cfg=None):
+    """One-partition baseline: a single greedy tree over the whole network,
+    searched with ``cfg`` (the deterministic pass without one)."""
+    tree = greedy_tree(net, cfg=cfg)
     return assemble_plan(net, Partitioning([net.vertices()]), [tree], cost_cfg=cost_cfg)
 
 

@@ -341,13 +341,14 @@ def _spec_par(node):
 
 
 # ---------------------------------------------------------------------------
-# fan-in search over the ungrouped pseudo-network
+# fan-in search over a network of pseudo-tensors
 
-def uncollapsed_reduction_network(net, partition_legs):
+def pseudo_tensor_network(net, partition_legs):
     """One pseudo-tensor per partition with one axis per partition leg.
 
-    Every original edge shared by two partitions stays its own bond, where
-    ``tnplan.pathfind.reduction_network`` groups them per partition pair.
+    Every original edge shared by two partitions is a bond, so the greedy
+    search over it reads leg sets, where ``tnplan.pathfind.reduction_path``
+    reads the exact tables of ``reduction_network``.
     """
     pseudo = TensorNetwork()
     for legs in partition_legs:
@@ -369,7 +370,7 @@ def reference_reduction_nested(net, partition_legs):
     k = len(partition_legs)
     if k <= 2:
         return 0 if k == 1 else [0, 1]
-    pseudo = uncollapsed_reduction_network(net, partition_legs)
+    pseudo = pseudo_tensor_network(net, partition_legs)
     return to_nested(greedy_tree(pseudo))
 
 

@@ -265,7 +265,8 @@ def test_walks_carry_the_tables_of_their_trees(seed, mode, huge):
     for _ in range(6):
         trees = state.partition_trees
         legs = [t.legs(t.root) for t in trees]
-        assert [state.entries, state.shared] == list(leg_tables(net, legs))
+        fanin = state.reduction.network
+        assert [fanin.entries, fanin.shared] == list(leg_tables(net, legs))
         assert state.owner == owner_map(net, state.partitioning.blocks)
         fresh = reduction_path(reduction_network(net, legs))
         assert state.reduction.pairs() == fresh.pairs()

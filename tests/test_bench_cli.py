@@ -671,6 +671,18 @@ class TestRejectedSettings:
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["1", "2", "4"])
+    def test_anneal_takes_a_plan_or_a_partition_count(self, tmp_path, ghz_file, capsys, k):
+        # Given both, anneal once refined the plan's own block count and exited 0.
+        plan, out = tmp_path / "plan.json", tmp_path / "out.json"
+        assert main(["plan", str(ghz_file), "--partitions", "2", "-o", str(plan)]) == 0
+        capsys.readouterr()
+        argv = ["anneal", str(ghz_file), "--plan", str(plan), "--partitions", k, "--iters", "1"]
+        assert main(argv + ["-o", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

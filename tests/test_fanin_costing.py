@@ -1,23 +1,23 @@
 """Proposals costed on the fan-in tree agree with the composed tree.
 
 The annealer costs a candidate from its partition trees and its k-leaf
-fan-in tree, and the fan-in search runs over a pseudo-network with one
-grouped edge per partition pair.  These tests check both shortcuts
-against the full computations they replace.
+fan-in tree, and the fan-in search runs over the exact tables of the
+partition results rather than a network of pseudo-tensors.  These tests
+check both shortcuts against the full computations they replace.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from tnplan.anneal import AnnealConfig, do_steps
-from tnplan.costs import CostConfig, con_dist, dims_product
+from tnplan.costs import CostConfig, con_dist
 from tnplan.network import TensorNetwork
-from tnplan.partition import initial_partition
+from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import greedy_tree, reduction_network, reduction_path
-from tnplan.plan import build_plan
+from tnplan.plan import build_plan, plan_from_dict, plan_to_dict
 from tnplan.tree import ContractionTree, compose_plan_tree, leaf_legs
 
 # Dimensions up to 3 on at most 12 tensors keep every product exact, so
@@ -56,7 +56,7 @@ def test_do_steps_states_cost_their_composed_tree(seed, alpha, beta, mode, intra
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6))
-def test_grouped_fanin_search_matches_ungrouped_reference(seed):
+def test_fanin_search_matches_the_pseudo_tensor_reference(seed):
     rng = np.random.default_rng(seed)
     net = oracles.random_network(rng, n_min=6, n_max=14, payloads=False)
     k = int(rng.integers(1, min(7, net.num_vertices) + 1))
@@ -64,21 +64,32 @@ def test_grouped_fanin_search_matches_ungrouped_reference(seed):
     legs = [t.legs(t.root) for t in (greedy_tree(net, view=set(b)) for b in blocks)]
     got = oracles.to_nested(reduction_path(reduction_network(net, legs)))
     assert got == oracles.reference_reduction_nested(net, legs)
-    # Every set of partition results has the same entry count over the
-    # grouped fan-in legs as over the original edges.
-    fanin = reduction_network(net, legs)
-    for subset in range(1, 1 << k):
-        grouped = original = frozenset()
-        for i in range(k):
-            if subset >> i & 1:
-                grouped ^= fanin.leaf_legs(i)
-                original ^= legs[i]
-        assert dims_product(fanin, grouped) == dims_product(net, original)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), source=st.sampled_from(("built", "annealed", "reloaded")))
+def test_fanin_legs_are_the_composed_trees_legs(seed, source):
+    # Dimension-1 and parallel bonds, often disconnected.
+    rng = np.random.default_rng(seed)
+    net = oracles.random_bond_network(rng)
+    assume(net.num_vertices >= 2)
+    k = int(rng.integers(2, net.num_vertices + 1))
+    plan = build_plan(net, Partitioning(oracles.random_blocks(rng, net.vertices(), k)))
+    if source != "built":
+        cfg = AnnealConfig(workers=1, max_iters=1, mode="directed", cost=CostConfig(comm_beta=1.0))
+        plan = do_steps(net, 5, plan, 1.0, cfg, rng)
+    if source == "reloaded":
+        plan = plan_from_dict(net, plan_to_dict(plan))
+    # compose_plan_tree's numbering: the fan-in merges follow the partitions'.
+    shift = net.num_vertices + sum(len(t.pairs()) for t in plan.partition_trees) - k
+    reduction, tree = plan.reduction, plan.tree
+    for x in reduction.postorder():
+        assert reduction.legs(x) == tree.legs(plan.part_roots[x] if x < k else x + shift)
 
 
 def test_grouped_dimensions_past_float_range_saturate():
-    # Tensors 0 and 1 share 1100 bonds of dimension 2: 2**1100 entries as
-    # one grouped edge, more than a float holds.
+    # Tensors 0 and 1 share 1100 bonds of dimension 2: 2**1100 entries
+    # between them, more than a float holds.
     net = TensorNetwork()
     wide = 1100
     a = net.add_tensor([2] * (wide + 1))
@@ -107,7 +118,7 @@ def test_grouped_dimensions_past_float_range_saturate():
 )
 def test_costs_stay_exact_on_dimensions_up_to_1000(seed, beta, mode):
     # Products of such dimensions pass 2**53, where rounding after every
-    # multiply made the grouped fan-in cost differ from the composed tree's.
+    # multiply made the fan-in cost differ from the composed tree's.
     rng = np.random.default_rng(seed)
     net = oracles.random_network(rng, n_min=6, n_max=12, max_dim=1000, payloads=False)
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
@@ -126,8 +137,8 @@ def test_costs_stay_exact_on_dimensions_up_to_1000(seed, beta, mode):
 @settings(max_examples=60, deadline=None)
 @given(dims=st.lists(st.integers(3, 999), min_size=9, max_size=9))
 def test_three_bonds_per_pair_fan_in_matches_the_composed_tree(dims):
-    # Tensors 0, 1, 2 share three bonds per pair, so every grouped edge of
-    # the fan-in network is a product of three dimensions.
+    # Tensors 0, 1, 2 share three bonds per pair, so every shared product
+    # of the fan-in tables is a product of three dimensions.
     groups = {(0, 1): dims[0:3], (0, 2): dims[3:6], (1, 2): dims[6:9]}
     net = TensorNetwork()
     for v in range(3):

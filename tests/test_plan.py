@@ -30,7 +30,7 @@ from tnplan.plan import (
     plan_to_json,
     serial_plan,
 )
-from tnplan.tree import TreeError
+from tnplan.tree import ContractionTree, TreeError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "amplitudes-rc18x8-k8.json"
 
@@ -93,7 +93,7 @@ class TestSerialPlan:
     def test_prebuilt_tree_used_verbatim(self):
         net = pair_net()
         tree = oracles.from_nested(net, [0, 1])
-        plan = serial_plan(net, tree=tree)
+        plan = assemble_plan(net, Partitioning([net.vertices()]), [tree])
         assert plan.partition_trees[0] is tree
         assert oracles.to_nested(plan.tree) == oracles.to_nested(tree)
         assert plan.report.con_serial == con_serial(tree)
@@ -126,6 +126,25 @@ class TestAssemblePlan:
         trees = halves if given == "halves" else [greedy_tree(net, part.blocks[0])]
         reduction = oracles.fanin_tree(net, halves, [0, 1])
         with pytest.raises(PlanError, match="block"):
+            assemble_plan(net, part, trees, reduction)
+
+    @pytest.mark.parametrize("given", ["missing-leaf", "base-network", "reordered-legs", "other-network"])
+    def test_reduction_not_over_the_trees_fanin_network_rejected(self, given):
+        # Each once raised a bare KeyError from con_dist or costed silently.
+        net = ghz_net()
+        part = initial_partition(net, 3, seed=0)
+        trees = list(build_plan(net, part).partition_trees)
+        assert assemble_plan(net, part, trees, oracles.fanin_tree(net, trees, [[0, 1], 2])).cost > 0
+        if given == "missing-leaf":
+            reduction = oracles.fanin_tree(net, trees, [0, 1])
+        elif given == "base-network":
+            part, trees = Partitioning([net.vertices()]), [greedy_tree(net)]
+            reduction = ContractionTree.from_pairs(net, [], [0])
+        elif given == "reordered-legs":
+            reduction = oracles.fanin_tree(net, trees[::-1], [[0, 1], 2])
+        else:
+            reduction = oracles.fanin_tree(ghz_net(), trees, [[0, 1], 2])
+        with pytest.raises(PlanError, match="reduction tree"):
             assemble_plan(net, part, trees, reduction)
 
 
