@@ -40,7 +40,6 @@ from .costs import (
     con_dist,
     con_par,
     con_serial,
-    cost_report,
     mem_cost,
     node_ops,
 )
@@ -66,7 +65,7 @@ from .plan import (
     plan_to_json,
     serial_plan,
 )
-from .tree import ContractionTree, TreeError, compose_plan_tree, leaf_legs
+from .tree import ContractionTree, TreeError, compose_plan_tree
 
 __version__ = "0.1.0"
 
@@ -105,7 +104,6 @@ __all__ = [
     "con_par",
     "con_serial",
     "contract_pair",
-    "cost_report",
     "cut_weight",
     "execute_distributed_emulation",
     "execute_plan",
@@ -114,7 +112,6 @@ __all__ = [
     "graph_state_circuit",
     "greedy_tree",
     "initial_partition",
-    "leaf_legs",
     "make_gate",
     "mem_cost",
     "node_ops",

@@ -7,8 +7,10 @@ entry count (``dims_product``) is the exact integer product of its edges'
 dimensions, rounded once to a 64-bit float by ``rounded_count``, so it
 does not depend on the order of the edges; anything past 2**300 is
 clamped and flagged rather than allowed to overflow.  ``is_saturated``
-reads the same exact product before it is rounded.
-Sums over nodes are accumulated in linear floats.
+takes the exact product again only of a count at the clamp value.
+Sums over nodes are accumulated in linear floats.  A plan's cost and its
+report's per-partition split are one ``distributed_breakdown`` of its
+fan-in tree; ``con_dist`` of the composed tree is their reference.
 """
 
 from __future__ import annotations
@@ -54,16 +56,23 @@ class PartitionCost:
 
 @dataclass
 class CostReport:
+    """Whole-tree metrics, ``con_dist`` and its split; each ``*_log2`` derives from its linear field."""
+
     mem: float
     con_serial: float
     con_par: float
     con_dist: float
-    mem_log2: float
-    con_serial_log2: float
-    con_par_log2: float
-    con_dist_log2: float
+    mem_log2: float = field(init=False)
+    con_serial_log2: float = field(init=False)
+    con_par_log2: float = field(init=False)
+    con_dist_log2: float = field(init=False)
     per_partition: list = field(default_factory=list)
     saturated: bool = False
+
+    def __post_init__(self):
+        for name in ("mem", "con_serial", "con_par", "con_dist"):
+            x = getattr(self, name)
+            setattr(self, name + "_log2", math.log2(x) if x > 0 else float("-inf"))
 
     def to_dict(self):
         """The report as a JSON-ready dict; non-finite floats become None."""
@@ -238,39 +247,15 @@ def _slowest(parts):
 def is_saturated(tree):
     """True when a contraction's exact multiplication count, or a one-leaf
     tree's tensor size, is past 2**300; no tensor is larger than the
-    contraction that consumes or produces it."""
-    leg_sets = [_contracted_legs(tree, t) for t in tree.internal_nodes()] or [tree.legs(tree.root)]
-    return any(_exact_product(tree.network, legs) > _SATURATION_INT for legs in leg_sets)
-
-
-def _log2_or_ninf(x):
-    return math.log2(x) if x > 0 else float("-inf")
-
-
-def cost_report(tree, blocks=None, cfg=None, subtree_roots=None):
-    """All four metrics for one tree, optionally under a partitioning.
-
-    Without ``blocks`` the tree is treated as one partition, so the
-    distributed figure reduces to the serial one.
+    contraction that consumes or produces it.  Only a memoized ``node_ops``
+    (``legs_size`` of a one-leaf tree) at the clamp value can hide a larger
+    exact product, so only its product is taken again.
     """
-    cfg = cfg or CostConfig()
-    serial = con_serial(tree)
-    par = con_par(tree)
-    mem = mem_cost(tree)
-    if blocks is None:
-        parts = [PartitionCost(0, serial, 0.0)]
-    else:
-        parts = distributed_breakdown(tree, blocks, cfg, subtree_roots)
-    dist = _slowest(parts)
-    return CostReport(
-        mem=mem,
-        con_serial=serial,
-        con_par=par,
-        con_dist=dist,
-        mem_log2=_log2_or_ninf(mem),
-        con_serial_log2=_log2_or_ninf(serial),
-        con_par_log2=_log2_or_ninf(par),
-        con_dist_log2=_log2_or_ninf(dist),
-        per_partition=parts,
-        saturated=is_saturated(tree),
-    )
+    net = tree.network
+    nodes = tree.internal_nodes()
+    if not nodes:
+        root = tree.root
+        return (legs_size(tree, root) == _SATURATION_VALUE
+                and _exact_product(net, tree.legs(root)) > _SATURATION_INT)
+    return any(node_ops(tree, t) == _SATURATION_VALUE
+               and _exact_product(net, _contracted_legs(tree, t)) > _SATURATION_INT for t in nodes)

@@ -177,7 +177,10 @@ class TensorNetwork:
 
     def leaf_legs(self, v):
         """Planning legs of ``v``: its distinct incident edges, self-loops
-        dropped.  Computed on first read and kept until ``bond`` touches ``v``."""
+        dropped.  A self-loop is a trace internal to the tensor; the
+        executor sums it out when the leaf is loaded, so it never appears
+        on an intermediate.  Computed on first read and kept until
+        ``bond`` touches ``v``."""
         legs = self._leaf_legs.get(v)
         if legs is None:
             legs = self._leaf_legs[v] = frozenset(

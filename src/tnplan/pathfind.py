@@ -38,7 +38,7 @@ import numpy as np
 
 # dims_product is unused here but stays importable: perfbench's tracer wraps it.
 from .costs import dims_product, rounded_count  # noqa: F401
-from .tree import ContractionTree, leaf_legs
+from .tree import ContractionTree
 
 
 @dataclass
@@ -277,7 +277,7 @@ def greedy_tree(net, view=None, cfg=None):
     are the pass's own figures.
     """
     nodes = sorted(net.vertices() if view is None else view)
-    entries, shared = leg_tables(net, [leaf_legs(net, v) for v in nodes])
+    entries, shared = leg_tables(net, [net.leaf_legs(v) for v in nodes])
     if cfg is None or len(nodes) <= 2:
         return _greedy_pass(net, nodes, entries, shared).tree()
     best = _greedy_pass(net, nodes, list(entries), [dict(t) for t in shared])

@@ -4,8 +4,9 @@ A ``Plan`` holds the vertex partitioning, one contraction tree per
 partition, the fan-in (reduction) tree joining the partition results, and
 its ``con_dist`` cost under a ``CostConfig``.  The fan-in tree's network,
 a ``pathfind.FanInNetwork``, holds the exact tables of the partition
-results that the annealer updates move by move.  The composed tree over
-all tensors and its cost report are built on first read.
+results that the annealer updates move by move.  A plan is costed once,
+on its fan-in tree, and its report reuses that costing per partition.
+The composed tree over all tensors and the report are built on first read.
 ``assemble_plan`` makes every plan but the annealer's proposals;
 ``build_plan`` makes every tree by one deterministic greedy pass; only
 ``serial_plan`` takes a noisy multi-sample search.
@@ -24,7 +25,10 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .costs import CostConfig, con_dist, cost_report, intra_metric
+from .costs import (
+    CostConfig, CostReport, con_dist, con_par, con_serial, distributed_breakdown, intra_metric,
+    is_saturated, mem_cost,
+)
 from .network import OPEN, _is_number
 from .partition import Partitioning, validate
 from .pathfind import FanInNetwork, greedy_tree, reduction_network, reduction_path
@@ -43,7 +47,8 @@ class Plan:
     ``i``; its network is the ``FanInNetwork`` of the partition trees' root
     legs, whose ``entries`` and ``shared`` are their ``leg_tables``.
     ``local_costs[i]`` is partition ``i``'s own cost (per
-    ``cost_cfg.intra_node``) and ``cost`` is ``con_dist`` of the plan.
+    ``cost_cfg.intra_node``) and ``cost`` is ``con_dist`` of the plan,
+    the slowest partition's local cost plus its fan-in on ``reduction``.
 
     ``owner[v]`` is the partition of vertex ``v``; its last entry,
     ``owner[OPEN]``, is ``OPEN``, so the open end of a leg belongs to no
@@ -69,7 +74,13 @@ class Plan:
 
     @cached_property
     def report(self):
-        return cost_report(self.tree, self.partitioning.blocks, self.cost_cfg, subtree_roots=self.part_roots)
+        """Whole-tree metrics of the composed tree, and the per-partition
+        split of the fan-in costing that ``cost`` came from."""
+        tree = self.tree
+        parts = distributed_breakdown(self.reduction, None, self.cost_cfg,
+                                      range(len(self.partition_trees)), self.local_costs)
+        return CostReport(mem=mem_cost(tree), con_serial=con_serial(tree), con_par=con_par(tree),
+                          con_dist=self.cost, per_partition=parts, saturated=is_saturated(tree))
 
 
 def owner_map(net, blocks):

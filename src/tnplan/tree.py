@@ -3,9 +3,10 @@
 Leaves correspond one-to-one to network vertices (leaf node id == vertex
 id); every internal node has exactly two children and stands for the
 pairwise contraction of its children's results.  The legs of a node are
-the edges of that intermediate tensor: for a leaf, the distinct non-loop
-edges of its vertex; for an internal node, the symmetric difference of
-the children's legs, so edges shared by the two operands are summed away.
+the edges of that intermediate tensor: for a leaf, its network's
+``leaf_legs(v)``, the distinct non-loop edges of its vertex; for an
+internal node, the symmetric difference of the children's legs, so edges
+shared by the two operands are summed away.
 
 A tree built over a subset of the vertices (a view) treats edges leaving
 the view as open: they survive to the view root's legs.
@@ -31,15 +32,6 @@ from .network import NetworkError
 
 class TreeError(ValueError):
     """Malformed contraction tree or invalid tree operation."""
-
-
-def leaf_legs(net, v):
-    """Planning legs of vertex ``v``: distinct incident edges, loops dropped.
-
-    A self-loop is a trace internal to the tensor; the executor sums it
-    out when the leaf is loaded, so it never appears on an intermediate.
-    """
-    return net.leaf_legs(v)
 
 
 def nested_to_pairs(nested, first_id):

@@ -12,12 +12,13 @@ from tnplan.costs import (
     con_dist,
     con_par,
     con_serial,
-    cost_report,
     dims_product,
     mem_cost,
     node_ops,
 )
 from tnplan.network import TensorNetwork
+from tnplan.partition import Partitioning
+from tnplan.plan import assemble_plan
 from tnplan.tree import ContractionTree
 
 from oracles import (
@@ -73,6 +74,11 @@ def path4_dims2():
     net.bond(1, 1, 2, 0)
     net.bond(2, 1, 3, 0)
     return net
+
+
+def one_block_plan(net, nested):
+    """The one-partition plan whose tree is ``nested``."""
+    return assemble_plan(net, Partitioning([net.vertices()]), [from_nested(net, nested)])
 
 
 def test_single_matrix_product_costs():
@@ -134,9 +140,9 @@ def test_single_leaf_costs():
 
 def test_cost_report_fields_consistent():
     net = four_chain()
-    tree = from_nested(net, [[0, 1], [2, 3]])
     blocks = [frozenset({0, 1}), frozenset({2, 3})]
-    rep = cost_report(tree, blocks)
+    trees = [from_nested(net, [0, 1]), from_nested(net, [2, 3])]
+    rep = assemble_plan(net, Partitioning(blocks), trees).report  # composed: [[0, 1], [2, 3]]
     assert rep.con_serial == 192.0
     assert rep.con_dist == oracle_dist(net, [[0, 1], [2, 3]], blocks)
     assert rep.con_serial_log2 == pytest.approx(math.log2(192.0))
@@ -154,8 +160,7 @@ def test_saturation_flags_huge_networks():
     for a in range(3):
         net.bond(0, a, 1, a)
     # five edges of dim 2^70 meet at the contraction: 2^350 ops, clamped
-    tree = from_nested(net, [0, 1])
-    rep = cost_report(tree)
+    rep = one_block_plan(net, [0, 1]).report
     assert rep.saturated
     assert rep.con_serial == 2.0 ** 300
 
@@ -172,7 +177,7 @@ def test_saturated_exactly_when_a_count_passes_2_to_the_300(n_tensors, dims, sat
     if n_tensors == 2:
         net.bond(0, 0, 1, 0)
         net.bond(0, 1, 1, 1)
-    rep = cost_report(from_nested(net, [0, 1] if n_tensors == 2 else 0))
+    rep = one_block_plan(net, [0, 1] if n_tensors == 2 else 0).report
     assert (rep.con_serial if n_tensors == 2 else rep.mem) == 2.0 ** 300
     assert rep.saturated is saturated
 
@@ -186,9 +191,7 @@ def test_cost_config_rejects_non_finite_or_negative_comm(field, value):
 
 
 def test_one_partition_report_is_serial():
-    net = four_chain()
-    tree = from_nested(net, [[0, 1], [2, 3]])
-    rep = cost_report(tree, [frozenset(net.vertices())])
+    rep = one_block_plan(four_chain(), [[0, 1], [2, 3]]).report
     assert rep.con_dist == rep.con_serial == 192.0
 
 

@@ -12,13 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tnplan.anneal import AnnealConfig, do_steps
-from tnplan.costs import CostConfig, con_dist
+from tnplan.anneal import AnnealConfig, NoMoveError, do_steps, select_neighbor
+from tnplan.costs import CostConfig, con_dist, distributed_breakdown
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import greedy_tree, reduction_network, reduction_path
 from tnplan.plan import build_plan, plan_from_dict, plan_to_dict
-from tnplan.tree import ContractionTree, compose_plan_tree, leaf_legs
+from tnplan.tree import ContractionTree, compose_plan_tree
 
 # Dimensions up to 3 on at most 12 tensors keep every product exact, so
 # the costs must agree bit for bit.
@@ -87,6 +87,35 @@ def test_fanin_legs_are_the_composed_trees_legs(seed, source):
         assert reduction.legs(x) == tree.legs(plan.part_roots[x] if x < k else x + shift)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    source=st.sampled_from(("built", "proposed", "reloaded")),
+    intra=st.sampled_from(("serial", "par")),
+    k=st.integers(1, 4),
+)
+def test_report_splits_the_cost_as_the_composed_tree_does(seed, source, intra, k):
+    # The report's per-partition split comes from the fan-in tree; costing
+    # the composed tree per partition must give the same figures.
+    rng = np.random.default_rng(seed)
+    net = oracles.random_bond_network(rng)
+    assume(net.num_vertices >= k)
+    cost = CostConfig(comm_alpha=0.5, comm_beta=1.0, intra_node=intra)
+    plan = build_plan(net, Partitioning(oracles.random_blocks(rng, net.vertices(), k)), cost_cfg=cost)
+    if source != "built":
+        cfg = AnnealConfig(workers=1, max_iters=1, mode="directed", cost=cost)
+        try:
+            plan = select_neighbor(net, plan, cfg, rng)
+        except NoMoveError:  # every block a single tensor, or k = 1
+            pass
+    if source == "reloaded":
+        plan = plan_from_dict(net, plan_to_dict(plan), cost)
+    blocks = plan.partitioning.blocks
+    report = plan.report
+    assert report.per_partition == distributed_breakdown(plan.tree, blocks, cost)
+    assert report.con_dist == plan.cost == con_dist(plan.tree, blocks, cost)
+
+
 def test_grouped_dimensions_past_float_range_saturate():
     # Tensors 0 and 1 share 1100 bonds of dimension 2: 2**1100 entries
     # between them, more than a float holds.
@@ -99,7 +128,7 @@ def test_grouped_dimensions_past_float_range_saturate():
         net.bond(a, i, b, i)
     net.bond(a, wide, c, 0)
     net.bond(b, wide, c, 1)
-    legs = [leaf_legs(net, v) for v in (a, b, c)]
+    legs = [net.leaf_legs(v) for v in (a, b, c)]
     reduction = reduction_path(reduction_network(net, legs))
     assert oracles.to_nested(reduction) == oracles.reference_reduction_nested(net, legs)
     cost = CostConfig(comm_beta=1.0)
@@ -149,7 +178,7 @@ def test_three_bonds_per_pair_fan_in_matches_the_composed_tree(dims):
             net.bond(u, next_axis[u], v, next_axis[v])
             next_axis[u] += 1
             next_axis[v] += 1
-    legs = [leaf_legs(net, v) for v in range(3)]
+    legs = [net.leaf_legs(v) for v in range(3)]
     reduction = reduction_path(reduction_network(net, legs))
     cost = CostConfig(comm_beta=1.0)
     fanin = con_dist(reduction, None, cost, subtree_roots=range(3), local_costs=[0.0] * 3)

@@ -15,7 +15,7 @@ from tnplan.pathfind import (
     reduction_path,
 )
 from tnplan.plan import build_plan, serial_plan
-from tnplan.tree import ContractionTree, leaf_legs
+from tnplan.tree import ContractionTree
 
 from oracles import (
     random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
@@ -139,7 +139,7 @@ def test_greedy_pass_matches_the_leg_set_reference(seed, source, noisy):
         trees = [greedy_tree(base, set(b)) for b in blocks]
         net = reduction_network(base, [t.legs(t.root) for t in trees])
         view = net.vertices()
-    pieces = [(v, leaf_legs(net, v)) for v in view]
+    pieces = [(v, net.leaf_legs(v)) for v in view]
     draws = [np.random.default_rng(seed) if noisy else None for _ in range(2)]
     tables = leg_tables(net, [legs for _, legs in pieces])
     got = _greedy_pass(net, list(view), *tables, draws[0], 0.3)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnplan.network import NetworkError, TensorNetwork
-from tnplan.tree import ContractionTree, TreeError, compose_plan_tree, leaf_legs
+from tnplan.tree import ContractionTree, TreeError, compose_plan_tree
 
 from oracles import (blocks_nested, fanin_tree, from_nested, random_blocks, random_nested,
                      random_network, random_pairs, subtree_roots_by_leaf_sets, swapped, to_nested)
@@ -68,7 +68,7 @@ def test_leaf_legs_excludes_self_loops():
     v = net.add_tensor([3, 3, 2])
     net.bond(v, 0, v, 1)
     (open_edge,) = net.open_edges()
-    assert leaf_legs(net, v) == frozenset({open_edge})
+    assert net.leaf_legs(v) == frozenset({open_edge})
 
 
 def test_legs_of_internal_nodes_on_chain():
