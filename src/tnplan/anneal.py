@@ -5,20 +5,16 @@ contraction tree and migrates its leaf tensors to another partition,
 chosen either uniformly (naive) or by the pair objective between the
 moved tensor and each candidate partition's result tensor (directed).
 Both affected partitions get fresh greedy trees, the fan-in tree is
-rebuilt by one deterministic greedy pass over tables the plan carries,
-and the candidate is re-costed.  A candidate's cost is therefore a
-function of its partition trees, and so, once every tree is a greedy one,
-of its partitioning alone.
+rebuilt by one deterministic greedy pass, and the candidate is
+re-costed.  A candidate's cost is therefore a function of its partition
+trees, and so, once every tree is a greedy one, of its partitioning
+alone.
 
 The search runs over ``plan.Plan``s, the one costed-plan type.  A plan's
-fan-in network (``pathfind.FanInNetwork``) carries the exact integers of
-its partition results (``pathfind.leg_tables``): each result's entry
-count and, per pair of partitions, the product of the dimensions they
-share.  A move changes two partitions, so a proposal recomputes only
-their two rows, from the root legs of their new trees and a vertex ->
-partition map, and hands the tables to the candidate's fan-in network,
-with no scan of the other partitions' legs.  The directed target is sized
-from the same tables.
+fan-in network carries the exact tables of its partition results; a move
+asks ``pathfind`` for the directed target and for the candidate's fan-in
+network (``FanInNetwork.after_move``), and reads the tables only to
+check them against ``leg_tables`` under ``check_invariants``.
 
 A proposal is costed under ``con_dist`` on the k-leaf fan-in tree: each
 partition's local cost comes from its own tree, and its fan-in from the
@@ -53,11 +49,10 @@ import numpy as np
 # Unused by name but kept: perfbench's tracer wraps dims_product and
 # compose_plan_tree, and _intra looks con_par and con_serial up in globals().
 from .costs import (  # noqa: F401
-    CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric, rounded_count,
+    CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric,
 )
-from .network import OPEN
 from .partition import Partitioning, validate
-from .pathfind import FanInNetwork, greedy_tree, leg_tables, reduction_path
+from .pathfind import greedy_tree, leg_tables, reduction_path, select_target_directed
 from .plan import Plan, assemble_plan, owner_map
 from .tree import compose_plan_tree  # noqa: F401
 
@@ -156,57 +151,6 @@ def select_target_naive(n_blocks, k_src, rng):
     return others[int(rng.integers(len(others)))]
 
 
-def result_row(net, owner, own, legs):
-    """The exact entry count and shared products of a tensor over vertices of
-    partition ``own`` with legs ``legs``.
-
-    Returns (E, {j: X}): E is the product of the legs' dimensions and X,
-    for each partition ``j``, the product over the legs whose far end lies
-    in ``j``.  A leg's far end is its end outside ``own``, or in ``own`` when
-    both ends are; open ends count for no partition.  For a partition's
-    root legs this is its ``leg_tables`` row; for a subtree's legs ``own``
-    itself may appear.
-    """
-    dims = net.edge_dims
-    entries = 1
-    row = {}
-    for e in legs:
-        d = dims[e]
-        entries *= d
-        (u, _), (v, _) = net.edge(e).ends
-        j = owner[u]
-        if j == own:
-            j = owner[v]
-        if j != OPEN:
-            row[j] = row.get(j, 1) * d
-    return entries, row
-
-
-def select_target_directed(entries, k_src, moved_entries, moved_shared):
-    """Partition whose result tensor pairs best with the moved tensor.
-
-    Maximizes |moved| + |target| - |moved . target| over targets; ties go
-    to the lowest partition index.  Sizes come from exact entry counts,
-    each rounded once as ``dims_product`` rounds it: ``entries[t]`` for
-    target ``t``, ``moved_entries`` for the moved tensor, and
-    E_moved * E_t / X**2 for their product, where X is ``moved_shared``'s
-    product for ``t`` (see ``result_row``), or 1.
-    """
-    moved_size = rounded_count(moved_entries)
-    best_k = None
-    best_obj = -math.inf
-    for k, dest in enumerate(entries):
-        if k == k_src:
-            continue
-        x = moved_shared.get(k, 1)
-        result = rounded_count(moved_entries * dest // (x * x))
-        obj = moved_size + rounded_count(dest) - result
-        if obj > best_obj:
-            best_obj = obj
-            best_k = k
-    return best_k
-
-
 def _movable_blocks(blocks):
     return [i for i, b in enumerate(blocks) if len(b) >= 2]
 
@@ -226,8 +170,7 @@ def select_neighbor(net, state, cfg, rng):
     fanin = state.reduction.network
 
     if cfg.mode == "directed":
-        moved_entries, moved_shared = result_row(net, state.owner, k_src, src_tree.legs(node))
-        k_dst = select_target_directed(fanin.entries, k_src, moved_entries, moved_shared)
+        k_dst = select_target_directed(net, fanin, state.owner, k_src, src_tree.legs(node))
     else:
         k_dst = select_target_naive(len(blocks), k_src, rng)
 
@@ -242,25 +185,11 @@ def select_neighbor(net, state, cfg, rng):
     trees = list(state.partition_trees)
     intra = _intra(cfg)
     local_costs = list(state.local_costs)
-    entries = list(fanin.entries)
-    shared = list(fanin.shared)
-    pair = (k_src, k_dst)
-    stale = set(shared[k_src]).union(shared[k_dst])
-    for i in pair:
+    for i in (k_src, k_dst):
         t = trees[i] = greedy_tree(net, new_blocks[i])
         local_costs[i] = intra(t)
-        entries[i], shared[i] = result_row(net, owner, i, t.legs(t.root))
-        stale.update(shared[i])
-    # Every other row changes only in its entries for the moved pair.
-    for j in stale.difference(pair):
-        row = shared[j] = dict(shared[j])
-        for i in pair:
-            x = shared[i].get(j)
-            if x is None:
-                row.pop(i, None)
-            else:
-                row[i] = x
-    reduction = reduction_path(FanInNetwork(net, [t.legs(t.root) for t in trees], entries, shared))
+    legs = [t.legs(t.root) for t in trees]
+    reduction = reduction_path(fanin.after_move(net, owner, legs, (k_src, k_dst)))
     cost = con_dist(reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs)
     candidate = Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
 
@@ -272,7 +201,7 @@ def select_neighbor(net, state, cfg, rng):
             assert set(t.leaves()) == set(new_blocks[i])
         assert moved and moved != blocks[k_src]
         assert owner == owner_map(net, new_blocks)
-        assert [entries, shared] == list(leg_tables(net, [t.legs(t.root) for t in trees]))
+        assert [reduction.network.entries, reduction.network.shared] == list(leg_tables(net, legs))
         fresh = con_dist(candidate.tree, new_blocks, cfg.cost)
         assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
 

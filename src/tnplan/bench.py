@@ -24,7 +24,7 @@ import numpy as np
 from .anneal import AnnealConfig, refine_plan
 from .circuits import circuit_to_network
 from .costs import CostConfig
-from .partition import DEFAULT_IMBALANCE, initial_partition
+from .partition import DEFAULT_IMBALANCE, check_imbalance, initial_partition
 from .plan import build_plan, serial_plan
 
 METHODS = ("serial-baseline", "partition-only", "sa-naive", "sa-directed")
@@ -63,8 +63,7 @@ class RunConfig:
             raise ValueError("repeats must be >= 1")
         if not self.sweep or min(self.sweep) < 2:
             raise ValueError(f"sweep must list partition counts >= 2, got {list(self.sweep)}")
-        if self.epsilon < 0:
-            raise ValueError(f"imbalance epsilon must be >= 0, got {self.epsilon}")
+        check_imbalance(self.epsilon, "epsilon")
         if not math.isfinite(self.budget_seconds):
             raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds!r}")
         if self.budget_iters <= 0 and self.budget_seconds <= 0:

@@ -124,6 +124,8 @@ def cmd_ingest(args):
 
 
 def cmd_plan(args):
+    if args.partitions < 1:
+        raise ValueError(f"--partitions must be >= 1, got {args.partitions}")
     net = _load_network(args.network, amplitude=args.amplitude)
     cost_cfg = _cost_config(args)
     if args.partitions <= 1:

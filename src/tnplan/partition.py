@@ -56,6 +56,13 @@ def validate(part, net):
     return (not problems, problems)
 
 
+def check_imbalance(epsilon, name="imbalance epsilon"):
+    """Raise ``ValueError``, naming the setting ``name``, unless ``epsilon``
+    is finite and >= 0."""
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {epsilon!r}")
+
+
 def balance_limit(n, k, epsilon):
     """Largest allowed block size: floor of (1 + epsilon) * ceil(n / k)."""
     return int((1.0 + epsilon) * math.ceil(n / k) + 1e-9)
@@ -105,6 +112,7 @@ def refine_partition(part, net, epsilon=DEFAULT_IMBALANCE):
     partitioning and the cut-weight history (one entry before refinement
     plus one per completed pass).
     """
+    check_imbalance(epsilon)
     blocks = [set(b) for b in part.blocks]
     where = {}
     for i, b in enumerate(blocks):
@@ -160,12 +168,11 @@ def _bfs_distances(net, sources):
 def initial_partition(net, k, epsilon=DEFAULT_IMBALANCE, seed=0):
     """Balanced k-way partitioning by seeded BFS growth plus refinement.
 
-    Deterministic for a given seed.  Raises on k < 1, k > |V| or a
-    negative ``epsilon``.
+    Deterministic for a given seed.  Raises on k < 1, k > |V| or an
+    ``epsilon`` that is negative or not finite.
     """
     n = net.num_vertices
-    if epsilon < 0:
-        raise ValueError(f"imbalance epsilon must be >= 0, got {epsilon}")
+    check_imbalance(epsilon)
     if k < 1:
         raise ValueError(f"need at least one block, got k={k}")
     if k > n:

@@ -1,30 +1,29 @@
-"""Greedy contraction-order search, and the fan-in tree over partitions.
+"""Greedy contraction-order search, the fan-in network, and their tables.
 
-``greedy_tree`` is the one search.  A pass repeatedly contracts the pair
-of intermediates that maximizes the memory-reduction objective
-|A| + |B| - |A.B|.  Only pairs sharing at least one bound edge are
-candidates; pairs with nothing in common (outer products) are considered
-only once no adjacent pair is left, which happens exactly when the view
-being contracted is disconnected.  A pass works on exact integer sizes,
-not leg sets (``_Forest``), rounded as ``costs.rounded_count`` does.  It
-records each merge as a (left, right) pair of tree node ids, and the tree
-and its sizes leave the pass together: ``ContractionTree.from_valid_pairs``
-builds the tree from the pairs without re-checking them, and the pass
-fills the tree's ``node_ops`` and ``legs_size`` memos from its exact
-integers, so costing a greedy tree derives no size from leg sets.
+``greedy_tree`` is the one search.  A pass (``_greedy_pass``) repeatedly
+contracts the pair of intermediates that maximizes the memory-reduction
+objective |A| + |B| - |A.B|.  Only pairs sharing a bound edge are
+candidates; outer products are considered only once no adjacent pair is
+left, which happens exactly when the view is disconnected.  The pass
+records its merges as (left, right) tree node ids, and ``_pass_tree``
+builds the tree from them unchecked, its size memos filled with the
+pass's figures, so costing a greedy tree derives no size from leg sets.
 
-A pass starts from exact tables, not from legs: each tensor's entry
-count and, for every tensor it shares edges with, the product of the
-shared dimensions.  ``leg_tables`` reads them off leg sets once.
+A pass runs on exact integer tables, not leg sets: ``entries[p]`` is
+tensor ``p``'s entry count E, and ``shared[p]`` maps every tensor sharing
+an edge with ``p`` to X, the exact product of the shared dimensions
+(dimension-1 and parallel edges included).  Sizes are these integers
+rounded once by ``costs.rounded_count``.  ``leg_tables`` reads the tables
+off leg sets; outside this module only invariant checks read them.
 
-With a ``GreedyConfig`` the deterministic pass is followed by ``samples``
-passes with each pair score multiplied by log-normal noise, and the pass
-with the smallest serial cost is kept; only ``serial_plan`` asks for
-that.  The fan-in tree of ``reduction_path`` is one deterministic pass
-over a ``FanInNetwork``, whose legs are the partitions' result legs, seeded
-straight from its tables: ``reduction_network`` scans them off the legs,
-and the annealer carries them from one state to the next, updating only
-the partitions a move changed.  Either way a plan's fan-in, and the
+With a ``GreedyConfig`` the deterministic pass competes with ``samples``
+passes whose pair scores carry log-normal noise; only ``serial_plan`` asks
+for that.  The fan-in tree of ``reduction_path`` is one deterministic
+pass over a ``FanInNetwork`` of the partitions' result legs, seeded from
+its tables.  ``reduction_network`` scans them off the legs once; after an
+annealing move ``FanInNetwork.after_move`` recomputes only the changed
+partitions' rows (``result_row``), and ``select_target_directed`` scores
+the directed move on the same tables.  Either way a plan's fan-in, and the
 annealer's cost of a state, depend on its partition trees alone.
 """
 
@@ -38,6 +37,7 @@ import numpy as np
 
 # dims_product is unused here but stays importable: perfbench's tracer wraps it.
 from .costs import dims_product, rounded_count  # noqa: F401
+from .network import OPEN
 from .tree import ContractionTree
 
 
@@ -56,8 +56,8 @@ class GreedyConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
 
 
 def _sample_rng(seed, index):
@@ -65,107 +65,10 @@ def _sample_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(index,)))
 
 
-class _Forest:
-    """Mutable piece set for one greedy pass, on exact integer sizes.
-
-    Pieces are immutable once created: a merge retires both operands and
-    appends a fresh piece, so a heap entry stays valid exactly while both
-    of its pieces are alive.  A merge appends its operands' piece indices
-    to ``merges`` and its multiplication count to ``ops``, and the new
-    piece takes the node id its tree gives it.
-
-    Piece ``p`` keeps ``entries[p]``, the exact integer entry count E of
-    its tensor, and ``shared[p]``, which maps every piece sharing an edge
-    with it to X, the exact product of the dimensions they share (the
-    tables of ``leg_tables``; the forest owns and edits them).  The legs
-    of a merge are the symmetric difference of its operands' legs and the
-    multiplications run over their union, so
-
-        E(A u B) = E(A) * E(B) / X(A, B)**2,   ops(A, B) = E(A) * E(B) / X(A, B),
-
-    both exact.  Two pieces are adjacent when one is a key of the other's
-    table, so bonds of dimension 1 and parallel bonds count as any other.
-    ``tree`` hands the finished pass over as a tree whose ``node_ops`` and
-    ``legs_size`` memos hold these figures, rounded as ``costs`` rounds
-    them.
-    """
-
-    def __init__(self, net, nodes, entries, shared):
-        self.net = net
-        self.first_node = net.num_vertices
-        self.entries = entries
-        self.shared = shared
-        self.node = list(nodes)
-        self.rep = list(nodes)
-        self.size = [rounded_count(e) for e in entries]
-        self.alive = [True] * len(entries)
-        self.merges = []
-        self.ops = []
-
-    def score(self, i, j):
-        x = self.shared[i].get(j, 1)
-        result = rounded_count(self.entries[i] * self.entries[j] // (x * x))
-        return self.size[i] + self.size[j] - result
-
-    def merge(self, i, j):
-        """Contract pieces ``i`` and ``j``, ``i`` holding the smaller leaf
-        vertex, so it becomes the left child; returns the new piece index."""
-        shared = self.shared
-        si, sj = shared[i], shared[j]
-        x = si.get(j, 1)
-        table = dict(si)
-        for nb, d in sj.items():
-            table[nb] = table.get(nb, 1) * d
-        table.pop(i, None)
-        table.pop(j, None)
-        product = self.entries[i] * self.entries[j]
-        entries = product // (x * x)
-        self.merges.append((i, j))
-        self.ops.append(rounded_count(product // x))
-        idx = len(self.entries)
-        self.entries.append(entries)
-        shared.append(table)
-        self.node.append(self.first_node + len(self.merges) - 1)
-        self.rep.append(self.rep[i])
-        self.size.append(rounded_count(entries))
-        self.alive.append(True)
-        self.alive[i] = self.alive[j] = False
-        for nb, d in table.items():
-            other = shared[nb]
-            other.pop(i, None)
-            other.pop(j, None)
-            other[idx] = d
-        return idx
-
-    def pairs(self):
-        """The merges as (left, right) tree node ids, in merge order."""
-        node = self.node
-        return [(node[i], node[j]) for i, j in self.merges]
-
-    def total_ops(self):
-        """Multiplications of the merges, summed in merge order."""
-        total = 0.0
-        for ops in self.ops:
-            total += ops
-        return total
-
-    def tree(self):
-        """The pass's tree, its leaves in piece order, with its size memos filled."""
-        node, pairs = self.node, self.pairs()
-        tree = ContractionTree.from_valid_pairs(self.net, pairs, node[: len(node) - len(pairs)])
-        tree.op_counts = dict(zip(range(self.first_node, self.first_node + len(pairs)), self.ops))
-        tree.entry_counts = dict(zip(node, self.size))
-        return tree
-
-
 def leg_tables(net, leg_sets):
-    """The exact tables of tensors with the given leg sets, as lists.
-
-    ``entries[p]`` is the product of ``net.edge_dims`` over leg set ``p``,
-    and ``shared[p]`` maps every ``q`` whose leg set meets it to the
-    product of the dimensions of the edges they share, dimension-1 edges
-    included.  An edge in three or more leg sets is a ``ValueError``.
-    """
+    """The exact tables (see the module docstring) of tensors with the
+    given leg sets, as lists.  An edge in three or more leg sets is a
+    ``ValueError``."""
     dims = net.edge_dims
     entries = []
     shared = []
@@ -192,28 +95,75 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
     """One full greedy pass over the tensors with node ids ``nodes`` and the
     tables ``entries`` and ``shared`` of ``leg_tables``, which it edits.
 
-    Returns the finished forest, whose ``pairs()``, ``total_ops()`` and
-    ``tree()`` are the pass's merges, multiplications and tree.  Heap
-    entries are unique, so the pop order does not depend on the order of
-    pushes; a noisy pass still scores pairs in sorted order, which fixes
-    the pair each noise draw perturbs.
+    Pieces are immutable once created: a merge retires both operands and
+    appends a fresh piece with the next node id, so a heap entry stays
+    valid exactly while both of its pieces are alive.  The legs of a merge
+    are the symmetric difference of its operands' legs and the
+    multiplications run over their union, so with X = X(A, B), or 1,
+
+        E(A u B) = E(A) * E(B) / X**2,   ops(A, B) = E(A) * E(B) / X,
+
+    both exact.  Returns (pairs, ops, sizes): the merges as (left, right)
+    node ids in merge order, each merge's multiplication count, and the
+    entry count of every piece, leaves first in ``nodes`` order, the last
+    two rounded as ``costs.rounded_count`` rounds them.  Heap entries are
+    unique, so the pop order does not depend on the order of pushes; a
+    noisy pass still scores pairs in sorted order, which fixes the pair
+    each noise draw perturbs.
     """
     if not nodes:
         raise ValueError("nothing to contract")
-    forest = _Forest(net, nodes, entries, shared)
-    entries, shared, size, rep, alive = (
-        forest.entries, forest.shared, forest.size, forest.rep, forest.alive,
-    )
+    first = net.num_vertices
+    node = list(nodes)
+    rep = list(nodes)
+    size = [rounded_count(e) for e in entries]
+    alive = [True] * len(entries)
+    pairs = []
+    ops = []
     noisy = rng is not None and noise_scale > 0.0
+
+    def score(i, j):
+        x = shared[i].get(j, 1)
+        s = size[i] + size[j] - rounded_count(entries[i] * entries[j] // (x * x))
+        if noisy:
+            s *= math.exp(noise_scale * rng.standard_normal())
+        return s
+
+    def merge(i, j):
+        """Contract pieces ``i`` and ``j``, ``i`` holding the smaller leaf
+        vertex, so it becomes the left child; returns the new piece index."""
+        si, sj = shared[i], shared[j]
+        x = si.get(j, 1)
+        table = dict(si)
+        for nb, d in sj.items():
+            table[nb] = table.get(nb, 1) * d
+        table.pop(i, None)
+        table.pop(j, None)
+        product = entries[i] * entries[j]
+        e = product // (x * x)
+        idx = len(entries)
+        pairs.append((node[i], node[j]))
+        ops.append(rounded_count(product // x))
+        entries.append(e)
+        shared.append(table)
+        node.append(first + len(pairs) - 1)
+        rep.append(rep[i])
+        size.append(rounded_count(e))
+        alive.append(True)
+        alive[i] = alive[j] = False
+        for nb, d in table.items():
+            other = shared[nb]
+            other.pop(i, None)
+            other.pop(j, None)
+            other[idx] = d
+        return idx
 
     seeds = [(a, b) for a, table in enumerate(shared) for b in table if a < b]
     if noisy:
         seeds.sort()
     heap = []
     for a, b in seeds:
-        s = forest.score(a, b)
-        if noisy:
-            s *= math.exp(noise_scale * rng.standard_normal())
+        s = score(a, b)
         if rep[a] > rep[b]:
             a, b = b, a
         heap.append((-s, rep[a], rep[b], a, b))
@@ -225,8 +175,9 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
         _, _, _, i, j = heappop(heap)
         if not (alive[i] and alive[j]):
             continue
-        idx = forest.merge(i, j)
+        idx = merge(i, j)
         n_alive -= 1
+        # score(idx, nb), inline: this is the pass's hottest loop.
         r, e, sz = rep[idx], entries[idx], size[idx]
         table = shared[idx]
         for nb in sorted(table) if noisy else table:
@@ -243,21 +194,24 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
     # products under the same objective.
     while n_alive > 1:
         live = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
-        best = None
-        for x in range(len(live)):
-            for y in range(x + 1, len(live)):
-                i, j = live[x], live[y]
-                s = forest.score(i, j)
-                if noisy:
-                    s *= math.exp(noise_scale * rng.standard_normal())
-                key = (-s, rep[i], rep[j])
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, i, j = best
-        forest.merge(i, j)
+        _, i, j = min(
+            ((-score(i, j), rep[i], rep[j]), i, j) for x, i in enumerate(live) for j in live[x + 1:]
+        )
+        merge(i, j)
         n_alive -= 1
 
-    return forest
+    return pairs, ops, size
+
+
+def _pass_tree(net, nodes, result):
+    """The tree of a ``_greedy_pass`` over ``nodes``, its pairs not re-checked
+    and its ``op_counts`` and ``entry_counts`` memos holding the pass's figures."""
+    pairs, ops, sizes = result
+    tree = ContractionTree.from_valid_pairs(net, pairs, list(nodes))
+    internal = range(net.num_vertices, net.num_vertices + len(pairs))
+    tree.op_counts = dict(zip(internal, ops))
+    tree.entry_counts = dict(zip([*nodes, *internal], sizes))
+    return tree
 
 
 def greedy_tree(net, view=None, cfg=None):
@@ -272,25 +226,24 @@ def greedy_tree(net, view=None, cfg=None):
     sample index alone, so the sequence of candidate paths is a fixed
     function of the seed and the best-so-far cost is non-increasing in the
     sample count.  A view of at most two pieces has one possible tree and
-    always gets a single pass.  The tree leaves the pass built and sized:
-    its pairs are not re-checked and its ``node_ops`` and ``legs_size``
-    are the pass's own figures.
+    always gets a single pass.  Only the winning pass becomes a tree.
     """
     nodes = sorted(net.vertices() if view is None else view)
     entries, shared = leg_tables(net, [net.leaf_legs(v) for v in nodes])
     if cfg is None or len(nodes) <= 2:
-        return _greedy_pass(net, nodes, entries, shared).tree()
-    best = _greedy_pass(net, nodes, list(entries), [dict(t) for t in shared])
-    best_ops = best.total_ops()
-    for s in range(cfg.samples):
-        rng = _sample_rng(cfg.rng_seed, s)
-        forest = _greedy_pass(
+        return _pass_tree(net, nodes, _greedy_pass(net, nodes, entries, shared))
+    best = best_ops = None
+    for s in range(-1, cfg.samples):  # -1: the deterministic pass
+        rng = _sample_rng(cfg.rng_seed, s) if s >= 0 else None
+        result = _greedy_pass(
             net, nodes, list(entries), [dict(t) for t in shared], rng, cfg.noise_scale
         )
-        ops = forest.total_ops()
-        if ops < best_ops:
-            best, best_ops = forest, ops
-    return best.tree()
+        ops = 0.0
+        for n in result[1]:  # in merge order
+            ops += n
+        if best is None or ops < best_ops:
+            best, best_ops = result, ops
+    return _pass_tree(net, nodes, best)
 
 
 def random_greedy_tree(net, view=None, cfg=None):
@@ -306,7 +259,7 @@ class FanInNetwork:
     this network shares.  A fan-in tree's node therefore carries exactly
     the legs of the matching node of the composed tree.  ``entries`` and
     ``shared`` are the ``leg_tables`` of those legs; ``reduction_path``
-    seeds its pass from them and does not edit them.
+    seeds its pass from them, and no one edits them once built.
     """
 
     def __init__(self, net, legs, entries, shared):
@@ -321,6 +274,32 @@ class FanInNetwork:
 
     def leaf_legs(self, v):
         return self._legs[v]
+
+    def after_move(self, net, owner, legs, changed):
+        """The fan-in network over result legs ``legs`` of partitions that
+        differ from this network's only at the partitions ``changed``.
+
+        ``owner`` is the vertex -> partition list after the change (as
+        ``plan.Plan.owner``).  The rows of ``changed`` come from
+        ``result_row``; every other row changes only in its entries for
+        ``changed``, so the other partitions' legs are not scanned.  Rows
+        are copied before they are patched: this network keeps its tables.
+        """
+        entries = list(self.entries)
+        shared = list(self.shared)
+        stale = set().union(*(shared[i] for i in changed))
+        for i in changed:
+            entries[i], shared[i] = result_row(net, owner, i, legs[i])
+            stale.update(shared[i])
+        for j in stale.difference(changed):
+            row = shared[j] = dict(shared[j])
+            for i in changed:
+                x = shared[i].get(j)
+                if x is None:
+                    row.pop(i, None)
+                else:
+                    row[i] = x
+        return FanInNetwork(net, legs, entries, shared)
 
 
 def reduction_network(net, partition_legs):
@@ -339,4 +318,58 @@ def reduction_path(fanin):
     """
     nodes = range(fanin.num_vertices)
     shared = [dict(t) for t in fanin.shared]
-    return _greedy_pass(fanin, nodes, list(fanin.entries), shared).tree()
+    return _pass_tree(fanin, nodes, _greedy_pass(fanin, nodes, list(fanin.entries), shared))
+
+
+def result_row(net, owner, own, legs):
+    """The exact entry count and shared products of a tensor over vertices of
+    partition ``own`` with legs ``legs``.
+
+    Returns (E, {j: X}): E is the product of the legs' dimensions and X,
+    for each partition ``j``, the product over the legs whose far end lies
+    in ``j``.  A leg's far end is its end outside ``own``, or in ``own`` when
+    both ends are; open ends count for no partition.  For a partition's
+    root legs this is its ``leg_tables`` row; for a subtree's legs ``own``
+    itself may appear.
+    """
+    dims = net.edge_dims
+    entries = 1
+    row = {}
+    for e in legs:
+        d = dims[e]
+        entries *= d
+        (u, _), (v, _) = net.edge(e).ends
+        j = owner[u]
+        if j == own:
+            j = owner[v]
+        if j != OPEN:
+            row[j] = row.get(j, 1) * d
+    return entries, row
+
+
+def select_target_directed(net, fanin, owner, k_src, moved_legs):
+    """Partition whose result tensor pairs best with the tensor over vertices
+    of partition ``k_src`` with legs ``moved_legs``.
+
+    Maximizes the pass's objective |moved| + |target| - |moved . target|
+    over the partitions of ``fanin`` other than ``k_src``; ties go to the
+    lowest partition index.  Sizes come from exact entry counts, each
+    rounded once as ``dims_product`` rounds it: ``fanin.entries[t]`` for
+    target ``t``, E_moved for the moved tensor, and E_moved * E_t / X**2
+    for their product, where X is the moved tensor's ``result_row``
+    product for ``t``, or 1.  ``owner`` is as in ``FanInNetwork.after_move``.
+    """
+    moved_entries, moved_shared = result_row(net, owner, k_src, moved_legs)
+    moved_size = rounded_count(moved_entries)
+    best_k = None
+    best_obj = -math.inf
+    for k, dest in enumerate(fanin.entries):
+        if k == k_src:
+            continue
+        x = moved_shared.get(k, 1)
+        result = rounded_count(moved_entries * dest // (x * x))
+        obj = moved_size + rounded_count(dest) - result
+        if obj > best_obj:
+            best_obj = obj
+            best_k = k
+    return best_k

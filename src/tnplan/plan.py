@@ -4,7 +4,8 @@ A ``Plan`` holds the vertex partitioning, one contraction tree per
 partition, the fan-in (reduction) tree joining the partition results, and
 its ``con_dist`` cost under a ``CostConfig``.  The fan-in tree's network,
 a ``pathfind.FanInNetwork``, holds the exact tables of the partition
-results that the annealer updates move by move.  A plan is costed once,
+results (see ``pathfind``), and ``Plan.owner``, the vertex -> partition
+map, lets ``pathfind`` update them move by move.  A plan is costed once,
 on its fan-in tree, and its report reuses that costing per partition.
 The composed tree over all tensors and the report are built on first read.
 ``assemble_plan`` makes every plan but the annealer's proposals;
@@ -45,7 +46,7 @@ class Plan:
 
     ``reduction`` is the fan-in tree whose leaf ``i`` stands for partition
     ``i``; its network is the ``FanInNetwork`` of the partition trees' root
-    legs, whose ``entries`` and ``shared`` are their ``leg_tables``.
+    legs, with their exact tables.
     ``local_costs[i]`` is partition ``i``'s own cost (per
     ``cost_cfg.intra_node``) and ``cost`` is ``con_dist`` of the plan,
     the slowest partition's local cost plus its fan-in on ``reduction``.

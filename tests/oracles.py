@@ -378,7 +378,7 @@ def reference_reduction_nested(net, partition_legs):
 # directed target over leg sets
 
 def select_target_directed(net, partition_trees, k_src, moved_legs):
-    """``tnplan.anneal.select_target_directed`` over leg sets: every size is
+    """``tnplan.pathfind.select_target_directed`` over leg sets: every size is
     ``dims_product`` of the moved legs, a target's root legs, or their
     symmetric difference."""
     moved_size = dims_product(net, moved_legs)
@@ -406,15 +406,15 @@ def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
     operands and their symmetric difference with ``dims_product``, and a
     merge's multiplications are ``dims_product`` of the union.  Heap keys,
     tie-breaks, noise draws and the outer-product phase are those of the
-    package.  Returns the merges as (left, right) node ids and their
-    multiplications summed in merge order.
+    package.  Returns the merges as (left, right) node ids, each merge's
+    multiplications and every piece's size, leaves first.
     """
     legs = [l for _, l in pieces]
     rep = [key for key, _ in pieces]
     node = list(rep)
     alive = [True] * len(pieces)
     pairs = []
-    total = 0.0
+    ops = []
 
     def score(i, j):
         result = dims_product(net, legs[i] ^ legs[j])
@@ -427,8 +427,7 @@ def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
         return (-score(i, j), rep[i], rep[j])
 
     def merge(i, j):
-        nonlocal total
-        total += dims_product(net, legs[i] | legs[j])
+        ops.append(dims_product(net, legs[i] | legs[j]))
         pairs.append((node[i], node[j]))
         legs.append(legs[i] ^ legs[j])
         rep.append(rep[i])
@@ -462,7 +461,7 @@ def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
         best = min((key(i, j), i, j) for x, i in enumerate(live) for j in live[x + 1:])
         merge(best[1], best[2])
         n_alive -= 1
-    return pairs, total
+    return pairs, ops, [dims_product(net, l) for l in legs]
 
 
 # ---------------------------------------------------------------------------

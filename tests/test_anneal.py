@@ -18,9 +18,7 @@ from tnplan.anneal import (
     anneal,
     do_steps,
     refine_plan,
-    result_row,
     select_neighbor,
-    select_target_directed,
     state_to_plan,
     temperature_at,
 )
@@ -29,7 +27,9 @@ from tnplan.corpus import bundled_suite, ghz_circuit, random_circuit
 from tnplan.costs import CostConfig, con_dist, con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition, validate
-from tnplan.pathfind import greedy_tree, leg_tables, reduction_network, reduction_path
+from tnplan.pathfind import (
+    greedy_tree, leg_tables, reduction_network, reduction_path, select_target_directed,
+)
 from tnplan.plan import Plan, build_plan, owner_map, plan_to_dict
 from tnplan.tree import ContractionTree
 
@@ -206,11 +206,11 @@ class TestAnnealConfig:
 
 
 def directed_target(net, trees, k_src, moved_legs):
-    """``select_target_directed`` on the tables of ``trees``, checked against
-    the leg-set rule of the oracle."""
-    entries, _ = leg_tables(net, [t.legs(t.root) for t in trees])
+    """``select_target_directed`` on the fan-in network of ``trees``, checked
+    against the leg-set rule of the oracle."""
+    fanin = reduction_network(net, [t.legs(t.root) for t in trees])
     owner = owner_map(net, [t.leaves() for t in trees])
-    k = select_target_directed(entries, k_src, *result_row(net, owner, k_src, moved_legs))
+    k = select_target_directed(net, fanin, owner, k_src, moved_legs)
     assert k == oracles.select_target_directed(net, trees, k_src, moved_legs)
     return k
 

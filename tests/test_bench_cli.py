@@ -661,6 +661,13 @@ class TestRejectedSettings:
             ["bench", "--sweep", "2", "--budget-iters", "1", "--comm-alpha", "-1"],
             ["bench", "--sweep", "2", "--budget-iters", "1", "--methods", "serial-baseline,sa-bogus"],
             ["bench", "--sweep", "2", "--budget-iters", "1", "--methods", "sa-naive,sa-naive"],
+            ["plan", "--partitions", "0"],
+            ["plan", "--partitions", "-3"],
+            ["plan", "--greedy-noise", "nan"],
+            ["plan", "--greedy-noise", "inf"],
+            ["plan", "--partitions", "2", "--imbalance", "nan"],
+            ["anneal", "--partitions", "2", "--iters", "1", "--imbalance", "nan"],
+            ["bench", "--sweep", "2", "--budget-iters", "1", "--imbalance", "nan"],
         ],
     )
     def test_exits_one_with_one_error_line(self, tmp_path, ghz_file, capsys, argv):

@@ -84,9 +84,13 @@ def test_partition_count_bounds():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_negative_imbalance_rejected(k):
-    with pytest.raises(ValueError, match="epsilon"):
-        initial_partition(ring(4), k, epsilon=-1.0)
-    assert len(initial_partition(ring(4), k, epsilon=0.0).blocks) == k
+    part = initial_partition(ring(4), k, epsilon=0.0)
+    assert len(part.blocks) == k
+    for eps in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            initial_partition(ring(4), k, epsilon=eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            refine_partition(part, ring(4), eps)
 
 
 def test_balance_limit_formula():
