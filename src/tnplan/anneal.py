@@ -23,7 +23,7 @@ composed tree.  A proposal therefore never builds the full tree over all
 tensors; a plan composes it on first read of ``tree`` or ``report``,
 which in a run only the invariant checks and the reader of the returned
 plan do.  ``anneal`` first recosts its input under ``cfg.cost`` with
-``state_to_plan``, which returns a plan already costed so unchanged.
+``plan.state_to_plan``, which keeps the plan's trees and only recosts them.
 
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
@@ -53,7 +53,7 @@ from .costs import (  # noqa: F401
 )
 from .partition import Partitioning, validate
 from .pathfind import greedy_tree, leg_tables, reduction_path, select_target_directed
-from .plan import Plan, assemble_plan, owner_map
+from .plan import Plan, owner_map, state_to_plan
 from .tree import compose_plan_tree  # noqa: F401
 
 
@@ -134,15 +134,6 @@ def _intra(cfg):
     wrapper bound here (the benchmark's tracer wraps ``con_serial``) sees
     every partition costing."""
     return globals()[intra_metric(cfg.cost).__name__]
-
-
-def state_to_plan(net, plan, cost_cfg=None):
-    """``plan`` costed under ``cost_cfg``: the plan itself when it already is,
-    else a plan assembled afresh from its parts."""
-    cost_cfg = cost_cfg or CostConfig()
-    if plan.cost_cfg == cost_cfg:
-        return plan
-    return assemble_plan(net, plan.partitioning, plan.partition_trees, plan.reduction, cost_cfg)
 
 
 def select_target_naive(n_blocks, k_src, rng):

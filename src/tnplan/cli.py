@@ -27,7 +27,7 @@ from .corpus import bundled_suite
 from .costs import CostConfig
 from .execute import DEFAULT_MAX_ENTRIES, execute_distributed_emulation, execute_plan
 from .network import TensorNetwork
-from .partition import DEFAULT_IMBALANCE, initial_partition
+from .partition import DEFAULT_IMBALANCE, check_imbalance, initial_partition
 from .pathfind import GreedyConfig
 from .plan import build_plan, plan_from_dict, plan_to_json, serial_plan
 
@@ -126,12 +126,11 @@ def cmd_ingest(args):
 def cmd_plan(args):
     if args.partitions < 1:
         raise ValueError(f"--partitions must be >= 1, got {args.partitions}")
+    greedy = GreedyConfig(samples=args.greedy_samples, noise_scale=args.greedy_noise, rng_seed=args.seed)
+    check_imbalance(args.imbalance)
     net = _load_network(args.network, amplitude=args.amplitude)
     cost_cfg = _cost_config(args)
     if args.partitions <= 1:
-        greedy = GreedyConfig(
-            samples=args.greedy_samples, noise_scale=args.greedy_noise, rng_seed=args.seed
-        )
         plan = serial_plan(net, cost_cfg, cfg=greedy)
     else:
         plan = _partitioned_plan(net, args, cost_cfg)
@@ -162,6 +161,7 @@ def cmd_anneal(args):
         cost=cost_cfg,
         threads=args.threads,
     )
+    check_imbalance(args.imbalance)
     net = _load_network(args.network, amplitude=args.amplitude)
     if args.plan:
         plan = plan_from_dict(net, _read_json(args.plan), cost_cfg)

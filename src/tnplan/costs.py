@@ -161,29 +161,24 @@ def con_par(tree, root=None):
     return crit[t]  # post-order ends at the root
 
 
-def mem_cost(tree, root=None):
+def mem_cost(tree):
     """Peak buffer entries: the worst (result + both operands) over contractions.
 
     A single-leaf tree costs its leaf tensor's entry count.
     """
-    if root is None:
-        root = tree.root
-    if tree.children(root) is None:
-        return legs_size(tree, root)
+    if tree.children(tree.root) is None:
+        return legs_size(tree, tree.root)
     peak = 0.0
-    for t in tree.postorder(root):
+    for t in tree.internal_nodes():
         ch = tree.children(t)
-        if ch is None:
-            continue
         total = legs_size(tree, t) + legs_size(tree, ch[0]) + legs_size(tree, ch[1])
         if total > peak:
             peak = total
     return peak
 
 
-def comm_cost(tree, t, cfg=None):
+def comm_cost(tree, t, cfg):
     """Cost of shipping the intermediate at ``t`` to another node."""
-    cfg = cfg or CostConfig()
     return cfg.comm_alpha + cfg.comm_beta * legs_size(tree, t)
 
 

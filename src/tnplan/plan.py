@@ -8,9 +8,11 @@ results (see ``pathfind``), and ``Plan.owner``, the vertex -> partition
 map, lets ``pathfind`` update them move by move.  A plan is costed once,
 on its fan-in tree, and its report reuses that costing per partition.
 The composed tree over all tensors and the report are built on first read.
-``assemble_plan`` makes every plan but the annealer's proposals;
-``build_plan`` makes every tree by one deterministic greedy pass; only
-``serial_plan`` takes a noisy multi-sample search.
+``assemble_plan`` makes every plan but the annealer's proposals, with a
+fan-in tree from given merge pairs or the deterministic greedy pass, and
+``state_to_plan`` recosts a plan's trees.  ``build_plan`` makes every tree
+by one deterministic greedy pass; only ``serial_plan`` takes a noisy
+multi-sample search.
 
 A plan document stores each partition tree and the reduction tree as
 ``{"leaves": [...], "pairs": [[x, y], ...]}``, the ids ``from_pairs``
@@ -23,7 +25,7 @@ with nested-list trees still load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .costs import (
@@ -32,7 +34,7 @@ from .costs import (
 )
 from .network import OPEN, _is_number
 from .partition import Partitioning, validate
-from .pathfind import FanInNetwork, greedy_tree, reduction_network, reduction_path
+from .pathfind import greedy_tree, reduction_network, reduction_path
 from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
 
 
@@ -93,12 +95,19 @@ def owner_map(net, blocks):
     return owner
 
 
-def assemble_plan(net, partitioning, partition_trees, reduction=None, cost_cfg=None):
+def _costed(trees, reduction, cost_cfg):
+    """The local costs of ``trees`` and the plan's ``con_dist`` on its fan-in tree."""
+    local_costs = tuple(map(intra_metric(cost_cfg), trees))
+    return local_costs, con_dist(reduction, None, cost_cfg, subtree_roots=range(len(trees)),
+                                 local_costs=local_costs)
+
+
+def assemble_plan(net, partitioning, partition_trees, reduction_pairs=None, cost_cfg=None):
     """The plan of a partitioning and its trees, costed under ``cost_cfg``.
 
-    Tree ``i`` must cover exactly block ``i``.  A given ``reduction`` has
-    leaves ``0..k-1`` over the ``FanInNetwork`` of the trees' root legs,
-    whose tables it brings; without one, the fan-in tree is the
+    Tree ``i`` must cover exactly block ``i``.  The fan-in tree is built over
+    the ``FanInNetwork`` of the trees' root legs: from ``reduction_pairs``,
+    merge pairs over leaves ``0..k-1`` numbered from ``k``, or else by the
     deterministic greedy pass over the partition results.
     """
     blocks = partitioning.blocks
@@ -109,20 +118,23 @@ def assemble_plan(net, partitioning, partition_trees, reduction=None, cost_cfg=N
         if blocks[i] != set(t.leaves()):
             raise PlanError(f"partition tree {i} does not cover exactly block {i}")
     cost_cfg = cost_cfg or CostConfig()
-    legs = [t.legs(t.root) for t in partition_trees]
-    if reduction is None:
-        reduction = reduction_path(reduction_network(net, legs))
-    elif reduction.leaves() != list(range(k)):
-        raise PlanError(f"reduction tree leaves must be exactly the block indices 0..{k - 1}")
+    fanin = reduction_network(net, [t.legs(t.root) for t in partition_trees])
+    if reduction_pairs is None:
+        reduction = reduction_path(fanin)
     else:
-        fanin = reduction.network
-        if not (isinstance(fanin, FanInNetwork) and fanin.edge_dims is net.edge_dims
-                and fanin.num_vertices == k and all(fanin.leaf_legs(i) == legs[i] for i in range(k))):
-            raise PlanError("the reduction tree is not over the fan-in network of the partition trees")
-    local_costs = tuple(map(intra_metric(cost_cfg), partition_trees))
-    cost = con_dist(reduction, None, cost_cfg, subtree_roots=range(k), local_costs=local_costs)
+        reduction = ContractionTree.from_pairs(fanin, reduction_pairs, list(range(k)))
+    local_costs, cost = _costed(partition_trees, reduction, cost_cfg)
     return Plan(net, partitioning, tuple(partition_trees), reduction, cost_cfg, local_costs, cost,
                 owner_map(net, blocks))
+
+
+def state_to_plan(net, plan, cost_cfg=None):
+    """``plan`` costed under ``cost_cfg`` from its own trees; the plan itself when it already is."""
+    cost_cfg = cost_cfg or CostConfig()
+    if plan.cost_cfg == cost_cfg:
+        return plan
+    local_costs, cost = _costed(plan.partition_trees, plan.reduction, cost_cfg)
+    return replace(plan, cost_cfg=cost_cfg, local_costs=local_costs, cost=cost)
 
 
 def build_plan(net, partitioning, cost_cfg=None):
@@ -159,21 +171,22 @@ def plan_to_json(plan):
     return json.dumps(plan_to_dict(plan), sort_keys=True, indent=2)
 
 
-def _read_tree(net, spec, leaf_set, leaves_error):
-    """One document tree over exactly ``leaf_set``: an object of leaves and merge
-    pairs, or the older nested form; both pass the same checks before ``from_pairs``."""
+def _read_tree(spec, leaf_set, first_id, leaves_error):
+    """The leaves and merge pairs of one document tree over exactly ``leaf_set``:
+    an object of both, or the older nested form with merges numbered from
+    ``first_id``; both pass the same checks."""
     if isinstance(spec, dict):
         leaves, pairs = spec.get("leaves"), spec.get("pairs")
         if not isinstance(leaves, list) or not isinstance(pairs, list):
             raise PlanError(f"a tree object needs 'leaves' and 'pairs' lists, got {sorted(spec)}")
     else:
-        leaves, pairs = nested_to_pairs(spec, net.num_vertices)
+        leaves, pairs = nested_to_pairs(spec, first_id)
     if any(type(v) is not int for v in leaves) or sorted(leaves) != leaf_set:
         raise PlanError(leaves_error)
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(type(x) is not int for x in pair):
             raise PlanError(f"a merge pair must be two integer node ids, got {pair!r}")
-    return ContractionTree.from_pairs(net, pairs, leaves)
+    return leaves, pairs
 
 
 def plan_from_dict(net, doc, cost_cfg=None):
@@ -211,16 +224,14 @@ def plan_from_dict(net, doc, cost_cfg=None):
         raise PlanError("partition_trees must be a list")
     if len(tree_specs) != k:
         raise PlanError(f"{k} blocks but {len(tree_specs)} partition trees")
-    trees = [
-        _read_tree(net, spec, sorted(part.blocks[i]),
-                   f"partition tree {i} does not cover exactly block {i}")
-        for i, spec in enumerate(tree_specs)
-    ]
-    reduction = _read_tree(
-        reduction_network(net, [t.legs(t.root) for t in trees]), reduction_spec,
-        list(range(k)), f"reduction tree leaves must be exactly the block indices 0..{k - 1}",
-    )
-    return assemble_plan(net, part, trees, reduction, cost_cfg)
+    trees = []
+    for i, spec in enumerate(tree_specs):
+        leaves, pairs = _read_tree(spec, sorted(part.blocks[i]), net.num_vertices,
+                                   f"partition tree {i} does not cover exactly block {i}")
+        trees.append(ContractionTree.from_pairs(net, pairs, leaves))
+    _, pairs = _read_tree(reduction_spec, list(range(k)), k,
+                          f"reduction tree leaves must be exactly the block indices 0..{k - 1}")
+    return assemble_plan(net, part, trees, pairs, cost_cfg)
 
 
 def plan_from_json(net, text, cost_cfg=None):

@@ -668,10 +668,19 @@ class TestRejectedSettings:
             ["plan", "--partitions", "2", "--imbalance", "nan"],
             ["anneal", "--partitions", "2", "--iters", "1", "--imbalance", "nan"],
             ["bench", "--sweep", "2", "--budget-iters", "1", "--imbalance", "nan"],
+            ["plan", "--partitions", "2", "--greedy-noise", "nan"],
+            ["plan", "--partitions", "2", "--greedy-samples", "0"],
+            ["plan", "--imbalance", "nan"],
+            ["anneal", "--plan", "PLAN", "--iters", "1", "--imbalance", "nan"],
+            ["anneal", "--plan", "PLAN", "--iters", "1", "--imbalance", "-1"],
         ],
     )
     def test_exits_one_with_one_error_line(self, tmp_path, ghz_file, capsys, argv):
-        out = tmp_path / "out.json"
+        out, plan = tmp_path / "out.json", tmp_path / "plan.json"
+        if "PLAN" in argv:
+            assert main(["plan", str(ghz_file), "--partitions", "2", "-o", str(plan)]) == 0
+            capsys.readouterr()
+            argv = [str(plan) if a == "PLAN" else a for a in argv]
         assert main(argv[:1] + [str(ghz_file), "-o", str(out)] + argv[1:]) == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

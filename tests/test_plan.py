@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tnplan.anneal import AnnealConfig, refine_plan
+from tnplan.anneal import AnnealConfig, do_steps, refine_plan
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import ghz_circuit, random_circuit
 from tnplan.costs import CostConfig, con_dist, con_serial
@@ -29,8 +29,9 @@ from tnplan.plan import (
     plan_to_dict,
     plan_to_json,
     serial_plan,
+    state_to_plan,
 )
-from tnplan.tree import ContractionTree, TreeError
+from tnplan.tree import TreeError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "amplitudes-rc18x8-k8.json"
 
@@ -114,38 +115,53 @@ class TestSerialPlan:
 
 
 class TestAssemblePlan:
-    @pytest.mark.parametrize("given", ["halves", "short"])
+    @pytest.mark.parametrize("given", ["halves", "short", "missing-leaf"])
     def test_unrealized_partitioning_rejected(self, given):
         # Blocks interleave even/odd vertices, but the supplied trees cover
-        # the two contiguous halves, or only the first block.
+        # the two contiguous halves, or only the first block; or the fan-in
+        # pairs of a three-block plan never reach its last block.
         net = ghz_net()
         verts = sorted(net.vertices())
         half = len(verts) // 2
         part = Partitioning([frozenset(verts[::2]), frozenset(verts[1::2])])
         halves = [greedy_tree(net, frozenset(verts[:half])), greedy_tree(net, frozenset(verts[half:]))]
         trees = halves if given == "halves" else [greedy_tree(net, part.blocks[0])]
-        reduction = oracles.fanin_tree(net, halves, [0, 1])
-        with pytest.raises(PlanError, match="block"):
-            assemble_plan(net, part, trees, reduction)
-
-    @pytest.mark.parametrize("given", ["missing-leaf", "base-network", "reordered-legs", "other-network"])
-    def test_reduction_not_over_the_trees_fanin_network_rejected(self, given):
-        # Each once raised a bare KeyError from con_dist or costed silently.
-        net = ghz_net()
-        part = initial_partition(net, 3, seed=0)
-        trees = list(build_plan(net, part).partition_trees)
-        assert assemble_plan(net, part, trees, oracles.fanin_tree(net, trees, [[0, 1], 2])).cost > 0
+        error, match = PlanError, "block"
         if given == "missing-leaf":
-            reduction = oracles.fanin_tree(net, trees, [0, 1])
-        elif given == "base-network":
-            part, trees = Partitioning([net.vertices()]), [greedy_tree(net)]
-            reduction = ContractionTree.from_pairs(net, [], [0])
-        elif given == "reordered-legs":
-            reduction = oracles.fanin_tree(net, trees[::-1], [[0, 1], 2])
-        else:
-            reduction = oracles.fanin_tree(ghz_net(), trees, [[0, 1], 2])
-        with pytest.raises(PlanError, match="reduction tree"):
-            assemble_plan(net, part, trees, reduction)
+            part = initial_partition(net, 3, seed=0)
+            trees = [greedy_tree(net, block) for block in part.blocks]
+            error, match = TreeError, "roots"
+        with pytest.raises(error, match=match):
+            assemble_plan(net, part, trees, [[0, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    source=st.sampled_from(("built", "proposed", "reloaded")),
+    other=st.sampled_from((CostConfig(), CostConfig(comm_alpha=0.5, intra_node="par"), CostConfig(comm_beta=2.0))),
+)
+def test_a_plans_parts_reassemble_and_recost_to_the_same_plan(seed, source, other):
+    # Dimension-1 and parallel bonds, often disconnected.
+    rng = np.random.default_rng(seed)
+    net = oracles.random_bond_network(rng)
+    k = int(rng.integers(1, net.num_vertices + 1))
+    cost = CostConfig(comm_beta=1.0)
+    plan = build_plan(net, Partitioning(oracles.random_blocks(rng, net.vertices(), k)), cost_cfg=cost)
+    if source != "built":
+        plan = do_steps(net, 5, plan, 1.0, AnnealConfig(workers=1, max_iters=1, mode="directed", cost=cost), rng)
+    if source == "reloaded":
+        plan = plan_from_dict(net, plan_to_dict(plan), cost)
+    pairs = plan.reduction.pairs()
+    again = assemble_plan(net, plan.partitioning, plan.partition_trees, pairs, cost)
+    assert plan_to_dict(again) == plan_to_dict(plan)
+    assert again.cost == plan.cost
+    assembled = assemble_plan(net, plan.partitioning, plan.partition_trees, pairs, other)
+    recosted = state_to_plan(net, plan, other)
+    assert recosted.reduction is plan.reduction and recosted.partition_trees is plan.partition_trees
+    assert recosted.cost == assembled.cost
+    assert recosted.local_costs == assembled.local_costs
+    assert recosted.report.to_dict() == assembled.report.to_dict()
 
 
 class TestSerialization:
