@@ -68,7 +68,8 @@ class ContractionTree:
 
     ``op_counts`` and ``entry_counts`` are the memo tables, keyed by node
     id, of ``costs.node_ops`` and ``costs.legs_size``; a greedy tree
-    arrives with both filled by its pass.
+    arrives with both filled by its pass, and a composed plan tree with
+    the figures of its parts.
     """
 
     def __init__(self, network):
@@ -235,19 +236,33 @@ def compose_plan_tree(network, partition_trees, reduction):
     pairs offset past the merges before them, then the fan-in pairs with
     leaf ``i`` mapped to partition ``i``'s root.  The partition trees cover
     disjoint vertex sets and the fan-in tree's leaves are ``0..k-1``, as in
-    every plan, so the pairs are valid by construction and not re-checked."""
+    every plan, so the pairs are valid by construction and not re-checked.
+
+    The parts' ``op_counts`` and ``entry_counts`` carry over under the
+    composed ids: a fan-in node has the legs of its composed node, so its
+    figures are the same, and the composed tree is not costed again."""
     first = network.num_vertices
     leaves = []
     pairs = []
     roots = []
+    ops = {}
+    entries = {}
+
+    def graft(tree, ids):
+        pairs.extend((ids[x], ids[y]) for x, y in tree.pairs())
+        ops.update((ids[t], n) for t, n in tree.op_counts.items())
+        entries.update((ids[t], n) for t, n in tree.entry_counts.items())
+
     for tree in partition_trees:
         shift = len(pairs)
-        pairs += [(x if x < first else x + shift, y if y < first else y + shift)
-                  for x, y in tree.pairs()]
+        ids = {t: t if t < first else t + shift for t in tree.postorder()}
+        graft(tree, ids)
         leaves += tree.leaves()
-        roots.append(tree.root if tree.root < first else tree.root + shift)
+        roots.append(ids[tree.root])
     k = len(roots)
-    shift = first + len(pairs) - k
-    pairs += [(roots[x] if x < k else x + shift, roots[y] if y < k else y + shift)
-              for x, y in reduction.pairs()]
-    return ContractionTree.from_valid_pairs(network, pairs, leaves)
+    ids = dict(enumerate(roots))  # a fan-in tree over k leaves makes k - 1 merges
+    ids.update((k + j, first + len(pairs) + j) for j in range(k - 1))
+    graft(reduction, ids)
+    tree = ContractionTree.from_valid_pairs(network, pairs, leaves)
+    tree.op_counts, tree.entry_counts = ops, entries
+    return tree

@@ -1,5 +1,8 @@
 """Dense execution: the kernel, op counting, memory accounting, emulation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,53 @@ def test_contract_pair_axis_order_is_free_axes_of_each_operand():
     out = contract_pair(a, b, [(2, 0)])
     assert out.shape == (2, 5, 7)
     np.testing.assert_allclose(out, np.tensordot(a, b, axes=(2, 0)), atol=1e-12)
+
+
+
+@st.composite
+def contractions(draw, above, swap):
+    """Two operands of dims 1-3 and their axis pairs.  The operand built
+    first has more or fewer entries than the blocking threshold (``above``)
+    and its shared axes are scattered, leading or trailing; it is the
+    second operand when ``swap``, and either may be the larger."""
+    dims = draw(st.lists(st.integers(1, 3), max_size=10))
+    if above:
+        while math.prod(dims) <= execute.BLOCK_THRESHOLD:
+            dims.insert(draw(st.integers(0, len(dims))), draw(st.integers(2, 3)))
+    else:
+        while math.prod(dims) > execute.BLOCK_THRESHOLD:
+            dims.pop()
+    n = len(dims)
+    m = draw(st.integers(0, min(4, n)))
+    layout = draw(st.sampled_from(("scattered", "leading", "trailing")))
+    if layout == "scattered":
+        shared = sorted(draw(st.permutations(range(n)))[:m])
+    else:
+        shared = list(range(m)) if layout == "leading" else list(range(n - m, n))
+    free = draw(st.lists(st.integers(1, 3), max_size=6))
+    while free and math.prod(dims) // math.prod(dims[a] for a in shared) * math.prod(free) > 2 ** 18:
+        free.pop()
+    order = draw(st.permutations(range(m + len(free))))  # axis j of the other operand
+    other_dims = [dims[shared[i]] if i < m else free[i - m] for i in order]
+    pairs = [(shared[i], j) for j, i in enumerate(order) if i < m]
+    pairs = draw(st.permutations(pairs))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = (rng.normal(size=d) + 1j * rng.normal(size=d) for d in (dims, other_dims))
+    if swap:
+        return b, a, [(y, x) for x, y in pairs]
+    return a, b, pairs
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["built-first", "built-second"])
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_contract_pair_matches_tensordot(above, swap, data):
+    s, t, pairs = data.draw(contractions(above, swap))
+    out = contract_pair(s, t, pairs)
+    expected = np.tensordot(s, t, axes=([a for a, _ in pairs], [b for _, b in pairs]))
+    assert out.shape == expected.shape
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_matrix_product_trace_and_peak():
@@ -177,6 +227,31 @@ def test_peak_and_resident_accounting_on_chain():
     assert trace.peak_entries == int(mem_cost(tree))
     assert trace.resident_peak >= trace.peak_entries - 6  # last contraction frees T0
     assert len(trace.records) == 2
+
+
+
+def test_traced_peak_is_bounded_by_the_reported_one():
+    # A and B (2^9 entries each) make a 2^18-entry outer product whose axes
+    # 2, 7 and 13 are then contracted with D: scattered, so the larger
+    # operand is contracted block by block instead of copied whole.
+    rng = np.random.default_rng(5)
+    net = TensorNetwork()
+    for dims in ([2] * 9, [2] * 9, [2] * 3):
+        net.add_tensor(dims, rng.normal(size=dims) + 1j * rng.normal(size=dims))
+    net.bond(0, 2, 2, 0)
+    net.bond(0, 7, 2, 1)
+    net.bond(1, 4, 2, 2)
+    tree = ContractionTree.from_pairs(net, [(0, 1), (3, 2)])
+    execute_plan(net, tree)
+    tracemalloc.start()
+    try:
+        trace = execute_plan(net, tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = max(execute.BLOCK_ENTRIES, execute.MIN_BLOCK_ROWS * 8)
+    assert peak <= 16 * (trace.resident_peak + 8 + block) + 2 ** 20
+    np.testing.assert_allclose(sorted_open_result(trace, net), einsum_value(net), atol=1e-9)
 
 
 def test_emulation_reproduces_serial_result():

@@ -15,7 +15,7 @@ import oracles
 from tnplan.anneal import AnnealConfig, do_steps, refine_plan
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import ghz_circuit, random_circuit
-from tnplan.costs import CostConfig, con_dist, con_serial
+from tnplan.costs import CostConfig, con_dist, con_par, con_serial, dims_product, is_saturated, mem_cost
 from tnplan.execute import execute_plan
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
@@ -31,7 +31,7 @@ from tnplan.plan import (
     serial_plan,
     state_to_plan,
 )
-from tnplan.tree import TreeError
+from tnplan.tree import ContractionTree, TreeError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "amplitudes-rc18x8-k8.json"
 
@@ -162,6 +162,36 @@ def test_a_plans_parts_reassemble_and_recost_to_the_same_plan(seed, source, othe
     assert recosted.cost == assembled.cost
     assert recosted.local_costs == assembled.local_costs
     assert recosted.report.to_dict() == assembled.report.to_dict()
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    source=st.sampled_from(("built", "proposed", "reloaded")),
+    cost=st.sampled_from((CostConfig(comm_beta=1.0), CostConfig(comm_alpha=0.5, intra_node="par"))),
+)
+def test_composed_tree_carries_its_parts_memos(seed, source, cost):
+    rng = np.random.default_rng(seed)
+    net = oracles.random_bond_network(rng)
+    k = int(rng.integers(1, net.num_vertices + 1))
+    plan = build_plan(net, Partitioning(oracles.random_blocks(rng, net.vertices(), k)), cost_cfg=cost)
+    if source != "built":
+        plan = do_steps(net, 5, plan, 1.0, AnnealConfig(workers=1, max_iters=1, mode="directed", cost=cost), rng)
+    if source == "reloaded":
+        plan = plan_from_dict(net, plan_to_dict(plan), cost)
+    tree = plan.tree
+    # Every contraction arrives costed, so the report recosts none of them.
+    assert set(tree.op_counts) == set(tree.internal_nodes())
+    for t, n in tree.op_counts.items():
+        a, b = tree.children(t)
+        assert n == dims_product(net, tree.legs(a) | tree.legs(b))
+    for t, n in tree.entry_counts.items():
+        assert n == dims_product(net, tree.legs(t))
+    bare = ContractionTree.from_valid_pairs(net, tree.pairs(), tree.leaves())
+    report = plan.report.to_dict()
+    assert (report["mem"], report["con_serial"], report["con_par"], report["saturated"]) == (
+        mem_cost(bare), con_serial(bare), con_par(bare), is_saturated(bare))
 
 
 class TestSerialization:
