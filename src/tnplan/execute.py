@@ -68,11 +68,10 @@ def contract_pair(s, t, pairs):
 
     The result's axes are s's free axes in their original order followed
     by t's free axes in theirs.  An empty ``pairs`` yields the outer
-    product.  The larger operand is sliced into blocks as the module
-    docstring describes; the smaller one is permuted once.  The blocks
-    are ``loop`` leading free axes of the larger operand: as many as leave
-    each block at least ``BLOCK_ENTRIES`` entries and ``MIN_BLOCK_ROWS``
-    rows, and none when it is in place or small.
+    product.  The smaller operand is permuted once.  The larger one is
+    sliced, as the module docstring describes, over as many of its leading
+    free axes as leave each block at least ``BLOCK_ENTRIES`` entries and
+    ``MIN_BLOCK_ROWS`` rows; over none when it is in place or small.
     """
     s = np.asarray(s, dtype=np.complex128)
     t = np.asarray(t, dtype=np.complex128)

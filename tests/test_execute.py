@@ -57,7 +57,6 @@ def test_contract_pair_axis_order_is_free_axes_of_each_operand():
     np.testing.assert_allclose(out, np.tensordot(a, b, axes=(2, 0)), atol=1e-12)
 
 
-
 @st.composite
 def contractions(draw, above, swap):
     """Two operands of dims 1-3 and their axis pairs.  The operand built
@@ -227,7 +226,6 @@ def test_peak_and_resident_accounting_on_chain():
     assert trace.peak_entries == int(mem_cost(tree))
     assert trace.resident_peak >= trace.peak_entries - 6  # last contraction frees T0
     assert len(trace.records) == 2
-
 
 
 def test_traced_peak_is_bounded_by_the_reported_one():

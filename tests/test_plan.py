@@ -164,7 +164,6 @@ def test_a_plans_parts_reassemble_and_recost_to_the_same_plan(seed, source, othe
     assert recosted.report.to_dict() == assembled.report.to_dict()
 
 
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
