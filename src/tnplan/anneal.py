@@ -16,6 +16,13 @@ asks ``pathfind`` for the directed target and for the candidate's fan-in
 network (``FanInNetwork.after_move``), and reads the tables only to
 check them against ``leg_tables`` under ``check_invariants``.
 
+A proposal reads the tree structure of its source partition (the moved
+subtree's leaves), the network's cached vertex rows (``vertex_row``:
+each tensor's exact entry count and its products shared with each
+neighbour) and the figures its greedy passes memoize; it builds no leg
+set.  Its trees derive legs only when something reads them, such as
+the invariant checks or the executor.
+
 A proposal is costed under ``con_dist`` on the k-leaf fan-in tree: each
 partition's local cost comes from its own tree, and its fan-in from the
 reduction tree's contractions and transfers, which are those of the
@@ -161,7 +168,7 @@ def select_neighbor(net, state, cfg, rng):
     fanin = state.reduction.network
 
     if cfg.mode == "directed":
-        k_dst = select_target_directed(net, fanin, state.owner, k_src, src_tree.legs(node))
+        k_dst = select_target_directed(net, fanin, state.owner, k_src, moved)
     else:
         k_dst = select_target_naive(len(blocks), k_src, rng)
 
@@ -179,8 +186,7 @@ def select_neighbor(net, state, cfg, rng):
     for i in (k_src, k_dst):
         t = trees[i] = greedy_tree(net, new_blocks[i])
         local_costs[i] = intra(t)
-    legs = [t.legs(t.root) for t in trees]
-    reduction = reduction_path(fanin.after_move(net, owner, legs, (k_src, k_dst)))
+    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, (k_src, k_dst)))
     cost = con_dist(reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs)
     candidate = Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
 
@@ -192,6 +198,7 @@ def select_neighbor(net, state, cfg, rng):
             assert set(t.leaves()) == set(new_blocks[i])
         assert moved and moved != blocks[k_src]
         assert owner == owner_map(net, new_blocks)
+        legs = [t.legs(t.root) for t in trees]
         assert [reduction.network.entries, reduction.network.shared] == list(leg_tables(net, legs))
         fresh = con_dist(candidate.tree, new_blocks, cfg.cost)
         assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"

@@ -68,11 +68,11 @@ class TensorNetwork:
     The network is meant to be built once and treated as immutable while
     plans are computed against it.
 
-    Two tables serve the plan search.  ``edge_dims`` maps every live edge
-    id to its dimension, so a leg set's entry count is one product over
-    it.  ``leaf_legs`` fills a per-vertex table of planning legs on first
-    read.  ``add_tensor`` and ``bond`` keep both current; treat
-    ``edge_dims`` as read-only.
+    Three tables serve the plan search.  ``edge_dims`` maps every live
+    edge id to its dimension, so a leg set's entry count is one product
+    over it.  ``leaf_legs`` and ``vertex_row`` fill per-vertex tables of
+    planning legs and of exact integer rows on first read.  ``add_tensor``
+    and ``bond`` keep all three current; treat ``edge_dims`` as read-only.
     """
 
     def __init__(self):
@@ -82,6 +82,7 @@ class TensorNetwork:
         self._next_edge = 0
         self.edge_dims = {}
         self._leaf_legs = {}
+        self._rows = {}
 
     # -- construction ----------------------------------------------------
 
@@ -133,8 +134,9 @@ class TensorNetwork:
         e = self._new_edge(ea.dim, ((u, a), (v, b)))
         self._axis_edges[u][a] = e
         self._axis_edges[v][b] = e
-        self._leaf_legs.pop(u, None)
-        self._leaf_legs.pop(v, None)
+        for w in (u, v):
+            self._leaf_legs.pop(w, None)
+            self._rows.pop(w, None)
         return e
 
     def _new_edge(self, dim, ends):
@@ -187,6 +189,31 @@ class TensorNetwork:
                 e for e in self._axis_edges[v] if not self._edges[e].is_loop()
             )
         return legs
+
+    def vertex_row(self, v):
+        """The exact integer row of ``v``: (E, {u: X}).
+
+        E is the product of the dimensions over ``leaf_legs(v)``, and X,
+        for each other vertex ``u`` sharing a bound edge with ``v``, the
+        product of the dimensions of all edges joining them (parallel and
+        dimension-1 edges included).  Self-loops count in neither, open
+        legs only in E.  Computed on first read and kept until ``bond``
+        touches ``v``; callers must not edit the row.
+        """
+        row = self._rows.get(v)
+        if row is None:
+            entries = 1
+            shared = {}
+            for e in self._axis_edges[v]:
+                ed = self._edges[e]
+                if ed.is_loop():
+                    continue
+                entries *= ed.dim
+                u = ed.other_end(v)[0]
+                if u != OPEN:
+                    shared[u] = shared.get(u, 1) * ed.dim
+            row = self._rows[v] = (entries, shared)
+        return row
 
     def dims_of(self, v):
         return tuple(self._edges[e].dim for e in self._axis_edges[v])

@@ -13,18 +13,23 @@ A pass runs on exact integer tables, not leg sets: ``entries[p]`` is
 tensor ``p``'s entry count E, and ``shared[p]`` maps every tensor sharing
 an edge with ``p`` to X, the exact product of the shared dimensions
 (dimension-1 and parallel edges included).  Sizes are these integers
-rounded once by ``costs.rounded_count``.  ``leg_tables`` reads the tables
-off leg sets; outside this module only invariant checks read them.
+rounded once by ``costs.rounded_count``.  ``greedy_tree`` takes each
+vertex's row from the network's ``vertex_row`` cache and drops the
+neighbours outside its view, so a pass reads no leg set; ``leg_tables``
+reads the same tables off leg sets, for ``reduction_network`` and the
+invariant checks.
 
 With a ``GreedyConfig`` the deterministic pass competes with ``samples``
 passes whose pair scores carry log-normal noise; only ``serial_plan`` asks
 for that.  The fan-in tree of ``reduction_path`` is one deterministic
-pass over a ``FanInNetwork`` of the partitions' result legs, seeded from
-its tables.  ``reduction_network`` scans them off the legs once; after an
-annealing move ``FanInNetwork.after_move`` recomputes only the changed
-partitions' rows (``result_row``), and ``select_target_directed`` scores
-the directed move on the same tables.  Either way a plan's fan-in, and the
-annealer's cost of a state, depend on its partition trees alone.
+pass over a ``FanInNetwork`` of the partitions' results, seeded from its
+tables.  ``reduction_network`` scans them off the partitions' root legs
+once; after an annealing move ``FanInNetwork.after_move`` recomputes only
+the changed partitions' rows, and ``select_target_directed`` scores the
+directed move against the same tables.  Both take a vertex set's row from
+``vertex_set_row``, which reads the vertices' rows, not legs.  Either way
+a plan's fan-in, and the annealer's cost of a state, depend on its
+partition trees alone.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # dims_product is unused here but stays importable: perfbench's tracer wraps it.
-from .costs import dims_product, rounded_count  # noqa: F401
-from .network import OPEN
+from .costs import _SATURATION_INT, _SATURATION_VALUE, dims_product, rounded_count  # noqa: F401
 from .tree import ContractionTree
 
 
@@ -93,13 +97,15 @@ def leg_tables(net, leg_sets):
 
 def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
     """One full greedy pass over the tensors with node ids ``nodes`` and the
-    tables ``entries`` and ``shared`` of ``leg_tables``, which it edits.
+    exact tables ``entries`` and ``shared`` (rows keyed by position in
+    ``nodes``), which it edits.
 
     Pieces are immutable once created: a merge retires both operands and
     appends a fresh piece with the next node id, so a heap entry stays
-    valid exactly while both of its pieces are alive.  The legs of a merge
-    are the symmetric difference of its operands' legs and the
-    multiplications run over their union, so with X = X(A, B), or 1,
+    valid exactly while both of its pieces are alive; the new piece takes
+    over its left operand's ``shared`` row.  The legs of a merge are the
+    symmetric difference of its operands' legs and the multiplications run
+    over their union, so with X = X(A, B), or 1,
 
         E(A u B) = E(A) * E(B) / X**2,   ops(A, B) = E(A) * E(B) / X,
 
@@ -109,7 +115,9 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
     two rounded as ``costs.rounded_count`` rounds them.  Heap entries are
     unique, so the pop order does not depend on the order of pushes; a
     noisy pass still scores pairs in sorted order, which fixes the pair
-    each noise draw perturbs.
+    each noise draw perturbs.  Once the heap is empty no two pieces share
+    an edge (the view is disconnected), and the pass contracts the
+    survivors by outer products under the same objective.
     """
     if not nodes:
         raise ValueError("nothing to contract")
@@ -121,6 +129,7 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
     pairs = []
     ops = []
     noisy = rng is not None and noise_scale > 0.0
+    cap, cap_float = _SATURATION_INT, _SATURATION_VALUE  # rounded_count, inline
 
     def score(i, j):
         x = shared[i].get(j, 1)
@@ -129,76 +138,71 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
             s *= math.exp(noise_scale * rng.standard_normal())
         return s
 
-    def merge(i, j):
-        """Contract pieces ``i`` and ``j``, ``i`` holding the smaller leaf
-        vertex, so it becomes the left child; returns the new piece index."""
-        si, sj = shared[i], shared[j]
-        x = si.get(j, 1)
-        table = dict(si)
-        for nb, d in sj.items():
-            table[nb] = table.get(nb, 1) * d
-        table.pop(i, None)
-        table.pop(j, None)
-        product = entries[i] * entries[j]
-        e = product // (x * x)
-        idx = len(entries)
-        pairs.append((node[i], node[j]))
-        ops.append(rounded_count(product // x))
-        entries.append(e)
-        shared.append(table)
-        node.append(first + len(pairs) - 1)
-        rep.append(rep[i])
-        size.append(rounded_count(e))
-        alive.append(True)
-        alive[i] = alive[j] = False
-        for nb, d in table.items():
-            other = shared[nb]
-            other.pop(i, None)
-            other.pop(j, None)
-            other[idx] = d
-        return idx
-
-    seeds = [(a, b) for a, table in enumerate(shared) for b in table if a < b]
-    if noisy:
-        seeds.sort()
     heap = []
-    for a, b in seeds:
-        s = score(a, b)
-        if rep[a] > rep[b]:
-            a, b = b, a
-        heap.append((-s, rep[a], rep[b], a, b))
+    for a, table in enumerate(shared):  # every adjacent pair once, in sorted order
+        ra, ea, sa = rep[a], entries[a], size[a]
+        for b in sorted(table) if noisy else table:
+            if b < a:
+                continue
+            x = table[b]
+            n = ea * entries[b] // (x * x)
+            s = sa + size[b] - (float(n) if n <= cap else cap_float)
+            if noisy:
+                s *= math.exp(noise_scale * rng.standard_normal())
+            rb = rep[b]
+            heap.append((-s, ra, rb, a, b) if ra < rb else (-s, rb, ra, b, a))
     heapq.heapify(heap)
 
     heappop, heappush = heapq.heappop, heapq.heappush
     n_alive = len(nodes)
-    while heap and n_alive > 1:
-        _, _, _, i, j = heappop(heap)
-        if not (alive[i] and alive[j]):
-            continue
-        idx = merge(i, j)
+    while n_alive > 1:
+        if heap:
+            _, _, _, i, j = heappop(heap)
+            if not (alive[i] and alive[j]):
+                continue
+        else:
+            live = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
+            _, i, j = min(
+                ((-score(i, j), rep[i], rep[j]), i, j)
+                for x, i in enumerate(live) for j in live[x + 1:]
+            )
+        # Contract i and j; i holds the smaller leaf vertex, so it is the left child.
+        table = shared[i]
+        x = table.pop(j, 1)
+        for nb, d in shared[j].items():
+            if nb != i:
+                table[nb] = table.get(nb, 1) * d
+        product = entries[i] * entries[j]
+        e = product // (x * x)
+        n = product // x
+        r = rep[i]
+        idx = len(entries)
+        pairs.append((node[i], node[j]))
+        ops.append(float(n) if n <= cap else cap_float)
+        sz = float(e) if e <= cap else cap_float
+        entries.append(e)
+        shared.append(table)
+        node.append(first + len(pairs) - 1)
+        rep.append(r)
+        size.append(sz)
+        alive.append(True)
+        alive[i] = alive[j] = False
         n_alive -= 1
-        # score(idx, nb), inline: this is the pass's hottest loop.
-        r, e, sz = rep[idx], entries[idx], size[idx]
-        table = shared[idx]
+        # Re-point the neighbours at the new piece and score it with each.
         for nb in sorted(table) if noisy else table:
-            x = table[nb]
-            s = sz + size[nb] - rounded_count(e * entries[nb] // (x * x))
+            d = table[nb]
+            other = shared[nb]
+            other.pop(i, None)
+            other.pop(j, None)
+            other[idx] = d
+            n = e * entries[nb] // (d * d)
+            s = sz + size[nb] - (float(n) if n <= cap else cap_float)
             if noisy:
                 s *= math.exp(noise_scale * rng.standard_normal())
             if r < rep[nb]:
                 heappush(heap, (-s, r, rep[nb], idx, nb))
             else:
                 heappush(heap, (-s, rep[nb], r, nb, idx))
-
-    # Disconnected view: the survivors share no edges, contract by outer
-    # products under the same objective.
-    while n_alive > 1:
-        live = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
-        _, i, j = min(
-            ((-score(i, j), rep[i], rep[j]), i, j) for x, i in enumerate(live) for j in live[x + 1:]
-        )
-        merge(i, j)
-        n_alive -= 1
 
     return pairs, ops, size
 
@@ -229,7 +233,13 @@ def greedy_tree(net, view=None, cfg=None):
     always gets a single pass.  Only the winning pass becomes a tree.
     """
     nodes = sorted(net.vertices() if view is None else view)
-    entries, shared = leg_tables(net, [net.leaf_legs(v) for v in nodes])
+    where = {v: p for p, v in enumerate(nodes)}.get
+    entries = []
+    shared = []
+    for v in nodes:  # each vertex's row, its neighbours outside the view dropped
+        e, row = net.vertex_row(v)
+        entries.append(e)
+        shared.append({p: x for u, x in row.items() if (p := where(u)) is not None})
     if cfg is None or len(nodes) <= 2:
         return _pass_tree(net, nodes, _greedy_pass(net, nodes, entries, shared))
     best = best_ops = None
@@ -254,18 +264,21 @@ def random_greedy_tree(net, view=None, cfg=None):
 class FanInNetwork:
     """The network of a fan-in tree over the results of the partitions of ``net``.
 
-    Vertex ``i`` is partition ``i`` and its legs, ``legs[i]``, are the root
-    legs of partition tree ``i``: edge ids of ``net``, whose ``edge_dims``
-    this network shares.  A fan-in tree's node therefore carries exactly
-    the legs of the matching node of the composed tree.  ``entries`` and
-    ``shared`` are the ``leg_tables`` of those legs; ``reduction_path``
-    seeds its pass from them, and no one edits them once built.
+    Vertex ``i`` is partition ``i`` and its legs, ``root_legs(i)``, are the
+    root legs of partition tree ``i``: edge ids of ``net``, whose
+    ``edge_dims`` this network shares.  A fan-in tree's node therefore
+    carries exactly the legs of the matching node of the composed tree.
+    They are read only when a tree over this network asks for its leaf
+    legs.  ``entries`` and ``shared`` are the exact tables of the partition
+    results, as ``leg_tables`` reads them off those legs, and
+    ``vertex_row(i)`` is row ``i`` of them; ``reduction_path`` seeds its
+    pass from copies, and no one edits them once built.
     """
 
-    def __init__(self, net, legs, entries, shared):
-        self.num_vertices = len(legs)
+    def __init__(self, net, root_legs, entries, shared):
+        self.num_vertices = len(entries)
         self.edge_dims = net.edge_dims
-        self._legs = legs
+        self._root_legs = root_legs
         self.entries = entries
         self.shared = shared
 
@@ -273,23 +286,27 @@ class FanInNetwork:
         return range(self.num_vertices)
 
     def leaf_legs(self, v):
-        return self._legs[v]
+        return self._root_legs(v)
 
-    def after_move(self, net, owner, legs, changed):
-        """The fan-in network over result legs ``legs`` of partitions that
-        differ from this network's only at the partitions ``changed``.
+    def vertex_row(self, v):
+        return self.entries[v], self.shared[v]
 
-        ``owner`` is the vertex -> partition list after the change (as
+    def after_move(self, net, owner, blocks, trees, changed):
+        """The fan-in network over partition trees ``trees`` of blocks
+        ``blocks``, which differ from this network's partitions only at the
+        partitions ``changed``.
+
+        ``owner`` is the vertex -> partition list of ``blocks`` (as
         ``plan.Plan.owner``).  The rows of ``changed`` come from
-        ``result_row``; every other row changes only in its entries for
-        ``changed``, so the other partitions' legs are not scanned.  Rows
-        are copied before they are patched: this network keeps its tables.
+        ``vertex_set_row``; every other row changes only in its entries for
+        ``changed``, so the other partitions are not read.  Rows are copied
+        before they are patched: this network keeps its tables.
         """
         entries = list(self.entries)
         shared = list(self.shared)
         stale = set().union(*(shared[i] for i in changed))
         for i in changed:
-            entries[i], shared[i] = result_row(net, owner, i, legs[i])
+            entries[i], shared[i] = vertex_set_row(net, owner, blocks[i])
             stale.update(shared[i])
         for j in stale.difference(changed):
             row = shared[j] = dict(shared[j])
@@ -299,14 +316,14 @@ class FanInNetwork:
                     row.pop(i, None)
                 else:
                     row[i] = x
-        return FanInNetwork(net, legs, entries, shared)
+        return FanInNetwork(net, lambda i: trees[i].legs(trees[i].root), entries, shared)
 
 
 def reduction_network(net, partition_legs):
-    """The ``FanInNetwork`` over partition result tensors with the given legs,
-    with their ``leg_tables``.  An edge held by three or more partitions is a
-    ``ValueError``."""
-    return FanInNetwork(net, partition_legs, *leg_tables(net, partition_legs))
+    """The ``FanInNetwork`` over partition result tensors with the given legs
+    (a list of leg sets), with their ``leg_tables``.  An edge held by three
+    or more partitions is a ``ValueError``."""
+    return FanInNetwork(net, partition_legs.__getitem__, *leg_tables(net, partition_legs))
 
 
 def reduction_path(fanin):
@@ -321,45 +338,46 @@ def reduction_path(fanin):
     return _pass_tree(fanin, nodes, _greedy_pass(fanin, nodes, list(fanin.entries), shared))
 
 
-def result_row(net, owner, own, legs):
-    """The exact entry count and shared products of a tensor over vertices of
-    partition ``own`` with legs ``legs``.
+def vertex_set_row(net, owner, vertices):
+    """The exact row (E, {j: X}) of the tensor over the set ``vertices``: the
+    ``leg_tables`` row of its legs, the non-loop edges with one end in the set.
 
-    Returns (E, {j: X}): E is the product of the legs' dimensions and X,
-    for each partition ``j``, the product over the legs whose far end lies
-    in ``j``.  A leg's far end is its end outside ``own``, or in ``own`` when
-    both ends are; open ends count for no partition.  For a partition's
-    root legs this is its ``leg_tables`` row; for a subtree's legs ``own``
-    itself may appear.
+    E is the product of the legs' dimensions and X, for each partition
+    ``j`` of ``owner`` (as ``plan.Plan.owner``), the product over the legs
+    whose other end lies in ``j``; open ends count for no partition.  Both
+    come from the vertices' ``vertex_row``s: an edge inside the set divides
+    out of E once per end.  For a partition this is its result tensor's
+    row; for a proper subset, its own partition may appear among the ``j``.
     """
-    dims = net.edge_dims
+    vertex_row = net.vertex_row
     entries = 1
+    inner = 1
     row = {}
-    for e in legs:
-        d = dims[e]
-        entries *= d
-        (u, _), (v, _) = net.edge(e).ends
-        j = owner[u]
-        if j == own:
-            j = owner[v]
-        if j != OPEN:
-            row[j] = row.get(j, 1) * d
-    return entries, row
+    for v in vertices:
+        e, table = vertex_row(v)
+        entries *= e
+        for u, x in table.items():
+            if u in vertices:
+                inner *= x
+            else:
+                j = owner[u]
+                row[j] = row.get(j, 1) * x
+    return entries // inner, row
 
 
-def select_target_directed(net, fanin, owner, k_src, moved_legs):
-    """Partition whose result tensor pairs best with the tensor over vertices
-    of partition ``k_src`` with legs ``moved_legs``.
+def select_target_directed(net, fanin, owner, k_src, moved):
+    """Partition whose result tensor pairs best with the tensor over the
+    vertex set ``moved`` of partition ``k_src``.
 
     Maximizes the pass's objective |moved| + |target| - |moved . target|
     over the partitions of ``fanin`` other than ``k_src``; ties go to the
     lowest partition index.  Sizes come from exact entry counts, each
     rounded once as ``dims_product`` rounds it: ``fanin.entries[t]`` for
     target ``t``, E_moved for the moved tensor, and E_moved * E_t / X**2
-    for their product, where X is the moved tensor's ``result_row``
-    product for ``t``, or 1.  ``owner`` is as in ``FanInNetwork.after_move``.
+    for their product, where X is the moved tensor's ``vertex_set_row``
+    product for ``t``, or 1.  ``owner`` is as in ``vertex_set_row``.
     """
-    moved_entries, moved_shared = result_row(net, owner, k_src, moved_legs)
+    moved_entries, moved_shared = vertex_set_row(net, owner, moved)
     moved_size = rounded_count(moved_entries)
     best_k = None
     best_obj = -math.inf

@@ -18,11 +18,12 @@ a ``TensorNetwork`` or a fan-in network, ``pathfind.FanInNetwork``.
 A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 ``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node
 ``num_vertices + j``.  Every tree is built by ``from_valid_pairs``, which
-stores each node's legs as the node is created, so they are plain lookups
-afterwards; trees are never edited after construction.  Pairs from a
-document or a caller go through ``from_pairs``, which checks them first;
-the greedy pass and ``compose_plan_tree`` make valid pairs by
-construction and build directly.
+records only the structure; trees are never edited after construction.
+The first ``legs(t)`` read derives the legs of every node, children
+first, and keeps them, so a tree whose legs are never read (an annealing
+proposal's) never builds a leg set.  Pairs from a document or a caller
+go through ``from_pairs``, which checks them first; the greedy pass and
+``compose_plan_tree`` make valid pairs by construction and build directly.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class ContractionTree:
             if v in open_roots:
                 raise TreeError(f"vertex {v} appears twice as a leaf")
             open_roots.add(v)
+        pairs = [(x, y) for x, y in pairs]
         for node, (x, y) in enumerate(pairs, network.num_vertices):
             if x not in open_roots:
                 raise TreeError(f"node {x} is not an available root in the sequence")
@@ -120,21 +122,17 @@ class ContractionTree:
 
     @classmethod
     def from_valid_pairs(cls, network, pairs, leaves):
-        """``from_pairs`` without its checks, for pairs known to be valid."""
+        """``from_pairs`` without its checks, for pairs known to be valid,
+        each a tuple."""
         tree = cls(network)
-        children, parent, legs = tree._children, tree._parent, tree._legs
-        for v in leaves:
-            children[v] = None
-            parent[v] = None
-            legs[v] = network.leaf_legs(v)
-        node = network.num_vertices
-        for x, y in pairs:
-            children[node] = (x, y)
+        children = tree._children = dict.fromkeys(leaves)
+        parent = tree._parent = {}
+        ids = range(network.num_vertices, network.num_vertices + len(pairs))
+        children.update(zip(ids, pairs))
+        for node, (x, y) in zip(ids, pairs):
             parent[x] = parent[y] = node
-            parent[node] = None
-            legs[node] = legs[x] ^ legs[y]
-            node += 1
-        tree._root = node - 1 if pairs else leaves[0]
+        tree._root = ids[-1] if pairs else leaves[0]
+        parent[tree._root] = None
         return tree
 
     # -- structure queries ---------------------------------------------------
@@ -184,8 +182,14 @@ class ContractionTree:
     # -- legs and leaf sets ----------------------------------------------------
 
     def legs(self, t):
-        """Edge set of the intermediate tensor at node ``t``."""
-        return self._legs[t]
+        """Edge set of the intermediate tensor at node ``t``.  The first read
+        derives and keeps the legs of every node, children first."""
+        memo = self._legs
+        if not memo:
+            leaf_legs = self.network.leaf_legs
+            for u, ch in self._children.items():  # creation order: children first
+                memo[u] = leaf_legs(u) if ch is None else memo[ch[0]] ^ memo[ch[1]]
+        return memo[t]
 
     def subtree_leaf_tensors(self, t):
         """The set of network vertices mapped to leaves under ``t``."""

@@ -565,20 +565,23 @@ def disjoint_union(nets):
     return out
 
 
-def random_bond_network(rng, n_max=10, scale=1):
+def random_bond_network(rng, n_max=10, scale=1, loops=False):
     """A random network, often disconnected, whose bonds may have dimension
     1 or run in parallel, with some open axes; every dimension is a draw
-    from 1..4 times ``scale``, so a large ``scale`` passes the 2**300 clamp."""
+    from 1..4 times ``scale``, so a large ``scale`` passes the 2**300 clamp.
+    With ``loops``, a bond drawn from a vertex to itself is kept as a
+    self-loop."""
     n = int(rng.integers(1, n_max + 1))
     drawn = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
-    bonds = [(int(u), int(v)) for u, v in drawn if u != v]
+    bonds = [(int(u), int(v)) for u, v in drawn if loops or u != v]
     bonds += [b for b in bonds if rng.random() < 0.3]
     axes = [[] for _ in range(n)]  # per vertex: dims of its axes
     ends = []
     for u, v in bonds:
         d = scale * int(rng.integers(1, 5))
-        ends.append(((u, len(axes[u])), (v, len(axes[v]))))
+        a = len(axes[u])
         axes[u].append(d)
+        ends.append(((u, a), (v, len(axes[v]))))
         axes[v].append(d)
     for dims in axes:
         if rng.random() < 0.3:

@@ -205,13 +205,15 @@ class TestAnnealConfig:
 # ---------------------------------------------------------------------------
 
 
-def directed_target(net, trees, k_src, moved_legs):
-    """``select_target_directed`` on the fan-in network of ``trees``, checked
-    against the leg-set rule of the oracle."""
+def directed_target(net, trees, k_src, node):
+    """``select_target_directed`` for the leaves under ``node`` of tree
+    ``k_src``, on the fan-in network of ``trees``, checked against the
+    leg-set rule of the oracle."""
     fanin = reduction_network(net, [t.legs(t.root) for t in trees])
     owner = owner_map(net, [t.leaves() for t in trees])
-    k = select_target_directed(net, fanin, owner, k_src, moved_legs)
-    assert k == oracles.select_target_directed(net, trees, k_src, moved_legs)
+    tree = trees[k_src]
+    k = select_target_directed(net, fanin, owner, k_src, tree.subtree_leaf_tensors(node))
+    assert k == oracles.select_target_directed(net, trees, k_src, tree.legs(node))
     return k
 
 
@@ -222,23 +224,20 @@ class TestDirectedSelection:
         # pairing with T0 (objective 8+32-16=24).
         net = chain_net()
         trees = [ContractionTree.from_pairs(net, [], leaves=[i]) for i in range(3)]
-        moved = trees[1].legs(trees[1].root)
-        assert directed_target(net, trees, 1, moved) == 2
+        assert directed_target(net, trees, 1, 1) == 2
 
     def test_tie_breaks_to_lowest_index(self):
         # Symmetric chain: both neighbours of the middle tensor offer the
         # same objective, so the lowest partition index wins.
         net = chain_net(dims=(3, 4, 4, 3))
         trees = [ContractionTree.from_pairs(net, [], leaves=[i]) for i in range(3)]
-        moved = trees[1].legs(trees[1].root)
-        assert directed_target(net, trees, 1, moved) == 0
+        assert directed_target(net, trees, 1, 1) == 0
 
     def test_source_partition_never_selected(self):
         net = chain_net()
         trees = [ContractionTree.from_pairs(net, [], leaves=[i]) for i in range(3)]
         for src in range(3):
-            moved = trees[src].legs(trees[src].root)
-            assert directed_target(net, trees, src, moved) != src
+            assert directed_target(net, trees, src, src) != src
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def test_walks_carry_the_tables_of_their_trees(seed, mode, huge):
             assert state.reduction.legs(t) == fresh.legs(t)
         for k_src, tree in enumerate(trees):
             for node in tree.postorder()[:-1]:
-                directed_target(net, trees, k_src, tree.legs(node))
+                directed_target(net, trees, k_src, node)
         try:
             state = select_neighbor(net, state, cfg, rng)
         except NoMoveError:

@@ -1,5 +1,8 @@
 """Greedy and noisy-greedy tree construction, and reduction paths."""
 
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,12 @@ from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import (
     GreedyConfig, _greedy_pass, greedy_tree, leg_tables, random_greedy_tree, reduction_network,
-    reduction_path,
+    reduction_path, select_target_directed, vertex_set_row,
 )
-from tnplan.plan import build_plan, serial_plan
+from tnplan.plan import build_plan, owner_map, serial_plan
 from tnplan.tree import ContractionTree
 
+import oracles
 from oracles import (
     random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
 )
@@ -225,3 +229,39 @@ def test_built_plan_tree_accepts_its_partitioning(seed):
     plan = build_plan(net, part)
     assert plan.tree.accepts_partitioning(part.blocks)
     assert plan.tree.legs(plan.tree.root) == net.open_edges()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), huge=st.booleans())
+def test_vertex_set_rows_are_the_leg_tables_rows_of_their_legs(seed, huge):
+    """The row of a vertex set, read off its vertices' rows, is the
+    ``leg_tables`` row of the set's legs, as exact integers, for whole
+    partitions and for any subset of one; and the directed target over
+    such rows is the target of the leg-set rule."""
+    # Parallel, dimension-1 and self-loop bonds and open legs; sets are
+    # often disconnected, and with ``huge`` every product passes 2**300.
+    rng = np.random.default_rng(seed)
+    net = random_bond_network(rng, scale=2**100 if huge else 1, loops=True)
+    k = int(rng.integers(1, net.num_vertices + 1))
+    blocks = random_blocks(rng, net.vertices(), k)
+    owner = owner_map(net, blocks)
+    trees = [greedy_tree(net, b) for b in blocks]
+    legs = [t.legs(t.root) for t in trees]
+    entries, shared = leg_tables(net, legs)
+    for i, block in enumerate(blocks):
+        assert vertex_set_row(net, owner, block) == (entries[i], shared[i])
+    fanin = reduction_network(net, legs)
+    for i, block in enumerate(blocks):
+        members = sorted(block)
+        subset = frozenset(v for v in members if rng.random() < 0.5) or frozenset(members[:1])
+        rest = block - subset
+        # leg_tables of the partitioning refined by the subset: its row is
+        # the subset's, with the rest of its block standing for partition i.
+        parts = [b for j, b in enumerate(blocks) if j != i] + ([rest] if rest else []) + [subset]
+        index = [j for j in range(k) if j != i] + ([i] if rest else [])
+        part_legs = [reduce(xor, map(net.leaf_legs, p), frozenset()) for p in parts]
+        got_entries, got_shared = leg_tables(net, part_legs)
+        expected = (got_entries[-1], {index[p]: x for p, x in got_shared[-1].items()})
+        assert vertex_set_row(net, owner, subset) == expected
+        target = select_target_directed(net, fanin, owner, i, subset)
+        assert target == oracles.select_target_directed(net, trees, i, part_legs[-1])

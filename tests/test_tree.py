@@ -1,17 +1,27 @@
 """Contraction trees: construction, legs, caching, partition acceptance."""
 
 import sys
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnplan.anneal import AnnealConfig, NoMoveError, select_neighbor
+from tnplan.circuits import circuit_to_network
+from tnplan.corpus import random_circuit
+from tnplan.costs import CostConfig
 from tnplan.network import NetworkError, TensorNetwork
+from tnplan.partition import Partitioning, initial_partition
+from tnplan.pathfind import FanInNetwork, greedy_tree
+from tnplan.plan import build_plan, plan_from_dict, plan_to_dict
 from tnplan.tree import ContractionTree, TreeError, compose_plan_tree
 
-from oracles import (blocks_nested, fanin_tree, from_nested, random_blocks, random_nested,
-                     random_network, random_pairs, subtree_roots_by_leaf_sets, swapped, to_nested)
+from oracles import (blocks_nested, fanin_tree, from_nested, random_blocks, random_bond_network,
+                     random_nested, random_network, random_pairs, subtree_roots_by_leaf_sets,
+                     swapped, to_nested)
 
 
 def chain_net():
@@ -190,6 +200,67 @@ def test_legs_cache_matches_fresh_computation(seed):
     for t in fresh.postorder():
         key = frozenset(fresh.subtree_leaf_tensors(t))
         assert fresh.legs(t) == match[key]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), source=st.sampled_from(("greedy", "composed", "loaded", "fanin")))
+def test_legs_read_in_any_order_are_leaf_legs_and_their_xor(seed, source):
+    """Legs derived on first read, in a random node order, are the leaf legs
+    at leaves and the symmetric difference of the children's legs above,
+    which is the symmetric difference of the leaf legs under the node."""
+    # Parallel, dimension-1 and self-loop bonds, often disconnected.
+    rng = np.random.default_rng(seed)
+    net = random_bond_network(rng, loops=True)
+    if source == "greedy":
+        tree = greedy_tree(net)
+    elif source == "loaded":
+        tree = ContractionTree.from_pairs(net, [list(p) for p in random_pairs(rng, list(net.vertices()))])
+    else:
+        k = int(rng.integers(1, net.num_vertices + 1))
+        plan = build_plan(net, Partitioning(random_blocks(rng, net.vertices(), k)))
+        if source == "composed":
+            tree = plan_from_dict(net, plan_to_dict(plan)).tree
+        else:  # a proposal's fan-in tree, whose leaf legs come from its partition trees
+            cfg = AnnealConfig(mode="directed", cost=CostConfig(comm_beta=1.0))
+            try:
+                plan = select_neighbor(net, plan, cfg, rng)
+            except NoMoveError:
+                pass
+            tree = plan.reduction
+    nodes = tree.postorder()
+    read = {t: tree.legs(t) for t in rng.permutation(nodes).tolist()}
+    leaf_legs = tree.network.leaf_legs
+    for t in nodes:
+        ch = tree.children(t)
+        if ch is None:
+            assert read[t] == leaf_legs(t)
+        else:
+            assert read[t] == read[ch[0]] ^ read[ch[1]]
+        under = reduce(xor, map(leaf_legs, sorted(tree.subtree_leaf_tensors(t))), frozenset())
+        assert read[t] == under
+
+
+@pytest.mark.parametrize("mode", ["naive", "directed"])
+def test_a_proposal_reads_no_leaf_legs_and_derives_no_legs(monkeypatch, mode):
+    """After a warm-up, proposals read only vertex rows: no leaf legs are
+    read, and the new partition trees and fan-in tree hold no legs."""
+    net = circuit_to_network(random_circuit(10, 6, seed=1))
+    cfg = AnnealConfig(mode=mode, cost=CostConfig(comm_beta=1.0))
+    state = build_plan(net, initial_partition(net, 4, seed=0), cost_cfg=cfg.cost)
+    rng = np.random.default_rng(0)
+    state = select_neighbor(net, state, cfg, rng)
+    reads = []
+    for network in (TensorNetwork, FanInNetwork):
+        read = network.leaf_legs
+        monkeypatch.setattr(network, "leaf_legs", lambda self, v, read=read: reads.append(v) or read(self, v))
+    for _ in range(20):
+        candidate = select_neighbor(net, state, cfg, rng)
+        assert reads == []
+        new = [t for t in candidate.partition_trees if t not in state.partition_trees]
+        assert len(new) == 2
+        for t in [*new, candidate.reduction]:
+            assert t._legs == {}
+        state = candidate
 
 
 @settings(max_examples=50, deadline=None)
