@@ -31,7 +31,6 @@ from .circuits import (
     circuit_from_dict,
     circuit_to_network,
     make_gate,
-    parse_circuit,
 )
 from .corpus import bundled_suite, ghz_circuit, graph_state_circuit, qft_circuit, random_circuit
 from .costs import (
@@ -115,7 +114,6 @@ __all__ = [
     "make_gate",
     "mem_cost",
     "node_ops",
-    "parse_circuit",
     "plan_from_dict",
     "plan_from_json",
     "plan_to_dict",

@@ -13,24 +13,23 @@ alone.
 The search runs over ``plan.Plan``s, the one costed-plan type.  A plan's
 fan-in network carries the exact tables of its partition results; a move
 asks ``pathfind`` for the directed target and for the candidate's fan-in
-network (``FanInNetwork.after_move``), and reads the tables only to
-check them against ``leg_tables`` under ``check_invariants``.
+network (``FanInNetwork.after_move``), and never reads the tables itself.
 
 A proposal reads the tree structure of its source partition (the moved
 subtree's leaves), the network's cached vertex rows (``vertex_row``:
 each tensor's exact entry count and its products shared with each
 neighbour) and the figures its greedy passes memoize; it builds no leg
 set.  Its trees derive legs only when something reads them, such as
-the invariant checks or the executor.
+the executor.
 
 A proposal is costed under ``con_dist`` on the k-leaf fan-in tree: each
 partition's local cost comes from its own tree, and its fan-in from the
 reduction tree's contractions and transfers, which are those of the
 composed tree.  A proposal therefore never builds the full tree over all
 tensors; a plan composes it on first read of ``tree`` or ``report``,
-which in a run only the invariant checks and the reader of the returned
-plan do.  ``anneal`` first recosts its input under ``cfg.cost`` with
-``plan.state_to_plan``, which keeps the plan's trees and only recosts them.
+which in a run only the reader of the returned plan does.  ``anneal``
+first recosts its input under ``cfg.cost`` with ``plan.state_to_plan``,
+which keeps the plan's trees and only recosts them.
 
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
@@ -58,9 +57,9 @@ import numpy as np
 from .costs import (  # noqa: F401
     CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric,
 )
-from .partition import Partitioning, validate
-from .pathfind import greedy_tree, leg_tables, reduction_path, select_target_directed
-from .plan import Plan, owner_map, state_to_plan
+from .partition import Partitioning
+from .pathfind import greedy_tree, reduction_path, select_target_directed
+from .plan import Plan, state_to_plan
 from .tree import compose_plan_tree  # noqa: F401
 
 
@@ -89,7 +88,6 @@ class AnnealConfig:
     seed: int = 0
     cost: CostConfig = field(default_factory=CostConfig)
     threads: int = 1
-    check_invariants: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and math.isfinite(self.tf) and 0 < self.tf <= self.t0):
@@ -188,22 +186,7 @@ def select_neighbor(net, state, cfg, rng):
         local_costs[i] = intra(t)
     reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, (k_src, k_dst)))
     cost = con_dist(reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs)
-    candidate = Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
-
-    if cfg.check_invariants:
-        ok, problems = validate(partitioning, net)
-        assert ok, f"move produced an invalid partitioning: {problems}"
-        assert candidate.tree.accepts_partitioning(new_blocks)
-        for i, t in enumerate(trees):
-            assert set(t.leaves()) == set(new_blocks[i])
-        assert moved and moved != blocks[k_src]
-        assert owner == owner_map(net, new_blocks)
-        legs = [t.legs(t.root) for t in trees]
-        assert [reduction.network.entries, reduction.network.shared] == list(leg_tables(net, legs))
-        fresh = con_dist(candidate.tree, new_blocks, cfg.cost)
-        assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
-
-    return candidate
+    return Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
 
 
 def do_steps(net, n, state, temperature, cfg, rng):

@@ -192,15 +192,6 @@ def circuit_from_dict(doc):
     return Circuit(n, gates)
 
 
-def parse_circuit(text):
-    """Parse the circuit JSON format into a validated Circuit."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitError(f"invalid JSON: {exc}") from exc
-    return circuit_from_dict(doc)
-
-
 def circuit_to_dict(circuit):
     gates = []
     for g in circuit.gates:

@@ -218,39 +218,19 @@ class TensorNetwork:
     def dims_of(self, v):
         return tuple(self._edges[e].dim for e in self._axis_edges[v])
 
-    def tensor_size(self, v):
-        """Entry count of the tensor at ``v``: the product of per-axis dims.
-
-        A self-loop's dimension contributes once per incident axis.
-        """
-        size = 1
-        for e in self._axis_edges[v]:
-            size *= self._edges[e].dim
-        return size
-
     def payload(self, v):
         return self._payloads[v]
 
     def has_payloads(self):
         return all(arr is not None for arr in self._payloads.values())
 
-    def open_edges(self):
-        return frozenset(e for e, ed in self._edges.items() if ed.is_open())
-
     def bound_edges(self):
         return frozenset(e for e, ed in self._edges.items() if not ed.is_open())
 
     def neighbors(self, v):
-        """Vertices joined to ``v`` by at least one bound edge."""
-        out = set()
-        for e in self._axis_edges[v]:
-            ed = self._edges[e]
-            if ed.is_open():
-                continue
-            for w, _ in ed.ends:
-                if w != v:
-                    out.add(w)
-        return out
+        """The other vertices joined to ``v`` by at least one bound edge: the
+        keys of its ``vertex_row``, which this fills if it is not cached."""
+        return self.vertex_row(v)[1].keys()
 
     # -- serialization ----------------------------------------------------
 

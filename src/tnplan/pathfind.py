@@ -16,8 +16,7 @@ an edge with ``p`` to X, the exact product of the shared dimensions
 rounded once by ``costs.rounded_count``.  ``greedy_tree`` takes each
 vertex's row from the network's ``vertex_row`` cache and drops the
 neighbours outside its view, so a pass reads no leg set; ``leg_tables``
-reads the same tables off leg sets, for ``reduction_network`` and the
-invariant checks.
+reads the same tables off leg sets, for ``reduction_network``.
 
 With a ``GreedyConfig`` the deterministic pass competes with ``samples``
 passes whose pair scores carry log-normal noise; only ``serial_plan`` asks

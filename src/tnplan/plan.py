@@ -32,7 +32,7 @@ from .costs import (
     CostConfig, CostReport, con_dist, con_par, con_serial, distributed_breakdown, intra_metric,
     is_saturated, mem_cost,
 )
-from .network import OPEN, _is_number
+from .network import _is_number
 from .partition import Partitioning, validate
 from .pathfind import greedy_tree, reduction_network, reduction_path
 from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
@@ -53,9 +53,8 @@ class Plan:
     ``cost_cfg.intra_node``) and ``cost`` is ``con_dist`` of the plan,
     the slowest partition's local cost plus its fan-in on ``reduction``.
 
-    ``owner[v]`` is the partition of vertex ``v``; its last entry,
-    ``owner[OPEN]``, is ``OPEN``, so the open end of a leg belongs to no
-    partition.  Plans share these lists and tables and never edit them.
+    ``owner[v]`` is the partition of vertex ``v``, one entry per vertex.
+    Plans share these lists and tables and never edit them.
     """
 
     network: object
@@ -88,7 +87,7 @@ class Plan:
 
 def owner_map(net, blocks):
     """The ``Plan.owner`` list of a partitioning."""
-    owner = [OPEN] * (net.num_vertices + 1)
+    owner = [None] * net.num_vertices
     for i, block in enumerate(blocks):
         for v in block:
             owner[v] = i

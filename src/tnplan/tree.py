@@ -141,9 +141,6 @@ class ContractionTree:
     def root(self):
         return self._root
 
-    def is_leaf(self, t):
-        return self._children[t] is None
-
     def children(self, t):
         return self._children[t]
 
@@ -228,10 +225,6 @@ class ContractionTree:
                 return None
             roots.append(t)
         return roots
-
-    def accepts_partitioning(self, blocks):
-        """True when every block's leaf set is realized by some subtree."""
-        return self.subtree_roots(blocks) is not None
 
 
 def compose_plan_tree(network, partition_trees, reduction):

@@ -3,20 +3,25 @@
 Everything here recomputes results from first principles through a
 different code path than the package: whole-network einsum for values,
 explicit index loops for one pairwise contraction, a dense state-vector
-simulator for circuit amplitudes, and recursive cost walks over nested
-tree specs.
+simulator for circuit amplitudes, recursive cost walks over nested tree
+specs, and a checker of annealing moves that rebuilds what a proposal
+caches.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from tnplan.costs import dims_product, node_ops
-from tnplan.network import TensorNetwork
-from tnplan.pathfind import greedy_tree, reduction_network
+from tnplan.costs import con_dist, dims_product, node_ops
+from tnplan.network import OPEN, TensorNetwork
+from tnplan.partition import validate
+from tnplan.pathfind import greedy_tree, leg_tables, reduction_network
+from tnplan.plan import owner_map
 from tnplan.tree import ContractionTree, nested_to_pairs
 
 
@@ -37,7 +42,7 @@ def einsum_value(net):
         operands.append(subs)
     if len(label) > 52:
         raise ValueError("network too large for the einsum oracle")
-    out = [label[e] for e in sorted(net.open_edges())]
+    out = [label[e] for e in sorted(open_edges(net))]
     operands.append(out)
     return np.einsum(*operands)
 
@@ -397,6 +402,63 @@ def select_target_directed(net, partition_trees, k_src, moved_legs):
 
 
 # ---------------------------------------------------------------------------
+# annealing moves
+
+def check_move(net, state, candidate):
+    """Assert that plan ``candidate`` is one annealing move from plan ``state``.
+
+    Reads the two plans alone: the blocks are a valid partitioning and
+    exactly two of them differ, the source having lost a non-empty proper
+    subset of its vertices and the target having gained exactly that
+    subset; tree ``i`` covers block ``i`` and the composed tree realizes
+    every block; ``owner`` is the partitioning's; the fan-in tables equal
+    ``leg_tables`` of the trees' root legs; and the cached cost equals
+    ``con_dist`` of the composed tree.
+    """
+    blocks = candidate.partitioning.blocks
+    ok, problems = validate(candidate.partitioning, net)
+    assert ok, f"invalid partitioning: {problems}"
+    before = state.partitioning.blocks
+    assert len(blocks) == len(before), f"{len(before)} blocks became {len(blocks)}"
+    changed = [i for i, (b, a) in enumerate(zip(before, blocks)) if a != b]
+    assert len(changed) == 2, f"blocks {changed} changed, not exactly two"
+    src, dst = changed if blocks[changed[0]] < before[changed[0]] else changed[::-1]
+    moved = before[src] - blocks[src]
+    assert blocks[src] and blocks[src] < before[src], f"block {src} did not lose a proper subset"
+    assert blocks[dst] == before[dst] | moved, f"block {dst} did not gain exactly what block {src} lost"
+    trees = candidate.partition_trees
+    assert [set(t.leaves()) for t in trees] == [set(b) for b in blocks], "a tree does not cover its block"
+    assert candidate.tree.subtree_roots(blocks) is not None, "the composed tree splits a block"
+    assert candidate.owner == owner_map(net, blocks), "owner is not the partitioning's"
+    fanin = candidate.reduction.network
+    tables = list(leg_tables(net, [t.legs(t.root) for t in trees]))
+    assert [fanin.entries, fanin.shared] == tables, "fan-in tables differ from the root legs'"
+    fresh = con_dist(candidate.tree, blocks, candidate.cost_cfg)
+    assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
+
+
+@contextmanager
+def checked_proposals():
+    """Run ``check_move`` on every proposal of ``tnplan.anneal.select_neighbor``
+    made inside the block, including those of ``do_steps`` and ``anneal``,
+    which look the name up at call time.  Yields the checked function, for
+    tests that propose directly."""
+    module = importlib.import_module("tnplan.anneal")  # the package's ``anneal`` is the function
+    propose = module.select_neighbor
+
+    def checked(net, state, cfg, rng):
+        candidate = propose(net, state, cfg, rng)
+        check_move(net, state, candidate)
+        return candidate
+
+    module.select_neighbor = checked
+    try:
+        yield checked
+    finally:
+        module.select_neighbor = propose
+
+
+# ---------------------------------------------------------------------------
 # greedy pass over leg sets
 
 def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
@@ -467,6 +529,17 @@ def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
 # ---------------------------------------------------------------------------
 # connectivity
 
+def open_edges(net):
+    """Ids of the network's open edges, each found on the axis it leaves."""
+    return frozenset(e for v in net.vertices() for e in net.axis_edges(v) if net.edge(e).is_open())
+
+
+def edge_walk_neighbors(net, v):
+    """The other vertices sharing a bound edge with ``v``, by walking the
+    ends of its edges rather than reading its ``vertex_row``."""
+    return {w for e in net.axis_edges(v) for w, _ in net.edge(e).ends if w not in (v, OPEN)}
+
+
 def connected_components(net):
     """Connected components of the bound-edge graph, as sorted vertex lists."""
     seen = set()
@@ -478,7 +551,7 @@ def connected_components(net):
         seen.add(s)
         stack = [s]
         while stack:
-            for w in net.neighbors(stack.pop()):
+            for w in edge_walk_neighbors(net, stack.pop()):
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)

@@ -112,25 +112,23 @@ def test_criterion_3_distributed_metric_recovers_serial_and_parallel():
 def test_criterion_4_annealer_never_regresses_and_states_stay_valid():
     """Annealing never returns a worse plan than it started from, and every
     state visited along a 1000-iteration trace satisfies the partitioning
-    and subtree invariants (checked inside every proposal)."""
+    and subtree invariants (``oracles.check_move`` on every proposal)."""
     net = circuit_to_network(ghz_circuit(6), bits="0" * 6)
-    cfg = AnnealConfig(
-        workers=1, steps=2, max_iters=1000, check_invariants=True, seed=0
-    )
+    cfg = AnnealConfig(workers=1, steps=2, max_iters=1000, seed=0)
     plan = build_plan(net, initial_partition(net, 2, seed=0), cost_cfg=cfg.cost)
-    result = anneal(net, plan, cfg)
+    with oracles.checked_proposals():
+        result = anneal(net, plan, cfg)
     assert len(result.trace) == 1000
     assert result.best.cost <= plan.cost
     ok, problems = validate(result.best.partitioning, net)
     assert ok, problems
-    assert result.best.tree.accepts_partitioning(result.best.partitioning.blocks)
+    assert result.best.tree.subtree_roots(result.best.partitioning.blocks) is not None
 
     for seed in range(1, 6):
-        cfg = AnnealConfig(
-            workers=2, steps=8, max_iters=40, check_invariants=True, seed=seed
-        )
+        cfg = AnnealConfig(workers=2, steps=8, max_iters=40, seed=seed)
         plan = build_plan(net, initial_partition(net, 3, seed=seed), cost_cfg=cfg.cost)
-        result = anneal(net, plan, cfg)
+        with oracles.checked_proposals():
+            result = anneal(net, plan, cfg)
         assert result.best.cost <= plan.cost, f"seed {seed}"
     print("CRITERION 4 PASS: annealer monotone vs initial; 1000-iteration "
           "trace kept every invariant")

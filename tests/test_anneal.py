@@ -28,7 +28,8 @@ from tnplan.costs import CostConfig, con_dist, con_serial
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition, validate
 from tnplan.pathfind import (
-    greedy_tree, leg_tables, reduction_network, reduction_path, select_target_directed,
+    FanInNetwork, greedy_tree, leg_tables, reduction_network, reduction_path,
+    select_target_directed,
 )
 from tnplan.plan import Plan, build_plan, owner_map, plan_to_dict
 from tnplan.tree import ContractionTree
@@ -289,12 +290,12 @@ class TestSelectNeighbor:
     def test_move_preserves_validity(self):
         net = ghz_net(6)
         state, cfg = planned(net, k=2, seed=3)
-        cfg.check_invariants = True
         rng = np.random.default_rng(7)
-        nxt = select_neighbor(net, state, cfg, rng)
+        with oracles.checked_proposals() as propose:
+            nxt = propose(net, state, cfg, rng)
         ok, problems = validate(nxt.partitioning, net)
         assert ok, problems
-        assert nxt.tree.accepts_partitioning(nxt.partitioning.blocks)
+        assert nxt.tree.subtree_roots(nxt.partitioning.blocks) is not None
         assert nxt.cost > 0
 
     def test_cached_cost_matches_fresh_evaluation(self):
@@ -333,17 +334,64 @@ class TestSelectNeighbor:
     def test_random_walks_stay_valid(self, seed):
         rng = np.random.default_rng(seed)
         net = oracles.random_network(rng, n_min=6, n_max=10, max_dim=3, payloads=False)
-        cfg = AnnealConfig(workers=1, max_iters=1, check_invariants=True, seed=seed)
+        cfg = AnnealConfig(workers=1, max_iters=1, seed=seed)
         part = initial_partition(net, 2, seed=seed)
         state = build_plan(net, part, cost_cfg=cfg.cost)
         walk = np.random.default_rng(seed + 1)
-        for _ in range(4):
-            try:
-                state = select_neighbor(net, state, cfg, walk)
-            except NoMoveError:
-                break
-            ok, problems = validate(state.partitioning, net)
-            assert ok, problems
+        with oracles.checked_proposals() as propose:
+            for _ in range(4):
+                try:
+                    state = propose(net, state, cfg, walk)
+                except NoMoveError:
+                    break
+                ok, problems = validate(state.partitioning, net)
+                assert ok, problems
+
+
+class TestCheckMove:
+    """``oracles.check_move`` rejects each kind of corrupted proposal."""
+
+    @staticmethod
+    def moved():
+        net = circuit_to_network(dict(bundled_suite())["rand-12"])
+        state, cfg = planned(net, k=3, seed=1)
+        candidate = select_neighbor(net, state, cfg, np.random.default_rng(0))
+        oracles.check_move(net, state, candidate)
+        return net, state, cfg, candidate
+
+    def test_doubled_fanin_entry_through_do_steps(self, monkeypatch):
+        net, state, cfg, _ = self.moved()
+        after_move = FanInNetwork.after_move
+
+        def doubled(fanin, net, owner, blocks, trees, changed):
+            out = after_move(fanin, net, owner, blocks, trees, changed)
+            out.entries[changed[0]] *= 2
+            return out
+
+        monkeypatch.setattr(FanInNetwork, "after_move", doubled)
+        with oracles.checked_proposals(), pytest.raises(AssertionError, match="fan-in tables"):
+            do_steps(net, 4, state, 1.0, cfg, np.random.default_rng(0))
+
+    def test_wrong_owner_entry(self):
+        net, state, _, candidate = self.moved()
+        owner = list(candidate.owner)
+        owner[0] = (owner[0] + 1) % len(candidate.partition_trees)
+        with pytest.raises(AssertionError, match="owner"):
+            oracles.check_move(net, state, dataclasses.replace(candidate, owner=owner))
+
+    def test_cost_one_ulp_off(self):
+        net, state, _, candidate = self.moved()
+        cost = math.nextafter(candidate.cost, math.inf)
+        with pytest.raises(AssertionError, match="cached cost"):
+            oracles.check_move(net, state, dataclasses.replace(candidate, cost=cost))
+
+    def test_whole_block_moved(self):
+        net, state, _, _ = self.moved()
+        blocks = list(state.partitioning.blocks)
+        blocks[1], blocks[0] = blocks[1] | blocks[0], frozenset()
+        emptied = dataclasses.replace(state, partitioning=Partitioning(blocks))
+        with pytest.raises(AssertionError, match="block 0 is empty"):
+            oracles.check_move(net, state, emptied)
 
 
 # ---------------------------------------------------------------------------
@@ -561,4 +609,4 @@ class TestStatePlanRoundTrip:
         out = do_steps(net, 6, state, 1.0, cfg, rng)
         ok, problems = validate(out.partitioning, net)
         assert ok, problems
-        assert out.tree.accepts_partitioning(out.partitioning.blocks)
+        assert out.tree.subtree_roots(out.partitioning.blocks) is not None

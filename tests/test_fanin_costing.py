@@ -39,19 +39,18 @@ def test_do_steps_states_cost_their_composed_tree(seed, alpha, beta, mode, intra
     net = oracles.random_network(rng, n_min=6, n_max=12, max_dim=3, payloads=False)
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     cost = CostConfig(comm_alpha=alpha, comm_beta=beta, intra_node=intra)
-    cfg = AnnealConfig(
-        workers=1, max_iters=1, mode=mode, cost=cost, seed=seed, check_invariants=True
-    )
+    cfg = AnnealConfig(workers=1, max_iters=1, mode=mode, cost=cost, seed=seed)
     state = build_plan(net, initial_partition(net, k, seed=seed), cost_cfg=cost)
     walk = np.random.default_rng(seed + 1)
-    for _ in range(4):
-        state = do_steps(net, 3, state, 1.0, cfg, walk)
-        blocks = state.partitioning.blocks
-        assert state.cost == con_dist(state.tree, blocks, cost)
-        expected = oracles.oracle_dist(
-            net, oracles.to_nested(state.tree), blocks, alpha, beta, intra
-        )
-        assert state.cost == pytest.approx(expected, rel=1e-12)
+    with oracles.checked_proposals():
+        for _ in range(4):
+            state = do_steps(net, 3, state, 1.0, cfg, walk)
+            blocks = state.partitioning.blocks
+            assert state.cost == con_dist(state.tree, blocks, cost)
+            expected = oracles.oracle_dist(
+                net, oracles.to_nested(state.tree), blocks, alpha, beta, intra
+            )
+            assert state.cost == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,15 +151,14 @@ def test_costs_stay_exact_on_dimensions_up_to_1000(seed, beta, mode):
     net = oracles.random_network(rng, n_min=6, n_max=12, max_dim=1000, payloads=False)
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     cost = CostConfig(comm_beta=beta)
-    cfg = AnnealConfig(
-        workers=1, max_iters=1, mode=mode, cost=cost, seed=seed, check_invariants=True
-    )
+    cfg = AnnealConfig(workers=1, max_iters=1, mode=mode, cost=cost, seed=seed)
     state = build_plan(net, initial_partition(net, k, seed=seed), cost_cfg=cost)
     assert state.cost == state.report.con_dist
     walk = np.random.default_rng(seed + 1)
-    for _ in range(3):
-        state = do_steps(net, 4, state, 1.0, cfg, walk)
-        assert state.cost == con_dist(state.tree, state.partitioning.blocks, cost)
+    with oracles.checked_proposals():
+        for _ in range(3):
+            state = do_steps(net, 4, state, 1.0, cfg, walk)
+            assert state.cost == con_dist(state.tree, state.partitioning.blocks, cost)
 
 
 @settings(max_examples=60, deadline=None)

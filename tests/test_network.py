@@ -1,6 +1,7 @@
 """Tensor network model: ids, bonds, loops, sizes, JSON round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from tnplan.network import OPEN, NetworkError, TensorNetwork
 from tnplan.partition import initial_partition
 from tnplan.plan import build_plan, serial_plan
 
-from oracles import connected_components, is_connected, random_network, statevector
+from oracles import (connected_components, edge_walk_neighbors, is_connected, open_edges,
+                     random_bond_network, random_network, statevector)
 
 
 def chain_net():
@@ -39,18 +41,18 @@ def test_new_tensor_axes_start_open():
     v = net.add_tensor([2, 3, 4])
     assert net.dims_of(v) == (2, 3, 4)
     assert all(net.edge(e).is_open for e in net.axis_edges(v))
-    assert len(net.open_edges()) == 3
+    assert len(open_edges(net)) == 3
 
 
 def test_bond_replaces_two_open_edges_with_one():
     net = TensorNetwork()
     net.add_tensor([2, 3])
     net.add_tensor([3])
-    before = set(net.open_edges())
+    before = set(open_edges(net))
     e = net.bond(0, 1, 1, 0)
     assert e not in before
     assert net.edge(e).ends == ((0, 1), (1, 0))
-    assert len(net.open_edges()) == 1
+    assert len(open_edges(net)) == 1
     assert net.bound_edges() == {e}
 
 
@@ -86,7 +88,7 @@ def test_self_loop_is_admitted_and_counted_per_axis():
     assert net.edge(e).is_loop
     assert net.edges_of(v) == {e, net.axis_edges(v)[2]}
     # loop dim enters the size once per incident axis
-    assert net.tensor_size(v) == 3 * 3 * 2
+    assert math.prod(net.dims_of(v)) == 3 * 3 * 2
 
 
 def test_leg_tables_follow_a_bond_made_after_a_read():
@@ -97,7 +99,9 @@ def test_leg_tables_follow_a_bond_made_after_a_read():
     assert net.leaf_legs(u) == set(net.axis_edges(u))
     assert dims_product(net, net.leaf_legs(u)) == 10.0
     assert net.vertex_row(u) == (10, {}) and net.vertex_row(v) == (15, {})
+    assert not net.neighbors(u)
     e = net.bond(u, 1, v, 0)
+    assert net.neighbors(u) == {v} and net.neighbors(v) == {u}
     assert net.leaf_legs(u) == {net.axis_edges(u)[0], e}
     assert net.leaf_legs(v) == {e, net.axis_edges(v)[1]}
     assert net.vertex_row(u) == (10, {v: 5}) and net.vertex_row(v) == (15, {u: 5})
@@ -132,6 +136,15 @@ def test_neighbors_and_connectivity():
     lone.add_tensor([2, 2])
     assert not is_connected(lone)
     assert len(connected_components(lone)) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_neighbors_match_the_edge_walk(seed):
+    # The networks draw self-loops, parallel and dimension-1 bonds, and open axes.
+    net = random_bond_network(np.random.default_rng(seed), loops=True)
+    for v in net.vertices():
+        assert net.neighbors(v) == edge_walk_neighbors(net, v)
 
 
 def test_json_round_trip_preserves_structure_and_data():

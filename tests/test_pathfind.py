@@ -22,7 +22,7 @@ from tnplan.tree import ContractionTree
 
 import oracles
 from oracles import (
-    random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
+    open_edges, random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
 )
 
 
@@ -90,7 +90,7 @@ def test_greedy_tree_is_a_full_valid_tree(seed):
     net = random_network(rng, payloads=False)
     tree = greedy_tree(net)
     assert tree.leaves() == list(net.vertices())
-    assert tree.legs(tree.root) == net.open_edges()
+    assert tree.legs(tree.root) == open_edges(net)
 
 
 @settings(max_examples=25, deadline=None)
@@ -125,7 +125,7 @@ def test_greedy_tree_builds_deep_trees_without_recursion():
     tree = greedy_tree(net)
     assert len(tree.leaves()) == net.num_vertices
     assert tree.subtree_roots([set(net.vertices())]) == [tree.root]
-    assert tree.legs(tree.root) == net.open_edges()
+    assert tree.legs(tree.root) == open_edges(net)
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,8 +227,8 @@ def test_built_plan_tree_accepts_its_partitioning(seed):
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     part = initial_partition(net, k, seed=seed)
     plan = build_plan(net, part)
-    assert plan.tree.accepts_partitioning(part.blocks)
-    assert plan.tree.legs(plan.tree.root) == net.open_edges()
+    assert plan.tree.subtree_roots(part.blocks) is not None
+    assert plan.tree.legs(plan.tree.root) == open_edges(net)
 
 
 @settings(max_examples=150, deadline=None)

@@ -55,7 +55,7 @@ class TestBuildPlan:
         plan = build_plan(net, part)
         assert plan.network is net
         assert len(plan.partition_trees) == 3
-        assert plan.tree.accepts_partitioning(part.blocks)
+        assert plan.tree.subtree_roots(part.blocks) is not None
         for t, block in zip(plan.partition_trees, part.blocks):
             assert set(t.leaves()) == set(block)
         assert plan.cost == plan.report.con_dist
