@@ -11,16 +11,19 @@ trees, and so, once every tree is a greedy one, of its partitioning
 alone.
 
 The search runs over ``plan.Plan``s, the one costed-plan type.  A plan's
-fan-in network carries the exact tables of its partition results; a move
-asks ``pathfind`` for the directed target and for the candidate's fan-in
-network (``FanInNetwork.after_move``), and never reads the tables itself.
+fan-in network carries the exact tables of its partition results and the
+heap keys of its fan-in pass; a move asks ``pathfind`` for the directed
+target and for the candidate's fan-in network (``FanInNetwork.after_move``),
+and never reads the tables itself.
 
-A proposal reads the tree structure of its source partition (the moved
-subtree's leaves), the network's cached vertex rows (``vertex_row``:
-each tensor's exact entry count and its products shared with each
-neighbour) and the figures its greedy passes memoize; it builds no leg
-set.  Its trees derive legs only when something reads them, such as
-the executor.
+A proposal reads the tree structure of its source partition (its memoized
+orders, and the moved subtree's leaves), the network's cached vertex rows
+(``vertex_row``: each tensor's exact entry count and its products shared
+with each neighbour) and the figures its greedy passes memoize; it builds
+no leg set.  In both modes it computes the moved set's row
+(``vertex_set_row``) once, and the directed target and the destination's
+new fan-in row both read it.  Its trees derive legs only when something
+reads them, such as the executor.
 
 A proposal is costed under ``con_dist`` on the k-leaf fan-in tree: each
 partition's local cost comes from its own tree, and its fan-in from the
@@ -58,7 +61,7 @@ from .costs import (  # noqa: F401
     CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric,
 )
 from .partition import Partitioning
-from .pathfind import greedy_tree, reduction_path, select_target_directed
+from .pathfind import greedy_tree, reduction_path, select_target_directed, vertex_set_row
 from .plan import Plan, state_to_plan
 from .tree import compose_plan_tree  # noqa: F401
 
@@ -159,14 +162,17 @@ def select_neighbor(net, state, cfg, rng):
         raise NoMoveError("no partition exposes a movable proper subtree")
     k_src = eligible[int(rng.integers(len(eligible)))]
     src_tree = state.partition_trees[k_src]
-    # Listed by tree shape alone, so the move does not depend on node ids.
-    candidates = src_tree.leaves() + src_tree.internal_nodes()[:-1]
-    node = candidates[int(rng.integers(len(candidates)))]
-    moved = frozenset(src_tree.subtree_leaf_tensors(node))
+    # The sorted leaves, then the internal nodes in postorder without the
+    # root: listed by tree shape alone, so the move does not depend on node ids.
+    leaves, internal = src_tree.leaf_order, src_tree.internal_order
+    c = int(rng.integers(len(leaves) + len(internal) - 1))
+    node = leaves[c] if c < len(leaves) else internal[c - len(leaves)]
+    moved = src_tree.subtree_leaf_tensors(node)
+    moved_row = vertex_set_row(net, state.owner, moved)
     fanin = state.reduction.network
 
     if cfg.mode == "directed":
-        k_dst = select_target_directed(net, fanin, state.owner, k_src, moved)
+        k_dst = select_target_directed(fanin, k_src, moved_row)
     else:
         k_dst = select_target_naive(len(blocks), k_src, rng)
 
@@ -184,7 +190,7 @@ def select_neighbor(net, state, cfg, rng):
     for i in (k_src, k_dst):
         t = trees[i] = greedy_tree(net, new_blocks[i])
         local_costs[i] = intra(t)
-    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, (k_src, k_dst)))
+    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, k_src, k_dst, moved_row))
     cost = con_dist(reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs)
     return Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
 

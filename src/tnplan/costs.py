@@ -138,9 +138,8 @@ def node_ops(tree, t):
 def con_serial(tree, root=None):
     """Total multiplications when the subtree under ``root`` runs serially."""
     total = 0.0
-    for t in tree.postorder(root):
-        if tree.children(t) is not None:
-            total += node_ops(tree, t)
+    for t in tree.internal_order if root is None else tree.internal_nodes(root):
+        total += node_ops(tree, t)
     return total
 
 
@@ -155,7 +154,7 @@ def con_par(tree, root=None):
     root.
     """
     crit = {}
-    for t in tree.postorder(root):
+    for t in tree.order if root is None else tree.postorder(root):
         ch = tree.children(t)
         crit[t] = 0.0 if ch is None else node_ops(tree, t) + max(crit[ch[0]], crit[ch[1]])
     return crit[t]  # post-order ends at the root
@@ -169,7 +168,7 @@ def mem_cost(tree):
     if tree.children(tree.root) is None:
         return legs_size(tree, tree.root)
     peak = 0.0
-    for t in tree.internal_nodes():
+    for t in tree.internal_order:
         ch = tree.children(t)
         total = legs_size(tree, t) + legs_size(tree, ch[0]) + legs_size(tree, ch[1])
         if total > peak:
@@ -200,18 +199,36 @@ def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_cost
     ``subtree_roots=range(k)``) gives the same figures as the composed
     tree, summed in the same order.
     """
+    parts = _partition_costs(tree, blocks, cfg, subtree_roots, local_costs)
+    return [PartitionCost(idx, local, fanin) for idx, (local, fanin) in enumerate(parts)]
+
+
+def con_dist(tree, blocks, cfg=None, subtree_roots=None, local_costs=None):
+    """Distributed-execution cost: the slowest partition's local plus fan-in
+    work, from the same walk as ``distributed_breakdown`` (0 for no partition)."""
+    best = 0.0
+    for local, fanin in _partition_costs(tree, blocks, cfg, subtree_roots, local_costs):
+        total = local + fanin
+        if total > best:
+            best = total
+    return best
+
+
+def _partition_costs(tree, blocks, cfg, subtree_roots, local_costs):
+    """(local, fan-in) per partition, as ``distributed_breakdown`` defines them:
+    one walk up from each subtree root, each ancestor's step computed once."""
     cfg = cfg or CostConfig()
     if subtree_roots is None:
         subtree_roots = tree.subtree_roots(blocks)
         if subtree_roots is None:
             raise ValueError("tree does not accept the partitioning")
     intra = intra_metric(cfg)
+    parent = tree.parent
     steps = {}  # ancestor -> its ops plus the cheaper child's transfer
-    parts = []
     for idx, r in enumerate(subtree_roots):
         local = local_costs[idx] if local_costs is not None else intra(tree, r)
         fanin = 0.0
-        a = tree.parent(r)
+        a = parent(r)
         while a is not None:
             step = steps.get(a)
             if step is None:
@@ -219,24 +236,8 @@ def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_cost
                 send = min(comm_cost(tree, ch[0], cfg), comm_cost(tree, ch[1], cfg))
                 step = steps[a] = node_ops(tree, a) + send
             fanin += step
-            a = tree.parent(a)
-        parts.append(PartitionCost(idx, local, fanin))
-    return parts
-
-
-def con_dist(tree, blocks, cfg=None, subtree_roots=None, local_costs=None):
-    """Distributed-execution cost: the slowest partition's local plus fan-in work."""
-    return _slowest(distributed_breakdown(tree, blocks, cfg, subtree_roots, local_costs))
-
-
-def _slowest(parts):
-    """The largest local plus fan-in total over the partitions (0 for none)."""
-    best = 0.0
-    for p in parts:
-        total = p.local + p.fanin
-        if total > best:
-            best = total
-    return best
+            a = parent(a)
+        yield local, fanin
 
 
 def is_saturated(tree):
@@ -247,7 +248,7 @@ def is_saturated(tree):
     exact product, so only its product is taken again.
     """
     net = tree.network
-    nodes = tree.internal_nodes()
+    nodes = tree.internal_order
     if not nodes:
         root = tree.root
         return (legs_size(tree, root) == _SATURATION_VALUE

@@ -22,13 +22,15 @@ With a ``GreedyConfig`` the deterministic pass competes with ``samples``
 passes whose pair scores carry log-normal noise; only ``serial_plan`` asks
 for that.  The fan-in tree of ``reduction_path`` is one deterministic
 pass over a ``FanInNetwork`` of the partitions' results, seeded from its
-tables.  ``reduction_network`` scans them off the partitions' root legs
-once; after an annealing move ``FanInNetwork.after_move`` recomputes only
-the changed partitions' rows, and ``select_target_directed`` scores the
-directed move against the same tables.  Both take a vertex set's row from
-``vertex_set_row``, which reads the vertices' rows, not legs.  Either way
-a plan's fan-in, and the annealer's cost of a state, depend on its
-partition trees alone.
+tables and the heap keys of its adjacent pairs, which it carries; no one
+edits them once built.  ``reduction_network`` scans the tables off the
+partitions' root legs once.  An annealing move reads the moved vertex
+set's row once (``vertex_set_row``, from the vertices' rows, not legs):
+``select_target_directed`` scores the directed move with it, and
+``FanInNetwork.after_move`` multiplies it into the destination's row,
+reads the source remainder's row afresh, and rescores only the heap keys
+of pairs with one of the two.  Either way a plan's fan-in, and the
+annealer's cost of a state, depend on its partition trees alone.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def leg_tables(net, leg_sets):
     return entries, shared
 
 
-def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
+def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=None):
     """One full greedy pass over the tensors with node ids ``nodes`` and the
     exact tables ``entries`` and ``shared`` (rows keyed by position in
     ``nodes``), which it edits.
@@ -114,21 +116,29 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
     two rounded as ``costs.rounded_count`` rounds them.  Heap entries are
     unique, so the pop order does not depend on the order of pushes; a
     noisy pass still scores pairs in sorted order, which fixes the pair
-    each noise draw perturbs.  Once the heap is empty no two pieces share
-    an edge (the view is disconnected), and the pass contracts the
-    survivors by outer products under the same objective.
+    each noise draw perturbs.  ``seeds``, a list the pass heapifies and
+    consumes, may stand in for the keys of the adjacent pairs of a
+    noiseless pass (a ``FanInNetwork`` carries them).
+
+    Once the heap is empty no two pieces share an edge (the view is
+    disconnected), and the pass contracts the survivors by outer products
+    under the same objective.  A noiseless pass then pushes every live
+    pair once, and after each merge the new piece's pair with each live
+    piece: with no shared edge a pair's score depends on its two pieces
+    alone, so the heap pops what a rescan of all live pairs would pick.
+    A noisy pass rescans and rescores every live pair on each merge.
     """
     if not nodes:
         raise ValueError("nothing to contract")
     first = net.num_vertices
     node = list(nodes)
     rep = list(nodes)
-    size = [rounded_count(e) for e in entries]
+    cap, cap_float = _SATURATION_INT, _SATURATION_VALUE  # rounded_count, inline
+    size = [float(e) if e <= cap else cap_float for e in entries]
     alive = [True] * len(entries)
     pairs = []
     ops = []
     noisy = rng is not None and noise_scale > 0.0
-    cap, cap_float = _SATURATION_INT, _SATURATION_VALUE  # rounded_count, inline
 
     def score(i, j):
         x = shared[i].get(j, 1)
@@ -137,34 +147,42 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
             s *= math.exp(noise_scale * rng.standard_normal())
         return s
 
-    heap = []
-    for a, table in enumerate(shared):  # every adjacent pair once, in sorted order
-        ra, ea, sa = rep[a], entries[a], size[a]
-        for b in sorted(table) if noisy else table:
-            if b < a:
-                continue
-            x = table[b]
-            n = ea * entries[b] // (x * x)
-            s = sa + size[b] - (float(n) if n <= cap else cap_float)
-            if noisy:
-                s *= math.exp(noise_scale * rng.standard_normal())
-            rb = rep[b]
-            heap.append((-s, ra, rb, a, b) if ra < rb else (-s, rb, ra, b, a))
+    heap = seeds
+    if heap is None:
+        heap = []
+        for a, table in enumerate(shared):  # every adjacent pair once, in sorted order
+            ra, ea, sa = rep[a], entries[a], size[a]
+            for b in sorted(table) if noisy else table:
+                if b < a:
+                    continue
+                x = table[b]
+                n = ea * entries[b] // (x * x)
+                s = sa + size[b] - (float(n) if n <= cap else cap_float)
+                if noisy:
+                    s *= math.exp(noise_scale * rng.standard_normal())
+                rb = rep[b]
+                heap.append((-s, ra, rb, a, b) if ra < rb else (-s, rb, ra, b, a))
     heapq.heapify(heap)
 
     heappop, heappush = heapq.heappop, heapq.heappush
     n_alive = len(nodes)
+    live = None  # the live pieces, once a noiseless pass is down to outer products
     while n_alive > 1:
         if heap:
             _, _, _, i, j = heappop(heap)
             if not (alive[i] and alive[j]):
                 continue
-        else:
-            live = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
+        elif noisy:
+            ranked = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
             _, i, j = min(
                 ((-score(i, j), rep[i], rep[j]), i, j)
-                for x, i in enumerate(live) for j in live[x + 1:]
+                for x, i in enumerate(ranked) for j in ranked[x + 1:]
             )
+        else:
+            live = [i for i, a in enumerate(alive) if a]
+            heap.extend(_outer_key(i, j, rep, entries, size) for x, i in enumerate(live) for j in live[x + 1:])
+            heapq.heapify(heap)
+            continue
         # Contract i and j; i holds the smaller leaf vertex, so it is the left child.
         table = shared[i]
         x = table.pop(j, 1)
@@ -187,6 +205,13 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
         alive.append(True)
         alive[i] = alive[j] = False
         n_alive -= 1
+        if live is not None:
+            live.remove(i)
+            live.remove(j)
+            for nb in live:
+                heappush(heap, _outer_key(idx, nb, rep, entries, size))
+            live.append(idx)
+            continue
         # Re-point the neighbours at the new piece and score it with each.
         for nb in sorted(table) if noisy else table:
             d = table[nb]
@@ -204,6 +229,27 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0):
                 heappush(heap, (-s, rep[nb], r, nb, idx))
 
     return pairs, ops, size
+
+
+def _outer_key(i, j, rep, entries, size):
+    """The heap key of the outer product of pieces ``i`` and ``j``, which share no edge."""
+    s = size[i] + size[j] - rounded_count(entries[i] * entries[j])
+    return (-s, rep[i], rep[j], i, j) if rep[i] < rep[j] else (-s, rep[j], rep[i], j, i)
+
+
+def _seed_keys(i, row, entries):
+    """(pair, heap key) of partition ``i`` with each neighbour ``j`` of its
+    row ``{j: X}``, as a noiseless ``_greedy_pass`` keys pieces that are their
+    own leaf vertices (a fan-in network's): the pair is ``(min, max)`` of
+    ``i`` and ``j``, and the key ``(-s, *pair, *pair)``."""
+    cap, cap_float = _SATURATION_INT, _SATURATION_VALUE  # rounded_count, inline
+    ei = entries[i]
+    si = float(ei) if ei <= cap else cap_float
+    for j, x in row.items():
+        ej = entries[j]
+        n = ei * ej // (x * x)
+        s = si + (float(ej) if ej <= cap else cap_float) - (float(n) if n <= cap else cap_float)
+        yield ((i, j), (-s, i, j, i, j)) if i < j else ((j, i), (-s, j, i, j, i))
 
 
 def _pass_tree(net, nodes, result):
@@ -270,16 +316,22 @@ class FanInNetwork:
     They are read only when a tree over this network asks for its leaf
     legs.  ``entries`` and ``shared`` are the exact tables of the partition
     results, as ``leg_tables`` reads them off those legs, and
-    ``vertex_row(i)`` is row ``i`` of them; ``reduction_path`` seeds its
-    pass from copies, and no one edits them once built.
+    ``vertex_row(i)`` is row ``i`` of them.  ``seeds`` maps each adjacent
+    pair ``(i, j)``, ``i < j``, to its heap key in the deterministic greedy
+    pass; ``reduction_path`` seeds that pass from copies of all three, and
+    no one edits them once built.  ``after_move`` carries the rows and keys
+    a move leaves unchanged into the next network.
     """
 
-    def __init__(self, net, root_legs, entries, shared):
+    def __init__(self, net, root_legs, entries, shared, seeds=None):
         self.num_vertices = len(entries)
         self.edge_dims = net.edge_dims
         self._root_legs = root_legs
         self.entries = entries
         self.shared = shared
+        if seeds is None:
+            seeds = dict(key for i, row in enumerate(shared) for key in _seed_keys(i, row, entries))
+        self.seeds = seeds
 
     def vertices(self):
         return range(self.num_vertices)
@@ -290,32 +342,52 @@ class FanInNetwork:
     def vertex_row(self, v):
         return self.entries[v], self.shared[v]
 
-    def after_move(self, net, owner, blocks, trees, changed):
+    def after_move(self, net, owner, blocks, trees, src, dst, moved_row):
         """The fan-in network over partition trees ``trees`` of blocks
-        ``blocks``, which differ from this network's partitions only at the
-        partitions ``changed``.
+        ``blocks``, after a vertex set moved from partition ``src`` to ``dst``.
 
-        ``owner`` is the vertex -> partition list of ``blocks`` (as
-        ``plan.Plan.owner``).  The rows of ``changed`` come from
-        ``vertex_set_row``; every other row changes only in its entries for
-        ``changed``, so the other partitions are not read.  Rows are copied
-        before they are patched: this network keeps its tables.
+        ``moved_row`` is the set's ``vertex_set_row`` under the partitions
+        before the move, and ``owner`` the vertex -> partition list after it
+        (as ``plan.Plan.owner``).  The source remainder's row is read by
+        ``vertex_set_row``: dividing the set out of the source's row cannot
+        tell a vanished edge from a dimension-1 one.  The destination's row
+        is its old row times the moved row, with E = E_dst * E_M / X**2 for
+        X = X(dst, M), and its entry for the source is the source row's for
+        it.  Every other row changes only in its entries for the two, and
+        only the heap keys of pairs with one of them are scored again.  Rows
+        and keys are copied before they are patched: this network keeps its
+        tables.
         """
         entries = list(self.entries)
         shared = list(self.shared)
-        stale = set().union(*(shared[i] for i in changed))
-        for i in changed:
-            entries[i], shared[i] = vertex_set_row(net, owner, blocks[i])
-            stale.update(shared[i])
-        for j in stale.difference(changed):
+        old_src, old_dst = shared[src], shared[dst]
+        moved_entries, moved_shared = moved_row
+        entries[src], src_row = vertex_set_row(net, owner, blocks[src])
+        x = moved_shared.get(dst, 1)
+        entries[dst] = entries[dst] * moved_entries // (x * x)
+        dst_row = {j: y for j, y in old_dst.items() if j != src}
+        for j, y in moved_shared.items():
+            if j != src and j != dst:
+                dst_row[j] = dst_row.get(j, 1) * y
+        if dst in src_row:
+            dst_row[src] = src_row[dst]
+        shared[src], shared[dst] = src_row, dst_row
+        seeds = dict(self.seeds)
+        for i, old, new in ((src, old_src, src_row), (dst, old_dst, dst_row)):
+            seeds.update(_seed_keys(i, new, entries))
+            for j in old:
+                if j not in new:
+                    seeds.pop((i, j) if i < j else (j, i), None)
+        # The new rows' neighbours are among the old ones' (the set came from ``src``).
+        for j in {*old_src, *old_dst}.difference((src, dst)):
             row = shared[j] = dict(shared[j])
-            for i in changed:
-                x = shared[i].get(j)
+            for i, new in ((src, src_row), (dst, dst_row)):
+                x = new.get(j)
                 if x is None:
                     row.pop(i, None)
                 else:
                     row[i] = x
-        return FanInNetwork(net, lambda i: trees[i].legs(trees[i].root), entries, shared)
+        return FanInNetwork(net, lambda i: trees[i].legs(trees[i].root), entries, shared, seeds)
 
 
 def reduction_network(net, partition_legs):
@@ -329,12 +401,13 @@ def reduction_path(fanin):
     """Fan-in contraction tree over the partitions of a ``FanInNetwork``.
 
     One deterministic greedy pass, seeded from copies of the network's
-    tables; the tree's leaf ids are partition indices.  With one
-    partition this is the trivial single-node tree.
+    tables and heap keys; the tree's leaf ids are partition indices.  With
+    one partition this is the trivial single-node tree.
     """
     nodes = range(fanin.num_vertices)
     shared = [dict(t) for t in fanin.shared]
-    return _pass_tree(fanin, nodes, _greedy_pass(fanin, nodes, list(fanin.entries), shared))
+    seeds = list(fanin.seeds.values())
+    return _pass_tree(fanin, nodes, _greedy_pass(fanin, nodes, list(fanin.entries), shared, seeds=seeds))
 
 
 def vertex_set_row(net, owner, vertices):
@@ -364,19 +437,18 @@ def vertex_set_row(net, owner, vertices):
     return entries // inner, row
 
 
-def select_target_directed(net, fanin, owner, k_src, moved):
-    """Partition whose result tensor pairs best with the tensor over the
-    vertex set ``moved`` of partition ``k_src``.
+def select_target_directed(fanin, k_src, moved_row):
+    """Partition whose result tensor pairs best with a vertex set moving out
+    of partition ``k_src``, given the set's ``vertex_set_row``, ``moved_row``.
 
     Maximizes the pass's objective |moved| + |target| - |moved . target|
     over the partitions of ``fanin`` other than ``k_src``; ties go to the
     lowest partition index.  Sizes come from exact entry counts, each
     rounded once as ``dims_product`` rounds it: ``fanin.entries[t]`` for
     target ``t``, E_moved for the moved tensor, and E_moved * E_t / X**2
-    for their product, where X is the moved tensor's ``vertex_set_row``
-    product for ``t``, or 1.  ``owner`` is as in ``vertex_set_row``.
+    for their product, where X is the moved row's product for ``t``, or 1.
     """
-    moved_entries, moved_shared = vertex_set_row(net, owner, moved)
+    moved_entries, moved_shared = moved_row
     moved_size = rounded_count(moved_entries)
     best_k = None
     best_obj = -math.inf

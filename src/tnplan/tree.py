@@ -21,7 +21,11 @@ A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 records only the structure; trees are never edited after construction.
 The first ``legs(t)`` read derives the legs of every node, children
 first, and keeps them, so a tree whose legs are never read (an annealing
-proposal's) never builds a leg set.  Pairs from a document or a caller
+proposal's) never builds a leg set.  The orders are memoized the same
+way: the first read of ``order`` (the root postorder), ``internal_order``
+or ``leaf_order`` (the sorted leaves) keeps a tuple, which the cost
+walks and the annealer's move pick read; ``postorder()``, ``leaves()``
+and ``internal_nodes()`` return fresh lists.  Pairs from a document or a caller
 go through ``from_pairs``, which checks them first; the greedy pass and
 ``compose_plan_tree`` make valid pairs by construction and build directly.
 """
@@ -79,6 +83,7 @@ class ContractionTree:
         self._parent = {}
         self._root = None
         self._legs = {}
+        self._order = self._internal_order = self._leaf_order = None
         self.op_counts = {}
         self.entry_counts = {}
 
@@ -148,7 +153,15 @@ class ContractionTree:
         return self._parent[t]
 
     def leaves(self):
-        return sorted(t for t, ch in self._children.items() if ch is None)
+        return list(self.leaf_order)
+
+    @property
+    def leaf_order(self):
+        """The leaves in ascending order, as a tuple kept for the tree's life."""
+        leaves = self._leaf_order
+        if leaves is None:
+            leaves = self._leaf_order = tuple(sorted(t for t, ch in self._children.items() if ch is None))
+        return leaves
 
     def pairs(self):
         """The merge sequence the tree was built from: pair ``j`` made node ``num_vertices + j``."""
@@ -159,11 +172,31 @@ class ContractionTree:
         """Nodes of the subtree under ``node`` (default: root), children first.
 
         The order is deterministic: left child's subtree, right child's
-        subtree, then the node.
+        subtree, then the node.  Always a fresh list.
         """
+        return list(self.order) if node is None else self._walk(node)
+
+    @property
+    def order(self):
+        """``postorder()`` of the whole tree, as a tuple kept for the tree's life."""
+        order = self._order
+        if order is None:
+            order = self._order = tuple(self._walk(self._root))
+        return order
+
+    @property
+    def internal_order(self):
+        """The internal nodes of ``order``, in that order, as a tuple."""
+        internal = self._internal_order
+        if internal is None:
+            children = self._children
+            internal = self._internal_order = tuple(t for t in self.order if children[t] is not None)
+        return internal
+
+    def _walk(self, node):
         children = self._children
         out = []
-        stack = [self._root if node is None else node]
+        stack = [node]
         while stack:  # node, right subtree, left subtree: postorder reversed
             t = stack.pop()
             out.append(t)
@@ -174,7 +207,9 @@ class ContractionTree:
         return out
 
     def internal_nodes(self, node=None):
-        return [t for t in self.postorder(node) if self._children[t] is not None]
+        if node is None:
+            return list(self.internal_order)
+        return [t for t in self._walk(node) if self._children[t] is not None]
 
     # -- legs and leaf sets ----------------------------------------------------
 
@@ -252,9 +287,9 @@ def compose_plan_tree(network, partition_trees, reduction):
 
     for tree in partition_trees:
         shift = len(pairs)
-        ids = {t: t if t < first else t + shift for t in tree.postorder()}
+        ids = {t: t if t < first else t + shift for t in tree.order}
         graft(tree, ids)
-        leaves += tree.leaves()
+        leaves += tree.leaf_order
         roots.append(ids[tree.root])
     k = len(roots)
     ids = dict(enumerate(roots))  # a fan-in tree over k leaves makes k - 1 merges

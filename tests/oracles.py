@@ -20,7 +20,7 @@ import numpy as np
 from tnplan.costs import con_dist, dims_product, node_ops
 from tnplan.network import OPEN, TensorNetwork
 from tnplan.partition import validate
-from tnplan.pathfind import greedy_tree, leg_tables, reduction_network
+from tnplan.pathfind import greedy_tree, leg_tables, reduction_network, reduction_path
 from tnplan.plan import owner_map
 from tnplan.tree import ContractionTree, nested_to_pairs
 
@@ -411,8 +411,11 @@ def check_move(net, state, candidate):
     exactly two of them differ, the source having lost a non-empty proper
     subset of its vertices and the target having gained exactly that
     subset; tree ``i`` covers block ``i`` and the composed tree realizes
-    every block; ``owner`` is the partitioning's; the fan-in tables equal
-    ``leg_tables`` of the trees' root legs; and the cached cost equals
+    every block; the two changed trees are fresh ``greedy_tree``s of their
+    blocks (pairs and both memos); ``owner`` is the partitioning's; the
+    fan-in tables equal ``leg_tables`` of the trees' root legs, the
+    carried seed keys equal ones scored afresh, and the fan-in tree is a
+    fresh ``reduction_path`` over those legs; and the cached cost equals
     ``con_dist`` of the composed tree.
     """
     blocks = candidate.partitioning.blocks
@@ -430,11 +433,38 @@ def check_move(net, state, candidate):
     assert [set(t.leaves()) for t in trees] == [set(b) for b in blocks], "a tree does not cover its block"
     assert candidate.tree.subtree_roots(blocks) is not None, "the composed tree splits a block"
     assert candidate.owner == owner_map(net, blocks), "owner is not the partitioning's"
+    for i in (src, dst):
+        assert same_tree(trees[i], greedy_tree(net, blocks[i])), f"tree {i} is not a fresh greedy tree"
     fanin = candidate.reduction.network
-    tables = list(leg_tables(net, [t.legs(t.root) for t in trees]))
+    root_legs = [t.legs(t.root) for t in trees]
+    tables = list(leg_tables(net, root_legs))
     assert [fanin.entries, fanin.shared] == tables, "fan-in tables differ from the root legs'"
+    assert sorted(fanin.seeds.values()) == fanin_seed_keys(net, root_legs), \
+        "carried seed keys differ from fresh ones"
+    fresh_fanin = reduction_path(reduction_network(net, root_legs))
+    assert same_tree(candidate.reduction, fresh_fanin), "the fan-in tree is not a fresh pass's"
     fresh = con_dist(candidate.tree, blocks, candidate.cost_cfg)
     assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
+
+
+def same_tree(a, b):
+    """True when two trees have the same merge pairs, leaves and cost memos."""
+    return ((a.pairs(), a.leaves(), a.op_counts, a.entry_counts)
+            == (b.pairs(), b.leaves(), b.op_counts, b.entry_counts))
+
+
+def fanin_seed_keys(net, partition_legs):
+    """The sorted heap keys ``(-s, i, j, i, j)`` of the deterministic greedy
+    pass over the partition results with the given legs, for every pair
+    ``i < j`` that shares a leg, scored on leg sets."""
+    keys = []
+    for i, a in enumerate(partition_legs):
+        for j in range(i + 1, len(partition_legs)):
+            b = partition_legs[j]
+            if a & b:
+                s = dims_product(net, a) + dims_product(net, b) - dims_product(net, a ^ b)
+                keys.append((-s, i, j, i, j))
+    return sorted(keys)
 
 
 @contextmanager

@@ -29,7 +29,7 @@ from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition, validate
 from tnplan.pathfind import (
     FanInNetwork, greedy_tree, leg_tables, reduction_network, reduction_path,
-    select_target_directed,
+    select_target_directed, vertex_set_row,
 )
 from tnplan.plan import Plan, build_plan, owner_map, plan_to_dict
 from tnplan.tree import ContractionTree
@@ -213,7 +213,7 @@ def directed_target(net, trees, k_src, node):
     fanin = reduction_network(net, [t.legs(t.root) for t in trees])
     owner = owner_map(net, [t.leaves() for t in trees])
     tree = trees[k_src]
-    k = select_target_directed(net, fanin, owner, k_src, tree.subtree_leaf_tensors(node))
+    k = select_target_directed(fanin, k_src, vertex_set_row(net, owner, tree.subtree_leaf_tensors(node)))
     assert k == oracles.select_target_directed(net, trees, k_src, tree.legs(node))
     return k
 
@@ -363,13 +363,28 @@ class TestCheckMove:
         net, state, cfg, _ = self.moved()
         after_move = FanInNetwork.after_move
 
-        def doubled(fanin, net, owner, blocks, trees, changed):
-            out = after_move(fanin, net, owner, blocks, trees, changed)
-            out.entries[changed[0]] *= 2
+        def doubled(fanin, net, owner, blocks, trees, src, dst, moved_row):
+            out = after_move(fanin, net, owner, blocks, trees, src, dst, moved_row)
+            out.entries[src] *= 2
             return out
 
         monkeypatch.setattr(FanInNetwork, "after_move", doubled)
         with oracles.checked_proposals(), pytest.raises(AssertionError, match="fan-in tables"):
+            do_steps(net, 4, state, 1.0, cfg, np.random.default_rng(0))
+
+    def test_carried_seed_key_rescored_wrongly(self, monkeypatch):
+        net, state, cfg, _ = self.moved()
+        after_move = FanInNetwork.after_move
+
+        def skewed(fanin, net, owner, blocks, trees, src, dst, moved_row):
+            out = after_move(fanin, net, owner, blocks, trees, src, dst, moved_row)
+            pair = min(p for p in out.seeds if src in p)
+            key = out.seeds[pair]
+            out.seeds[pair] = (math.nextafter(key[0], -math.inf), *key[1:])
+            return out
+
+        monkeypatch.setattr(FanInNetwork, "after_move", skewed)
+        with oracles.checked_proposals(), pytest.raises(AssertionError, match="carried seed keys"):
             do_steps(net, 4, state, 1.0, cfg, np.random.default_rng(0))
 
     def test_wrong_owner_entry(self):

@@ -13,11 +13,13 @@ from tnplan.costs import (
     con_par,
     con_serial,
     dims_product,
+    distributed_breakdown,
     mem_cost,
     node_ops,
 )
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning
+from tnplan.pathfind import greedy_tree, reduction_network
 from tnplan.plan import assemble_plan
 from tnplan.tree import ContractionTree
 
@@ -31,6 +33,7 @@ from oracles import (
     oracle_serial,
     random_blocks,
     random_nested,
+    random_pairs,
     sequential_dims_product,
     swapped,
     random_network,
@@ -234,6 +237,28 @@ def test_dist_matches_oracle(seed):
         assert con_dist(tree, blocks, cfg) == oracle_dist(
             net, nested, blocks, alpha=alpha, beta=beta, intra=intra
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), alpha=st.floats(0, 1e6), beta=st.floats(0, 1e6),
+       intra=st.sampled_from(("serial", "par")))
+def test_con_dist_is_the_slowest_partition_of_the_breakdown(seed, alpha, beta, intra):
+    """``con_dist`` with ``local_costs`` on a random fan-in tree equals the
+    largest local plus fan-in total of ``distributed_breakdown``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_min=4, payloads=False)
+    k = int(rng.integers(1, min(6, net.num_vertices) + 1))
+    trees = [greedy_tree(net, b) for b in random_blocks(rng, net.vertices(), k)]
+    fanin = reduction_network(net, [t.legs(t.root) for t in trees])
+    reduction = ContractionTree.from_pairs(fanin, random_pairs(rng, list(range(k))), list(range(k)))
+    cfg = CostConfig(comm_alpha=alpha, comm_beta=beta, intra_node=intra)
+    local_costs = [float(x) for x in rng.uniform(0, 1e6, k)]
+    parts = distributed_breakdown(reduction, None, cfg, range(k), local_costs)
+    slowest = 0.0
+    for p in parts:
+        slowest = max(slowest, p.local + p.fanin)
+    assert con_dist(reduction, None, cfg, range(k), local_costs) == slowest
+    assert [p.local for p in parts] == local_costs
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from tnplan.costs import con_par, con_serial, legs_size, mem_cost, node_ops
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import (
-    GreedyConfig, _greedy_pass, greedy_tree, leg_tables, random_greedy_tree, reduction_network,
+    GreedyConfig, _greedy_pass, _sample_rng, greedy_tree, leg_tables, random_greedy_tree, reduction_network,
     reduction_path, select_target_directed, vertex_set_row,
 )
 from tnplan.plan import build_plan, owner_map, serial_plan
@@ -189,6 +189,77 @@ def test_greedy_tree_equals_the_checked_tree_of_its_pairs(seed, source, noisy):
         assert metric(tree) == metric(checked)
 
 
+SMALL_DIMS = (2, 3, 5)
+HUGE_DIMS = (2**99, 3**62, 5**43, 2**100 - 1, 2**100 + 1)
+
+
+def disconnected_network(rng, huge, max_components=7):
+    """Two or more components, each a chain of one to three tensors over
+    bonds of dimension 2, 3 or 5, with up to two open legs per tensor.
+    With ``huge``, about half of the open legs are near 2**100, so sizes
+    round, and outer products of a few pieces meet the 2**300 clamp and
+    tie there."""
+    def draw(pool):
+        return pool[int(rng.integers(len(pool)))]
+
+    net = TensorNetwork()
+    for _ in range(int(rng.integers(2, max_components + 1))):
+        m = int(rng.integers(1, 4))
+        bonds = [draw(SMALL_DIMS) for _ in range(m - 1)]
+        first = net.num_vertices
+        for i in range(m):
+            dims = bonds[max(i - 1, 0):i + 1]  # the left bond, then the right one
+            for _ in range(int(rng.integers(0, 3))):
+                dims.append(draw(HUGE_DIMS if huge and rng.random() < 0.5 else SMALL_DIMS))
+            net.add_tensor(dims)
+        for i in range(m - 1):
+            net.bond(first + i, 1 if i else 0, first + i + 1, 0)
+    return net
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), huge=st.booleans(), whole=st.booleans())
+def test_outer_products_pick_what_the_cubic_rescan_picks(seed, huge, whole):
+    """On disconnected views the heap-driven outer-product phase of the
+    deterministic pass makes the merges, ops and sizes of the leg-set
+    reference, which rescans and rescores every live pair on each merge."""
+    rng = np.random.default_rng(seed)
+    net = disconnected_network(rng, huge)
+    view = list(net.vertices())
+    if not whole:
+        view = [v for v in view if rng.random() < 0.7] or [0]
+    pieces = [(v, net.leaf_legs(v)) for v in view]
+    tables = leg_tables(net, [legs for _, legs in pieces])
+    assert _greedy_pass(net, view, *tables) == reference_greedy_pass(net, pieces)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), huge=st.booleans())
+def test_sampled_search_on_disconnected_views_is_the_reference_search(seed, huge):
+    """``greedy_tree`` with ``GreedyConfig()`` keeps the pass of least
+    serial cost among the deterministic and the noisy passes of the
+    leg-set reference, ties to the earlier pass."""
+    rng = np.random.default_rng(seed)
+    net = disconnected_network(rng, huge, max_components=4)
+    cfg = GreedyConfig()
+    tree = greedy_tree(net, net.vertices(), cfg)
+    pieces = [(v, net.leaf_legs(v)) for v in net.vertices()]
+    best = best_ops = None
+    for s in range(-1, cfg.samples if len(pieces) > 2 else 0):
+        result = reference_greedy_pass(net, pieces, _sample_rng(cfg.rng_seed, s) if s >= 0 else None,
+                                       cfg.noise_scale)
+        ops = 0.0
+        for n in result[1]:
+            ops += n
+        if best is None or ops < best_ops:
+            best, best_ops = result, ops
+    pairs, ops, sizes = best
+    first = net.num_vertices
+    assert tree.pairs() == pairs
+    assert [tree.op_counts[first + j] for j in range(len(pairs))] == ops
+    assert [tree.entry_counts[t] for t in [*net.vertices(), *range(first, first + len(pairs))]] == sizes
+
+
 def test_reduction_network_rejects_an_edge_in_three_partitions():
     net = path4()
     legs = net.leaf_legs(1)
@@ -263,5 +334,5 @@ def test_vertex_set_rows_are_the_leg_tables_rows_of_their_legs(seed, huge):
         got_entries, got_shared = leg_tables(net, part_legs)
         expected = (got_entries[-1], {index[p]: x for p, x in got_shared[-1].items()})
         assert vertex_set_row(net, owner, subset) == expected
-        target = select_target_directed(net, fanin, owner, i, subset)
+        target = select_target_directed(fanin, i, vertex_set_row(net, owner, subset))
         assert target == oracles.select_target_directed(net, trees, i, part_legs[-1])

@@ -115,6 +115,23 @@ def test_postorder_visits_children_first():
     assert order[-1] == tree.root
 
 
+@pytest.mark.parametrize("query", ["postorder", "leaves", "internal_nodes"])
+def test_order_lists_are_fresh_copies_of_the_memo(query):
+    """Editing the list a query returns leaves the next call, and the costs
+    that read the memoized orders, unchanged."""
+    net = chain_net()
+    tree = ContractionTree.from_pairs(net, [(1, 2), (0, 3)])
+    first = getattr(tree, query)()
+    expected = list(first)
+    first.reverse()
+    first.append(99)
+    assert getattr(tree, query)() == expected
+    assert tree.postorder() == [0, 1, 2, 3, 4]
+    assert tree.leaves() == [0, 1, 2] and tree.internal_nodes() == [3, 4]
+    assert tree.order == (0, 1, 2, 3, 4) and tree.internal_order == (3, 4)
+    assert tree.leaf_order == (0, 1, 2)
+
+
 def test_subtree_roots_and_acceptance():
     net = chain_net()
     tree = ContractionTree.from_pairs(net, [(0, 1), (3, 2)])
