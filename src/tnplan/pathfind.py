@@ -180,7 +180,8 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
             )
         else:
             live = [i for i, a in enumerate(alive) if a]
-            heap.extend(_outer_key(i, j, rep, entries, size) for x, i in enumerate(live) for j in live[x + 1:])
+            heap.extend(_outer_key(i, j, rep, entries, size)
+                        for x, i in enumerate(live) for j in live[x + 1:])
             heapq.heapify(heap)
             continue
         # Contract i and j; i holds the smaller leaf vertex, so it is the left child.

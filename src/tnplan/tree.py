@@ -25,9 +25,10 @@ proposal's) never builds a leg set.  The orders are memoized the same
 way: the first read of ``order`` (the root postorder), ``internal_order``
 or ``leaf_order`` (the sorted leaves) keeps a tuple, which the cost
 walks and the annealer's move pick read; ``postorder()``, ``leaves()``
-and ``internal_nodes()`` return fresh lists.  Pairs from a document or a caller
-go through ``from_pairs``, which checks them first; the greedy pass and
-``compose_plan_tree`` make valid pairs by construction and build directly.
+and ``internal_nodes()`` return fresh lists.  Pairs from a document or
+a caller go through ``from_pairs``, which checks them first; the greedy
+pass and ``compose_plan_tree`` make valid pairs by construction and
+build directly.
 """
 
 from __future__ import annotations

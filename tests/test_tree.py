@@ -117,8 +117,8 @@ def test_postorder_visits_children_first():
 
 @pytest.mark.parametrize("query", ["postorder", "leaves", "internal_nodes"])
 def test_order_lists_are_fresh_copies_of_the_memo(query):
-    """Editing the list a query returns leaves the next call, and the costs
-    that read the memoized orders, unchanged."""
+    """Editing the list a query returns leaves the next call and the
+    memoized orders unchanged."""
     net = chain_net()
     tree = ContractionTree.from_pairs(net, [(1, 2), (0, 3)])
     first = getattr(tree, query)()
