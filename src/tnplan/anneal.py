@@ -30,17 +30,27 @@ partition's local cost comes from its own tree, and its fan-in from the
 reduction tree's contractions and transfers, which are those of the
 composed tree.  A proposal therefore never builds the full tree over all
 tensors; a plan composes it on first read of ``tree`` or ``report``,
-which in a run only the reader of the returned plan does.  ``anneal``
-first recosts its input under ``cfg.cost`` with ``plan.state_to_plan``,
-which keeps the plan's trees and only recosts them.
+which in a run only the reader of the returned plan does.  The fan-in
+tree reads no partition tree, so a proposal builds it first, and the
+fan-in cost with the two changed partitions' local costs at 0 is a lower
+bound on the candidate's cost that needs neither greedy pass.
+``anneal`` first recosts its input under ``cfg.cost`` with
+``plan.state_to_plan``, which keeps the plan's trees and only recosts
+them.
 
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
 P(accept) = exp(-log(c_new / c_current) / T), with values above 1
-meaning certain acceptance.  The temperature decays exponentially from
-t0 to tf over the configured budget, which may be wall-clock seconds or
-a fixed iteration count; only the latter is bit-reproducible, since the
-iteration tally of a timed run depends on machine speed.
+meaning certain acceptance.  ``do_steps`` hands the temperature to
+``select_neighbor`` in a ``Step``, and the proposal makes the test
+itself, with one uniform draw right after the move's draws.  When the
+lower bound already fails the test, the proposal is rejected before its
+greedy passes run; since the draw and the decision are those of the full
+candidate, a fixed seed and budget give the same walk either way.  The
+temperature decays exponentially from t0 to tf over the configured
+budget, which may be wall-clock seconds or a fixed iteration count; only
+the latter is bit-reproducible, since the iteration tally of a timed run
+depends on machine speed.
 
 Each iteration runs the same starting state through ``workers`` replicas
 in turn, with seeds derived from (seed, iteration, worker); the best
@@ -154,8 +164,35 @@ def _movable_blocks(blocks):
     return [i for i, b in enumerate(blocks) if len(b) >= 2]
 
 
+@dataclass(frozen=True)
+class Step:
+    """Annealing settings at one temperature: given one, ``select_neighbor``
+    runs the Metropolis test itself and returns only accepted candidates."""
+
+    cfg: AnnealConfig
+    temperature: float
+
+
+# Early rejection needs the bound's acceptance probability under the draw by
+# this relative margin, which covers the rounding of log and exp.
+_REJECT_MARGIN = 1.0 - 2.0 ** -40
+
+
 def select_neighbor(net, state, cfg, rng):
-    """One rebalancing move: migrate a random subtree's tensors, rebuild, re-cost."""
+    """One rebalancing move: migrate a random subtree's tensors, rebuild, re-cost.
+
+    With an ``AnnealConfig`` this returns the candidate.  With a ``Step``
+    it draws the Metropolis ``u`` right after the move's draws and returns
+    the candidate if the test accepts it, else None.  Before it rebuilds
+    the two changed partition trees it costs the candidate's fan-in tree
+    with their local costs at 0, a lower bound on the candidate's cost,
+    and rejects outright when that bound already fails the test, so a
+    rejected proposal often runs no greedy pass.  Either way the
+    generator ends where it would after the full proposal and its draw.
+    """
+    step = cfg if isinstance(cfg, Step) else None
+    if step is not None:
+        cfg = step.cfg
     blocks = state.partitioning.blocks
     eligible = _movable_blocks(blocks)
     if len(blocks) < 2 or not eligible:
@@ -175,35 +212,53 @@ def select_neighbor(net, state, cfg, rng):
         k_dst = select_target_directed(fanin, k_src, moved_row)
     else:
         k_dst = select_target_naive(len(blocks), k_src, rng)
+    u = rng.random() if step is not None else None
 
     new_blocks = list(blocks)
     new_blocks[k_src] = blocks[k_src] - moved
     new_blocks[k_dst] = blocks[k_dst] | moved
-    partitioning = Partitioning(new_blocks)
     owner = list(state.owner)
     for v in moved:
         owner[v] = k_dst
 
+    # The fan-in network reads the partition trees' legs only when asked,
+    # so the two changed trees can be filled in after its tree is built.
     trees = list(state.partition_trees)
-    intra = _intra(cfg)
+    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, k_src, k_dst, moved_row))
+    roots = range(len(trees))
     local_costs = list(state.local_costs)
+    if step is not None:
+        local_costs[k_src] = local_costs[k_dst] = 0.0
+        bound = con_dist(reduction, None, cfg.cost, subtree_roots=roots, local_costs=local_costs)
+        if bound > state.cost and (
+            acceptance_probability(state.cost, bound, step.temperature) < u * _REJECT_MARGIN
+        ):
+            return None
+    intra = _intra(cfg)
     for i in (k_src, k_dst):
         t = trees[i] = greedy_tree(net, new_blocks[i])
         local_costs[i] = intra(t)
-    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, k_src, k_dst, moved_row))
-    cost = con_dist(reduction, None, cfg.cost, subtree_roots=range(len(trees)), local_costs=local_costs)
-    return Plan(net, partitioning, tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
+    cost = con_dist(reduction, None, cfg.cost, subtree_roots=roots, local_costs=local_costs)
+    if step is not None and acceptance_probability(state.cost, cost, step.temperature) < u:
+        return None
+    return Plan(net, Partitioning(new_blocks), tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
 
 
 def do_steps(net, n, state, temperature, cfg, rng):
-    """Run ``n`` sequential proposals at a fixed temperature; returns the end state."""
+    """Run ``n`` sequential proposals at a fixed temperature; returns the end state.
+
+    Each proposal is one ``select_neighbor`` call with a ``Step`` of
+    ``cfg`` at ``temperature``, which makes the Metropolis test itself;
+    the walk moves to every candidate it returns.
+    """
+    step = Step(cfg, temperature)
     current = state
     for _ in range(n):
         try:
-            candidate = select_neighbor(net, current, cfg, rng)
+            candidate = select_neighbor(net, current, step, rng)
         except NoMoveError:
             break
-        if acceptance_probability(current.cost, candidate.cost, temperature) >= rng.random():
+        if candidate is not None:
             current = candidate
     return current
 

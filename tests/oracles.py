@@ -10,6 +10,7 @@ caches.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import importlib
 import math
@@ -17,6 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from tnplan.anneal import NoMoveError, Step, acceptance_probability
 from tnplan.costs import con_dist, dims_product, node_ops
 from tnplan.network import OPEN, TensorNetwork
 from tnplan.partition import validate
@@ -467,20 +469,59 @@ def fanin_seed_keys(net, partition_legs):
     return sorted(keys)
 
 
+def same_plan(a, b):
+    """True when two plans have the same blocks, owner, trees (``same_tree``),
+    cost settings, local costs and cost."""
+    return ((a.partitioning.blocks, a.owner, a.cost_cfg, a.local_costs, a.cost)
+            == (b.partitioning.blocks, b.owner, b.cost_cfg, b.local_costs, b.cost)
+            and all(map(same_tree, a.partition_trees, b.partition_trees))
+            and same_tree(a.reduction, b.reduction))
+
+
 @contextmanager
 def checked_proposals():
     """Run ``check_move`` on every proposal of ``tnplan.anneal.select_neighbor``
     made inside the block, including those of ``do_steps`` and ``anneal``,
-    which look the name up at call time.  Yields the checked function, for
-    tests that propose directly."""
+    which look the name up at call time.
+
+    A proposal made with a ``Step`` (as ``do_steps`` makes them) is first
+    built in full with the bare config from a copy of the generator, which
+    then draws the Metropolis ``u``, and ``check_move`` runs on that
+    candidate, so rejected proposals are checked too.  The ``Step`` answer
+    must be that candidate exactly when the test accepts it and None
+    otherwise, and leave the generator where the copy ends.
+
+    Yields the checked function, for tests that propose directly; its
+    ``candidates`` list holds every checked candidate in order.
+    """
     module = importlib.import_module("tnplan.anneal")  # the package's ``anneal`` is the function
     propose = module.select_neighbor
 
     def checked(net, state, cfg, rng):
-        candidate = propose(net, state, cfg, rng)
-        check_move(net, state, candidate)
-        return candidate
+        if not isinstance(cfg, Step):
+            candidate = propose(net, state, cfg, rng)
+            check_move(net, state, candidate)
+            checked.candidates.append(candidate)
+            return candidate
+        reference = copy.deepcopy(rng)
+        try:
+            full = propose(net, state, cfg.cfg, reference)
+        except NoMoveError:
+            return propose(net, state, cfg, rng)  # raises the same
+        u = reference.random()
+        answer = propose(net, state, cfg, rng)
+        assert rng.bit_generator.state == reference.bit_generator.state, \
+            "the proposal left the generator elsewhere than the full proposal and its draw"
+        if acceptance_probability(state.cost, full.cost, cfg.temperature) >= u:
+            assert answer is not None and same_plan(answer, full), \
+                "an accepted proposal differs from the full one"
+        else:
+            assert answer is None, "a proposal the Metropolis test rejects was returned"
+        check_move(net, state, full)
+        checked.candidates.append(full)
+        return answer
 
+    checked.candidates = []
     module.select_neighbor = checked
     try:
         yield checked

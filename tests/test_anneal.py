@@ -1,5 +1,6 @@
 """Tests for the simulated-annealing refinement loop."""
 
+import copy
 import dataclasses
 import importlib
 import math
@@ -14,6 +15,7 @@ from tnplan.anneal import (
     AnnealConfig,
     AnnealResult,
     NoMoveError,
+    Step,
     acceptance_probability,
     anneal,
     do_steps,
@@ -409,6 +411,69 @@ class TestCheckMove:
             oracles.check_move(net, state, emptied)
 
 
+class TestStepProposals:
+    """A ``Step`` proposal is the full proposal judged by the Metropolis test."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        mode=st.sampled_from(("naive", "directed")),
+        intra=st.sampled_from(("serial", "par")),
+        alpha=st.floats(0, 2),
+        beta=st.floats(0, 2),
+        log_t=st.floats(-3, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_answers_as_the_full_proposal_and_its_draw(self, seed, mode, intra, alpha, beta, log_t):
+        # Parallel, dimension-1 and self-loop bonds, open legs, often disconnected.
+        rng = np.random.default_rng(seed)
+        net = oracles.random_bond_network(rng, loops=True)
+        assume(net.num_vertices >= 2)
+        k = int(rng.integers(2, net.num_vertices + 1))
+        cost = CostConfig(comm_alpha=alpha, comm_beta=beta, intra_node=intra)
+        cfg = AnnealConfig(mode=mode, cost=cost, workers=1, max_iters=1)
+        state = build_plan(net, Partitioning(oracles.random_blocks(rng, net.vertices(), k)), cost_cfg=cost)
+        step = Step(cfg, 10.0 ** log_t)
+        for _ in range(6):
+            reference = copy.deepcopy(rng)
+            try:
+                full = select_neighbor(net, state, cfg, reference)
+            except NoMoveError:
+                with pytest.raises(NoMoveError):
+                    select_neighbor(net, state, step, rng)
+                break
+            u = reference.random()
+            got = select_neighbor(net, state, step, rng)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            if acceptance_probability(state.cost, full.cost, step.temperature) >= u:
+                assert got is not None and oracles.same_plan(got, full)
+                state = got
+            else:
+                assert got is None
+
+    def test_cold_proposals_are_rejected_before_the_partition_passes(self, monkeypatch):
+        net = circuit_to_network(dict(bundled_suite())["rand-12"])
+        state, cfg = planned(net, k=8, seed=1)
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return greedy_tree(*args)
+
+        monkeypatch.setattr(importlib.import_module("tnplan.anneal"), "greedy_tree", counted)
+        rng = np.random.default_rng(0)
+        early = 0
+        for _ in range(40):
+            before = len(passes)
+            got = select_neighbor(net, state, Step(cfg, 1e-3), rng)
+            if len(passes) == before:
+                assert got is None
+                early += 1
+            else:
+                assert len(passes) == before + 2
+            state = got or state
+        assert 0 < early < 40
+
+
 # ---------------------------------------------------------------------------
 # the annealing loop
 # ---------------------------------------------------------------------------
@@ -567,15 +632,7 @@ class TestDeterminism:
         ],
         ids=["rc20x8-k8", "rc30x12-k16", "rand80-d7-k8", "4xrand100-d7-k4"],
     )
-    def test_state_is_a_function_of_its_partitioning(self, monkeypatch, network, k, cost):
-        anneal_module = importlib.import_module("tnplan.anneal")
-        proposed = []
-
-        def recording(*args):
-            proposed.append(select_neighbor(*args))
-            return proposed[-1]
-
-        monkeypatch.setattr(anneal_module, "select_neighbor", recording)
+    def test_state_is_a_function_of_its_partitioning(self, network, k, cost):
         if isinstance(network, tuple):
             net = circuit_to_network(random_circuit(*network, seed=1))
         elif isinstance(network, list):
@@ -590,9 +647,11 @@ class TestDeterminism:
             )
         cfg = AnnealConfig(mode="directed", cost=cost, workers=1, max_iters=1)
         plan = build_plan(net, initial_partition(net, k, seed=0), cost_cfg=cost)
-        do_steps(net, 40, plan, 1.0, cfg, np.random.default_rng(3))
-        assert len(proposed) == 40
-        for state in proposed:
+        # Every proposal in full, rejected ones included.
+        with oracles.checked_proposals() as propose:
+            do_steps(net, 40, plan, 1.0, cfg, np.random.default_rng(3))
+        assert len(propose.candidates) == 40
+        for state in propose.candidates:
             trees = [greedy_tree(net, block) for block in state.partitioning.blocks]
             reduction = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
             assert reduction.pairs() == state.reduction.pairs()
