@@ -41,12 +41,12 @@ them.
 Acceptance uses the cost ratio rather than the difference, so the
 schedule is insensitive to the absolute scale of the cost metric:
 P(accept) = exp(-log(c_new / c_current) / T), with values above 1
-meaning certain acceptance.  ``do_steps`` hands the temperature to
-``select_neighbor`` in a ``Step``, and the proposal makes the test
-itself, with one uniform draw right after the move's draws.  When the
-lower bound already fails the test, the proposal is rejected before its
-greedy passes run; since the draw and the decision are those of the full
-candidate, a fixed seed and budget give the same walk either way.  The
+meaning certain acceptance.  ``select_neighbor`` takes its settings and
+temperature in a ``Step`` and makes the test itself, with one uniform
+draw right after the move's draws.  When the lower bound already fails
+the test, the proposal is rejected before its greedy passes run; since
+the draw and the decision are those of the full candidate, a fixed seed
+and budget give the same walk either way.  The
 temperature decays exponentially from t0 to tf over the configured
 budget, which may be wall-clock seconds or a fixed iteration count; only
 the latter is bit-reproducible, since the iteration tally of a timed run
@@ -128,9 +128,9 @@ def acceptance_probability(current, candidate, temperature):
     means the move is always taken.  Costs and temperature must be
     positive.
     """
-    if current <= 0 or candidate <= 0:
+    if not (current > 0 and candidate > 0):  # NaN fails too
         raise ValueError(f"costs must be positive, got {current} -> {candidate}")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     # Log difference rather than log of the quotient: the quotient can
     # under- or overflow for extreme cost ratios.
@@ -166,8 +166,8 @@ def _movable_blocks(blocks):
 
 @dataclass(frozen=True)
 class Step:
-    """Annealing settings at one temperature: given one, ``select_neighbor``
-    runs the Metropolis test itself and returns only accepted candidates."""
+    """``select_neighbor``'s settings at one temperature; an infinite
+    temperature makes its Metropolis test accept every candidate."""
 
     cfg: AnnealConfig
     temperature: float
@@ -178,21 +178,19 @@ class Step:
 _REJECT_MARGIN = 1.0 - 2.0 ** -40
 
 
-def select_neighbor(net, state, cfg, rng):
+def select_neighbor(net, state, step, rng):
     """One rebalancing move: migrate a random subtree's tensors, rebuild, re-cost.
 
-    With an ``AnnealConfig`` this returns the candidate.  With a ``Step``
-    it draws the Metropolis ``u`` right after the move's draws and returns
-    the candidate if the test accepts it, else None.  Before it rebuilds
-    the two changed partition trees it costs the candidate's fan-in tree
-    with their local costs at 0, a lower bound on the candidate's cost,
-    and rejects outright when that bound already fails the test, so a
-    rejected proposal often runs no greedy pass.  Either way the
-    generator ends where it would after the full proposal and its draw.
+    Draws the Metropolis ``u`` right after the move's draws and returns
+    the candidate if the test at ``step.temperature`` accepts it, else
+    None.  Before it rebuilds the two changed partition trees it costs the
+    candidate's fan-in tree with their local costs at 0, a lower bound on
+    the candidate's cost, and rejects outright when that bound already
+    fails the test, so a rejected proposal often runs no greedy pass.
+    Either way the generator ends where it would after the full proposal
+    and its draw.
     """
-    step = cfg if isinstance(cfg, Step) else None
-    if step is not None:
-        cfg = step.cfg
+    cfg = step.cfg
     blocks = state.partitioning.blocks
     eligible = _movable_blocks(blocks)
     if len(blocks) < 2 or not eligible:
@@ -212,7 +210,7 @@ def select_neighbor(net, state, cfg, rng):
         k_dst = select_target_directed(fanin, k_src, moved_row)
     else:
         k_dst = select_target_naive(len(blocks), k_src, rng)
-    u = rng.random() if step is not None else None
+    u = rng.random()
 
     new_blocks = list(blocks)
     new_blocks[k_src] = blocks[k_src] - moved
@@ -227,19 +225,18 @@ def select_neighbor(net, state, cfg, rng):
     reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, k_src, k_dst, moved_row))
     roots = range(len(trees))
     local_costs = list(state.local_costs)
-    if step is not None:
-        local_costs[k_src] = local_costs[k_dst] = 0.0
-        bound = con_dist(reduction, None, cfg.cost, subtree_roots=roots, local_costs=local_costs)
-        if bound > state.cost and (
-            acceptance_probability(state.cost, bound, step.temperature) < u * _REJECT_MARGIN
-        ):
-            return None
+    local_costs[k_src] = local_costs[k_dst] = 0.0
+    bound = con_dist(reduction, None, cfg.cost, subtree_roots=roots, local_costs=local_costs)
+    if bound > state.cost and (
+        acceptance_probability(state.cost, bound, step.temperature) < u * _REJECT_MARGIN
+    ):
+        return None
     intra = _intra(cfg)
     for i in (k_src, k_dst):
         t = trees[i] = greedy_tree(net, new_blocks[i])
         local_costs[i] = intra(t)
     cost = con_dist(reduction, None, cfg.cost, subtree_roots=roots, local_costs=local_costs)
-    if step is not None and acceptance_probability(state.cost, cost, step.temperature) < u:
+    if acceptance_probability(state.cost, cost, step.temperature) < u:
         return None
     return Plan(net, Partitioning(new_blocks), tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
 

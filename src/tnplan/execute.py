@@ -187,7 +187,7 @@ def execute_plan(net, tree, max_entries=DEFAULT_MAX_ENTRIES):
     resident = 0
     records = []
 
-    for node in tree.postorder():
+    for node in tree.order:
         ch = tree.children(node)
         if ch is None:
             arr, axes = _leaf_tensor(net, node)

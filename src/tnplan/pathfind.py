@@ -3,11 +3,12 @@
 ``greedy_tree`` is the one search.  A pass (``_greedy_pass``) repeatedly
 contracts the pair of intermediates that maximizes the memory-reduction
 objective |A| + |B| - |A.B|.  Only pairs sharing a bound edge are
-candidates; outer products are considered only once no adjacent pair is
-left, which happens exactly when the view is disconnected.  The pass
-records its merges as (left, right) tree node ids, and ``_pass_tree``
-builds the tree from them unchecked, its size memos filled with the
-pass's figures, so costing a greedy tree derives no size from leg sets.
+candidates; outer products go through the same heap, and only once no
+adjacent pair is left, which happens exactly when the view is
+disconnected.  The pass records its merges as (left, right) tree node
+ids, and ``_pass_tree`` builds the tree from them unchecked, its size
+memos filled with the pass's figures, so costing a greedy tree derives
+no size from leg sets.
 
 A pass runs on exact integer tables, not leg sets: ``entries[p]`` is
 tensor ``p``'s entry count E, and ``shared[p]`` maps every tensor sharing
@@ -122,11 +123,11 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
 
     Once the heap is empty no two pieces share an edge (the view is
     disconnected), and the pass contracts the survivors by outer products
-    under the same objective.  A noiseless pass then pushes every live
-    pair once, and after each merge the new piece's pair with each live
-    piece: with no shared edge a pair's score depends on its two pieces
-    alone, so the heap pops what a rescan of all live pairs would pick.
-    A noisy pass rescans and rescores every live pair on each merge.
+    under the same objective, pushing every live pair through ``outer_key``
+    in order of the pieces' leaf vertices.  After each merge a noiseless
+    pass pushes only the new piece's pairs: with no shared edge a pair's
+    score depends on its two pieces alone.  A noisy pass clears the heap,
+    so the next merge rescores every live pair with fresh draws.
     """
     if not nodes:
         raise ValueError("nothing to contract")
@@ -140,12 +141,11 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
     ops = []
     noisy = rng is not None and noise_scale > 0.0
 
-    def score(i, j):
-        x = shared[i].get(j, 1)
-        s = size[i] + size[j] - rounded_count(entries[i] * entries[j] // (x * x))
+    def outer_key(i, j):  # the heap key of live pieces i and j, which share no edge
+        s = size[i] + size[j] - rounded_count(entries[i] * entries[j])
         if noisy:
             s *= math.exp(noise_scale * rng.standard_normal())
-        return s
+        return (-s, rep[i], rep[j], i, j) if rep[i] < rep[j] else (-s, rep[j], rep[i], j, i)
 
     heap = seeds
     if heap is None:
@@ -166,23 +166,14 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
 
     heappop, heappush = heapq.heappop, heapq.heappush
     n_alive = len(nodes)
-    live = None  # the live pieces, once a noiseless pass is down to outer products
+    live = None  # the live pieces, once the pass is down to outer products
     while n_alive > 1:
-        if heap:
-            _, _, _, i, j = heappop(heap)
-            if not (alive[i] and alive[j]):
-                continue
-        elif noisy:
-            ranked = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
-            _, i, j = min(
-                ((-score(i, j), rep[i], rep[j]), i, j)
-                for x, i in enumerate(ranked) for j in ranked[x + 1:]
-            )
-        else:
-            live = [i for i, a in enumerate(alive) if a]
-            heap.extend(_outer_key(i, j, rep, entries, size)
-                        for x, i in enumerate(live) for j in live[x + 1:])
+        if not heap:
+            live = sorted((i for i, a in enumerate(alive) if a), key=rep.__getitem__)
+            heap.extend(outer_key(i, j) for x, i in enumerate(live) for j in live[x + 1:])
             heapq.heapify(heap)
+        _, _, _, i, j = heappop(heap)
+        if not (alive[i] and alive[j]):
             continue
         # Contract i and j; i holds the smaller leaf vertex, so it is the left child.
         table = shared[i]
@@ -207,10 +198,13 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
         alive[i] = alive[j] = False
         n_alive -= 1
         if live is not None:
+            if noisy:  # the next merge rescores every live pair with fresh draws
+                heap.clear()
+                continue
             live.remove(i)
             live.remove(j)
             for nb in live:
-                heappush(heap, _outer_key(idx, nb, rep, entries, size))
+                heappush(heap, outer_key(idx, nb))
             live.append(idx)
             continue
         # Re-point the neighbours at the new piece and score it with each.
@@ -230,12 +224,6 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
                 heappush(heap, (-s, rep[nb], r, nb, idx))
 
     return pairs, ops, size
-
-
-def _outer_key(i, j, rep, entries, size):
-    """The heap key of the outer product of pieces ``i`` and ``j``, which share no edge."""
-    s = size[i] + size[j] - rounded_count(entries[i] * entries[j])
-    return (-s, rep[i], rep[j], i, j) if rep[i] < rep[j] else (-s, rep[j], rep[i], j, i)
 
 
 def _seed_keys(i, row, entries):

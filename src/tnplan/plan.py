@@ -114,7 +114,7 @@ def assemble_plan(net, partitioning, partition_trees, reduction_pairs=None, cost
     if len(partition_trees) != k:
         raise PlanError(f"{k} blocks but {len(partition_trees)} partition trees")
     for i, t in enumerate(partition_trees):
-        if blocks[i] != set(t.leaves()):
+        if blocks[i] != set(t.leaf_order):
             raise PlanError(f"partition tree {i} does not cover exactly block {i}")
     cost_cfg = cost_cfg or CostConfig()
     fanin = reduction_network(net, [t.legs(t.root) for t in partition_trees])
@@ -154,7 +154,7 @@ def serial_plan(net, cost_cfg=None, cfg=None):
 
 
 def _tree_doc(tree):
-    return {"leaves": tree.leaves(), "pairs": [list(p) for p in tree.pairs()]}
+    return {"leaves": list(tree.leaf_order), "pairs": [list(p) for p in tree.pairs()]}
 
 
 def plan_to_dict(plan):

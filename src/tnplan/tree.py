@@ -23,12 +23,12 @@ The first ``legs(t)`` read derives the legs of every node, children
 first, and keeps them, so a tree whose legs are never read (an annealing
 proposal's) never builds a leg set.  The orders are memoized the same
 way: the first read of ``order`` (the root postorder), ``internal_order``
-or ``leaf_order`` (the sorted leaves) keeps a tuple, which the cost
-walks and the annealer's move pick read; ``postorder()``, ``leaves()``
-and ``internal_nodes()`` return fresh lists.  Pairs from a document or
-a caller go through ``from_pairs``, which checks them first; the greedy
-pass and ``compose_plan_tree`` make valid pairs by construction and
-build directly.
+or ``leaf_order`` (the sorted leaves) keeps a tuple, which every reader
+of the whole tree reads; ``postorder(node)`` and ``internal_nodes(node)``
+return fresh lists for the subtree under ``node``.  Pairs from a
+document or a caller go through ``from_pairs``, which checks them first;
+the greedy pass and ``compose_plan_tree`` make valid pairs by
+construction and build directly.
 """
 
 from __future__ import annotations
@@ -153,9 +153,6 @@ class ContractionTree:
     def parent(self, t):
         return self._parent[t]
 
-    def leaves(self):
-        return list(self.leaf_order)
-
     @property
     def leaf_order(self):
         """The leaves in ascending order, as a tuple kept for the tree's life."""
@@ -169,32 +166,12 @@ class ContractionTree:
         first = self.network.num_vertices
         return [self._children[first + j] for j in range(len(self._children) // 2)]
 
-    def postorder(self, node=None):
-        """Nodes of the subtree under ``node`` (default: root), children first.
+    def postorder(self, node):
+        """Nodes of the subtree under ``node``, children first, as a fresh list.
 
         The order is deterministic: left child's subtree, right child's
-        subtree, then the node.  Always a fresh list.
+        subtree, then the node.
         """
-        return list(self.order) if node is None else self._walk(node)
-
-    @property
-    def order(self):
-        """``postorder()`` of the whole tree, as a tuple kept for the tree's life."""
-        order = self._order
-        if order is None:
-            order = self._order = tuple(self._walk(self._root))
-        return order
-
-    @property
-    def internal_order(self):
-        """The internal nodes of ``order``, in that order, as a tuple."""
-        internal = self._internal_order
-        if internal is None:
-            children = self._children
-            internal = self._internal_order = tuple(t for t in self.order if children[t] is not None)
-        return internal
-
-    def _walk(self, node):
         children = self._children
         out = []
         stack = [node]
@@ -207,10 +184,26 @@ class ContractionTree:
         out.reverse()
         return out
 
-    def internal_nodes(self, node=None):
-        if node is None:
-            return list(self.internal_order)
-        return [t for t in self._walk(node) if self._children[t] is not None]
+    @property
+    def order(self):
+        """``postorder`` of the root, as a tuple kept for the tree's life."""
+        order = self._order
+        if order is None:
+            order = self._order = tuple(self.postorder(self._root))
+        return order
+
+    @property
+    def internal_order(self):
+        """The internal nodes of ``order``, in that order, as a tuple."""
+        internal = self._internal_order
+        if internal is None:
+            children = self._children
+            internal = self._internal_order = tuple(t for t in self.order if children[t] is not None)
+        return internal
+
+    def internal_nodes(self, node):
+        """The internal nodes of ``postorder(node)``, in that order."""
+        return [t for t in self.postorder(node) if self._children[t] is not None]
 
     # -- legs and leaf sets ----------------------------------------------------
 

@@ -161,7 +161,7 @@ def swapped(tree, nodes):
     """The tree rebuilt with the children of every node in ``nodes`` swapped."""
     first = tree.network.num_vertices
     pairs = [(y, x) if first + j in nodes else (x, y) for j, (x, y) in enumerate(tree.pairs())]
-    return ContractionTree.from_pairs(tree.network, pairs, tree.leaves())
+    return ContractionTree.from_pairs(tree.network, pairs, tree.leaf_order)
 
 
 def fanin_tree(net, partition_trees, nested):
@@ -173,7 +173,7 @@ def fanin_tree(net, partition_trees, nested):
 def subtree_roots_by_leaf_sets(tree, blocks):
     """``ContractionTree.subtree_roots`` by comparing each block with the leaf
     set of every node: the matching nodes, or None if a block has none."""
-    by_leaves = {frozenset(tree.subtree_leaf_tensors(t)): t for t in tree.postorder()}
+    by_leaves = {frozenset(tree.subtree_leaf_tensors(t)): t for t in tree.order}
     roots = [by_leaves.get(frozenset(b)) for b in blocks]
     return None if None in roots else roots
 
@@ -432,7 +432,7 @@ def check_move(net, state, candidate):
     assert blocks[src] and blocks[src] < before[src], f"block {src} did not lose a proper subset"
     assert blocks[dst] == before[dst] | moved, f"block {dst} did not gain exactly what block {src} lost"
     trees = candidate.partition_trees
-    assert [set(t.leaves()) for t in trees] == [set(b) for b in blocks], "a tree does not cover its block"
+    assert [set(t.leaf_order) for t in trees] == [set(b) for b in blocks], "a tree does not cover its block"
     assert candidate.tree.subtree_roots(blocks) is not None, "the composed tree splits a block"
     assert candidate.owner == owner_map(net, blocks), "owner is not the partitioning's"
     for i in (src, dst):
@@ -451,8 +451,8 @@ def check_move(net, state, candidate):
 
 def same_tree(a, b):
     """True when two trees have the same merge pairs, leaves and cost memos."""
-    return ((a.pairs(), a.leaves(), a.op_counts, a.entry_counts)
-            == (b.pairs(), b.leaves(), b.op_counts, b.entry_counts))
+    return ((a.pairs(), a.leaf_order, a.op_counts, a.entry_counts)
+            == (b.pairs(), b.leaf_order, b.op_counts, b.entry_counts))
 
 
 def fanin_seed_keys(net, partition_legs):
@@ -478,18 +478,34 @@ def same_plan(a, b):
             and same_tree(a.reduction, b.reduction))
 
 
+class DrawRecorder:
+    """A generator proxy that keeps its last ``random()`` draw as ``u``,
+    for a proposal made with it its Metropolis draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self):
+        self.u = self.rng.random()
+        return self.u
+
+
 @contextmanager
 def checked_proposals():
     """Run ``check_move`` on every proposal of ``tnplan.anneal.select_neighbor``
     made inside the block, including those of ``do_steps`` and ``anneal``,
     which look the name up at call time.
 
-    A proposal made with a ``Step`` (as ``do_steps`` makes them) is first
-    built in full with the bare config from a copy of the generator, which
-    then draws the Metropolis ``u``, and ``check_move`` runs on that
-    candidate, so rejected proposals are checked too.  The ``Step`` answer
-    must be that candidate exactly when the test accepts it and None
-    otherwise, and leave the generator where the copy ends.
+    Each proposal is first built in full from a copy of the generator at
+    an infinite temperature, which accepts every candidate, and
+    ``check_move`` runs on that candidate, so rejected proposals are
+    checked too; a ``DrawRecorder`` around the copy keeps its Metropolis
+    ``u``.  The answer at the proposal's own temperature must be that
+    candidate exactly when the test accepts it and None otherwise, and
+    leave the generator where the copy ends.
 
     Yields the checked function, for tests that propose directly; its
     ``candidates`` list holds every checked candidate in order.
@@ -497,22 +513,16 @@ def checked_proposals():
     module = importlib.import_module("tnplan.anneal")  # the package's ``anneal`` is the function
     propose = module.select_neighbor
 
-    def checked(net, state, cfg, rng):
-        if not isinstance(cfg, Step):
-            candidate = propose(net, state, cfg, rng)
-            check_move(net, state, candidate)
-            checked.candidates.append(candidate)
-            return candidate
-        reference = copy.deepcopy(rng)
+    def checked(net, state, step, rng):
+        reference = DrawRecorder(copy.deepcopy(rng))
         try:
-            full = propose(net, state, cfg.cfg, reference)
+            full = propose(net, state, Step(step.cfg, math.inf), reference)
         except NoMoveError:
-            return propose(net, state, cfg, rng)  # raises the same
-        u = reference.random()
-        answer = propose(net, state, cfg, rng)
+            return propose(net, state, step, rng)  # raises the same
+        answer = propose(net, state, step, rng)
         assert rng.bit_generator.state == reference.bit_generator.state, \
             "the proposal left the generator elsewhere than the full proposal and its draw"
-        if acceptance_probability(state.cost, full.cost, cfg.temperature) >= u:
+        if acceptance_probability(state.cost, full.cost, step.temperature) >= reference.u:
             assert answer is not None and same_plan(answer, full), \
                 "an accepted proposal differs from the full one"
         else:

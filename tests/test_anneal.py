@@ -65,7 +65,7 @@ def renumbered(tree):
         return tree.network.num_vertices + len(pairs) - 1
 
     build(tree.root)
-    return ContractionTree.from_pairs(tree.network, pairs, leaves=tree.leaves())
+    return ContractionTree.from_pairs(tree.network, pairs, leaves=tree.leaf_order)
 
 
 def planned(net, k=2, seed=0, cfg=None):
@@ -108,6 +108,16 @@ class TestAcceptanceProbability:
             acceptance_probability(1.0, -2.0, 1.0)
         with pytest.raises(ValueError):
             acceptance_probability(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan)])
+    def test_rejects_nan_inputs(self, args):
+        with pytest.raises(ValueError):
+            acceptance_probability(*args)
+
+    def test_infinite_temperature_accepts_everything(self):
+        clamp = 2.0 ** 300
+        for current, candidate in ((1e-300, 1e300), (1e300, 1e-300), (1.0, clamp), (clamp, 1.0)):
+            assert acceptance_probability(current, candidate, math.inf) == 1.0
 
     @given(
         c=st.floats(min_value=1e-6, max_value=1e6),
@@ -213,7 +223,7 @@ def directed_target(net, trees, k_src, node):
     ``k_src``, on the fan-in network of ``trees``, checked against the
     leg-set rule of the oracle."""
     fanin = reduction_network(net, [t.legs(t.root) for t in trees])
-    owner = owner_map(net, [t.leaves() for t in trees])
+    owner = owner_map(net, [t.leaf_order for t in trees])
     tree = trees[k_src]
     k = select_target_directed(fanin, k_src, vertex_set_row(net, owner, tree.subtree_leaf_tensors(node)))
     assert k == oracles.select_target_directed(net, trees, k_src, tree.legs(node))
@@ -272,13 +282,13 @@ def test_walks_carry_the_tables_of_their_trees(seed, mode, huge):
         assert state.owner == owner_map(net, state.partitioning.blocks)
         fresh = reduction_path(reduction_network(net, legs))
         assert state.reduction.pairs() == fresh.pairs()
-        for t in state.reduction.postorder():
+        for t in state.reduction.order:
             assert state.reduction.legs(t) == fresh.legs(t)
         for k_src, tree in enumerate(trees):
-            for node in tree.postorder()[:-1]:
+            for node in tree.order[:-1]:
                 directed_target(net, trees, k_src, node)
         try:
-            state = select_neighbor(net, state, cfg, rng)
+            state = select_neighbor(net, state, Step(cfg, math.inf), rng)
         except NoMoveError:
             break
 
@@ -294,7 +304,7 @@ class TestSelectNeighbor:
         state, cfg = planned(net, k=2, seed=3)
         rng = np.random.default_rng(7)
         with oracles.checked_proposals() as propose:
-            nxt = propose(net, state, cfg, rng)
+            nxt = propose(net, state, Step(cfg, math.inf), rng)
         ok, problems = validate(nxt.partitioning, net)
         assert ok, problems
         assert nxt.tree.subtree_roots(nxt.partitioning.blocks) is not None
@@ -305,7 +315,7 @@ class TestSelectNeighbor:
         state, cfg = planned(net, k=3, seed=1)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            state = select_neighbor(net, state, cfg, rng)
+            state = select_neighbor(net, state, Step(cfg, math.inf), rng)
             fresh = con_dist(state.tree, state.partitioning.blocks, cfg.cost)
             assert state.cost == fresh
 
@@ -315,19 +325,20 @@ class TestSelectNeighbor:
         part = initial_partition(net, net.num_vertices, seed=0)
         state = build_plan(net, part, cost_cfg=cfg.cost)
         with pytest.raises(NoMoveError):
-            select_neighbor(net, state, cfg, np.random.default_rng(0))
+            select_neighbor(net, state, Step(cfg, math.inf), np.random.default_rng(0))
 
     def test_move_does_not_depend_on_node_ids(self):
         net = circuit_to_network(dict(bundled_suite())["rand-12"])
         state, cfg = planned(net, k=4, seed=1)
         trees = tuple(renumbered(t) for t in state.partition_trees)
         assert [oracles.to_nested(t) for t in trees] == [oracles.to_nested(t) for t in state.partition_trees]
-        assert any(t.internal_nodes() != u.internal_nodes()
+        assert any(t.internal_order != u.internal_order
                    for t, u in zip(trees, state.partition_trees))
         relabelled = dataclasses.replace(state, partition_trees=trees)
+        step = Step(cfg, math.inf)
         for seed in range(50):
-            a = select_neighbor(net, state, cfg, np.random.default_rng(seed))
-            b = select_neighbor(net, relabelled, cfg, np.random.default_rng(seed))
+            a = select_neighbor(net, state, step, np.random.default_rng(seed))
+            b = select_neighbor(net, relabelled, step, np.random.default_rng(seed))
             assert a.partitioning.blocks == b.partitioning.blocks
             assert a.cost == b.cost
 
@@ -343,7 +354,7 @@ class TestSelectNeighbor:
         with oracles.checked_proposals() as propose:
             for _ in range(4):
                 try:
-                    state = propose(net, state, cfg, walk)
+                    state = propose(net, state, Step(cfg, math.inf), walk)
                 except NoMoveError:
                     break
                 ok, problems = validate(state.partitioning, net)
@@ -357,7 +368,7 @@ class TestCheckMove:
     def moved():
         net = circuit_to_network(dict(bundled_suite())["rand-12"])
         state, cfg = planned(net, k=3, seed=1)
-        candidate = select_neighbor(net, state, cfg, np.random.default_rng(0))
+        candidate = select_neighbor(net, state, Step(cfg, math.inf), np.random.default_rng(0))
         oracles.check_move(net, state, candidate)
         return net, state, cfg, candidate
 
@@ -434,17 +445,16 @@ class TestStepProposals:
         state = build_plan(net, Partitioning(oracles.random_blocks(rng, net.vertices(), k)), cost_cfg=cost)
         step = Step(cfg, 10.0 ** log_t)
         for _ in range(6):
-            reference = copy.deepcopy(rng)
+            reference = oracles.DrawRecorder(copy.deepcopy(rng))
             try:
-                full = select_neighbor(net, state, cfg, reference)
+                full = select_neighbor(net, state, Step(cfg, math.inf), reference)
             except NoMoveError:
                 with pytest.raises(NoMoveError):
                     select_neighbor(net, state, step, rng)
                 break
-            u = reference.random()
             got = select_neighbor(net, state, step, rng)
             assert rng.bit_generator.state == reference.bit_generator.state
-            if acceptance_probability(state.cost, full.cost, step.temperature) >= u:
+            if acceptance_probability(state.cost, full.cost, step.temperature) >= reference.u:
                 assert got is not None and oracles.same_plan(got, full)
                 state = got
             else:

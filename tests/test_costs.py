@@ -217,7 +217,7 @@ def test_con_par_matches_leaf_walk_on_every_subtree(seed, max_dim):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_max=24, max_dim=max_dim, payloads=False)
     tree = from_nested(net, random_nested(rng, list(net.vertices())))
-    for t in tree.postorder():
+    for t in tree.order:
         assert con_par(tree, t) == leaf_walk_con_par(tree, t)
 
 
@@ -292,8 +292,8 @@ def test_metrics_invariant_under_child_swaps(seed):
         mem_cost(tree),
         con_dist(accepted, blocks),
     )
-    tree = swapped(tree, {t for t in tree.internal_nodes() if rng.random() < 0.6})
-    accepted = swapped(accepted, {t for t in accepted.internal_nodes() if rng.random() < 0.6})
+    tree = swapped(tree, {t for t in tree.internal_order if rng.random() < 0.6})
+    accepted = swapped(accepted, {t for t in accepted.internal_order if rng.random() < 0.6})
     after = (
         con_serial(tree),
         con_par(tree),

@@ -6,13 +6,15 @@ partition results rather than a network of pseudo-tensors.  These tests
 check both shortcuts against the full computations they replace.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tnplan.anneal import AnnealConfig, NoMoveError, do_steps, select_neighbor
+from tnplan.anneal import AnnealConfig, NoMoveError, Step, do_steps, select_neighbor
 from tnplan.costs import CostConfig, con_dist, distributed_breakdown
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
@@ -82,7 +84,7 @@ def test_fanin_legs_are_the_composed_trees_legs(seed, source):
     # compose_plan_tree's numbering: the fan-in merges follow the partitions'.
     shift = net.num_vertices + sum(len(t.pairs()) for t in plan.partition_trees) - k
     reduction, tree = plan.reduction, plan.tree
-    for x in reduction.postorder():
+    for x in reduction.order:
         assert reduction.legs(x) == tree.legs(plan.part_roots[x] if x < k else x + shift)
 
 
@@ -104,7 +106,7 @@ def test_report_splits_the_cost_as_the_composed_tree_does(seed, source, intra, k
     if source != "built":
         cfg = AnnealConfig(workers=1, max_iters=1, mode="directed", cost=cost)
         try:
-            plan = select_neighbor(net, plan, cfg, rng)
+            plan = select_neighbor(net, plan, Step(cfg, math.inf), rng)
         except NoMoveError:  # every block a single tensor, or k = 1
             pass
     if source == "reloaded":

@@ -57,14 +57,14 @@ def test_greedy_picks_largest_memory_reduction_first():
 def test_greedy_handles_disconnected_views_with_outer_products():
     net = path4()
     tree = greedy_tree(net, view={0, 3})
-    assert sorted(tree.leaves()) == [0, 3]
+    assert sorted(tree.leaf_order) == [0, 3]
     assert tree.legs(tree.root) == net.edges_of(0) | net.edges_of(3)
 
 
 def test_greedy_covers_view_exactly():
     net = path4()
     tree = greedy_tree(net, view={1, 2, 3})
-    assert tree.leaves() == [1, 2, 3]
+    assert list(tree.leaf_order) == [1, 2, 3]
 
 
 def test_config_validation():
@@ -89,7 +89,7 @@ def test_greedy_tree_is_a_full_valid_tree(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, payloads=False)
     tree = greedy_tree(net)
-    assert tree.leaves() == list(net.vertices())
+    assert list(tree.leaf_order) == list(net.vertices())
     assert tree.legs(tree.root) == open_edges(net)
 
 
@@ -123,7 +123,7 @@ def test_random_greedy_without_noise_equals_plain_greedy():
 def test_greedy_tree_builds_deep_trees_without_recursion():
     net = circuit_to_network(ghz_circuit(1100))
     tree = greedy_tree(net)
-    assert len(tree.leaves()) == net.num_vertices
+    assert len(tree.leaf_order) == net.num_vertices
     assert tree.subtree_roots([set(net.vertices())]) == [tree.root]
     assert tree.legs(tree.root) == open_edges(net)
 
@@ -172,9 +172,9 @@ def test_greedy_tree_equals_the_checked_tree_of_its_pairs(seed, source, noisy):
         net = reduction_network(base, [t.legs(t.root) for t in trees])
         view = None
     tree = greedy_tree(net, view, GreedyConfig(samples=3, rng_seed=seed) if noisy else None)
-    checked = ContractionTree.from_pairs(net, tree.pairs(), tree.leaves())
-    nodes = checked.postorder()
-    internal = checked.internal_nodes()
+    checked = ContractionTree.from_pairs(net, tree.pairs(), tree.leaf_order)
+    nodes = checked.order
+    internal = checked.internal_order
     assert tree.root == checked.root
     assert sorted(tree.op_counts) == sorted(internal)
     assert sorted(tree.entry_counts) == sorted(nodes)
@@ -218,11 +218,12 @@ def disconnected_network(rng, huge, max_components=7):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 10**6), huge=st.booleans(), whole=st.booleans())
-def test_outer_products_pick_what_the_cubic_rescan_picks(seed, huge, whole):
-    """On disconnected views the heap-driven outer-product phase of the
-    deterministic pass makes the merges, ops and sizes of the leg-set
-    reference, which rescans and rescores every live pair on each merge."""
+@given(seed=st.integers(0, 10**6), huge=st.booleans(), whole=st.booleans(), noisy=st.booleans())
+def test_outer_products_pick_what_the_cubic_rescan_picks(seed, huge, whole, noisy):
+    """On disconnected views the heap-driven outer-product phase makes the
+    merges, ops and sizes of the leg-set reference, which rescans and
+    rescores every live pair on each merge; a noisy pass and the reference
+    draw from generators of one seed."""
     rng = np.random.default_rng(seed)
     net = disconnected_network(rng, huge)
     view = list(net.vertices())
@@ -230,7 +231,9 @@ def test_outer_products_pick_what_the_cubic_rescan_picks(seed, huge, whole):
         view = [v for v in view if rng.random() < 0.7] or [0]
     pieces = [(v, net.leaf_legs(v)) for v in view]
     tables = leg_tables(net, [legs for _, legs in pieces])
-    assert _greedy_pass(net, view, *tables) == reference_greedy_pass(net, pieces)
+    draws = [np.random.default_rng(seed) if noisy else None for _ in range(2)]
+    got = _greedy_pass(net, view, *tables, draws[0], 0.3)
+    assert got == reference_greedy_pass(net, pieces, draws[1], 0.3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -271,11 +274,11 @@ def test_reduction_path_short_circuits_small_cases():
     net = path4()
     t_all = greedy_tree(net)
     one = reduction_path(reduction_network(net, [t_all.legs(t_all.root)]))
-    assert one.leaves() == [0] and one.root == 0
+    assert list(one.leaf_order) == [0] and one.root == 0
     left = greedy_tree(net, view={0, 1})
     right = greedy_tree(net, view={2, 3})
     two = reduction_path(reduction_network(net, [left.legs(left.root), right.legs(right.root)]))
-    assert sorted(two.leaves()) == [0, 1]
+    assert sorted(two.leaf_order) == [0, 1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -287,7 +290,7 @@ def test_reduction_path_covers_every_partition_once(seed):
     blocks = random_blocks(rng, net.vertices(), k)
     trees = [greedy_tree(net, view=set(b)) for b in blocks]
     red = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
-    assert sorted(red.leaves()) == list(range(k))
+    assert sorted(red.leaf_order) == list(range(k))
 
 
 @settings(max_examples=20, deadline=None)

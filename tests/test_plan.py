@@ -57,7 +57,7 @@ class TestBuildPlan:
         assert len(plan.partition_trees) == 3
         assert plan.tree.subtree_roots(part.blocks) is not None
         for t, block in zip(plan.partition_trees, part.blocks):
-            assert set(t.leaves()) == set(block)
+            assert set(t.leaf_order) == set(block)
         assert plan.cost == plan.report.con_dist
         assert plan.cost == con_dist(plan.tree, part.blocks)
 
@@ -104,7 +104,7 @@ class TestSerialPlan:
         net.add_tensor([2, 2])
         plan = serial_plan(net)
         assert plan.report.con_serial == 0.0
-        assert plan.tree.leaves() == [0]
+        assert list(plan.tree.leaf_order) == [0]
 
     def test_cfg_steers_the_greedy_search(self):
         # The deterministic pass costs 1380 here; a config used to be ignored.
@@ -181,13 +181,13 @@ def test_composed_tree_carries_its_parts_memos(seed, source, cost):
         plan = plan_from_dict(net, plan_to_dict(plan), cost)
     tree = plan.tree
     # Every contraction arrives costed, so the report recosts none of them.
-    assert set(tree.op_counts) == set(tree.internal_nodes())
+    assert set(tree.op_counts) == set(tree.internal_order)
     for t, n in tree.op_counts.items():
         a, b = tree.children(t)
         assert n == dims_product(net, tree.legs(a) | tree.legs(b))
     for t, n in tree.entry_counts.items():
         assert n == dims_product(net, tree.legs(t))
-    bare = ContractionTree.from_valid_pairs(net, tree.pairs(), tree.leaves())
+    bare = ContractionTree.from_valid_pairs(net, tree.pairs(), tree.leaf_order)
     report = plan.report.to_dict()
     assert (report["mem"], report["con_serial"], report["con_par"], report["saturated"]) == (
         mem_cost(bare), con_serial(bare), con_par(bare), is_saturated(bare))
@@ -398,7 +398,7 @@ class TestTreeForms:
         net, plan = two_block_plan()
         doc = plan_to_dict(plan)
         for tree, spec in zip(plan.partition_trees, doc["partition_trees"]):
-            assert spec == {"leaves": tree.leaves(), "pairs": [list(p) for p in tree.pairs()]}
+            assert spec == {"leaves": list(tree.leaf_order), "pairs": [list(p) for p in tree.pairs()]}
             assert all(x < net.num_vertices + j for j, p in enumerate(spec["pairs"]) for x in p)
         assert doc["reduction_tree"] == {"leaves": [0, 1], "pairs": [[0, 1]]}
 

@@ -1,5 +1,6 @@
 """Contraction trees: construction, legs, caching, partition acceptance."""
 
+import math
 import sys
 from functools import reduce
 from operator import xor
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnplan.anneal import AnnealConfig, NoMoveError, select_neighbor
+from tnplan.anneal import AnnealConfig, NoMoveError, Step, select_neighbor
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import random_circuit
 from tnplan.costs import CostConfig
@@ -42,8 +43,8 @@ def test_from_pairs_builds_expected_structure():
     assert tree.children(4) == (3, 2)
     assert tree.parent(0) == 3 and tree.parent(3) == 4
     assert tree.parent(tree.root) is None
-    assert tree.leaves() == [0, 1, 2]
-    assert sorted(tree.internal_nodes()) == [3, 4]
+    assert list(tree.leaf_order) == [0, 1, 2]
+    assert sorted(tree.internal_order) == [3, 4]
 
 
 def test_from_pairs_rejects_bad_sequences():
@@ -70,7 +71,7 @@ def test_nested_round_trip():
         from_nested(net, [0, [0, 2]])  # repeated leaf
     # trees over a subset of vertices are fine (partition-local trees)
     sub = from_nested(net, [0, 1])
-    assert sub.leaves() == [0, 1]
+    assert list(sub.leaf_order) == [0, 1]
 
 
 def test_leaf_legs_excludes_self_loops():
@@ -98,14 +99,14 @@ def test_single_leaf_tree():
     tree = ContractionTree.from_pairs(net, [], leaves=[0])
     assert tree.root == 0
     assert tree.children(0) is None
-    assert tree.leaves() == [0] and tree.pairs() == []
+    assert list(tree.leaf_order) == [0] and tree.pairs() == []
     assert tree.legs(0) == open_edges(net)
 
 
 def test_postorder_visits_children_first():
     net = chain_net()
     tree = ContractionTree.from_pairs(net, [(1, 2), (0, 3)])
-    order = tree.postorder()
+    order = tree.postorder(tree.root)
     pos = {t: i for i, t in enumerate(order)}
     for t in order:
         if tree.children(t) is not None:
@@ -115,19 +116,19 @@ def test_postorder_visits_children_first():
     assert order[-1] == tree.root
 
 
-@pytest.mark.parametrize("query", ["postorder", "leaves", "internal_nodes"])
+@pytest.mark.parametrize("query", ["postorder", "internal_nodes"])
 def test_order_lists_are_fresh_copies_of_the_memo(query):
-    """Editing the list a query returns leaves the next call and the
-    memoized orders unchanged."""
+    """Editing the list a subtree query returns leaves the next call and
+    the memoized orders unchanged."""
     net = chain_net()
     tree = ContractionTree.from_pairs(net, [(1, 2), (0, 3)])
-    first = getattr(tree, query)()
+    first = getattr(tree, query)(tree.root)
     expected = list(first)
     first.reverse()
     first.append(99)
-    assert getattr(tree, query)() == expected
-    assert tree.postorder() == [0, 1, 2, 3, 4]
-    assert tree.leaves() == [0, 1, 2] and tree.internal_nodes() == [3, 4]
+    assert getattr(tree, query)(tree.root) == expected
+    assert tree.postorder(tree.root) == [0, 1, 2, 3, 4]
+    assert tree.internal_nodes(tree.root) == [3, 4]
     assert tree.order == (0, 1, 2, 3, 4) and tree.internal_order == (3, 4)
     assert tree.leaf_order == (0, 1, 2)
 
@@ -148,7 +149,7 @@ def test_compose_plan_tree_places_partitions_under_skeleton():
     t2 = ContractionTree.from_pairs(net, [], leaves=[2])
     composed = compose_plan_tree(net, [t01, t2], fanin_tree(net, [t01, t2], [0, 1]))
     assert to_nested(composed) == [[0, 1], 2]
-    assert sorted(composed.leaves()) == [0, 1, 2]
+    assert sorted(composed.leaf_order) == [0, 1, 2]
     assert composed.subtree_roots([frozenset({0, 1}), frozenset({2})]) is not None
     assert composed.legs(composed.root) == open_edges(net)
 
@@ -170,7 +171,7 @@ def test_compose_grafts_partition_trees_at_the_fanin_leaves(seed):
         return [graft(spec[0]), graft(spec[1])]
 
     assert to_nested(composed) == graft(shape)
-    rebuilt = ContractionTree.from_pairs(net, composed.pairs(), composed.leaves())
+    rebuilt = ContractionTree.from_pairs(net, composed.pairs(), composed.leaf_order)
     assert rebuilt.pairs() == composed.pairs() and rebuilt.root == composed.root
 
 
@@ -184,7 +185,7 @@ def test_from_nested_is_not_limited_by_the_recursion_limit():
         nested = [nested, v]
     tree = from_nested(net, nested)
     assert tree.pairs()[-1] == (2 * n - 3, n - 1)
-    assert len(tree.postorder()) == 2 * n - 1
+    assert len(tree.order) == 2 * n - 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -205,16 +206,16 @@ def test_legs_cache_matches_fresh_computation(seed):
     net = random_network(rng, payloads=False)
     nested = random_nested(rng, list(net.vertices()))
     tree = from_nested(net, nested)
-    for t in tree.postorder():
+    for t in tree.order:
         tree.legs(t)  # warm the cache
-    swap = [t for t in tree.internal_nodes()]
+    swap = [t for t in tree.internal_order]
     tree = swapped(tree, set(swap[:: max(1, len(swap) // 3)]))
     fresh = from_nested(net, to_nested(tree))
     match = {}
-    for t in tree.postorder():
+    for t in tree.order:
         key = frozenset(tree.subtree_leaf_tensors(t))
         match[key] = tree.legs(t)
-    for t in fresh.postorder():
+    for t in fresh.order:
         key = frozenset(fresh.subtree_leaf_tensors(t))
         assert fresh.legs(t) == match[key]
 
@@ -240,11 +241,11 @@ def test_legs_read_in_any_order_are_leaf_legs_and_their_xor(seed, source):
         else:  # a proposal's fan-in tree, whose leaf legs come from its partition trees
             cfg = AnnealConfig(mode="directed", cost=CostConfig(comm_beta=1.0))
             try:
-                plan = select_neighbor(net, plan, cfg, rng)
+                plan = select_neighbor(net, plan, Step(cfg, math.inf), rng)
             except NoMoveError:
                 pass
             tree = plan.reduction
-    nodes = tree.postorder()
+    nodes = tree.order
     read = {t: tree.legs(t) for t in rng.permutation(nodes).tolist()}
     leaf_legs = tree.network.leaf_legs
     for t in nodes:
@@ -265,13 +266,14 @@ def test_a_proposal_reads_no_leaf_legs_and_derives_no_legs(monkeypatch, mode):
     cfg = AnnealConfig(mode=mode, cost=CostConfig(comm_beta=1.0))
     state = build_plan(net, initial_partition(net, 4, seed=0), cost_cfg=cfg.cost)
     rng = np.random.default_rng(0)
-    state = select_neighbor(net, state, cfg, rng)
+    step = Step(cfg, math.inf)
+    state = select_neighbor(net, state, step, rng)
     reads = []
     for network in (TensorNetwork, FanInNetwork):
         read = network.leaf_legs
         monkeypatch.setattr(network, "leaf_legs", lambda self, v, read=read: reads.append(v) or read(self, v))
     for _ in range(20):
-        candidate = select_neighbor(net, state, cfg, rng)
+        candidate = select_neighbor(net, state, step, rng)
         assert reads == []
         new = [t for t in candidate.partition_trees if t not in state.partition_trees]
         assert len(new) == 2
@@ -290,7 +292,7 @@ def test_acceptance_invariant_under_child_swaps(seed):
     nested = blocks_nested(rng, net, blocks)
     tree = from_nested(net, nested)
     assert tree.subtree_roots(blocks) is not None
-    tree = swapped(tree, {t for t in tree.internal_nodes() if rng.random() < 0.5})
+    tree = swapped(tree, {t for t in tree.internal_order if rng.random() < 0.5})
     assert tree.subtree_roots(blocks) is not None
 
 
@@ -312,7 +314,7 @@ def test_subtree_roots_match_the_leaf_set_oracle(seed):
     composed = compose_plan_tree(net, parts, fanin_tree(net, parts, random_nested(rng, list(range(k)))))
     roots = _roots_as_oracle(composed, blocks)
     assert roots is not None
-    flipped = swapped(composed, {t for t in composed.internal_nodes() if rng.random() < 0.5})
+    flipped = swapped(composed, {t for t in composed.internal_order if rng.random() < 0.5})
     assert _roots_as_oracle(flipped, blocks) == roots
     pair_tree = ContractionTree.from_pairs(net, random_pairs(rng, vertices))
     _roots_as_oracle(pair_tree, blocks)
