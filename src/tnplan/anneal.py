@@ -84,8 +84,9 @@ class NoMoveError(RuntimeError):
 class AnnealConfig:
     """Annealing settings.
 
-    The temperatures are finite with 0 < tf <= t0.  ``time_limit`` is
-    finite, and positive unless ``max_iters`` sets the budget.
+    The temperatures are finite with 0 < tf <= t0.  ``max_iters`` is
+    >= 0; 0 anneals by ``time_limit``, which is finite, and positive
+    unless ``max_iters`` sets the budget.
     ``threads`` is kept for compatibility and has no effect: the replicas
     run one after another in the calling thread.
     """
@@ -115,6 +116,8 @@ class AnnealConfig:
             raise ValueError(f"mode must be 'naive' or 'directed', got {self.mode!r}")
         if not math.isfinite(self.time_limit):
             raise ValueError(f"time_limit must be finite, got {self.time_limit!r}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
         if self.max_iters <= 0 and self.time_limit <= 0:
             raise ValueError("either max_iters or a positive time_limit is required")
         if self.restart_threshold < 1:
@@ -333,6 +336,10 @@ def anneal(net, plan, cfg=None):
 
 
 def refine_plan(net, plan, cfg=None):
-    """Anneal a plan and return (refined plan, trace)."""
+    """Anneal a plan and return (refined plan, trace).
+
+    Callers in the package call ``anneal``; this stays because
+    ``perfbench/make_fixture.py`` imports it.
+    """
     result = anneal(net, plan, cfg)
     return result.best, result.trace

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .anneal import AnnealConfig, refine_plan
+from .anneal import AnnealConfig, anneal
 from .circuits import circuit_to_network
 from .costs import CostConfig
 from .partition import DEFAULT_IMBALANCE, check_imbalance, initial_partition
@@ -64,6 +64,8 @@ class RunConfig:
         if not self.sweep or min(self.sweep) < 2:
             raise ValueError(f"sweep must list partition counts >= 2, got {list(self.sweep)}")
         check_imbalance(self.epsilon, "epsilon")
+        if self.budget_iters < 0:
+            raise ValueError(f"budget_iters must be >= 0, got {self.budget_iters!r}")
         if not math.isfinite(self.budget_seconds):
             raise ValueError(f"budget_seconds must be finite, got {self.budget_seconds!r}")
         if self.budget_iters <= 0 and self.budget_seconds <= 0:
@@ -96,8 +98,7 @@ def _plan_once(net, method, k, run_seed, budget_seconds, cfg):
         seed=derive_seed(run_seed, 2),
         time_limit=budget_seconds,
     )
-    refined, _ = refine_plan(net, plan, anneal_cfg)
-    return refined
+    return anneal(net, plan, anneal_cfg).best
 
 
 def _method_entries(name, net, method, ks, baseline_cost, cfg, ci, timings):

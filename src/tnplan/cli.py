@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .anneal import AnnealConfig, refine_plan
+from .anneal import AnnealConfig, anneal
 from .bench import METHODS, RunConfig, compare_report, format_comparison, report_json, run_pipeline
 from .circuits import circuit_from_dict, circuit_to_network
 from .corpus import bundled_suite
@@ -169,15 +169,15 @@ def cmd_anneal(args):
         raise ValueError("anneal needs --plan or --partitions >= 2")
     else:
         plan = _partitioned_plan(net, args, cost_cfg)
-    refined, trace = refine_plan(net, plan, cfg)
+    result = anneal(net, plan, cfg)
     if args.trace:
         with open(args.trace, "w") as fh:
-            for row in trace:
+            for row in result.trace:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    _write_text(plan_to_json(refined), args.output)
+    _write_text(plan_to_json(result.best), args.output)
     print(
-        f"anneal[{args.mode}] {len(trace)} iterations: "
-        f"cost[dist] {plan.cost:.6g} -> {refined.cost:.6g}",
+        f"anneal[{args.mode}] {len(result.trace)} iterations: "
+        f"cost[dist] {plan.cost:.6g} -> {result.best.cost:.6g}",
         file=sys.stderr,
     )
     return 0

@@ -73,6 +73,8 @@ class TensorNetwork:
     over it.  ``leaf_legs`` and ``vertex_row`` fill per-vertex tables of
     planning legs and of exact integer rows on first read.  ``add_tensor``
     and ``bond`` keep all three current; treat ``edge_dims`` as read-only.
+    The partitioner reads adjacency from ``vertex_row`` too, and
+    ``axis_edges`` is the one list of a vertex's edges.
     """
 
     def __init__(self):
@@ -166,10 +168,6 @@ class TensorNetwork:
     def axis_edges(self, v):
         """Edge id attached to each axis of ``v``, in axis order."""
         return tuple(self._axis_edges[v])
-
-    def edges_of(self, v):
-        """The distinct edges incident to ``v`` (a loop appears once)."""
-        return set(self._axis_edges[v])
 
     def edge(self, e):
         return self._edges[e]

@@ -1,12 +1,17 @@
 """Vertex partitionings: validity checks, balanced seeding, boundary refinement.
 
 The initial partitioning grows blocks by multi-source BFS from seeds spread
-out with a farthest-point pass over the bound-edge graph, then runs a few
-rounds of first-improvement single-vertex moves to shrink the total
-log2-weight of cut edges while respecting the balance bound
-size <= (1 + epsilon) * ceil(|V| / k).  The bound is a setting of this
-partitioner alone: a ``Partitioning`` is only its blocks, and the annealer
-moves tensors without regard to block sizes.
+out with a farthest-point pass over the neighbour graph, then runs a few
+rounds of first-improvement single-vertex moves to shrink the cut weight
+while respecting the balance bound size <= (1 + epsilon) * ceil(|V| / k).
+The bound is a setting of this partitioner alone: a ``Partitioning`` is
+only its blocks, and the annealer moves tensors without regard to block
+sizes.
+
+Adjacency comes from the network's vertex rows (``vertex_row``): the cut
+weight is the sum of log2(X) over pairs of neighbours in different blocks,
+X being the product of the dimensions of all bonds joining them.
+``owner_map`` is the one vertex -> block map, shared with ``Plan.owner``.
 """
 
 from __future__ import annotations
@@ -68,34 +73,27 @@ def balance_limit(n, k, epsilon):
     return int((1.0 + epsilon) * math.ceil(n / k) + 1e-9)
 
 
+def owner_map(net, blocks):
+    """The block index of each vertex, one entry per vertex (``Plan.owner``)."""
+    owner = [None] * net.num_vertices
+    for i, block in enumerate(blocks):
+        for v in block:
+            owner[v] = i
+    return owner
+
+
 def cut_weight(part, net):
-    """Total log2 edge dimension over bound edges crossing block boundaries."""
+    """Total log2 of the dimension products shared across block boundaries."""
     ok, problems = validate(part, net)
     if not ok:
         raise ValueError("invalid partitioning: " + "; ".join(problems))
-    where = {}
-    for i, block in enumerate(part.blocks):
-        for v in block:
-            where[v] = i
+    where = owner_map(net, part.blocks)
     total = 0.0
-    for e in sorted(net.bound_edges()):
-        ed = net.edge(e)
-        (u, _), (v, _) = ed.ends
-        if where[u] != where[v]:
-            total += math.log2(ed.dim)
+    for v in net.vertices():
+        for u, x in net.vertex_row(v)[1].items():
+            if u > v and where[u] != where[v]:
+                total += math.log2(x)
     return total
-
-
-def _vertex_cut_terms(net, v, where):
-    """log2 cut contribution of v's edges, by currently assigned neighbor block."""
-    terms = []
-    for e in sorted(net.edges_of(v)):
-        ed = net.edge(e)
-        if ed.is_open() or ed.is_loop():
-            continue
-        w = ed.other_end(v)[0]
-        terms.append((where[w], math.log2(ed.dim)))
-    return terms
 
 
 REFINE_PASSES = 10
@@ -114,20 +112,17 @@ def refine_partition(part, net, epsilon=DEFAULT_IMBALANCE):
     """
     check_imbalance(epsilon)
     blocks = [set(b) for b in part.blocks]
-    where = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            where[v] = i
+    where = owner_map(net, blocks)
     cap = balance_limit(net.num_vertices, len(blocks), epsilon)
     refined = part
     history = [cut_weight(part, net)]
     for _ in range(REFINE_PASSES):
         moved = False
-        for v in sorted(where):
+        for v in net.vertices():
             b = where[v]
             if len(blocks[b]) <= 1:
                 continue
-            terms = _vertex_cut_terms(net, v, where)
+            terms = [(where[u], math.log2(x)) for u, x in net.vertex_row(v)[1].items()]
             if not terms:
                 continue
             current = sum(w for blk, w in terms if blk != b)
@@ -150,14 +145,14 @@ def refine_partition(part, net, epsilon=DEFAULT_IMBALANCE):
 
 
 def _bfs_distances(net, sources):
-    dist = {s: 0 for s in sources}
-    frontier = sorted(sources)
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(sources)
     d = 0
     while frontier:
         d += 1
         nxt = []
         for v in frontier:
-            for w in sorted(net.neighbors(v)):
+            for w in net.neighbors(v):
                 if w not in dist:
                     dist[w] = d
                     nxt.append(w)
@@ -183,15 +178,10 @@ def initial_partition(net, k, epsilon=DEFAULT_IMBALANCE, seed=0):
     rng = np.random.default_rng(seed & ((1 << 128) - 1))
     seeds = [int(rng.integers(n))]
     while len(seeds) < k:
+        # The farthest vertex (first by id on ties); seeds, at distance 0,
+        # lose to any other vertex, and one is left since k <= |V|.
         dist = _bfs_distances(net, seeds)
-        best = None
-        for v in net.vertices():
-            if v in seeds:
-                continue
-            d = dist.get(v, math.inf)
-            if best is None or d > best[0]:
-                best = (d, v)
-        seeds.append(best[1])
+        seeds.append(max(net.vertices(), key=lambda v: dist.get(v, math.inf)))
 
     cap = balance_limit(n, k, epsilon)
     where = {}
@@ -211,11 +201,9 @@ def initial_partition(net, k, epsilon=DEFAULT_IMBALANCE, seed=0):
                         blocks[b].add(w)
                         nxt.append(w)
             frontiers[b] = nxt
-    leftovers = sorted(v for v in net.vertices() if v not in where)
-    for v in leftovers:
-        b = min(range(k), key=lambda i: (len(blocks[i]), i))
-        blocks[b].add(v)
-        where[v] = b
+    for v in net.vertices():
+        if v not in where:
+            blocks[min(range(k), key=lambda i: (len(blocks[i]), i))].add(v)
 
     refined, _ = refine_partition(Partitioning(blocks), net, epsilon)
     return refined

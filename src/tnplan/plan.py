@@ -33,7 +33,7 @@ from .costs import (
     is_saturated, mem_cost,
 )
 from .network import _is_number
-from .partition import Partitioning, validate
+from .partition import Partitioning, owner_map, validate
 from .pathfind import greedy_tree, reduction_network, reduction_path
 from .tree import ContractionTree, compose_plan_tree, nested_to_pairs
 
@@ -83,15 +83,6 @@ class Plan:
                                       range(len(self.partition_trees)), self.local_costs)
         return CostReport(mem=mem_cost(tree), con_serial=con_serial(tree), con_par=con_par(tree),
                           con_dist=self.cost, per_partition=parts, saturated=is_saturated(tree))
-
-
-def owner_map(net, blocks):
-    """The ``Plan.owner`` list of a partitioning."""
-    owner = [None] * net.num_vertices
-    for i, block in enumerate(blocks):
-        for v in block:
-            owner[v] = i
-    return owner
 
 
 def _costed(trees, reduction, cost_cfg):

@@ -645,6 +645,25 @@ def is_connected(net):
     return len(connected_components(net)) <= 1
 
 
+def edge_cut_weight(part, net):
+    """Total log2 edge dimension over bound edges crossing block boundaries,
+    summed edge by edge in id order rather than read from vertex rows."""
+    ok, problems = validate(part, net)
+    if not ok:
+        raise ValueError("invalid partitioning: " + "; ".join(problems))
+    where = {}
+    for i, block in enumerate(part.blocks):
+        for v in block:
+            where[v] = i
+    total = 0.0
+    for e in sorted(net.bound_edges()):
+        ed = net.edge(e)
+        (u, _), (v, _) = ed.ends
+        if where[u] != where[v]:
+            total += math.log2(ed.dim)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # random instance generators
 

@@ -205,6 +205,12 @@ class TestAnnealConfig:
         AnnealConfig(max_iters=5, time_limit=0.0)
         AnnealConfig(max_iters=0, time_limit=1.0)
 
+    def test_negative_max_iters_rejected(self):
+        # -1 once annealed by wall clock, as 0 does.
+        for limit in (0.0, 0.2):
+            with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
+                AnnealConfig(max_iters=-1, time_limit=limit)
+
     def test_time_limit_must_be_finite(self):
         # nan once failed at the first temperature; inf with max_iters=0 never stopped.
         for limit in (float("nan"), float("inf"), float("-inf")):

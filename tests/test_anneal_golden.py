@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from tnplan.anneal import AnnealConfig, refine_plan
+from tnplan.anneal import AnnealConfig, anneal
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import bundled_suite, random_circuit
 from tnplan.costs import CostConfig
@@ -54,8 +54,8 @@ def run_case(case_id):
         mode=mode, cost=cost_cfg, workers=2, steps=4,
         max_iters=MAX_ITERS, seed=SEED, threads=1,
     )
-    refined, trace = refine_plan(net, plan, cfg)
-    return json.loads(json.dumps({"plan": plan_to_dict(refined), "trace": trace}))
+    result = anneal(net, plan, cfg)
+    return json.loads(json.dumps({"plan": plan_to_dict(result.best), "trace": result.trace}))
 
 
 @pytest.fixture(scope="module")

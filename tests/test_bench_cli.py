@@ -19,7 +19,7 @@ from tnplan.bench import (
     run_pipeline,
 )
 from tnplan import cli, execute
-from tnplan.anneal import AnnealConfig
+from tnplan.anneal import AnnealConfig, AnnealResult
 from tnplan.circuits import circuit_to_json
 from tnplan.cli import build_parser, main
 from tnplan.costs import CostConfig
@@ -214,6 +214,11 @@ class TestRunConfigValidation:
         # Checked up front, even when no method anneals.
         with pytest.raises(ValueError, match="budget_iters or a positive budget_seconds"):
             RunConfig(methods=("partition-only",), budget_seconds=0.0, budget_iters=0)
+
+    def test_negative_iteration_budget_rejected(self):
+        # Checked before the AnnealConfig is built, so the error names budget_iters.
+        with pytest.raises(ValueError, match="budget_iters must be >= 0, got -1"):
+            RunConfig(budget_iters=-1, budget_seconds=0.1)
 
     def test_unbounded_annealing_budget_rejected(self):
         with pytest.raises(ValueError, match="budget_seconds must be finite"):
@@ -673,6 +678,8 @@ class TestRejectedSettings:
             ["plan", "--imbalance", "nan"],
             ["anneal", "--plan", "PLAN", "--iters", "1", "--imbalance", "nan"],
             ["anneal", "--plan", "PLAN", "--iters", "1", "--imbalance", "-1"],
+            ["anneal", "--partitions", "2", "--iters", "-1", "--time-limit", "0.2"],
+            ["bench", "--sweep", "2", "--budget-iters", "-1", "--budget-seconds", "0.1"],
         ],
     )
     def test_exits_one_with_one_error_line(self, tmp_path, ghz_file, capsys, argv):
@@ -766,9 +773,9 @@ class TestFlagDefaults:
 
         def capture(net, plan, cfg):
             seen.append(cfg)
-            return plan, []
+            return AnnealResult(plan, [], 0)
 
-        monkeypatch.setattr(cli, "refine_plan", capture)
+        monkeypatch.setattr(cli, "anneal", capture)
         assert main(["anneal", str(ghz_file), "--partitions", "2"]) == 0
         assert seen == [AnnealConfig()]
 
@@ -783,7 +790,7 @@ class TestFlagDefaults:
             return initial_partition(net, k, epsilon, seed=seed)
 
         monkeypatch.setattr(cli, "initial_partition", capture)
-        monkeypatch.setattr(cli, "refine_plan", lambda net, plan, cfg: (plan, []))
+        monkeypatch.setattr(cli, "anneal", lambda net, plan, cfg: AnnealResult(plan, [], 0))
         assert main([command, str(ghz_file), "--partitions", "2"]) == 0
         default = inspect.signature(initial_partition).parameters["epsilon"].default
         assert seen == [DEFAULT_IMBALANCE] and default == DEFAULT_IMBALANCE

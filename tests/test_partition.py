@@ -18,7 +18,7 @@ from tnplan.partition import (
     validate,
 )
 
-from oracles import random_network
+from oracles import edge_cut_weight, random_blocks, random_bond_network, random_network
 
 
 def ring(n, dim=2):
@@ -139,3 +139,24 @@ def test_refinement_never_increases_cut_weight(seed, eps):
     assert max(len(b) for b in refined.blocks) <= limit
     ok, problems = validate(refined, net)
     assert ok, problems
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_cut_weight_from_rows_is_the_edge_by_edge_sum(seed, parallel):
+    """Summing log2 of each neighbour pair's shared product gives the
+    edge-by-edge sum: exactly when every bound dimension is a power of two
+    (all terms are integers), and to rounding otherwise."""
+    rng = np.random.default_rng(seed)
+    if parallel:  # parallel, dimension-1 and self-loop bonds
+        net = random_bond_network(rng, loops=True)
+    else:
+        net = random_network(rng, payloads=False)
+    k = int(rng.integers(1, net.num_vertices + 1))
+    part = Partitioning(random_blocks(rng, net.vertices(), k))
+    got, want = cut_weight(part, net), edge_cut_weight(part, net)
+    dims = [net.edge_dim(e) for e in net.bound_edges()]
+    if all(d & (d - 1) == 0 for d in dims):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-9)

@@ -58,7 +58,7 @@ def test_greedy_handles_disconnected_views_with_outer_products():
     net = path4()
     tree = greedy_tree(net, view={0, 3})
     assert sorted(tree.leaf_order) == [0, 3]
-    assert tree.legs(tree.root) == net.edges_of(0) | net.edges_of(3)
+    assert tree.legs(tree.root) == set(net.axis_edges(0)) | set(net.axis_edges(3))
 
 
 def test_greedy_covers_view_exactly():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tnplan.anneal import AnnealConfig, do_steps, refine_plan
+from tnplan.anneal import AnnealConfig, anneal, do_steps
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import ghz_circuit, random_circuit
 from tnplan.costs import CostConfig, con_dist, con_par, con_serial, dims_product, is_saturated, mem_cost
@@ -225,7 +225,7 @@ class TestSerialization:
         # The bound is the partitioner's setting; annealing does not keep it.
         net = ghz_net()
         plan = build_plan(net, initial_partition(net, 3, seed=0))
-        refined, _ = refine_plan(net, plan, AnnealConfig(max_iters=2, steps=4, workers=1))
+        refined = anneal(net, plan, AnnealConfig(max_iters=2, steps=4, workers=1)).best
         for p in (serial_plan(net), plan, refined):
             assert "epsilon" not in plan_to_dict(p)
             assert '"epsilon"' not in plan_to_json(p)
