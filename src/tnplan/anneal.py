@@ -31,9 +31,10 @@ reduction tree's contractions and transfers, which are those of the
 composed tree.  A proposal therefore never builds the full tree over all
 tensors; a plan composes it on first read of ``tree`` or ``report``,
 which in a run only the reader of the returned plan does.  The fan-in
-tree reads no partition tree, so a proposal builds it first, and the
-fan-in cost with the two changed partitions' local costs at 0 is a lower
-bound on the candidate's cost that needs neither greedy pass.
+tree reads no partition tree, so a proposal builds it first, costing it
+merge by merge (``costs.FaninSums``) with the two changed partitions'
+local costs at 0: a lower bound on the candidate's cost.  A move that
+changes no fan-in table replays its parent's fan-in pass instead.
 ``anneal`` first recosts its input under ``cfg.cost`` with
 ``plan.state_to_plan``, which keeps the plan's trees and only recosts
 them.
@@ -43,10 +44,10 @@ schedule is insensitive to the absolute scale of the cost metric:
 P(accept) = exp(-log(c_new / c_current) / T), with values above 1
 meaning certain acceptance.  ``select_neighbor`` takes its settings and
 temperature in a ``Step`` and makes the test itself, with one uniform
-draw right after the move's draws.  When the lower bound already fails
-the test, the proposal is rejected before its greedy passes run; since
-the draw and the decision are those of the full candidate, a fixed seed
-and budget give the same walk either way.  The
+draw right after the move's draws.  A lower bound that fails the test,
+during the fan-in pass or after the source partition's pass, rejects the
+proposal there; since the draw and the decision are those of the full
+candidate, a fixed seed and budget give the same walk either way.  The
 temperature decays exponentially from t0 to tf over the configured
 budget, which may be wall-clock seconds or a fixed iteration count; only
 the latter is bit-reproducible, since the iteration tally of a timed run
@@ -65,10 +66,10 @@ from time import perf_counter
 
 import numpy as np
 
-# Unused by name but kept: perfbench's tracer wraps dims_product and
-# compose_plan_tree, and _intra looks con_par and con_serial up in globals().
+# Unused by name but kept: perfbench's tracer wraps con_dist, dims_product
+# and compose_plan_tree, and _intra looks con_par and con_serial up in globals().
 from .costs import (  # noqa: F401
-    CostConfig, con_par, con_serial, con_dist, dims_product, intra_metric,
+    CostConfig, FaninSums, con_par, con_serial, con_dist, dims_product, intra_metric, slowest,
 )
 from .partition import Partitioning
 from .pathfind import greedy_tree, reduction_path, select_target_directed, vertex_set_row
@@ -186,10 +187,9 @@ def select_neighbor(net, state, step, rng):
 
     Draws the Metropolis ``u`` right after the move's draws and returns
     the candidate if the test at ``step.temperature`` accepts it, else
-    None.  Before it rebuilds the two changed partition trees it costs the
-    candidate's fan-in tree with their local costs at 0, a lower bound on
-    the candidate's cost, and rejects outright when that bound already
-    fails the test, so a rejected proposal often runs no greedy pass.
+    None.  It rejects outright as soon as a lower bound on the candidate's
+    cost, its fan-in with the unbuilt partitions' local costs at 0, fails
+    the test: during the fan-in pass or between the partition passes.
     Either way the generator ends where it would after the full proposal
     and its draw.
     """
@@ -222,26 +222,30 @@ def select_neighbor(net, state, step, rng):
     for v in moved:
         owner[v] = k_dst
 
+    def rejected(bound):  # a lower bound on the cost already fails the test
+        return bound > state.cost and (
+            acceptance_probability(state.cost, bound, step.temperature) < u * _REJECT_MARGIN)
+
     # The fan-in network reads the partition trees' legs only when asked,
     # so the two changed trees can be filled in after its tree is built.
     trees = list(state.partition_trees)
-    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, k_src, k_dst, moved_row))
-    roots = range(len(trees))
     local_costs = list(state.local_costs)
     local_costs[k_src] = local_costs[k_dst] = 0.0
-    bound = con_dist(reduction, None, cfg.cost, subtree_roots=roots, local_costs=local_costs)
-    if bound > state.cost and (
-        acceptance_probability(state.cost, bound, step.temperature) < u * _REJECT_MARGIN
-    ):
+    sums = FaninSums(cfg.cost, local_costs, rejected)
+    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, k_src, k_dst, moved_row), sums)
+    if reduction is None:
         return None
     intra = _intra(cfg)
-    for i in (k_src, k_dst):
+    for i in (k_src, k_dst):  # the bound, i's local cost still 0, is tested before each pass
+        if rejected(slowest(zip(local_costs, sums.fanin))):
+            return None
         t = trees[i] = greedy_tree(net, new_blocks[i])
         local_costs[i] = intra(t)
-    cost = con_dist(reduction, None, cfg.cost, subtree_roots=roots, local_costs=local_costs)
+    cost = slowest(zip(local_costs, sums.fanin))
     if acceptance_probability(state.cost, cost, step.temperature) < u:
         return None
-    return Plan(net, Partitioning(new_blocks), tuple(trees), reduction, cfg.cost, tuple(local_costs), cost, owner)
+    return Plan(net, Partitioning(new_blocks), tuple(trees), reduction, cfg.cost, tuple(local_costs),
+                tuple(sums.fanin), cost, owner)
 
 
 def do_steps(net, n, state, temperature, cfg, rng):

@@ -9,8 +9,8 @@ does not depend on the order of the edges; anything past 2**300 is
 clamped and flagged rather than allowed to overflow.  ``is_saturated``
 takes the exact product again only of a count at the clamp value.
 Sums over nodes are accumulated in linear floats.  A plan's cost and its
-report's per-partition split are one ``distributed_breakdown`` of its
-fan-in tree; ``con_dist`` of the composed tree is their reference.
+per-partition split come from its fan-in tree (``distributed_breakdown``,
+or a proposal's ``FaninSums``); ``con_dist`` of the composed tree is their reference.
 """
 
 from __future__ import annotations
@@ -206,12 +206,46 @@ def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_cost
 def con_dist(tree, blocks, cfg=None, subtree_roots=None, local_costs=None):
     """Distributed-execution cost: the slowest partition's local plus fan-in
     work, from the same walk as ``distributed_breakdown`` (0 for no partition)."""
+    return slowest(_partition_costs(tree, blocks, cfg, subtree_roots, local_costs))
+
+
+def slowest(parts):
+    """The largest local + fan-in over (local, fan-in) pairs, 0 for none."""
     best = 0.0
-    for local, fanin in _partition_costs(tree, blocks, cfg, subtree_roots, local_costs):
+    for local, fanin in parts:
         total = local + fanin
         if total > best:
             best = total
     return best
+
+
+class FaninSums:
+    """A fan-in pass's ``on_merge`` hook: each merge adds ``ops + min(alpha +
+    beta*|A|, alpha + beta*|B|)`` to the ``fanin`` of every partition under
+    it, bottom-up, so bit for bit as ``distributed_breakdown``.  ``bound``,
+    the running ``slowest`` of ``local_costs`` and ``fanin``, ends as the
+    tree's ``con_dist``; a true ``stop(bound)`` as it grows stops the pass."""
+
+    def __init__(self, cfg, local_costs, stop):
+        self.local_costs = local_costs
+        self.fanin = [0.0] * len(local_costs)
+        self.bound = slowest(zip(local_costs, self.fanin))
+        self._under = [[p] for p in range(len(local_costs))]  # partitions under each piece
+        self._comm = cfg.comm_alpha, cfg.comm_beta
+        self._stop = stop
+
+    def __call__(self, i, j, ops, size_i, size_j):
+        alpha, beta = self._comm
+        step = ops + min(alpha + beta * size_i, alpha + beta * size_j)
+        parts = self._under[i] + self._under[j]
+        self._under.append(parts)
+        local, fanin, best = self.local_costs, self.fanin, self.bound
+        for p in parts:
+            fanin[p] += step
+            if local[p] + fanin[p] > best:
+                best = local[p] + fanin[p]
+        grew, self.bound = best > self.bound, best
+        return grew and self._stop(best)
 
 
 def _partition_costs(tree, blocks, cfg, subtree_roots, local_costs):

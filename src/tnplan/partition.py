@@ -87,7 +87,10 @@ def cut_weight(part, net):
     ok, problems = validate(part, net)
     if not ok:
         raise ValueError("invalid partitioning: " + "; ".join(problems))
-    where = owner_map(net, part.blocks)
+    return _cut_weight(net, owner_map(net, part.blocks))
+
+
+def _cut_weight(net, where):  # where: the vertex -> block list
     total = 0.0
     for v in net.vertices():
         for u, x in net.vertex_row(v)[1].items():
@@ -138,7 +141,7 @@ def refine_partition(part, net, epsilon=DEFAULT_IMBALANCE):
                     moved = True
                     break
         refined = Partitioning(blocks)
-        history.append(cut_weight(refined, net))
+        history.append(_cut_weight(net, where))
         if not moved:
             break
     return refined, history

@@ -97,7 +97,7 @@ def leg_tables(net, leg_sets):
     return entries, shared
 
 
-def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=None):
+def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=None, on_merge=None):
     """One full greedy pass over the tensors with node ids ``nodes`` and the
     exact tables ``entries`` and ``shared`` (rows keyed by position in
     ``nodes``), which it edits.
@@ -119,7 +119,8 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
     noisy pass still scores pairs in sorted order, which fixes the pair
     each noise draw perturbs.  ``seeds``, a list the pass heapifies and
     consumes, may stand in for the keys of the adjacent pairs of a
-    noiseless pass (a ``FanInNetwork`` carries them).
+    noiseless pass (a ``FanInNetwork`` carries them).  A true answer of
+    ``on_merge(i, j, ops, size[i], size[j])`` after a merge makes it return None.
 
     Once the heap is empty no two pieces share an edge (the view is
     disconnected), and the pass contracts the survivors by outer products
@@ -197,6 +198,8 @@ def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=N
         alive.append(True)
         alive[i] = alive[j] = False
         n_alive -= 1
+        if on_merge is not None and on_merge(i, j, ops[-1], size[i], size[j]):
+            return None
         if live is not None:
             if noisy:  # the next merge rescores every live pair with fresh draws
                 heap.clear()
@@ -307,12 +310,12 @@ class FanInNetwork:
     results, as ``leg_tables`` reads them off those legs, and
     ``vertex_row(i)`` is row ``i`` of them.  ``seeds`` maps each adjacent
     pair ``(i, j)``, ``i < j``, to its heap key in the deterministic greedy
-    pass; ``reduction_path`` seeds that pass from copies of all three, and
-    no one edits them once built.  ``after_move`` carries the rows and keys
-    a move leaves unchanged into the next network.
+    pass; ``reduction_path`` seeds that pass from copies of all three and keeps
+    its result in ``pass_result``.  No one edits them once built; ``after_move``
+    carries what a move leaves unchanged into the next network.
     """
 
-    def __init__(self, net, root_legs, entries, shared, seeds=None):
+    def __init__(self, net, root_legs, entries, shared, seeds=None, pass_result=None):
         self.num_vertices = len(entries)
         self.edge_dims = net.edge_dims
         self._root_legs = root_legs
@@ -321,6 +324,7 @@ class FanInNetwork:
         if seeds is None:
             seeds = dict(key for i, row in enumerate(shared) for key in _seed_keys(i, row, entries))
         self.seeds = seeds
+        self.pass_result = pass_result
 
     def vertices(self):
         return range(self.num_vertices)
@@ -344,12 +348,11 @@ class FanInNetwork:
         X = X(dst, M), and its entry for the source is the source row's for
         it.  Every other row changes only in its entries for the two, and
         only the heap keys of pairs with one of them are scored again.  Rows
-        and keys are copied before they are patched: this network keeps its
-        tables.
+        and keys are copied before they are patched, and shared with the pass
+        result when neither row changes: this network keeps its tables.
         """
         entries = list(self.entries)
-        shared = list(self.shared)
-        old_src, old_dst = shared[src], shared[dst]
+        old_src, old_dst = self.shared[src], self.shared[dst]
         moved_entries, moved_shared = moved_row
         entries[src], src_row = vertex_set_row(net, owner, blocks[src])
         x = moved_shared.get(dst, 1)
@@ -360,6 +363,10 @@ class FanInNetwork:
                 dst_row[j] = dst_row.get(j, 1) * y
         if dst in src_row:
             dst_row[src] = src_row[dst]
+        root_legs = lambda i: trees[i].legs(trees[i].root)  # noqa: E731
+        if entries == self.entries and (src_row, dst_row) == (old_src, old_dst):
+            return FanInNetwork(net, root_legs, self.entries, self.shared, self.seeds, self.pass_result)
+        shared = list(self.shared)
         shared[src], shared[dst] = src_row, dst_row
         seeds = dict(self.seeds)
         for i, old, new in ((src, old_src, src_row), (dst, old_dst, dst_row)):
@@ -376,7 +383,7 @@ class FanInNetwork:
                     row.pop(i, None)
                 else:
                     row[i] = x
-        return FanInNetwork(net, lambda i: trees[i].legs(trees[i].root), entries, shared, seeds)
+        return FanInNetwork(net, root_legs, entries, shared, seeds)
 
 
 def reduction_network(net, partition_legs):
@@ -386,17 +393,29 @@ def reduction_network(net, partition_legs):
     return FanInNetwork(net, partition_legs.__getitem__, *leg_tables(net, partition_legs))
 
 
-def reduction_path(fanin):
+def reduction_path(fanin, on_merge=None):
     """Fan-in contraction tree over the partitions of a ``FanInNetwork``.
 
     One deterministic greedy pass, seeded from copies of the network's
-    tables and heap keys; the tree's leaf ids are partition indices.  With
-    one partition this is the trivial single-node tree.
+    tables and heap keys, or a replay of its kept ``pass_result`` through
+    the hook; the tree's leaf ids are partition indices.  With one
+    partition this is the trivial single-node tree; None when the hook
+    ``on_merge`` stops the pass.
     """
     nodes = range(fanin.num_vertices)
-    shared = [dict(t) for t in fanin.shared]
-    seeds = list(fanin.seeds.values())
-    return _pass_tree(fanin, nodes, _greedy_pass(fanin, nodes, list(fanin.entries), shared, seeds=seeds))
+    result = fanin.pass_result
+    if result is None:
+        result = _greedy_pass(fanin, nodes, list(fanin.entries), [dict(t) for t in fanin.shared],
+                              seeds=list(fanin.seeds.values()), on_merge=on_merge)
+        if result is None:
+            return None
+        fanin.pass_result = result
+    elif on_merge is not None:
+        pairs, ops, sizes = result
+        for (i, j), n in zip(pairs, ops):  # a fan-in network's node ids are its positions
+            if on_merge(i, j, n, sizes[i], sizes[j]):
+                return None
+    return _pass_tree(fanin, nodes, result)
 
 
 def vertex_set_row(net, owner, vertices):

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .costs import (
-    CostConfig, CostReport, con_dist, con_par, con_serial, distributed_breakdown, intra_metric,
-    is_saturated, mem_cost,
+    CostConfig, CostReport, PartitionCost, con_par, con_serial, distributed_breakdown, intra_metric,
+    is_saturated, mem_cost, slowest,
 )
 from .network import _is_number
 from .partition import Partitioning, owner_map, validate
@@ -49,9 +49,9 @@ class Plan:
     ``reduction`` is the fan-in tree whose leaf ``i`` stands for partition
     ``i``; its network is the ``FanInNetwork`` of the partition trees' root
     legs, with their exact tables.
-    ``local_costs[i]`` is partition ``i``'s own cost (per
-    ``cost_cfg.intra_node``) and ``cost`` is ``con_dist`` of the plan,
-    the slowest partition's local cost plus its fan-in on ``reduction``.
+    ``local_costs[i]`` is partition ``i``'s own cost (per ``cost_cfg.intra_node``),
+    ``fanin_costs[i]`` its fan-in on ``reduction``, and ``cost`` is ``con_dist``
+    of the plan, the slowest partition's sum of the two.
 
     ``owner[v]`` is the partition of vertex ``v``, one entry per vertex.
     Plans share these lists and tables and never edit them.
@@ -63,6 +63,7 @@ class Plan:
     reduction: ContractionTree
     cost_cfg: CostConfig
     local_costs: tuple
+    fanin_costs: tuple
     cost: float
     owner: list
 
@@ -79,17 +80,17 @@ class Plan:
         """Whole-tree metrics of the composed tree, and the per-partition
         split of the fan-in costing that ``cost`` came from."""
         tree = self.tree
-        parts = distributed_breakdown(self.reduction, None, self.cost_cfg,
-                                      range(len(self.partition_trees)), self.local_costs)
+        parts = [PartitionCost(i, *p) for i, p in enumerate(zip(self.local_costs, self.fanin_costs))]
         return CostReport(mem=mem_cost(tree), con_serial=con_serial(tree), con_par=con_par(tree),
                           con_dist=self.cost, per_partition=parts, saturated=is_saturated(tree))
 
 
 def _costed(trees, reduction, cost_cfg):
-    """The local costs of ``trees`` and the plan's ``con_dist`` on its fan-in tree."""
+    """The local and fan-in costs of ``trees`` and the plan's ``con_dist`` on its fan-in tree."""
     local_costs = tuple(map(intra_metric(cost_cfg), trees))
-    return local_costs, con_dist(reduction, None, cost_cfg, subtree_roots=range(len(trees)),
-                                 local_costs=local_costs)
+    parts = distributed_breakdown(reduction, None, cost_cfg, range(len(trees)), local_costs)
+    fanin_costs = tuple(p.fanin for p in parts)
+    return local_costs, fanin_costs, slowest(zip(local_costs, fanin_costs))
 
 
 def assemble_plan(net, partitioning, partition_trees, reduction_pairs=None, cost_cfg=None):
@@ -113,9 +114,8 @@ def assemble_plan(net, partitioning, partition_trees, reduction_pairs=None, cost
         reduction = reduction_path(fanin)
     else:
         reduction = ContractionTree.from_pairs(fanin, reduction_pairs, list(range(k)))
-    local_costs, cost = _costed(partition_trees, reduction, cost_cfg)
-    return Plan(net, partitioning, tuple(partition_trees), reduction, cost_cfg, local_costs, cost,
-                owner_map(net, blocks))
+    return Plan(net, partitioning, tuple(partition_trees), reduction, cost_cfg,
+                *_costed(partition_trees, reduction, cost_cfg), owner_map(net, blocks))
 
 
 def state_to_plan(net, plan, cost_cfg=None):
@@ -123,8 +123,8 @@ def state_to_plan(net, plan, cost_cfg=None):
     cost_cfg = cost_cfg or CostConfig()
     if plan.cost_cfg == cost_cfg:
         return plan
-    local_costs, cost = _costed(plan.partition_trees, plan.reduction, cost_cfg)
-    return replace(plan, cost_cfg=cost_cfg, local_costs=local_costs, cost=cost)
+    local_costs, fanin_costs, cost = _costed(plan.partition_trees, plan.reduction, cost_cfg)
+    return replace(plan, cost_cfg=cost_cfg, local_costs=local_costs, fanin_costs=fanin_costs, cost=cost)
 
 
 def build_plan(net, partitioning, cost_cfg=None):

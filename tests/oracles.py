@@ -19,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from tnplan.anneal import NoMoveError, Step, acceptance_probability
-from tnplan.costs import con_dist, dims_product, node_ops
+from tnplan.costs import con_dist, dims_product, distributed_breakdown, node_ops
 from tnplan.network import OPEN, TensorNetwork
 from tnplan.partition import validate
 from tnplan.pathfind import greedy_tree, leg_tables, reduction_network, reduction_path
@@ -417,8 +417,9 @@ def check_move(net, state, candidate):
     blocks (pairs and both memos); ``owner`` is the partitioning's; the
     fan-in tables equal ``leg_tables`` of the trees' root legs, the
     carried seed keys equal ones scored afresh, and the fan-in tree is a
-    fresh ``reduction_path`` over those legs; and the cached cost equals
-    ``con_dist`` of the composed tree.
+    fresh ``reduction_path`` over those legs; the fan-in costs are
+    ``distributed_breakdown``'s of the fan-in tree; and the cached cost
+    equals ``con_dist`` of the composed tree.
     """
     blocks = candidate.partitioning.blocks
     ok, problems = validate(candidate.partitioning, net)
@@ -445,6 +446,10 @@ def check_move(net, state, candidate):
         "carried seed keys differ from fresh ones"
     fresh_fanin = reduction_path(reduction_network(net, root_legs))
     assert same_tree(candidate.reduction, fresh_fanin), "the fan-in tree is not a fresh pass's"
+    parts = distributed_breakdown(candidate.reduction, None, candidate.cost_cfg, range(len(trees)),
+                                  candidate.local_costs)
+    assert list(candidate.fanin_costs) == [p.fanin for p in parts], \
+        "fan-in costs differ from the fan-in tree's breakdown"
     fresh = con_dist(candidate.tree, blocks, candidate.cost_cfg)
     assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
 
@@ -471,9 +476,9 @@ def fanin_seed_keys(net, partition_legs):
 
 def same_plan(a, b):
     """True when two plans have the same blocks, owner, trees (``same_tree``),
-    cost settings, local costs and cost."""
-    return ((a.partitioning.blocks, a.owner, a.cost_cfg, a.local_costs, a.cost)
-            == (b.partitioning.blocks, b.owner, b.cost_cfg, b.local_costs, b.cost)
+    cost settings, local and fan-in costs and cost."""
+    return ((a.partitioning.blocks, a.owner, a.cost_cfg, a.local_costs, a.fanin_costs, a.cost)
+            == (b.partitioning.blocks, b.owner, b.cost_cfg, b.local_costs, b.fanin_costs, b.cost)
             and all(map(same_tree, a.partition_trees, b.partition_trees))
             and same_tree(a.reduction, b.reduction))
 

@@ -419,6 +419,13 @@ class TestCheckMove:
         with pytest.raises(AssertionError, match="cached cost"):
             oracles.check_move(net, state, dataclasses.replace(candidate, cost=cost))
 
+    def test_fanin_cost_one_ulp_off(self):
+        net, state, _, candidate = self.moved()
+        fanin = list(candidate.fanin_costs)
+        fanin[-1] = math.nextafter(fanin[-1], math.inf)
+        with pytest.raises(AssertionError, match="fan-in costs"):
+            oracles.check_move(net, state, dataclasses.replace(candidate, fanin_costs=tuple(fanin)))
+
     def test_whole_block_moved(self):
         net, state, _, _ = self.moved()
         blocks = list(state.partitioning.blocks)

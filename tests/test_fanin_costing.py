@@ -14,12 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tnplan.anneal import AnnealConfig, NoMoveError, Step, do_steps, select_neighbor
-from tnplan.costs import CostConfig, con_dist, distributed_breakdown
+from tnplan.anneal import (
+    _REJECT_MARGIN, AnnealConfig, NoMoveError, Step, acceptance_probability, do_steps, select_neighbor,
+)
+from tnplan.costs import CostConfig, FaninSums, con_dist, distributed_breakdown, intra_metric
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import greedy_tree, reduction_network, reduction_path
-from tnplan.plan import build_plan, plan_from_dict, plan_to_dict
+from tnplan.plan import assemble_plan, build_plan, plan_from_dict, plan_to_dict
 from tnplan.tree import ContractionTree, compose_plan_tree
 
 # Dimensions up to 3 on at most 12 tensors keep every product exact, so
@@ -185,3 +187,81 @@ def test_three_bonds_per_pair_fan_in_matches_the_composed_tree(dims):
     parts = [ContractionTree.from_pairs(net, [], leaves=[v]) for v in range(3)]
     composed = compose_plan_tree(net, parts, reduction)
     assert fanin == con_dist(composed, [frozenset({v}) for v in range(3)], cost)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    alpha=st.sampled_from((0.0, 0.5, 1.0)),
+    beta=st.sampled_from((0.0, 0.5, 1.0)),
+    intra=st.sampled_from(("serial", "par")),
+)
+def test_fanin_sums_cost_the_pass_as_the_finished_tree(seed, alpha, beta, intra):
+    # The running sums of a hooked fan-in pass, or of a replay of the pass
+    # its network kept, are distributed_breakdown's fan-in of the tree it
+    # makes, and a pass or replay stopped by the Metropolis test on the
+    # running bound is one whose finished tree fails that test too.
+    rng = np.random.default_rng(seed)
+    net = oracles.random_network(rng, n_min=6, n_max=14, payloads=False)
+    k = int(rng.integers(1, min(7, net.num_vertices) + 1))
+    blocks = oracles.random_blocks(rng, net.vertices(), k)
+    trees = [greedy_tree(net, view=set(b)) for b in blocks]
+    legs = [t.legs(t.root) for t in trees]
+    cost = CostConfig(comm_alpha=alpha, comm_beta=beta, intra_node=intra)
+    local = [intra_metric(cost)(t) for t in trees]
+    for i in rng.choice(k, size=min(2, k), replace=False):  # a proposal's two changed partitions
+        local[i] = 0.0
+    plain = reduction_path(reduction_network(net, legs))
+    breakdown = [p.fanin for p in distributed_breakdown(plain, None, cost, range(k), local)]
+    bound = con_dist(plain, None, cost, subtree_roots=range(k), local_costs=local)
+    fanin = reduction_network(net, legs)
+    for run in ("pass", "replay"):
+        sums = FaninSums(cost, local, lambda b: False)
+        assert oracles.same_tree(reduction_path(fanin, sums), plain), run
+        assert fanin.pass_result is not None
+        assert (sums.fanin, sums.bound) == (breakdown, bound), run
+
+    current = float(rng.uniform(0.1, 1.5)) * max(bound, 1.0)
+    temperature = float(rng.choice([0.01, 0.1, 1.0]))
+    u = float(rng.random())
+
+    def rejected(b):
+        return b > current and acceptance_probability(current, b, temperature) < u * _REJECT_MARGIN
+
+    for network in (reduction_network(net, legs), fanin):  # a pass, then a replay
+        stopping = FaninSums(cost, local, rejected)
+        stopped = reduction_path(network, stopping)
+        assert stopped is None or oracles.same_tree(stopped, plain)
+        assert (stopped is None) == rejected(bound)
+        assert stopping.bound <= bound
+
+
+@pytest.mark.parametrize("fanin_pairs", [None, [(1, 2), (0, 3)]], ids=["greedy", "given"])
+def test_a_move_that_keeps_both_rows_shares_the_parent_tables(fanin_pairs):
+    # A path 0-1-...-5 of dimension-2 bonds in blocks {0, 1}, {2, 3} and
+    # {4, 5}: moving 1, 2, 3 or 4 into the neighbouring block keeps one
+    # dimension-2 leg on each result, so no fan-in table changes and the
+    # proposal shares its parent's.  Its fan-in tree is still a fresh
+    # pass's (check_move), also from a start whose given fan-in tree is not.
+    net = TensorNetwork()
+    for dims in ([2], [2, 2], [2, 2], [2, 2], [2, 2], [2]):
+        net.add_tensor(dims)
+    for v in range(5):
+        net.bond(v, 0 if v == 0 else 1, v + 1, 0)
+    cost = CostConfig(comm_alpha=1.0, comm_beta=1.0)
+    part = Partitioning([{0, 1}, {2, 3}, {4, 5}])
+    state = assemble_plan(net, part, [greedy_tree(net, b) for b in part.blocks], fanin_pairs, cost)
+    cfg = AnnealConfig(workers=1, max_iters=1, cost=cost)
+    kept = 0
+    for seed in range(30):
+        candidate = select_neighbor(net, state, Step(cfg, math.inf), np.random.default_rng(seed))
+        oracles.check_move(net, state, candidate)
+        fanin, parent = candidate.reduction.network, state.reduction.network
+        if (fanin.entries, fanin.shared) == (parent.entries, parent.shared):
+            kept += 1
+            assert fanin.shared is parent.shared and fanin.seeds is parent.seeds
+            if fanin_pairs is None:
+                assert candidate.fanin_costs == state.fanin_costs
+        else:
+            assert fanin.shared is not parent.shared
+    assert kept
