@@ -226,13 +226,11 @@ def select_neighbor(net, state, step, rng):
         return bound > state.cost and (
             acceptance_probability(state.cost, bound, step.temperature) < u * _REJECT_MARGIN)
 
-    # The fan-in network reads the partition trees' legs only when asked,
-    # so the two changed trees can be filled in after its tree is built.
     trees = list(state.partition_trees)
     local_costs = list(state.local_costs)
     local_costs[k_src] = local_costs[k_dst] = 0.0
     sums = FaninSums(cfg.cost, local_costs, rejected)
-    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, trees, k_src, k_dst, moved_row), sums)
+    reduction = reduction_path(fanin.after_move(net, owner, new_blocks, k_src, k_dst, moved_row), sums)
     if reduction is None:
         return None
     intra = _intra(cfg)

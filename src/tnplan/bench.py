@@ -63,6 +63,8 @@ class RunConfig:
             raise ValueError("repeats must be >= 1")
         if not self.sweep or min(self.sweep) < 2:
             raise ValueError(f"sweep must list partition counts >= 2, got {list(self.sweep)}")
+        if len(set(self.sweep)) != len(self.sweep):
+            raise ValueError(f"sweep must not repeat, got {list(self.sweep)}")
         check_imbalance(self.epsilon, "epsilon")
         if self.budget_iters < 0:
             raise ValueError(f"budget_iters must be >= 0, got {self.budget_iters!r}")

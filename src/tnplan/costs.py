@@ -3,14 +3,16 @@
 All metrics derive from one quantity per internal tree node: the number of
 scalar multiplications of that pairwise contraction, which equals the
 product of the dimensions over the union of the children's legs.  Every
-entry count (``dims_product``) is the exact integer product of its edges'
-dimensions, rounded once to a 64-bit float by ``rounded_count``, so it
-does not depend on the order of the edges; anything past 2**300 is
-clamped and flagged rather than allowed to overflow.  ``is_saturated``
-takes the exact product again only of a count at the clamp value.
-Sums over nodes are accumulated in linear floats.  A plan's cost and its
-per-partition split come from its fan-in tree (``distributed_breakdown``,
-or a proposal's ``FaninSums``); ``con_dist`` of the composed tree is their reference.
+tree carries these counts and its nodes' entry counts in its memos: exact
+integers of its network's vertex rows merged pair by pair (see ``tree``),
+each rounded once to a 64-bit float by ``rounded_count``, so no count
+depends on an order of edges; anything past 2**300 is clamped and flagged
+rather than allowed to overflow.  ``dims_product`` is the same count over
+a leg set, their reference; ``is_saturated`` takes an exact product over
+legs again only of a count at the clamp value.  Sums over nodes are
+accumulated in linear floats.  A plan's cost and its per-partition split
+come from its fan-in tree merge by merge (``FaninSums``); ``con_dist``
+and ``distributed_breakdown`` of the composed tree are their reference.
 """
 
 from __future__ import annotations
@@ -100,39 +102,24 @@ def dims_product(net, legs):
 
 def _contracted_legs(tree, t):
     """The union of the children's legs at internal node ``t``."""
-    ch = tree.children(t)
-    if ch is None:
-        raise ValueError(f"node {t} is a leaf; only contractions have a multiplication count")
-    return tree.legs(ch[0]) | tree.legs(ch[1])
+    a, b = tree.children(t)
+    return tree.legs(a) | tree.legs(b)
 
 
 def legs_size(tree, t):
-    """Entry count of the intermediate tensor at node ``t``.
-
-    Memoized in ``tree.entry_counts``, which a greedy tree's pass fills
-    from the exact integer entry counts it merged on.
-    """
-    memo = tree.entry_counts
-    val = memo.get(t)
-    if val is None:
-        val = memo[t] = dims_product(tree.network, tree.legs(t))
-    return val
+    """Entry count of the intermediate tensor at node ``t``, from ``tree.entry_counts``."""
+    return tree.entry_counts[t]
 
 
 def node_ops(tree, t):
-    """Multiplication count of the contraction at internal node ``t``.
-
-    Computed as the exact product over the union of the children's legs
-    (not via 2**vc, which would round for non-power-of-two dimensions).
-    Memoized in ``tree.op_counts``, which a greedy tree's pass fills with
-    the same figure, E(A) * E(B) / X(A, B) on its exact integers; trees
-    are not edited after construction.
-    """
-    memo = tree.op_counts
-    val = memo.get(t)
-    if val is None:
-        val = memo[t] = dims_product(tree.network, _contracted_legs(tree, t))
-    return val
+    """Multiplication count of the contraction at internal node ``t``, from
+    ``tree.op_counts``: E(A) * E(B) / X(A, B) on exact integers, the
+    product over the union of the children's legs (not via 2**vc, which
+    would round for non-power-of-two dimensions)."""
+    ops = tree.op_counts.get(t)
+    if ops is None:
+        raise ValueError(f"node {t} is not a contraction; only contractions have a multiplication count")
+    return ops
 
 
 def con_serial(tree, root=None):
@@ -186,27 +173,23 @@ def intra_metric(cfg):
     return con_par if cfg.intra_node == "par" else con_serial
 
 
-def distributed_breakdown(tree, blocks, cfg=None, subtree_roots=None, local_costs=None):
+def distributed_breakdown(tree, blocks, cfg=None):
     """Per-partition local and fan-in costs for a tree that accepts ``blocks``.
 
     Each partition pays its own subtree (serial or critical-path, per
     ``cfg.intra_node``) and then every contraction on the path from its
     subtree root to the tree root, each with the cheaper child's transfer
-    cost added.  ``local_costs`` may supply precomputed subtree costs.
-
-    Only the ancestors of the subtree roots are read, so the fan-in tree
-    of a plan (leaf ``i`` standing for partition ``i``, with
-    ``subtree_roots=range(k)``) gives the same figures as the composed
-    tree, summed in the same order.
+    cost added.  A plan's fan-in tree, costed by ``FaninSums``, gives the
+    same figures as its composed tree here, summed in the same order.
     """
-    parts = _partition_costs(tree, blocks, cfg, subtree_roots, local_costs)
+    parts = _partition_costs(tree, blocks, cfg)
     return [PartitionCost(idx, local, fanin) for idx, (local, fanin) in enumerate(parts)]
 
 
-def con_dist(tree, blocks, cfg=None, subtree_roots=None, local_costs=None):
+def con_dist(tree, blocks, cfg=None):
     """Distributed-execution cost: the slowest partition's local plus fan-in
     work, from the same walk as ``distributed_breakdown`` (0 for no partition)."""
-    return slowest(_partition_costs(tree, blocks, cfg, subtree_roots, local_costs))
+    return slowest(_partition_costs(tree, blocks, cfg))
 
 
 def slowest(parts):
@@ -222,9 +205,10 @@ def slowest(parts):
 class FaninSums:
     """A fan-in pass's ``on_merge`` hook: each merge adds ``ops + min(alpha +
     beta*|A|, alpha + beta*|B|)`` to the ``fanin`` of every partition under
-    it, bottom-up, so bit for bit as ``distributed_breakdown``.  ``bound``,
-    the running ``slowest`` of ``local_costs`` and ``fanin``, ends as the
-    tree's ``con_dist``; a true ``stop(bound)`` as it grows stops the pass."""
+    it, bottom-up, so bit for bit as ``distributed_breakdown`` of the
+    composed tree.  ``bound``, the running ``slowest`` of ``local_costs``
+    and ``fanin``, ends as the plan's ``con_dist``; a true ``stop(bound)``
+    as it grows stops the pass."""
 
     def __init__(self, cfg, local_costs, stop):
         self.local_costs = local_costs
@@ -248,19 +232,18 @@ class FaninSums:
         return grew and self._stop(best)
 
 
-def _partition_costs(tree, blocks, cfg, subtree_roots, local_costs):
+def _partition_costs(tree, blocks, cfg):
     """(local, fan-in) per partition, as ``distributed_breakdown`` defines them:
     one walk up from each subtree root, each ancestor's step computed once."""
     cfg = cfg or CostConfig()
+    subtree_roots = tree.subtree_roots(blocks)
     if subtree_roots is None:
-        subtree_roots = tree.subtree_roots(blocks)
-        if subtree_roots is None:
-            raise ValueError("tree does not accept the partitioning")
+        raise ValueError("tree does not accept the partitioning")
     intra = intra_metric(cfg)
     parent = tree.parent
     steps = {}  # ancestor -> its ops plus the cheaper child's transfer
-    for idx, r in enumerate(subtree_roots):
-        local = local_costs[idx] if local_costs is not None else intra(tree, r)
+    for r in subtree_roots:
+        local = intra(tree, r)
         fanin = 0.0
         a = parent(r)
         while a is not None:

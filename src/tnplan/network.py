@@ -51,14 +51,6 @@ class Edge:
         u, v = self.ends[0][0], self.ends[1][0]
         return u == v and u != OPEN
 
-    def other_end(self, w):
-        """The endpoint opposite to vertex ``w`` (ambiguous for loops)."""
-        if self.ends[0][0] == w:
-            return self.ends[1]
-        if self.ends[1][0] == w:
-            return self.ends[0]
-        raise NetworkError(f"vertex {w} is not an endpoint of edge {self.id}")
-
 
 class TensorNetwork:
     """Mutable builder and read-only query surface for one tensor network.
@@ -68,13 +60,13 @@ class TensorNetwork:
     The network is meant to be built once and treated as immutable while
     plans are computed against it.
 
-    Three tables serve the plan search.  ``edge_dims`` maps every live
-    edge id to its dimension, so a leg set's entry count is one product
-    over it.  ``leaf_legs`` and ``vertex_row`` fill per-vertex tables of
-    planning legs and of exact integer rows on first read.  ``add_tensor``
-    and ``bond`` keep all three current; treat ``edge_dims`` as read-only.
-    The partitioner reads adjacency from ``vertex_row`` too, and
-    ``axis_edges`` is the one list of a vertex's edges.
+    Three tables are kept.  ``vertex_row`` fills per-vertex exact integer
+    rows on first read, which planning, the partitioner and every tree's
+    sizes read.  ``leaf_legs`` fills per-vertex legs on first read, for the
+    legs of tree nodes that the executor contracts over; ``edge_dims`` maps
+    every live edge id to its dimension.  ``add_tensor`` and ``bond`` keep
+    all three current; treat ``edge_dims`` as read-only.  ``axis_edges``
+    is the one list of a vertex's edges.
     """
 
     def __init__(self):
@@ -204,10 +196,11 @@ class TensorNetwork:
             shared = {}
             for e in self._axis_edges[v]:
                 ed = self._edges[e]
-                if ed.is_loop():
+                (a, _), (b, _) = ed.ends
+                if a == b:  # a self-loop: at most one end is ``OPEN``
                     continue
                 entries *= ed.dim
-                u = ed.other_end(v)[0]
+                u = b if a == v else a
                 if u != OPEN:
                     shared[u] = shared.get(u, 1) * ed.dim
             row = self._rows[v] = (entries, shared)

@@ -7,31 +7,30 @@ candidates; outer products go through the same heap, and only once no
 adjacent pair is left, which happens exactly when the view is
 disconnected.  The pass records its merges as (left, right) tree node
 ids, and ``_pass_tree`` builds the tree from them unchecked, its size
-memos filled with the pass's figures, so costing a greedy tree derives
-no size from leg sets.
+memos filled with the pass's figures.
 
 A pass runs on exact integer tables, not leg sets: ``entries[p]`` is
 tensor ``p``'s entry count E, and ``shared[p]`` maps every tensor sharing
 an edge with ``p`` to X, the exact product of the shared dimensions
 (dimension-1 and parallel edges included).  Sizes are these integers
-rounded once by ``costs.rounded_count``.  ``greedy_tree`` takes each
-vertex's row from the network's ``vertex_row`` cache and drops the
-neighbours outside its view, so a pass reads no leg set; ``leg_tables``
-reads the same tables off leg sets, for ``reduction_network``.
+rounded once by ``costs.rounded_count``.  ``greedy_tree`` reads the
+tables with ``tree.view_rows``, which takes each vertex's row from the
+network's ``vertex_row`` cache and drops the neighbours outside its view,
+as ``ContractionTree.from_pairs`` does, so a search reads no leg set.
 
 With a ``GreedyConfig`` the deterministic pass competes with ``samples``
 passes whose pair scores carry log-normal noise; only ``serial_plan`` asks
 for that.  The fan-in tree of ``reduction_path`` is one deterministic
 pass over a ``FanInNetwork`` of the partitions' results, seeded from its
 tables and the heap keys of its adjacent pairs, which it carries; no one
-edits them once built.  ``reduction_network`` scans the tables off the
-partitions' root legs once.  An annealing move reads the moved vertex
-set's row once (``vertex_set_row``, from the vertices' rows, not legs):
-``select_target_directed`` scores the directed move with it, and
+edits them once built.  Each of its rows is a vertex set's row
+(``vertex_set_row``, read off the vertices' rows): ``reduction_network``
+reads one per partition.  An annealing move reads the moved set's row
+once: ``select_target_directed`` scores the directed move with it, and
 ``FanInNetwork.after_move`` multiplies it into the destination's row,
 reads the source remainder's row afresh, and rescores only the heap keys
-of pairs with one of the two.  Either way a plan's fan-in, and the
-annealer's cost of a state, depend on its partition trees alone.
+of pairs with one of the two.  Either way the fan-in tables, and so a
+greedy fan-in tree, depend on the partitioning alone.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 # dims_product is unused here but stays importable: perfbench's tracer wraps it.
 from .costs import _SATURATION_INT, _SATURATION_VALUE, dims_product, rounded_count  # noqa: F401
-from .tree import ContractionTree
+from .tree import ContractionTree, view_rows
 
 
 @dataclass
@@ -69,32 +68,6 @@ class GreedyConfig:
 def _sample_rng(seed, index):
     entropy = seed & ((1 << 128) - 1)
     return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(index,)))
-
-
-def leg_tables(net, leg_sets):
-    """The exact tables (see the module docstring) of tensors with the
-    given leg sets, as lists.  An edge in three or more leg sets is a
-    ``ValueError``."""
-    dims = net.edge_dims
-    entries = []
-    shared = []
-    holder = {}  # edge -> the leg set seen holding it, -1 once two have
-    for p, legs in enumerate(leg_sets):
-        table = {}
-        n = 1
-        for e in legs:
-            d = dims[e]
-            n *= d
-            q = holder.setdefault(e, p)
-            if q != p:
-                if q < 0:
-                    count = sum(e in other for other in leg_sets)
-                    raise ValueError(f"edge {e} appears in {count} partitions")
-                table[q] = shared[q][p] = table.get(q, 1) * d
-                holder[e] = -1
-        entries.append(n)
-        shared.append(table)
-    return entries, shared
 
 
 def _greedy_pass(net, nodes, entries, shared, rng=None, noise_scale=0.0, seeds=None, on_merge=None):
@@ -270,13 +243,7 @@ def greedy_tree(net, view=None, cfg=None):
     always gets a single pass.  Only the winning pass becomes a tree.
     """
     nodes = sorted(net.vertices() if view is None else view)
-    where = {v: p for p, v in enumerate(nodes)}.get
-    entries = []
-    shared = []
-    for v in nodes:  # each vertex's row, its neighbours outside the view dropped
-        e, row = net.vertex_row(v)
-        entries.append(e)
-        shared.append({p: x for u, x in row.items() if (p := where(u)) is not None})
+    entries, shared = view_rows(net, nodes)
     if cfg is None or len(nodes) <= 2:
         return _pass_tree(net, nodes, _greedy_pass(net, nodes, entries, shared))
     best = best_ops = None
@@ -299,26 +266,20 @@ def random_greedy_tree(net, view=None, cfg=None):
 
 
 class FanInNetwork:
-    """The network of a fan-in tree over the results of the partitions of ``net``.
+    """The network of a fan-in tree over the results of the partitions of a network.
 
-    Vertex ``i`` is partition ``i`` and its legs, ``root_legs(i)``, are the
-    root legs of partition tree ``i``: edge ids of ``net``, whose
-    ``edge_dims`` this network shares.  A fan-in tree's node therefore
-    carries exactly the legs of the matching node of the composed tree.
-    They are read only when a tree over this network asks for its leaf
-    legs.  ``entries`` and ``shared`` are the exact tables of the partition
-    results, as ``leg_tables`` reads them off those legs, and
-    ``vertex_row(i)`` is row ``i`` of them.  ``seeds`` maps each adjacent
-    pair ``(i, j)``, ``i < j``, to its heap key in the deterministic greedy
-    pass; ``reduction_path`` seeds that pass from copies of all three and keeps
-    its result in ``pass_result``.  No one edits them once built; ``after_move``
-    carries what a move leaves unchanged into the next network.
+    Vertex ``i`` is partition ``i``.  ``entries`` and ``shared`` are the
+    exact tables of the partition results, row ``i`` being partition
+    ``i``'s ``vertex_set_row``, and ``vertex_row(i)`` reads it; the network
+    has no legs.  ``seeds`` maps each adjacent pair ``(i, j)``, ``i < j``,
+    to its heap key in the deterministic greedy pass; ``reduction_path``
+    seeds that pass from copies of all three and keeps its result in
+    ``pass_result``.  No one edits them once built; ``after_move`` carries
+    what a move leaves unchanged into the next network.
     """
 
-    def __init__(self, net, root_legs, entries, shared, seeds=None, pass_result=None):
+    def __init__(self, entries, shared, seeds=None, pass_result=None):
         self.num_vertices = len(entries)
-        self.edge_dims = net.edge_dims
-        self._root_legs = root_legs
         self.entries = entries
         self.shared = shared
         if seeds is None:
@@ -329,15 +290,12 @@ class FanInNetwork:
     def vertices(self):
         return range(self.num_vertices)
 
-    def leaf_legs(self, v):
-        return self._root_legs(v)
-
     def vertex_row(self, v):
         return self.entries[v], self.shared[v]
 
-    def after_move(self, net, owner, blocks, trees, src, dst, moved_row):
-        """The fan-in network over partition trees ``trees`` of blocks
-        ``blocks``, after a vertex set moved from partition ``src`` to ``dst``.
+    def after_move(self, net, owner, blocks, src, dst, moved_row):
+        """The fan-in network over the partitions ``blocks`` of ``net``,
+        after a vertex set moved from partition ``src`` to ``dst``.
 
         ``moved_row`` is the set's ``vertex_set_row`` under the partitions
         before the move, and ``owner`` the vertex -> partition list after it
@@ -363,9 +321,8 @@ class FanInNetwork:
                 dst_row[j] = dst_row.get(j, 1) * y
         if dst in src_row:
             dst_row[src] = src_row[dst]
-        root_legs = lambda i: trees[i].legs(trees[i].root)  # noqa: E731
         if entries == self.entries and (src_row, dst_row) == (old_src, old_dst):
-            return FanInNetwork(net, root_legs, self.entries, self.shared, self.seeds, self.pass_result)
+            return FanInNetwork(self.entries, self.shared, self.seeds, self.pass_result)
         shared = list(self.shared)
         shared[src], shared[dst] = src_row, dst_row
         seeds = dict(self.seeds)
@@ -383,14 +340,14 @@ class FanInNetwork:
                     row.pop(i, None)
                 else:
                     row[i] = x
-        return FanInNetwork(net, root_legs, entries, shared, seeds)
+        return FanInNetwork(entries, shared, seeds)
 
 
-def reduction_network(net, partition_legs):
-    """The ``FanInNetwork`` over partition result tensors with the given legs
-    (a list of leg sets), with their ``leg_tables``.  An edge held by three
-    or more partitions is a ``ValueError``."""
-    return FanInNetwork(net, partition_legs.__getitem__, *leg_tables(net, partition_legs))
+def reduction_network(net, owner, blocks):
+    """The ``FanInNetwork`` over the result tensors of the partitions ``blocks``
+    of ``net``, each row its block's ``vertex_set_row`` under ``owner``."""
+    rows = [vertex_set_row(net, owner, block) for block in blocks]
+    return FanInNetwork([e for e, _ in rows], [row for _, row in rows])
 
 
 def reduction_path(fanin, on_merge=None):
@@ -419,8 +376,8 @@ def reduction_path(fanin, on_merge=None):
 
 
 def vertex_set_row(net, owner, vertices):
-    """The exact row (E, {j: X}) of the tensor over the set ``vertices``: the
-    ``leg_tables`` row of its legs, the non-loop edges with one end in the set.
+    """The exact row (E, {j: X}) of the tensor over the set ``vertices``, whose
+    legs are the non-loop edges with one end in the set.
 
     E is the product of the legs' dimensions and X, for each partition
     ``j`` of ``owner`` (as ``plan.Plan.owner``), the product over the legs

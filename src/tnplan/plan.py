@@ -4,10 +4,12 @@ A ``Plan`` holds the vertex partitioning, one contraction tree per
 partition, the fan-in (reduction) tree joining the partition results, and
 its ``con_dist`` cost under a ``CostConfig``.  The fan-in tree's network,
 a ``pathfind.FanInNetwork``, holds the exact tables of the partition
-results (see ``pathfind``), and ``Plan.owner``, the vertex -> partition
-map, lets ``pathfind`` update them move by move.  A plan is costed once,
-on its fan-in tree, and its report reuses that costing per partition.
-The composed tree over all tensors and the report are built on first read.
+results, read off the blocks' vertex rows (see ``pathfind``), and
+``Plan.owner``, the vertex -> partition map, lets ``pathfind`` update them
+move by move.  A plan is costed once, its fan-in tree's merges replayed
+through ``costs.FaninSums`` as a proposal's fan-in pass is, and its report
+reuses that costing per partition.  The composed tree over all tensors
+and the report are built on first read.
 ``assemble_plan`` makes every plan but the annealer's proposals, with a
 fan-in tree from given merge pairs or the deterministic greedy pass, and
 ``state_to_plan`` recosts a plan's trees.  ``build_plan`` makes every tree
@@ -29,8 +31,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .costs import (
-    CostConfig, CostReport, PartitionCost, con_par, con_serial, distributed_breakdown, intra_metric,
-    is_saturated, mem_cost, slowest,
+    CostConfig, CostReport, FaninSums, PartitionCost, con_par, con_serial, intra_metric, is_saturated,
+    legs_size, mem_cost, node_ops,
 )
 from .network import _is_number
 from .partition import Partitioning, owner_map, validate
@@ -47,8 +49,7 @@ class Plan:
     """A partitioning with its trees, costed under ``cost_cfg``.
 
     ``reduction`` is the fan-in tree whose leaf ``i`` stands for partition
-    ``i``; its network is the ``FanInNetwork`` of the partition trees' root
-    legs, with their exact tables.
+    ``i``; its network is the ``FanInNetwork`` of the blocks' exact rows.
     ``local_costs[i]`` is partition ``i``'s own cost (per ``cost_cfg.intra_node``),
     ``fanin_costs[i]`` its fan-in on ``reduction``, and ``cost`` is ``con_dist``
     of the plan, the slowest partition's sum of the two.
@@ -86,18 +87,21 @@ class Plan:
 
 
 def _costed(trees, reduction, cost_cfg):
-    """The local and fan-in costs of ``trees`` and the plan's ``con_dist`` on its fan-in tree."""
+    """The local and fan-in costs of ``trees`` and the plan's ``con_dist``: the
+    fan-in tree's merges replayed, with their memoized figures, through a
+    ``FaninSums`` that never stops."""
     local_costs = tuple(map(intra_metric(cost_cfg), trees))
-    parts = distributed_breakdown(reduction, None, cost_cfg, range(len(trees)), local_costs)
-    fanin_costs = tuple(p.fanin for p in parts)
-    return local_costs, fanin_costs, slowest(zip(local_costs, fanin_costs))
+    sums = FaninSums(cost_cfg, local_costs, lambda bound: False)
+    for node, (i, j) in enumerate(reduction.pairs(), len(trees)):  # fan-in merge ids follow the k leaves
+        sums(i, j, node_ops(reduction, node), legs_size(reduction, i), legs_size(reduction, j))
+    return local_costs, tuple(sums.fanin), sums.bound
 
 
 def assemble_plan(net, partitioning, partition_trees, reduction_pairs=None, cost_cfg=None):
     """The plan of a partitioning and its trees, costed under ``cost_cfg``.
 
     Tree ``i`` must cover exactly block ``i``.  The fan-in tree is built over
-    the ``FanInNetwork`` of the trees' root legs: from ``reduction_pairs``,
+    the ``FanInNetwork`` of the blocks' rows: from ``reduction_pairs``,
     merge pairs over leaves ``0..k-1`` numbered from ``k``, or else by the
     deterministic greedy pass over the partition results.
     """
@@ -109,13 +113,14 @@ def assemble_plan(net, partitioning, partition_trees, reduction_pairs=None, cost
         if blocks[i] != set(t.leaf_order):
             raise PlanError(f"partition tree {i} does not cover exactly block {i}")
     cost_cfg = cost_cfg or CostConfig()
-    fanin = reduction_network(net, [t.legs(t.root) for t in partition_trees])
+    owner = owner_map(net, blocks)
+    fanin = reduction_network(net, owner, blocks)
     if reduction_pairs is None:
         reduction = reduction_path(fanin)
     else:
         reduction = ContractionTree.from_pairs(fanin, reduction_pairs, list(range(k)))
     return Plan(net, partitioning, tuple(partition_trees), reduction, cost_cfg,
-                *_costed(partition_trees, reduction, cost_cfg), owner_map(net, blocks))
+                *_costed(partition_trees, reduction, cost_cfg), owner)
 
 
 def state_to_plan(net, plan, cost_cfg=None):

@@ -11,33 +11,51 @@ shared by the two operands are summed away.
 A tree built over a subset of the vertices (a view) treats edges leaving
 the view as open: they survive to the view root's legs.
 
-A tree reads ``num_vertices``, ``vertices()``, ``leaf_legs(v)`` (a frozenset
-of int edge ids) and, in the cost functions, ``edge_dims[e]`` of its network:
-a ``TensorNetwork`` or a fan-in network, ``pathfind.FanInNetwork``.
+A tree reads ``num_vertices``, ``vertices()`` and ``vertex_row(v)`` of its
+network, a ``TensorNetwork`` or a fan-in network (``pathfind.FanInNetwork``),
+and ``leaf_legs(v)`` (a frozenset of int edge ids) only when its legs are
+read: the executor reads them, planning does not, and a fan-in network has none.
 
 A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 ``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node
 ``num_vertices + j``.  Every tree is built by ``from_valid_pairs``, which
 records only the structure; trees are never edited after construction.
-The first ``legs(t)`` read derives the legs of every node, children
-first, and keeps them, so a tree whose legs are never read (an annealing
-proposal's) never builds a leg set.  The orders are memoized the same
-way: the first read of ``order`` (the root postorder), ``internal_order``
-or ``leaf_order`` (the sorted leaves) keeps a tuple, which every reader
-of the whole tree reads; ``postorder(node)`` and ``internal_nodes(node)``
-return fresh lists for the subtree under ``node``.  Pairs from a
-document or a caller go through ``from_pairs``, which checks them first;
-the greedy pass and ``compose_plan_tree`` make valid pairs by
-construction and build directly.
+Every tree arrives sized: ``op_counts`` and ``entry_counts`` hold the
+exact integer counts of its leaves' vertex rows merged pair by pair, each
+rounded once.  Pairs from a document or a caller go through ``from_pairs``,
+which checks them and replays them over the rows; the greedy pass and
+``compose_plan_tree`` make valid pairs with their figures and build
+directly.  The first ``legs(t)`` read derives the legs of every node,
+children first, and keeps them.  The orders are memoized the same way:
+the first read of ``order`` (the root postorder), ``internal_order`` or
+``leaf_order`` (the sorted leaves) keeps a tuple, which every reader of
+the whole tree reads; ``postorder(node)`` and ``internal_nodes(node)``
+return fresh lists for the subtree under ``node``.
 """
 
 from __future__ import annotations
 
+from .costs import rounded_count
 from .network import NetworkError
 
 
 class TreeError(ValueError):
     """Malformed contraction tree or invalid tree operation."""
+
+
+def view_rows(net, nodes):
+    """The exact rows of the vertices ``nodes`` as two lists keyed by position
+    in ``nodes``: each vertex's entry count E, and a fresh ``{position: X}``
+    of its ``vertex_row`` with the neighbours outside ``nodes`` dropped, so
+    their edges stay open legs."""
+    where = {v: p for p, v in enumerate(nodes)}.get
+    entries = []
+    shared = []
+    for v in nodes:
+        e, row = net.vertex_row(v)
+        entries.append(e)
+        shared.append({p: x for u, x in row.items() if (p := where(u)) is not None})
+    return entries, shared
 
 
 def nested_to_pairs(nested, first_id):
@@ -72,10 +90,10 @@ class ContractionTree:
     their internal nodes differently.  A leaf is a node whose children
     are ``None``.
 
-    ``op_counts`` and ``entry_counts`` are the memo tables, keyed by node
-    id, of ``costs.node_ops`` and ``costs.legs_size``; a greedy tree
-    arrives with both filled by its pass, and a composed plan tree with
-    the figures of its parts.
+    ``op_counts`` and ``entry_counts``, keyed by node id, are what
+    ``costs.node_ops`` and ``costs.legs_size`` read: a checked tree arrives
+    with both filled by its replay, a greedy tree by its pass, and a
+    composed plan tree with the figures of its parts.
     """
 
     def __init__(self, network):
@@ -98,33 +116,49 @@ class ContractionTree:
         (x, y) creates a new internal node with children x and y; the new
         node's id is num_vertices + (number of pairs so far).  The
         sequence must consume every node exactly once and reduce the
-        forest to a single root.
+        forest to a single root.  Each pair is replayed over the leaves'
+        ``view_rows`` as it is checked, as ``pathfind._greedy_pass`` merges,
+        to fill the memos.
         """
         if leaves is None:
             leaves = list(network.vertices())
-        open_roots = set()
+        pos = {}  # each open root -> the position of its row
         for v in leaves:
             if v not in network.vertices():
                 raise NetworkError(f"no vertex {v} in the network")
-            if v in open_roots:
+            if v in pos:
                 raise TreeError(f"vertex {v} appears twice as a leaf")
-            open_roots.add(v)
+            pos[v] = len(pos)
+        entries, shared = view_rows(network, leaves)
+        ops = {}
+        sizes = {v: rounded_count(e) for v, e in zip(leaves, entries)}
         pairs = [(x, y) for x, y in pairs]
         for node, (x, y) in enumerate(pairs, network.num_vertices):
-            if x not in open_roots:
+            if x not in pos:
                 raise TreeError(f"node {x} is not an available root in the sequence")
-            if y not in open_roots:
+            if y not in pos:
                 raise TreeError(f"node {y} is not an available root in the sequence")
             if x == y:
                 raise TreeError(f"pair ({x}, {y}) contracts a node with itself")
-            open_roots.discard(x)
-            open_roots.discard(y)
-            open_roots.add(node)
-        if len(open_roots) != 1:
-            raise TreeError(
-                f"sequence leaves {len(open_roots)} roots; it must reduce to one"
-            )
-        return cls.from_valid_pairs(network, pairs, leaves)
+            i = pos[node] = pos.pop(x)  # the new piece takes over its left operand's row
+            j = pos.pop(y)
+            table = shared[i]
+            shared_dims = table.pop(j, 1)
+            for nb, d in shared[j].items():
+                if nb != i:
+                    table[nb] = table.get(nb, 1) * d
+                    row = shared[nb]
+                    del row[j]
+                    row[i] = row.get(i, 1) * d
+            product = entries[i] * entries[j]
+            entries[i] = product // (shared_dims * shared_dims)
+            ops[node] = rounded_count(product // shared_dims)
+            sizes[node] = rounded_count(entries[i])
+        if len(pos) != 1:
+            raise TreeError(f"sequence leaves {len(pos)} roots; it must reduce to one")
+        tree = cls.from_valid_pairs(network, pairs, leaves)
+        tree.op_counts, tree.entry_counts = ops, sizes
+        return tree
 
     @classmethod
     def from_valid_pairs(cls, network, pairs, leaves):
@@ -265,8 +299,9 @@ def compose_plan_tree(network, partition_trees, reduction):
     every plan, so the pairs are valid by construction and not re-checked.
 
     The parts' ``op_counts`` and ``entry_counts`` carry over under the
-    composed ids: a fan-in node has the legs of its composed node, so its
-    figures are the same, and the composed tree is not costed again."""
+    composed ids: a fan-in node stands for the same tensor as its composed
+    node, so its figures are the same, and the composed tree is not costed
+    again."""
     first = network.num_vertices
     leaves = []
     pairs = []

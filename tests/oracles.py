@@ -22,7 +22,7 @@ from tnplan.anneal import NoMoveError, Step, acceptance_probability
 from tnplan.costs import con_dist, dims_product, distributed_breakdown, node_ops
 from tnplan.network import OPEN, TensorNetwork
 from tnplan.partition import validate
-from tnplan.pathfind import greedy_tree, leg_tables, reduction_network, reduction_path
+from tnplan.pathfind import FanInNetwork, greedy_tree, reduction_path
 from tnplan.plan import owner_map
 from tnplan.tree import ContractionTree, nested_to_pairs
 
@@ -166,8 +166,7 @@ def swapped(tree, nodes):
 
 def fanin_tree(net, partition_trees, nested):
     """A fan-in tree of the given nested shape over the partition results."""
-    legs = [t.legs(t.root) for t in partition_trees]
-    return from_nested(reduction_network(net, legs), nested)
+    return from_nested(leg_fanin(net, [t.legs(t.root) for t in partition_trees]), nested)
 
 
 def subtree_roots_by_leaf_sets(tree, blocks):
@@ -348,7 +347,35 @@ def _spec_par(node):
 
 
 # ---------------------------------------------------------------------------
-# fan-in search over a network of pseudo-tensors
+# fan-in tables and search over leg sets
+
+def leg_tables(net, leg_sets):
+    """The exact tables of ``tnplan.pathfind`` (entries E and rows {j: X}) of
+    tensors with the given leg sets, as lists, read off the legs rather
+    than off vertex rows."""
+    dims = net.edge_dims
+    entries = []
+    shared = []
+    holder = {}  # edge -> the leg set seen holding it
+    for p, legs in enumerate(leg_sets):
+        table = {}
+        n = 1
+        for e in legs:
+            d = dims[e]
+            n *= d
+            q = holder.setdefault(e, p)
+            if q != p:
+                table[q] = shared[q][p] = table.get(q, 1) * d
+        entries.append(n)
+        shared.append(table)
+    return entries, shared
+
+
+def leg_fanin(net, partition_legs):
+    """The ``FanInNetwork`` of tensors with the given leg sets, built from
+    their ``leg_tables``."""
+    return FanInNetwork(*leg_tables(net, partition_legs))
+
 
 def pseudo_tensor_network(net, partition_legs):
     """One pseudo-tensor per partition with one axis per partition leg.
@@ -418,8 +445,8 @@ def check_move(net, state, candidate):
     fan-in tables equal ``leg_tables`` of the trees' root legs, the
     carried seed keys equal ones scored afresh, and the fan-in tree is a
     fresh ``reduction_path`` over those legs; the fan-in costs are
-    ``distributed_breakdown``'s of the fan-in tree; and the cached cost
-    equals ``con_dist`` of the composed tree.
+    ``distributed_breakdown``'s of the composed tree, as are the local
+    costs; and the cached cost equals ``con_dist`` of the composed tree.
     """
     blocks = candidate.partitioning.blocks
     ok, problems = validate(candidate.partitioning, net)
@@ -444,12 +471,13 @@ def check_move(net, state, candidate):
     assert [fanin.entries, fanin.shared] == tables, "fan-in tables differ from the root legs'"
     assert sorted(fanin.seeds.values()) == fanin_seed_keys(net, root_legs), \
         "carried seed keys differ from fresh ones"
-    fresh_fanin = reduction_path(reduction_network(net, root_legs))
+    fresh_fanin = reduction_path(leg_fanin(net, root_legs))
     assert same_tree(candidate.reduction, fresh_fanin), "the fan-in tree is not a fresh pass's"
-    parts = distributed_breakdown(candidate.reduction, None, candidate.cost_cfg, range(len(trees)),
-                                  candidate.local_costs)
+    parts = distributed_breakdown(candidate.tree, blocks, candidate.cost_cfg)
+    assert list(candidate.local_costs) == [p.local for p in parts], \
+        "local costs differ from the composed tree's breakdown"
     assert list(candidate.fanin_costs) == [p.fanin for p in parts], \
-        "fan-in costs differ from the fan-in tree's breakdown"
+        "fan-in costs differ from the composed tree's breakdown"
     fresh = con_dist(candidate.tree, blocks, candidate.cost_cfg)
     assert candidate.cost == fresh, f"cached cost {candidate.cost} but the tree costs {fresh}"
 
@@ -547,16 +575,19 @@ def checked_proposals():
 # ---------------------------------------------------------------------------
 # greedy pass over leg sets
 
-def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
-    """``tnplan.pathfind._greedy_pass`` over leg sets.
+def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0, first=None):
+    """``tnplan.pathfind._greedy_pass`` over leg sets, edges of ``net``.
 
     Every piece keeps its legs as a frozenset; a score sizes the two
     operands and their symmetric difference with ``dims_product``, and a
     merge's multiplications are ``dims_product`` of the union.  Heap keys,
     tie-breaks, noise draws and the outer-product phase are those of the
-    package.  Returns the merges as (left, right) node ids, each merge's
-    multiplications and every piece's size, leaves first.
+    package.  Returns the merges as (left, right) node ids, merge ``j``
+    being node ``first + j`` (``first`` defaults to ``net.num_vertices``),
+    each merge's multiplications and every piece's size, leaves first.
     """
+    if first is None:
+        first = net.num_vertices
     legs = [l for _, l in pieces]
     rep = [key for key, _ in pieces]
     node = list(rep)
@@ -579,7 +610,7 @@ def reference_greedy_pass(net, pieces, rng=None, noise_scale=0.0):
         pairs.append((node[i], node[j]))
         legs.append(legs[i] ^ legs[j])
         rep.append(rep[i])
-        node.append(net.num_vertices + len(pairs) - 1)
+        node.append(first + len(pairs) - 1)
         alive.append(True)
         alive[i] = alive[j] = False
         return len(legs) - 1

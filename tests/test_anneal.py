@@ -26,15 +26,14 @@ from tnplan.anneal import (
 )
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import bundled_suite, ghz_circuit, random_circuit
-from tnplan.costs import CostConfig, con_dist, con_serial
+from tnplan.costs import CostConfig, con_dist
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition, validate
 from tnplan.pathfind import (
-    FanInNetwork, greedy_tree, leg_tables, reduction_network, reduction_path,
-    select_target_directed, vertex_set_row,
+    FanInNetwork, greedy_tree, reduction_network, reduction_path, select_target_directed, vertex_set_row,
 )
 from tnplan.plan import Plan, build_plan, owner_map, plan_to_dict
-from tnplan.tree import ContractionTree
+from tnplan.tree import ContractionTree, compose_plan_tree
 
 
 def chain_net(dims=(2, 4, 8, 3)):
@@ -228,8 +227,9 @@ def directed_target(net, trees, k_src, node):
     """``select_target_directed`` for the leaves under ``node`` of tree
     ``k_src``, on the fan-in network of ``trees``, checked against the
     leg-set rule of the oracle."""
-    fanin = reduction_network(net, [t.legs(t.root) for t in trees])
-    owner = owner_map(net, [t.leaf_order for t in trees])
+    blocks = [frozenset(t.leaf_order) for t in trees]
+    owner = owner_map(net, blocks)
+    fanin = reduction_network(net, owner, blocks)
     tree = trees[k_src]
     k = select_target_directed(fanin, k_src, vertex_set_row(net, owner, tree.subtree_leaf_tensors(node)))
     assert k == oracles.select_target_directed(net, trees, k_src, tree.legs(node))
@@ -284,12 +284,9 @@ def test_walks_carry_the_tables_of_their_trees(seed, mode, huge):
         trees = state.partition_trees
         legs = [t.legs(t.root) for t in trees]
         fanin = state.reduction.network
-        assert [fanin.entries, fanin.shared] == list(leg_tables(net, legs))
+        assert [fanin.entries, fanin.shared] == list(oracles.leg_tables(net, legs))
         assert state.owner == owner_map(net, state.partitioning.blocks)
-        fresh = reduction_path(reduction_network(net, legs))
-        assert state.reduction.pairs() == fresh.pairs()
-        for t in state.reduction.order:
-            assert state.reduction.legs(t) == fresh.legs(t)
+        assert oracles.same_tree(state.reduction, reduction_path(oracles.leg_fanin(net, legs)))
         for k_src, tree in enumerate(trees):
             for node in tree.order[:-1]:
                 directed_target(net, trees, k_src, node)
@@ -382,8 +379,8 @@ class TestCheckMove:
         net, state, cfg, _ = self.moved()
         after_move = FanInNetwork.after_move
 
-        def doubled(fanin, net, owner, blocks, trees, src, dst, moved_row):
-            out = after_move(fanin, net, owner, blocks, trees, src, dst, moved_row)
+        def doubled(fanin, net, owner, blocks, src, dst, moved_row):
+            out = after_move(fanin, net, owner, blocks, src, dst, moved_row)
             out.entries[src] *= 2
             return out
 
@@ -395,8 +392,8 @@ class TestCheckMove:
         net, state, cfg, _ = self.moved()
         after_move = FanInNetwork.after_move
 
-        def skewed(fanin, net, owner, blocks, trees, src, dst, moved_row):
-            out = after_move(fanin, net, owner, blocks, trees, src, dst, moved_row)
+        def skewed(fanin, net, owner, blocks, src, dst, moved_row):
+            out = after_move(fanin, net, owner, blocks, src, dst, moved_row)
             pair = min(p for p in out.seeds if src in p)
             key = out.seeds[pair]
             out.seeds[pair] = (math.nextafter(key[0], -math.inf), *key[1:])
@@ -675,11 +672,11 @@ class TestDeterminism:
             do_steps(net, 40, plan, 1.0, cfg, np.random.default_rng(3))
         assert len(propose.candidates) == 40
         for state in propose.candidates:
-            trees = [greedy_tree(net, block) for block in state.partitioning.blocks]
-            reduction = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
+            blocks = state.partitioning.blocks
+            trees = [greedy_tree(net, block) for block in blocks]
+            reduction = reduction_path(reduction_network(net, owner_map(net, blocks), blocks))
             assert reduction.pairs() == state.reduction.pairs()
-            local = [con_serial(t) for t in trees]
-            rebuilt = con_dist(reduction, None, cost, subtree_roots=range(k), local_costs=local)
+            rebuilt = con_dist(compose_plan_tree(net, trees, reduction), blocks, cost)
             assert rebuilt == state.cost
 
 

@@ -680,6 +680,8 @@ class TestRejectedSettings:
             ["anneal", "--plan", "PLAN", "--iters", "1", "--imbalance", "-1"],
             ["anneal", "--partitions", "2", "--iters", "-1", "--time-limit", "0.2"],
             ["bench", "--sweep", "2", "--budget-iters", "-1", "--budget-seconds", "0.1"],
+            # Once ran both k=2 rows and kept one timings entry for them.
+            ["bench", "--sweep", "2,2", "--budget-iters", "1", "--repeats", "1", "--methods", "partition-only"],
         ],
     )
     def test_exits_one_with_one_error_line(self, tmp_path, ghz_file, capsys, argv):

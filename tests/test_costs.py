@@ -19,7 +19,7 @@ from tnplan.costs import (
 )
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning
-from tnplan.pathfind import greedy_tree, reduction_network
+from tnplan.pathfind import greedy_tree
 from tnplan.plan import assemble_plan
 from tnplan.tree import ContractionTree
 
@@ -243,22 +243,24 @@ def test_dist_matches_oracle(seed):
 @given(seed=st.integers(0, 10**6), alpha=st.floats(0, 1e6), beta=st.floats(0, 1e6),
        intra=st.sampled_from(("serial", "par")))
 def test_con_dist_is_the_slowest_partition_of_the_breakdown(seed, alpha, beta, intra):
-    """``con_dist`` with ``local_costs`` on a random fan-in tree equals the
-    largest local plus fan-in total of ``distributed_breakdown``, bit for bit."""
+    """``con_dist`` of the composed tree of a random fan-in tree equals the
+    largest local plus fan-in total of ``distributed_breakdown``, and the
+    plan of those trees, costed on its fan-in tree, has the same figures,
+    bit for bit."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_min=4, payloads=False)
     k = int(rng.integers(1, min(6, net.num_vertices) + 1))
-    trees = [greedy_tree(net, b) for b in random_blocks(rng, net.vertices(), k)]
-    fanin = reduction_network(net, [t.legs(t.root) for t in trees])
-    reduction = ContractionTree.from_pairs(fanin, random_pairs(rng, list(range(k))), list(range(k)))
+    blocks = random_blocks(rng, net.vertices(), k)
+    trees = [greedy_tree(net, b) for b in blocks]
     cfg = CostConfig(comm_alpha=alpha, comm_beta=beta, intra_node=intra)
-    local_costs = [float(x) for x in rng.uniform(0, 1e6, k)]
-    parts = distributed_breakdown(reduction, None, cfg, range(k), local_costs)
+    plan = assemble_plan(net, Partitioning(blocks), trees, random_pairs(rng, list(range(k))), cfg)
+    parts = distributed_breakdown(plan.tree, blocks, cfg)
     slowest = 0.0
     for p in parts:
         slowest = max(slowest, p.local + p.fanin)
-    assert con_dist(reduction, None, cfg, range(k), local_costs) == slowest
-    assert [p.local for p in parts] == local_costs
+    assert con_dist(plan.tree, blocks, cfg) == slowest == plan.cost
+    assert [p.local for p in parts] == list(plan.local_costs)
+    assert [p.fanin for p in parts] == list(plan.fanin_costs)
 
 
 @settings(max_examples=60, deadline=None)

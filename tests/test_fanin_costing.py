@@ -17,11 +17,11 @@ import oracles
 from tnplan.anneal import (
     _REJECT_MARGIN, AnnealConfig, NoMoveError, Step, acceptance_probability, do_steps, select_neighbor,
 )
-from tnplan.costs import CostConfig, FaninSums, con_dist, distributed_breakdown, intra_metric
+from tnplan.costs import CostConfig, FaninSums, con_dist, distributed_breakdown, intra_metric, slowest
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import greedy_tree, reduction_network, reduction_path
-from tnplan.plan import assemble_plan, build_plan, plan_from_dict, plan_to_dict
+from tnplan.plan import assemble_plan, build_plan, owner_map, plan_from_dict, plan_to_dict
 from tnplan.tree import ContractionTree, compose_plan_tree
 
 # Dimensions up to 3 on at most 12 tensors keep every product exact, so
@@ -65,29 +65,8 @@ def test_fanin_search_matches_the_pseudo_tensor_reference(seed):
     k = int(rng.integers(1, min(7, net.num_vertices) + 1))
     blocks = oracles.random_blocks(rng, net.vertices(), k)
     legs = [t.legs(t.root) for t in (greedy_tree(net, view=set(b)) for b in blocks)]
-    got = oracles.to_nested(reduction_path(reduction_network(net, legs)))
+    got = oracles.to_nested(reduction_path(reduction_network(net, owner_map(net, blocks), blocks)))
     assert got == oracles.reference_reduction_nested(net, legs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), source=st.sampled_from(("built", "annealed", "reloaded")))
-def test_fanin_legs_are_the_composed_trees_legs(seed, source):
-    # Dimension-1 and parallel bonds, often disconnected.
-    rng = np.random.default_rng(seed)
-    net = oracles.random_bond_network(rng)
-    assume(net.num_vertices >= 2)
-    k = int(rng.integers(2, net.num_vertices + 1))
-    plan = build_plan(net, Partitioning(oracles.random_blocks(rng, net.vertices(), k)))
-    if source != "built":
-        cfg = AnnealConfig(workers=1, max_iters=1, mode="directed", cost=CostConfig(comm_beta=1.0))
-        plan = do_steps(net, 5, plan, 1.0, cfg, rng)
-    if source == "reloaded":
-        plan = plan_from_dict(net, plan_to_dict(plan))
-    # compose_plan_tree's numbering: the fan-in merges follow the partitions'.
-    shift = net.num_vertices + sum(len(t.pairs()) for t in plan.partition_trees) - k
-    reduction, tree = plan.reduction, plan.tree
-    for x in reduction.order:
-        assert reduction.legs(x) == tree.legs(plan.part_roots[x] if x < k else x + shift)
 
 
 @settings(max_examples=80, deadline=None)
@@ -132,14 +111,12 @@ def test_grouped_dimensions_past_float_range_saturate():
     net.bond(a, wide, c, 0)
     net.bond(b, wide, c, 1)
     legs = [net.leaf_legs(v) for v in (a, b, c)]
-    reduction = reduction_path(reduction_network(net, legs))
-    assert oracles.to_nested(reduction) == oracles.reference_reduction_nested(net, legs)
     cost = CostConfig(comm_beta=1.0)
-    fanin = con_dist(reduction, None, cost, subtree_roots=range(3), local_costs=[0.0] * 3)
     parts = [ContractionTree.from_pairs(net, [], leaves=[v]) for v in (a, b, c)]
-    composed = compose_plan_tree(net, parts, reduction)
     blocks = [frozenset({v}) for v in (a, b, c)]
-    assert fanin == con_dist(composed, blocks, cost) == 2.0 ** 301
+    plan = assemble_plan(net, Partitioning(blocks), parts, cost_cfg=cost)
+    assert oracles.to_nested(plan.reduction) == oracles.reference_reduction_nested(net, legs)
+    assert plan.cost == con_dist(plan.tree, blocks, cost) == 2.0 ** 301
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,13 +157,11 @@ def test_three_bonds_per_pair_fan_in_matches_the_composed_tree(dims):
             net.bond(u, next_axis[u], v, next_axis[v])
             next_axis[u] += 1
             next_axis[v] += 1
-    legs = [net.leaf_legs(v) for v in range(3)]
-    reduction = reduction_path(reduction_network(net, legs))
     cost = CostConfig(comm_beta=1.0)
-    fanin = con_dist(reduction, None, cost, subtree_roots=range(3), local_costs=[0.0] * 3)
     parts = [ContractionTree.from_pairs(net, [], leaves=[v]) for v in range(3)]
-    composed = compose_plan_tree(net, parts, reduction)
-    assert fanin == con_dist(composed, [frozenset({v}) for v in range(3)], cost)
+    blocks = [frozenset({v}) for v in range(3)]
+    plan = assemble_plan(net, Partitioning(blocks), parts, cost_cfg=cost)
+    assert plan.cost == con_dist(plan.tree, blocks, cost)
 
 
 @settings(max_examples=80, deadline=None)
@@ -198,23 +173,24 @@ def test_three_bonds_per_pair_fan_in_matches_the_composed_tree(dims):
 )
 def test_fanin_sums_cost_the_pass_as_the_finished_tree(seed, alpha, beta, intra):
     # The running sums of a hooked fan-in pass, or of a replay of the pass
-    # its network kept, are distributed_breakdown's fan-in of the tree it
-    # makes, and a pass or replay stopped by the Metropolis test on the
-    # running bound is one whose finished tree fails that test too.
+    # its network kept, are distributed_breakdown's fan-in of the composed
+    # tree it makes, and a pass or replay stopped by the Metropolis test on
+    # the running bound is one whose finished tree fails that test too.
     rng = np.random.default_rng(seed)
     net = oracles.random_network(rng, n_min=6, n_max=14, payloads=False)
     k = int(rng.integers(1, min(7, net.num_vertices) + 1))
     blocks = oracles.random_blocks(rng, net.vertices(), k)
     trees = [greedy_tree(net, view=set(b)) for b in blocks]
-    legs = [t.legs(t.root) for t in trees]
+    owner = owner_map(net, blocks)
     cost = CostConfig(comm_alpha=alpha, comm_beta=beta, intra_node=intra)
     local = [intra_metric(cost)(t) for t in trees]
     for i in rng.choice(k, size=min(2, k), replace=False):  # a proposal's two changed partitions
         local[i] = 0.0
-    plain = reduction_path(reduction_network(net, legs))
-    breakdown = [p.fanin for p in distributed_breakdown(plain, None, cost, range(k), local)]
-    bound = con_dist(plain, None, cost, subtree_roots=range(k), local_costs=local)
-    fanin = reduction_network(net, legs)
+    plain = reduction_path(reduction_network(net, owner, blocks))
+    composed = compose_plan_tree(net, trees, plain)
+    breakdown = [p.fanin for p in distributed_breakdown(composed, blocks, cost)]
+    bound = slowest(zip(local, breakdown))
+    fanin = reduction_network(net, owner, blocks)
     for run in ("pass", "replay"):
         sums = FaninSums(cost, local, lambda b: False)
         assert oracles.same_tree(reduction_path(fanin, sums), plain), run
@@ -228,7 +204,7 @@ def test_fanin_sums_cost_the_pass_as_the_finished_tree(seed, alpha, beta, intra)
     def rejected(b):
         return b > current and acceptance_probability(current, b, temperature) < u * _REJECT_MARGIN
 
-    for network in (reduction_network(net, legs), fanin):  # a pass, then a replay
+    for network in (reduction_network(net, owner, blocks), fanin):  # a pass, then a replay
         stopping = FaninSums(cost, local, rejected)
         stopped = reduction_path(network, stopping)
         assert stopped is None or oracles.same_tree(stopped, plain)

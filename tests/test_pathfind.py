@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import ghz_circuit
-from tnplan.costs import con_par, con_serial, legs_size, mem_cost, node_ops
+from tnplan.costs import con_par, con_serial, dims_product, legs_size, mem_cost, node_ops
 from tnplan.network import TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
 from tnplan.pathfind import (
-    GreedyConfig, _greedy_pass, _sample_rng, greedy_tree, leg_tables, random_greedy_tree, reduction_network,
-    reduction_path, select_target_directed, vertex_set_row,
+    GreedyConfig, _greedy_pass, _sample_rng, greedy_tree, random_greedy_tree, reduction_network, reduction_path,
+    select_target_directed, vertex_set_row,
 )
 from tnplan.plan import build_plan, owner_map, serial_plan
 from tnplan.tree import ContractionTree
 
 import oracles
 from oracles import (
-    open_edges, random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
+    leg_tables, open_edges, random_blocks, random_bond_network, random_network, reference_greedy_pass, to_nested,
 )
 
 
@@ -135,42 +135,46 @@ def test_greedy_pass_matches_the_leg_set_reference(seed, source, noisy):
     if source == "view":
         # Random views of networks with dimension-1 and parallel bonds,
         # often disconnected, some past the 2**300 clamp.
-        net = random_bond_network(rng, scale=2**100 if rng.random() < 0.2 else 1)
+        net = base = random_bond_network(rng, scale=2**100 if rng.random() < 0.2 else 1)
         view = [v for v in net.vertices() if rng.random() < 0.7] or [0]
-    else:
+        pieces = [(v, net.leaf_legs(v)) for v in view]
+    else:  # a fan-in network, whose pieces have their partition trees' root legs
         base = random_network(rng, n_min=6, payloads=False)
         k = int(rng.integers(2, min(6, base.num_vertices) + 1))
         blocks = random_blocks(rng, base.vertices(), k)
         trees = [greedy_tree(base, set(b)) for b in blocks]
-        net = reduction_network(base, [t.legs(t.root) for t in trees])
+        net = reduction_network(base, owner_map(base, blocks), blocks)
         view = net.vertices()
-    pieces = [(v, net.leaf_legs(v)) for v in view]
+        pieces = [(i, t.legs(t.root)) for i, t in enumerate(trees)]
     draws = [np.random.default_rng(seed) if noisy else None for _ in range(2)]
-    tables = leg_tables(net, [legs for _, legs in pieces])
+    tables = leg_tables(base, [legs for _, legs in pieces])
     got = _greedy_pass(net, list(view), *tables, draws[0], 0.3)
-    assert got == reference_greedy_pass(net, pieces, draws[1], 0.3)
+    assert got == reference_greedy_pass(base, pieces, draws[1], 0.3, first=net.num_vertices)
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10**6), source=st.sampled_from(("view", "fanin")), noisy=st.booleans())
 def test_greedy_tree_equals_the_checked_tree_of_its_pairs(seed, source, noisy):
     """A greedy tree leaves its pass unchecked and sized by the pass; the
-    tree ``from_pairs`` checks and sizes from leg sets is the same, bit for bit."""
+    tree ``from_pairs`` checks and sizes by replaying the pairs is the same,
+    bit for bit, and both sizes are those of the nodes' leg sets."""
     rng = np.random.default_rng(seed)
     if source == "view":
         # Dimension-1 and parallel bonds, often disconnected, some past the
         # 2**300 clamp; some views hold one vertex.
-        net = random_bond_network(rng, scale=2**100 if rng.random() < 0.2 else 1)
+        net = base = random_bond_network(rng, scale=2**100 if rng.random() < 0.2 else 1)
         view = [v for v in net.vertices() if rng.random() < 0.7] or [0]
         if rng.random() < 0.1:
             view = view[:1]
-    else:
+        leaf_legs = net.leaf_legs
+    else:  # a fan-in network, whose leaves have their partition trees' root legs
         base = random_network(rng, n_min=6, payloads=False)
         k = int(rng.integers(2, min(6, base.num_vertices) + 1))
         blocks = random_blocks(rng, base.vertices(), k)
         trees = [greedy_tree(base, set(b)) for b in blocks]
-        net = reduction_network(base, [t.legs(t.root) for t in trees])
+        net = reduction_network(base, owner_map(base, blocks), blocks)
         view = None
+        leaf_legs = [t.legs(t.root) for t in trees].__getitem__
     tree = greedy_tree(net, view, GreedyConfig(samples=3, rng_seed=seed) if noisy else None)
     checked = ContractionTree.from_pairs(net, tree.pairs(), tree.leaf_order)
     nodes = checked.order
@@ -178,13 +182,16 @@ def test_greedy_tree_equals_the_checked_tree_of_its_pairs(seed, source, noisy):
     assert tree.root == checked.root
     assert sorted(tree.op_counts) == sorted(internal)
     assert sorted(tree.entry_counts) == sorted(nodes)
-    for t in nodes:
-        assert tree.children(t) == checked.children(t)
+    legs = {}
+    for t in nodes:  # children first
+        ch = checked.children(t)
+        legs[t] = leaf_legs(t) if ch is None else legs[ch[0]] ^ legs[ch[1]]
+        assert tree.children(t) == ch
         assert tree.parent(t) == checked.parent(t)
-        assert tree.legs(t) == checked.legs(t)
-        assert legs_size(tree, t) == legs_size(checked, t)
+        assert legs_size(tree, t) == legs_size(checked, t) == dims_product(base, legs[t])
     for t in internal:
-        assert node_ops(tree, t) == node_ops(checked, t)
+        a, b = checked.children(t)
+        assert node_ops(tree, t) == node_ops(checked, t) == dims_product(base, legs[a] | legs[b])
     for metric in (con_serial, con_par, mem_cost):
         assert metric(tree) == metric(checked)
 
@@ -263,21 +270,13 @@ def test_sampled_search_on_disconnected_views_is_the_reference_search(seed, huge
     assert [tree.entry_counts[t] for t in [*net.vertices(), *range(first, first + len(pairs))]] == sizes
 
 
-def test_reduction_network_rejects_an_edge_in_three_partitions():
-    net = path4()
-    legs = net.leaf_legs(1)
-    with pytest.raises(ValueError, match="appears in 3 partitions"):
-        reduction_network(net, [legs, legs, legs])
-
-
 def test_reduction_path_short_circuits_small_cases():
     net = path4()
-    t_all = greedy_tree(net)
-    one = reduction_path(reduction_network(net, [t_all.legs(t_all.root)]))
+    whole = [frozenset(net.vertices())]
+    one = reduction_path(reduction_network(net, owner_map(net, whole), whole))
     assert list(one.leaf_order) == [0] and one.root == 0
-    left = greedy_tree(net, view={0, 1})
-    right = greedy_tree(net, view={2, 3})
-    two = reduction_path(reduction_network(net, [left.legs(left.root), right.legs(right.root)]))
+    halves = [frozenset({0, 1}), frozenset({2, 3})]
+    two = reduction_path(reduction_network(net, owner_map(net, halves), halves))
     assert sorted(two.leaf_order) == [0, 1]
 
 
@@ -288,8 +287,7 @@ def test_reduction_path_covers_every_partition_once(seed):
     net = random_network(rng, n_min=6, payloads=False)
     k = int(rng.integers(2, min(5, net.num_vertices) + 1))
     blocks = random_blocks(rng, net.vertices(), k)
-    trees = [greedy_tree(net, view=set(b)) for b in blocks]
-    red = reduction_path(reduction_network(net, [t.legs(t.root) for t in trees]))
+    red = reduction_path(reduction_network(net, owner_map(net, blocks), blocks))
     assert sorted(red.leaf_order) == list(range(k))
 
 
@@ -310,8 +308,9 @@ def test_built_plan_tree_accepts_its_partitioning(seed):
 def test_vertex_set_rows_are_the_leg_tables_rows_of_their_legs(seed, huge):
     """The row of a vertex set, read off its vertices' rows, is the
     ``leg_tables`` row of the set's legs, as exact integers, for whole
-    partitions and for any subset of one; and the directed target over
-    such rows is the target of the leg-set rule."""
+    partitions, and so ``reduction_network``'s tables, and for any subset
+    of one; and the directed target over such rows is the target of the
+    leg-set rule."""
     # Parallel, dimension-1 and self-loop bonds and open legs; sets are
     # often disconnected, and with ``huge`` every product passes 2**300.
     rng = np.random.default_rng(seed)
@@ -324,7 +323,8 @@ def test_vertex_set_rows_are_the_leg_tables_rows_of_their_legs(seed, huge):
     entries, shared = leg_tables(net, legs)
     for i, block in enumerate(blocks):
         assert vertex_set_row(net, owner, block) == (entries[i], shared[i])
-    fanin = reduction_network(net, legs)
+    fanin = reduction_network(net, owner, blocks)
+    assert (fanin.entries, fanin.shared) == (entries, shared)
     for i, block in enumerate(blocks):
         members = sorted(block)
         subset = frozenset(v for v in members if rng.random() < 0.5) or frozenset(members[:1])

@@ -187,7 +187,7 @@ def test_composed_tree_carries_its_parts_memos(seed, source, cost):
         assert n == dims_product(net, tree.legs(a) | tree.legs(b))
     for t, n in tree.entry_counts.items():
         assert n == dims_product(net, tree.legs(t))
-    bare = ContractionTree.from_valid_pairs(net, tree.pairs(), tree.leaf_order)
+    bare = ContractionTree.from_pairs(net, tree.pairs(), tree.leaf_order)
     report = plan.report.to_dict()
     assert (report["mem"], report["con_serial"], report["con_par"], report["saturated"]) == (
         mem_cost(bare), con_serial(bare), con_par(bare), is_saturated(bare))

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnplan.anneal import AnnealConfig, NoMoveError, Step, select_neighbor
+from tnplan.anneal import AnnealConfig, Step, select_neighbor
 from tnplan.circuits import circuit_to_network
 from tnplan.corpus import random_circuit
-from tnplan.costs import CostConfig
+from tnplan.costs import CostConfig, dims_product
 from tnplan.network import NetworkError, TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
-from tnplan.pathfind import FanInNetwork, greedy_tree
-from tnplan.plan import build_plan, plan_from_dict, plan_to_dict
+from tnplan.pathfind import greedy_tree
+from tnplan.plan import build_plan, plan_from_dict, plan_to_dict, state_to_plan
 from tnplan.tree import ContractionTree, TreeError, compose_plan_tree
 
 from oracles import (blocks_nested, fanin_tree, from_nested, open_edges, random_blocks,
@@ -197,6 +197,31 @@ def test_root_legs_equal_open_edges_for_any_tree(seed):
     assert tree.legs(tree.root) == open_edges(net)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), huge=st.booleans(), whole=st.booleans())
+def test_checked_trees_are_sized_as_their_legs(seed, huge, whole):
+    """``from_pairs`` sizes every node by replaying its pairs over the
+    leaves' vertex rows: each node's ``entry_counts`` is ``dims_product`` of
+    its legs and each contraction's ``op_counts`` that of its contracted
+    legs, compared exactly, on whole networks and on views."""
+    # Parallel, dimension-1 and dimension-3 bonds, self-loops and open legs,
+    # often disconnected; with ``huge`` every dimension is a multiple of
+    # 2**100, so the counts pass the 2**300 clamp.
+    rng = np.random.default_rng(seed)
+    net = random_bond_network(rng, scale=2**100 if huge else 1, loops=True)
+    leaves = list(net.vertices())
+    if not whole:
+        leaves = [v for v in leaves if rng.random() < 0.7] or [0]
+    tree = from_nested(net, random_nested(rng, leaves))
+    assert set(tree.entry_counts) == set(tree.order)
+    assert set(tree.op_counts) == set(tree.internal_order)
+    for t in tree.order:
+        assert tree.entry_counts[t] == dims_product(net, tree.legs(t))
+    for t in tree.internal_order:
+        a, b = tree.children(t)
+        assert tree.op_counts[t] == dims_product(net, tree.legs(a) | tree.legs(b))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_legs_cache_matches_fresh_computation(seed):
@@ -221,7 +246,7 @@ def test_legs_cache_matches_fresh_computation(seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 10**6), source=st.sampled_from(("greedy", "composed", "loaded", "fanin")))
+@given(seed=st.integers(0, 10**6), source=st.sampled_from(("greedy", "composed", "loaded")))
 def test_legs_read_in_any_order_are_leaf_legs_and_their_xor(seed, source):
     """Legs derived on first read, in a random node order, are the leaf legs
     at leaves and the symmetric difference of the children's legs above,
@@ -236,15 +261,7 @@ def test_legs_read_in_any_order_are_leaf_legs_and_their_xor(seed, source):
     else:
         k = int(rng.integers(1, net.num_vertices + 1))
         plan = build_plan(net, Partitioning(random_blocks(rng, net.vertices(), k)))
-        if source == "composed":
-            tree = plan_from_dict(net, plan_to_dict(plan)).tree
-        else:  # a proposal's fan-in tree, whose leaf legs come from its partition trees
-            cfg = AnnealConfig(mode="directed", cost=CostConfig(comm_beta=1.0))
-            try:
-                plan = select_neighbor(net, plan, Step(cfg, math.inf), rng)
-            except NoMoveError:
-                pass
-            tree = plan.reduction
+        tree = plan_from_dict(net, plan_to_dict(plan)).tree
     nodes = tree.order
     read = {t: tree.legs(t) for t in rng.permutation(nodes).tolist()}
     leaf_legs = tree.network.leaf_legs
@@ -260,18 +277,23 @@ def test_legs_read_in_any_order_are_leaf_legs_and_their_xor(seed, source):
 
 @pytest.mark.parametrize("mode", ["naive", "directed"])
 def test_a_proposal_reads_no_leaf_legs_and_derives_no_legs(monkeypatch, mode):
-    """After a warm-up, proposals read only vertex rows: no leaf legs are
-    read, and the new partition trees and fan-in tree hold no legs."""
+    """Planning reads only vertex rows: building, writing, loading and
+    recosting a plan and proposing moves read no leaf legs, and no
+    partition tree or fan-in tree holds legs."""
     net = circuit_to_network(random_circuit(10, 6, seed=1))
     cfg = AnnealConfig(mode=mode, cost=CostConfig(comm_beta=1.0))
+    reads = []
+    read = TensorNetwork.leaf_legs
+    monkeypatch.setattr(TensorNetwork, "leaf_legs", lambda self, v: reads.append(v) or read(self, v))
     state = build_plan(net, initial_partition(net, 4, seed=0), cost_cfg=cfg.cost)
+    loaded = plan_from_dict(net, plan_to_dict(state), cfg.cost)
+    recosted = state_to_plan(net, loaded, CostConfig(intra_node="par"))
+    assert reads == []
+    for plan in (state, loaded, recosted):
+        for t in [*plan.partition_trees, plan.reduction]:
+            assert t._legs == {}
     rng = np.random.default_rng(0)
     step = Step(cfg, math.inf)
-    state = select_neighbor(net, state, step, rng)
-    reads = []
-    for network in (TensorNetwork, FanInNetwork):
-        read = network.leaf_legs
-        monkeypatch.setattr(network, "leaf_legs", lambda self, v, read=read: reads.append(v) or read(self, v))
     for _ in range(20):
         candidate = select_neighbor(net, state, step, rng)
         assert reads == []
