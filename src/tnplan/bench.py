@@ -24,6 +24,7 @@ import numpy as np
 from .anneal import AnnealConfig, anneal
 from .circuits import circuit_to_network
 from .costs import CostConfig
+from .network import _is_number
 from .partition import DEFAULT_IMBALANCE, check_imbalance, initial_partition
 from .plan import build_plan, serial_plan
 
@@ -209,16 +210,37 @@ def _quartiles(values):
     return at(0.0), at(0.25), at(0.5), at(0.75), at(1.0)
 
 
+# Each field ``compare_report`` reads from a result entry: what it must be, and its test.
+_RESULT_FIELDS = (
+    ("circuit", "a string", lambda x: isinstance(x, str)),
+    ("method", "a string", lambda x: isinstance(x, str)),
+    ("best_k", "true or false", lambda x: isinstance(x, bool)),
+    ("ratio", "a finite number > 0", lambda x: _is_number(x) and x > 0),
+    ("cost", "a finite number", _is_number),
+)
+
+
 def compare_report(reports):
-    """Aggregate best-k results per method across one or more report dicts."""
+    """Aggregate best-k results per method across one or more report dicts.
+
+    Raises ``ValueError`` naming the report and the field at fault unless
+    each report is an object with a ``results`` list of entries that have
+    every field of ``_RESULT_FIELDS``."""
     by_method = {}
     circuits = set()
-    for rep in reports:
-        for entry in rep.get("results", []):
+    for r, rep in enumerate(reports):
+        results = rep.get("results") if isinstance(rep, dict) else None
+        if not isinstance(results, list):
+            raise ValueError(f"report {r} is not a bench report: it needs a 'results' list")
+        for i, entry in enumerate(results):
+            if not isinstance(entry, dict):
+                raise ValueError(f"report {r}, result {i}: an entry must be an object, got {type(entry).__name__}")
+            for key, what, ok in _RESULT_FIELDS:
+                if not ok(entry.get(key)):
+                    raise ValueError(f"report {r}, result {i}: '{key}' must be {what}, got {entry.get(key)!r}")
             circuits.add(entry["circuit"])
-            if not entry.get("best_k"):
-                continue
-            by_method.setdefault(entry["method"], []).append(entry)
+            if entry["best_k"]:
+                by_method.setdefault(entry["method"], []).append(entry)
     methods = {}
     for method, entries in sorted(by_method.items()):
         ratios = [e["ratio"] for e in entries]

@@ -86,8 +86,8 @@ def _finite_or_none(x):
 
 
 def _exact_product(net, legs):
-    """The exact integer product of the edge dimensions (``net.edge_dims``) over ``legs``."""
-    return math.prod(map(net.edge_dims.__getitem__, legs))
+    """The exact integer product of the edge dimensions (``net.edge_dim``) over ``legs``."""
+    return math.prod(map(net.edge_dim, legs))
 
 
 def rounded_count(value):

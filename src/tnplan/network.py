@@ -60,13 +60,12 @@ class TensorNetwork:
     The network is meant to be built once and treated as immutable while
     plans are computed against it.
 
-    Three tables are kept.  ``vertex_row`` fills per-vertex exact integer
+    Each fact is stored once: ``axis_edges`` is the one list of a vertex's
+    edges, and each ``Edge`` holds its dimension, which ``edge_dim`` reads.
+    One table is derived: ``vertex_row`` fills per-vertex exact integer
     rows on first read, which planning, the partitioner and every tree's
-    sizes read.  ``leaf_legs`` fills per-vertex legs on first read, for the
-    legs of tree nodes that the executor contracts over; ``edge_dims`` maps
-    every live edge id to its dimension.  ``add_tensor`` and ``bond`` keep
-    all three current; treat ``edge_dims`` as read-only.  ``axis_edges``
-    is the one list of a vertex's edges.
+    sizes read, and ``bond`` drops the rows it touches.  ``leaf_legs``
+    derives a vertex's legs on each read; a tree keeps the legs it derives.
     """
 
     def __init__(self):
@@ -74,8 +73,6 @@ class TensorNetwork:
         self._edges = {}
         self._payloads = {}
         self._next_edge = 0
-        self.edge_dims = {}
-        self._leaf_legs = {}
         self._rows = {}
 
     # -- construction ----------------------------------------------------
@@ -124,12 +121,10 @@ class TensorNetwork:
             )
         for old in (ea.id, eb.id):
             del self._edges[old]
-            del self.edge_dims[old]
         e = self._new_edge(ea.dim, ((u, a), (v, b)))
         self._axis_edges[u][a] = e
         self._axis_edges[v][b] = e
         for w in (u, v):
-            self._leaf_legs.pop(w, None)
             self._rows.pop(w, None)
         return e
 
@@ -137,7 +132,6 @@ class TensorNetwork:
         eid = self._next_edge
         self._next_edge += 1
         self._edges[eid] = Edge(eid, dim, ends)
-        self.edge_dims[eid] = dim
         return eid
 
     def _axis_edge_checked(self, v, a):
@@ -165,20 +159,14 @@ class TensorNetwork:
         return self._edges[e]
 
     def edge_dim(self, e):
-        return self.edge_dims[e]
+        return self._edges[e].dim
 
     def leaf_legs(self, v):
         """Planning legs of ``v``: its distinct incident edges, self-loops
         dropped.  A self-loop is a trace internal to the tensor; the
         executor sums it out when the leaf is loaded, so it never appears
-        on an intermediate.  Computed on first read and kept until
-        ``bond`` touches ``v``."""
-        legs = self._leaf_legs.get(v)
-        if legs is None:
-            legs = self._leaf_legs[v] = frozenset(
-                e for e in self._axis_edges[v] if not self._edges[e].is_loop()
-            )
-        return legs
+        on an intermediate.  Derived on each read."""
+        return frozenset(e for e in self._axis_edges[v] if not self._edges[e].is_loop())
 
     def vertex_row(self, v):
         """The exact integer row of ``v``: (E, {u: X}).

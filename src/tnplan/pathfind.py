@@ -6,8 +6,8 @@ objective |A| + |B| - |A.B|.  Only pairs sharing a bound edge are
 candidates; outer products go through the same heap, and only once no
 adjacent pair is left, which happens exactly when the view is
 disconnected.  The pass records its merges as (left, right) tree node
-ids, and ``_pass_tree`` builds the tree from them unchecked, its size
-memos filled with the pass's figures.
+ids, and ``_pass_tree`` builds the tree from them unchecked, its count
+memos the pass's figures.
 
 A pass runs on exact integer tables, not leg sets: ``entries[p]`` is
 tensor ``p``'s entry count E, and ``shared[p]`` maps every tensor sharing
@@ -218,14 +218,11 @@ def _seed_keys(i, row, entries):
 
 
 def _pass_tree(net, nodes, result):
-    """The tree of a ``_greedy_pass`` over ``nodes``, its pairs not re-checked
-    and its ``op_counts`` and ``entry_counts`` memos holding the pass's figures."""
+    """The tree of a ``_greedy_pass`` over ``nodes``, built unchecked, its
+    ``op_counts`` and ``entry_counts`` the pass's figures."""
     pairs, ops, sizes = result
-    tree = ContractionTree.from_valid_pairs(net, pairs, list(nodes))
     internal = range(net.num_vertices, net.num_vertices + len(pairs))
-    tree.op_counts = dict(zip(internal, ops))
-    tree.entry_counts = dict(zip([*nodes, *internal], sizes))
-    return tree
+    return ContractionTree(net, nodes, pairs, dict(zip(internal, ops)), dict(zip([*nodes, *internal], sizes)))
 
 
 def greedy_tree(net, view=None, cfg=None):

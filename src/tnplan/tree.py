@@ -18,19 +18,19 @@ read: the executor reads them, planning does not, and a fan-in network has none.
 
 A tree has one encoding, its merge pairs (the SSA form of opt_einsum's
 ``ssa_path``): leaves keep their vertex ids and merge ``j`` creates node
-``num_vertices + j``.  Every tree is built by ``from_valid_pairs``, which
-records only the structure; trees are never edited after construction.
-Every tree arrives sized: ``op_counts`` and ``entry_counts`` hold the
-exact integer counts of its leaves' vertex rows merged pair by pair, each
-rounded once.  Pairs from a document or a caller go through ``from_pairs``,
-which checks them and replays them over the rows; the greedy pass and
-``compose_plan_tree`` make valid pairs with their figures and build
-directly.  The first ``legs(t)`` read derives the legs of every node,
-children first, and keeps them.  The orders are memoized the same way:
-the first read of ``order`` (the root postorder), ``internal_order`` or
-``leaf_order`` (the sorted leaves) keeps a tuple, which every reader of
-the whole tree reads; ``postorder(node)`` and ``internal_nodes(node)``
-return fresh lists for the subtree under ``node``.
+``num_vertices + j``.  A tree stores its leaves, its pairs and two count
+memos; every structure query reads the pairs, and trees are never edited
+after construction.  Every tree arrives sized: ``op_counts`` and
+``entry_counts`` hold the exact integer counts of its leaves' vertex rows
+merged pair by pair, each rounded once.  Pairs from a document or a caller
+go through ``from_pairs``, which checks them and replays them over the
+rows; the greedy pass and ``compose_plan_tree`` make valid pairs with their
+figures and call the constructor.  What a query derives for the whole tree
+is kept from its first read: the legs of every node (``legs(t)``), the
+parent map (``parent(t)``) and the orders as tuples (``order``, the root
+postorder, ``internal_order`` and ``leaf_order``, the sorted leaves);
+``postorder(node)`` and ``internal_nodes(node)`` return fresh lists for
+the subtree under ``node``.
 """
 
 from __future__ import annotations
@@ -82,29 +82,31 @@ def nested_to_pairs(nested, first_id):
 
 
 class ContractionTree:
-    """One contraction order, stored as parent/child tables keyed by node id.
+    """One contraction order, stored as its leaves and merge pairs.
 
     Leaf node ids equal the vertex ids they stand for; internal node ids
     are given out from ``net.num_vertices`` upward in creation order and
     carry no meaning: trees of one shape built in different orders number
-    their internal nodes differently.  A leaf is a node whose children
+    their internal nodes differently.  Node ``t >= num_vertices`` is merge
+    ``t - num_vertices``, so its children are that pair; a leaf's children
     are ``None``.
 
     ``op_counts`` and ``entry_counts``, keyed by node id, are what
     ``costs.node_ops`` and ``costs.legs_size`` read: a checked tree arrives
     with both filled by its replay, a greedy tree by its pass, and a
-    composed plan tree with the figures of its parts.
+    composed plan tree with the figures of its parts.  The constructor
+    checks nothing, and ``pairs`` is a list of tuples; ``from_pairs`` checks.
     """
 
-    def __init__(self, network):
+    def __init__(self, network, leaves, pairs, op_counts, entry_counts):
         self.network = network
-        self._children = {}
-        self._parent = {}
-        self._root = None
+        self._leaves = leaves
+        self._pairs = pairs
+        self.op_counts = op_counts
+        self.entry_counts = entry_counts
+        self._parent = None
         self._legs = {}
         self._order = self._internal_order = self._leaf_order = None
-        self.op_counts = {}
-        self.entry_counts = {}
 
     # -- builders ----------------------------------------------------------
 
@@ -120,8 +122,7 @@ class ContractionTree:
         ``view_rows`` as it is checked, as ``pathfind._greedy_pass`` merges,
         to fill the memos.
         """
-        if leaves is None:
-            leaves = list(network.vertices())
+        leaves = list(network.vertices() if leaves is None else leaves)
         pos = {}  # each open root -> the position of its row
         for v in leaves:
             if v not in network.vertices():
@@ -156,49 +157,41 @@ class ContractionTree:
             sizes[node] = rounded_count(entries[i])
         if len(pos) != 1:
             raise TreeError(f"sequence leaves {len(pos)} roots; it must reduce to one")
-        tree = cls.from_valid_pairs(network, pairs, leaves)
-        tree.op_counts, tree.entry_counts = ops, sizes
-        return tree
-
-    @classmethod
-    def from_valid_pairs(cls, network, pairs, leaves):
-        """``from_pairs`` without its checks, for pairs known to be valid,
-        each a tuple."""
-        tree = cls(network)
-        children = tree._children = dict.fromkeys(leaves)
-        parent = tree._parent = {}
-        ids = range(network.num_vertices, network.num_vertices + len(pairs))
-        children.update(zip(ids, pairs))
-        for node, (x, y) in zip(ids, pairs):
-            parent[x] = parent[y] = node
-        tree._root = ids[-1] if pairs else leaves[0]
-        parent[tree._root] = None
-        return tree
+        return cls(network, leaves, pairs, ops, sizes)
 
     # -- structure queries ---------------------------------------------------
 
     @property
     def root(self):
-        return self._root
+        pairs = self._pairs
+        return self.network.num_vertices + len(pairs) - 1 if pairs else self._leaves[0]
 
     def children(self, t):
-        return self._children[t]
+        j = t - self.network.num_vertices
+        return self._pairs[j] if j >= 0 else None
 
     def parent(self, t):
-        return self._parent[t]
+        """The node whose pair holds ``t``, None at the root.  The first
+        call builds the parent map of every node and keeps it."""
+        parent = self._parent
+        if parent is None:
+            parent = self._parent = {self.root: None}
+            for node, (x, y) in enumerate(self._pairs, self.network.num_vertices):
+                parent[x] = parent[y] = node
+        return parent[t]
 
     @property
     def leaf_order(self):
         """The leaves in ascending order, as a tuple kept for the tree's life."""
         leaves = self._leaf_order
         if leaves is None:
-            leaves = self._leaf_order = tuple(sorted(t for t, ch in self._children.items() if ch is None))
+            leaves = self._leaf_order = tuple(sorted(self._leaves))
         return leaves
 
     def pairs(self):
-        """The merge sequence the tree was built from: pair ``j`` made node ``num_vertices + j``."""
-        first = self.network.num_vertices
-        return [self._children[first + j] for j in range(len(self._children) // 2)]
+        """The merge sequence the tree was built from, as a fresh list: pair
+        ``j`` made node ``num_vertices + j``."""
+        return list(self._pairs)
 
     def postorder(self, node):
         """Nodes of the subtree under ``node``, children first, as a fresh list.
@@ -206,15 +199,14 @@ class ContractionTree:
         The order is deterministic: left child's subtree, right child's
         subtree, then the node.
         """
-        children = self._children
+        pairs, first = self._pairs, self.network.num_vertices
         out = []
         stack = [node]
         while stack:  # node, right subtree, left subtree: postorder reversed
             t = stack.pop()
             out.append(t)
-            ch = children[t]
-            if ch is not None:
-                stack += ch
+            if t >= first:
+                stack += pairs[t - first]
         out.reverse()
         return out
 
@@ -223,7 +215,7 @@ class ContractionTree:
         """``postorder`` of the root, as a tuple kept for the tree's life."""
         order = self._order
         if order is None:
-            order = self._order = tuple(self.postorder(self._root))
+            order = self._order = tuple(self.postorder(self.root))
         return order
 
     @property
@@ -231,29 +223,32 @@ class ContractionTree:
         """The internal nodes of ``order``, in that order, as a tuple."""
         internal = self._internal_order
         if internal is None:
-            children = self._children
-            internal = self._internal_order = tuple(t for t in self.order if children[t] is not None)
+            first = self.network.num_vertices
+            internal = self._internal_order = tuple(t for t in self.order if t >= first)
         return internal
 
     def internal_nodes(self, node):
         """The internal nodes of ``postorder(node)``, in that order."""
-        return [t for t in self.postorder(node) if self._children[t] is not None]
+        first = self.network.num_vertices
+        return [t for t in self.postorder(node) if t >= first]
 
     # -- legs and leaf sets ----------------------------------------------------
 
     def legs(self, t):
         """Edge set of the intermediate tensor at node ``t``.  The first read
-        derives and keeps the legs of every node, children first."""
+        derives and keeps the legs of every node: the leaves', then each
+        merge's in creation order."""
         memo = self._legs
         if not memo:
-            leaf_legs = self.network.leaf_legs
-            for u, ch in self._children.items():  # creation order: children first
-                memo[u] = leaf_legs(u) if ch is None else memo[ch[0]] ^ memo[ch[1]]
+            memo.update(zip(self._leaves, map(self.network.leaf_legs, self._leaves)))
+            for node, (x, y) in enumerate(self._pairs, self.network.num_vertices):
+                memo[node] = memo[x] ^ memo[y]
         return memo[t]
 
     def subtree_leaf_tensors(self, t):
         """The set of network vertices mapped to leaves under ``t``."""
-        return {u for u in self.postorder(t) if self._children[u] is None}
+        first = self.network.num_vertices
+        return {u for u in self.postorder(t) if u < first}
 
     # -- partitionings -----------------------------------------------------------
 
@@ -262,28 +257,21 @@ class ContractionTree:
 
         Returns a list aligned with ``blocks`` when every block is realized
         by a subtree (i.e. the tree accepts the partitioning), else None.
-        The blocks are disjoint vertex sets.  One pass over the nodes,
-        children first, labels each node with the block all of its leaves
-        share and counts its leaves; a block is realized when its topmost
-        labelled node has ``len(block)`` leaves.
+        The blocks are disjoint vertex sets.  One pass over the leaves, then
+        the merges in creation order, labels each node with the block all of
+        its leaves share and counts its leaves; a block is realized when its
+        topmost labelled node has ``len(block)`` leaves.
         """
         where = {v: i for i, block in enumerate(blocks) for v in block}
-        label = {}  # node -> index of the block holding all its leaves, or None
-        size = {}
-        top = [None] * len(blocks)
-        for t, ch in self._children.items():  # creation order: children first
-            if ch is None:
-                b, n = where.get(t), 1
-            else:
-                x, y = ch
-                b = label[x] if label[x] == label[y] else None
-                n = size[x] + size[y]
-            label[t] = b
-            size[t] = n
-            if b is not None:
-                top[b] = t
+        label = {v: where.get(v) for v in self._leaves}  # node -> the block holding all its leaves, or None
+        size = dict.fromkeys(self._leaves, 1)
+        for t, (x, y) in enumerate(self._pairs, self.network.num_vertices):
+            label[t] = label[x] if label[x] == label[y] else None
+            size[t] = size[x] + size[y]
+        top = {b: t for t, b in label.items() if b is not None}  # creation order: the last is topmost
         roots = []
-        for block, t in zip(blocks, top):
+        for b, block in enumerate(blocks):
+            t = top.get(b)
             if t is None or size[t] != len(block):
                 return None
             roots.append(t)
@@ -292,11 +280,12 @@ class ContractionTree:
 
 def compose_plan_tree(network, partition_trees, reduction):
     """Graft per-partition trees under a fan-in tree whose leaf ``i`` stands
-    for partition ``i``, in one ``from_valid_pairs`` call: each partition's
-    pairs offset past the merges before them, then the fan-in pairs with
-    leaf ``i`` mapped to partition ``i``'s root.  The partition trees cover
-    disjoint vertex sets and the fan-in tree's leaves are ``0..k-1``, as in
-    every plan, so the pairs are valid by construction and not re-checked.
+    for partition ``i``, mapping node ids arithmetically: each partition's
+    merge ids shift by the number of merges before it, then the fan-in's
+    merges follow them all, with leaf ``i`` mapped to partition ``i``'s
+    root.  The partition trees cover disjoint vertex sets and the fan-in
+    tree's leaves are ``0..k-1``, as in every plan, so the pairs are valid
+    by construction and not re-checked.
 
     The parts' ``op_counts`` and ``entry_counts`` carry over under the
     composed ids: a fan-in node stands for the same tensor as its composed
@@ -309,21 +298,17 @@ def compose_plan_tree(network, partition_trees, reduction):
     ops = {}
     entries = {}
 
-    def graft(tree, ids):
-        pairs.extend((ids[x], ids[y]) for x, y in tree.pairs())
-        ops.update((ids[t], n) for t, n in tree.op_counts.items())
-        entries.update((ids[t], n) for t, n in tree.entry_counts.items())
+    def graft(tree, new):  # append the tree's pairs and figures under the ids ``new`` gives
+        pairs.extend((new(x), new(y)) for x, y in tree._pairs)
+        ops.update((new(t), n) for t, n in tree.op_counts.items())
+        entries.update((new(t), n) for t, n in tree.entry_counts.items())
+        return new(tree.root)
 
     for tree in partition_trees:
-        shift = len(pairs)
-        ids = {t: t if t < first else t + shift for t in tree.order}
-        graft(tree, ids)
-        leaves += tree.leaf_order
-        roots.append(ids[tree.root])
+        shift = len(pairs)  # the tree's merge j becomes merge shift + j
+        roots.append(graft(tree, lambda t: t if t < first else t + shift))
+        leaves += tree._leaves
     k = len(roots)
-    ids = dict(enumerate(roots))  # a fan-in tree over k leaves makes k - 1 merges
-    ids.update((k + j, first + len(pairs) + j) for j in range(k - 1))
-    graft(reduction, ids)
-    tree = ContractionTree.from_valid_pairs(network, pairs, leaves)
-    tree.op_counts, tree.entry_counts = ops, entries
-    return tree
+    shift = first + len(pairs) - k  # fan-in merge k + j follows every partition merge
+    graft(reduction, lambda t: roots[t] if t < k else t + shift)
+    return ContractionTree(network, leaves, pairs, ops, entries)

@@ -169,6 +169,64 @@ def fanin_tree(net, partition_trees, nested):
     return from_nested(leg_fanin(net, [t.legs(t.root) for t in partition_trees]), nested)
 
 
+class TableTree:
+    """The structure of a tree with the given merge pairs over ``leaves``, kept
+    as child and parent tables keyed by node id: the reference for the
+    structure queries ``ContractionTree`` answers from its merge pairs."""
+
+    def __init__(self, num_vertices, pairs, leaves):
+        children = self.children = dict.fromkeys(leaves)
+        parent = self.parent = {}
+        ids = range(num_vertices, num_vertices + len(pairs))
+        children.update(zip(ids, pairs))
+        for node, (x, y) in zip(ids, pairs):
+            parent[x] = parent[y] = node
+        self.root = ids[-1] if pairs else leaves[0]
+        parent[self.root] = None
+
+    @property
+    def leaf_order(self):
+        return tuple(sorted(t for t, ch in self.children.items() if ch is None))
+
+    def postorder(self, node):
+        out = []
+        stack = [node]
+        while stack:  # node, right subtree, left subtree: postorder reversed
+            t = stack.pop()
+            out.append(t)
+            ch = self.children[t]
+            if ch is not None:
+                stack += ch
+        out.reverse()
+        return out
+
+    def internal_nodes(self, node):
+        return [t for t in self.postorder(node) if self.children[t] is not None]
+
+    def subtree_roots(self, blocks):
+        where = {v: i for i, block in enumerate(blocks) for v in block}
+        label = {}
+        size = {}
+        top = [None] * len(blocks)
+        for t, ch in self.children.items():  # creation order: children first
+            if ch is None:
+                b, n = where.get(t), 1
+            else:
+                x, y = ch
+                b = label[x] if label[x] == label[y] else None
+                n = size[x] + size[y]
+            label[t] = b
+            size[t] = n
+            if b is not None:
+                top[b] = t
+        roots = []
+        for block, t in zip(blocks, top):
+            if t is None or size[t] != len(block):
+                return None
+            roots.append(t)
+        return roots
+
+
 def subtree_roots_by_leaf_sets(tree, blocks):
     """``ContractionTree.subtree_roots`` by comparing each block with the leaf
     set of every node: the matching nodes, or None if a block has none."""
@@ -184,7 +242,7 @@ def vertex_congestion(tree, t):
     """log2 of the multiplication count of the contraction at internal ``t``."""
     left, right = tree.children(t)
     legs = tree.legs(left) | tree.legs(right)
-    return math.log2(math.prod(tree.network.edge_dims[e] for e in legs))
+    return math.log2(math.prod(tree.network.edge_dim(e) for e in legs))
 
 
 def _leaf_legs(net, v):
@@ -353,7 +411,6 @@ def leg_tables(net, leg_sets):
     """The exact tables of ``tnplan.pathfind`` (entries E and rows {j: X}) of
     tensors with the given leg sets, as lists, read off the legs rather
     than off vertex rows."""
-    dims = net.edge_dims
     entries = []
     shared = []
     holder = {}  # edge -> the leg set seen holding it
@@ -361,7 +418,7 @@ def leg_tables(net, leg_sets):
         table = {}
         n = 1
         for e in legs:
-            d = dims[e]
+            d = net.edge_dim(e)
             n *= d
             q = holder.setdefault(e, p)
             if q != p:

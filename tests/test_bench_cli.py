@@ -269,6 +269,40 @@ class TestSummaries:
         assert summary["methods"]["m"]["count"] == 2
         assert summary["methods"]["m"]["ratio_geomean"] == pytest.approx(2.0)
 
+    GOOD_ROW = {"circuit": "a", "method": "m", "k": 2, "cost": 1.0, "ratio": 1.0, "best_k": True}
+
+    @pytest.mark.parametrize("report, where, field", [
+        ([1, 2], "report 1 is", "'results'"),
+        ({"results": {"circuit": "a"}}, "report 1 is", "'results'"),
+        ({"results": [[1]]}, "report 1, result 0:", "object"),
+        ({"results": [{k: v for k, v in GOOD_ROW.items() if k != "circuit"}]}, "report 1, result 0:", "'circuit'"),
+        ({"results": [GOOD_ROW, dict(GOOD_ROW, method=3)]}, "report 1, result 1:", "'method'"),
+        ({"results": [dict(GOOD_ROW, best_k=1)]}, "report 1, result 0:", "'best_k'"),
+        ({"results": [dict(GOOD_ROW, ratio=0)]}, "report 1, result 0:", "'ratio'"),
+        ({"results": [dict(GOOD_ROW, ratio=-1.0)]}, "report 1, result 0:", "'ratio'"),
+        ({"results": [dict(GOOD_ROW, ratio="2")]}, "report 1, result 0:", "'ratio'"),
+        ({"results": [dict(GOOD_ROW, ratio=True)]}, "report 1, result 0:", "'ratio'"),
+        ({"results": [dict(GOOD_ROW, ratio=math.inf)]}, "report 1, result 0:", "'ratio'"),
+        ({"results": [dict(GOOD_ROW, cost=math.nan)]}, "report 1, result 0:", "'cost'"),
+        ({"results": [dict(GOOD_ROW, cost=None)]}, "report 1, result 0:", "'cost'"),
+    ])
+    def test_compare_report_names_the_bad_report_and_field(self, tmp_path, capsys, report, where, field):
+        """A malformed report, even one whose bad entry is not a best-k one,
+        raises ``ValueError`` naming its position and field; ``tnplan report``
+        exits 1 with that one ``error:`` line and prints no table."""
+        good = {"results": [self.GOOD_ROW]}
+        with pytest.raises(ValueError, match=f"^{where}.*{field}"):
+            compare_report([good, report])
+        paths = []
+        for i, rep in enumerate((good, report)):
+            paths.append(tmp_path / f"rep{i}.json")
+            paths[-1].write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert main(["report", *map(str, paths)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {where}") and field in err and err.count("\n") == 1
+
     def test_format_comparison_lists_methods(self):
         report = run_pipeline([("ghz-4", ghz_circuit(4))], tiny_cfg())
         text = format_comparison(compare_report([report]))

@@ -106,8 +106,10 @@ def test_leg_tables_follow_a_bond_made_after_a_read():
     assert net.leaf_legs(u) == {net.axis_edges(u)[0], e}
     assert net.leaf_legs(v) == {e, net.axis_edges(v)[1]}
     assert net.vertex_row(u) == (10, {v: 5}) and net.vertex_row(v) == (15, {u: 5})
-    assert open_u not in net.edge_dims and open_v not in net.edge_dims
-    assert net.edge_dims[e] == 5
+    for gone in (open_u, open_v):
+        with pytest.raises(KeyError):
+            net.edge_dim(gone)
+    assert net.edge_dim(e) == 5
     assert dims_product(net, net.leaf_legs(u) | net.leaf_legs(v)) == 30.0
 
 

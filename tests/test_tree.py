@@ -16,11 +16,11 @@ from tnplan.corpus import random_circuit
 from tnplan.costs import CostConfig, dims_product
 from tnplan.network import NetworkError, TensorNetwork
 from tnplan.partition import Partitioning, initial_partition
-from tnplan.pathfind import greedy_tree
+from tnplan.pathfind import GreedyConfig, greedy_tree
 from tnplan.plan import build_plan, plan_from_dict, plan_to_dict, state_to_plan
 from tnplan.tree import ContractionTree, TreeError, compose_plan_tree
 
-from oracles import (blocks_nested, fanin_tree, from_nested, open_edges, random_blocks,
+from oracles import (TableTree, blocks_nested, fanin_tree, from_nested, open_edges, random_blocks,
                      random_bond_network, random_nested, random_network, random_pairs,
                      subtree_roots_by_leaf_sets, swapped, to_nested)
 
@@ -302,6 +302,56 @@ def test_a_proposal_reads_no_leaf_legs_and_derives_no_legs(monkeypatch, mode):
         for t in [*new, candidate.reduction]:
             assert t._legs == {}
         state = candidate
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       source=st.sampled_from(("greedy", "view", "noisy", "pairs", "composed", "fanin")))
+def test_structure_queries_match_the_reference_tables(seed, source):
+    """Every structure query a tree answers from its merge pairs equals the
+    answer of the child and parent tables of the same pairs and leaves, on
+    trees from every builder; ``pairs()`` is a fresh list each call."""
+    # Parallel, dimension-1 and self-loop bonds, often disconnected.
+    rng = np.random.default_rng(seed)
+    net = random_bond_network(rng, loops=True)
+    vertices = list(net.vertices())
+    leaves = vertices
+    blocks = random_blocks(rng, vertices, int(rng.integers(1, len(vertices) + 1)))
+    if source == "greedy":
+        tree = greedy_tree(net)
+    elif source == "view":
+        leaves = [v for v in vertices if rng.random() < 0.7] or [0]
+        tree = greedy_tree(net, set(leaves))
+    elif source == "noisy":
+        tree = greedy_tree(net, cfg=GreedyConfig(samples=3, rng_seed=seed))
+    elif source == "pairs":
+        leaves = rng.permutation(vertices).tolist()
+        tree = ContractionTree.from_pairs(net, random_pairs(rng, leaves), leaves)
+    else:
+        plan = build_plan(net, Partitioning(blocks))
+        if source == "composed":
+            tree = plan.tree
+        else:
+            tree, leaves = plan.reduction, list(range(len(blocks)))
+            blocks = random_blocks(rng, leaves, int(rng.integers(1, len(leaves) + 1)))
+    pairs = tree.pairs()
+    ref = TableTree(tree.network.num_vertices, pairs, leaves)
+    assert tree.root == ref.root
+    for t, ch in ref.children.items():
+        assert tree.children(t) == ch
+        assert tree.parent(t) == ref.parent[t]
+        assert tree.postorder(t) == ref.postorder(t)
+        assert tree.internal_nodes(t) == ref.internal_nodes(t)
+    assert tree.leaf_order == ref.leaf_order
+    assert tree.order == tuple(ref.postorder(ref.root))
+    assert tree.internal_order == tuple(ref.internal_nodes(ref.root))
+    for bs in (blocks, [frozenset(leaves)], [frozenset(leaves[:1])], blocks + [frozenset()]):
+        assert tree.subtree_roots(bs) == ref.subtree_roots(bs)
+    kept = list(pairs)
+    pairs.append((ref.root, ref.root))
+    pairs.reverse()
+    assert tree.pairs() == kept and tree.root == ref.root
+    assert [tree.children(t) for t in ref.children] == list(ref.children.values())
 
 
 @settings(max_examples=50, deadline=None)
